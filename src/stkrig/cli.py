@@ -167,15 +167,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(command: str, namespace: argparse.Namespace) -> dict:
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The argparse action of each flag of one subcommand, by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _config_value(action: argparse.Action, default, key: str, value):
+    """A config file value, converted as its flag's argparse type converts
+    a command-line string."""
+    if value is None and default is None:
+        return None
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    elif action.type is None:
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    else:
+        try:
+            return action.type(str(value))
+        except ValueError:
+            expected = "of type %s" % action.type.__name__
+    raise UsageError("config key %r must be %s, got %s" % (key, expected, json.dumps(value)))
+
+
+def _threads(resolved: dict) -> int:
+    value = resolved["threads"]
+    if value is None:
+        env = os.environ.get("STKRIG_THREADS")
+        try:
+            value = int(env) if env else 1
+        except ValueError:
+            raise UsageError("STKRIG_THREADS must be an integer, got %r" % env) from None
+    if value < 1:
+        raise UsageError("threads must be at least 1, got %r" % value)
+    return value
+
+
+def _resolve(command: str, namespace: argparse.Namespace, actions: dict) -> dict:
     resolved = dict(_DEFAULTS[command])
     config_path = getattr(namespace, "config", None)
     if config_path:
-        with open(config_path) as handle:
-            try:
+        try:
+            with open(config_path) as handle:
                 overrides = json.load(handle)
-            except json.JSONDecodeError as err:
-                raise UsageError("config file %s is not valid JSON: %s" % (config_path, err))
+        except OSError as err:
+            raise UsageError("cannot read config file %s: %s" % (config_path, err.strerror))
+        except ValueError as err:  # malformed JSON or text that is not UTF-8
+            raise UsageError("config file %s is not valid JSON: %s" % (config_path, err))
         if not isinstance(overrides, dict):
             raise UsageError("config file %s must hold a JSON object" % config_path)
         for key, value in overrides.items():
@@ -184,7 +226,7 @@ def _resolve(command: str, namespace: argparse.Namespace) -> dict:
                 raise UsageError(
                     "config key %r is not a flag of the %s command" % (key, command)
                 )
-            resolved[attr] = value
+            resolved[attr] = _config_value(actions[attr], resolved[attr], key, value)
     for key in resolved:
         if hasattr(namespace, key):
             resolved[key] = getattr(namespace, key)
@@ -194,6 +236,7 @@ def _resolve(command: str, namespace: argparse.Namespace) -> dict:
             "%s is missing required option(s): %s"
             % (command, ", ".join("--" + k.replace("_", "-") for k in sorted(missing)))
         )
+    resolved["threads"] = _threads(resolved)
     return resolved
 
 
@@ -209,26 +252,15 @@ def _provenance(command: str, resolved: dict) -> dict:
     }
 
 
-def _threads(resolved: dict) -> int:
-    value = resolved.get("threads")
-    if value is None:
-        env = os.environ.get("STKRIG_THREADS")
-        value = int(env) if env else 1
-    count = int(value)
-    if count < 1:
-        raise UsageError("threads must be at least 1, got %r" % value)
-    return count
-
-
 def _cmd_simulate(resolved: dict) -> None:
     ids, coords = load_locations(resolved["locations"])
     params = load_model(resolved["model"])
     spec = SimulationSpec(
         locations=coords,
-        n=int(resolved["n"]),
+        n=resolved["n"],
         params=params,
-        seed=int(resolved["seed"]),
-        include_measurement_error=bool(resolved["measurement_error"]),
+        seed=resolved["seed"],
+        include_measurement_error=resolved["measurement_error"],
         site_ids=tuple(ids),
     )
     panel = simulate_panel(spec)
@@ -285,15 +317,15 @@ def _cmd_estimate(resolved: dict) -> None:
     panel = load_panel(resolved["locations"], resolved["series"])
     mode, n_bins = _parse_bins(resolved["bins"])
     config = FitConfig(
-        n_coeffs=int(resolved["p"]),
-        nu_fixed=None if resolved["nu_fixed"] is None else float(resolved["nu_fixed"]),
-        fit_nugget=bool(resolved["nugget"]),
-        n_frequencies=None if resolved["M"] is None else int(resolved["M"]),
+        n_coeffs=resolved["p"],
+        nu_fixed=resolved["nu_fixed"],
+        fit_nugget=resolved["nugget"],
+        n_frequencies=resolved["M"],
         bins_mode=mode,
         n_bins=n_bins,
-        bin_tolerance=None if resolved["bin_tolerance"] is None else float(resolved["bin_tolerance"]),
-        multistart=int(resolved["multistart"]),
-        seed=int(resolved["seed"]),
+        bin_tolerance=resolved["bin_tolerance"],
+        multistart=resolved["multistart"],
+        seed=resolved["seed"],
         compute_covariance=not resolved["no_covariance"],
     )
     result = fit(panel, config)
@@ -323,8 +355,8 @@ def _cmd_krige(resolved: dict) -> None:
         )
     output = krige_series(
         panel, target, params,
-        include_target_noise=bool(resolved["include_target_noise"]),
-        threads=_threads(resolved),
+        include_target_noise=resolved["include_target_noise"],
+        threads=resolved["threads"],
     )
     out_dir = resolved["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -341,7 +373,7 @@ def _cmd_krige(resolved: dict) -> None:
 
 def _cmd_forecast(resolved: dict) -> None:
     series = load_single_series(resolved["reconstructed"])
-    output = ar_forecast(series, int(resolved["horizons"]), int(resolved["pmax"]))
+    output = ar_forecast(series, resolved["horizons"], resolved["pmax"])
     payload = _provenance("forecast", resolved)
     payload.update(output.to_dict())
     out_path = resolved["out"]
@@ -356,8 +388,7 @@ def _cmd_forecast(resolved: dict) -> None:
 
 def _cmd_test_indep(resolved: dict) -> None:
     panel = load_panel(resolved["locations"], resolved["series"])
-    half_window = None if resolved["K"] is None else int(resolved["K"])
-    result = independence_test(panel, half_window=half_window)
+    result = independence_test(panel, half_window=resolved["K"])
     payload = _provenance("test-indep", resolved)
     payload.update(result.to_dict())
     write_json(resolved["out"], payload)
@@ -378,7 +409,7 @@ def main(argv=None) -> int:
     namespace = parser.parse_args(argv)
     command = namespace.command
     try:
-        resolved = _resolve(command, namespace)
+        resolved = _resolve(command, namespace, _flag_actions(parser, command))
     except UsageError as err:
         print("stkrig %s: %s" % (command, err), file=sys.stderr)
         return 2

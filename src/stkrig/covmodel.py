@@ -24,7 +24,7 @@ distinct sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sspec
@@ -32,7 +32,6 @@ from scipy import special as _sspec
 from .numerics import log_gamma
 
 _TWO_PI = 2.0 * np.pi
-_VARIOGRAM_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -124,39 +123,75 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _distances(h, positive: bool = False) -> np.ndarray:
+    arr = _as_float_array(h, "h")
+    if positive and np.any(arr <= 0):
+        raise ValueError(
+            "frequency variogram is defined for strictly positive distances, got min %r"
+            % float(arr.min())
+        )
+    if np.any(arr < 0):
+        raise ValueError("spatial distance h must be nonnegative, got min %r" % float(arr.min()))
+    return arr
+
+
 def _scalar_like(value: np.ndarray, *inputs):
     if all(np.isscalar(x) or np.asarray(x).ndim == 0 for x in inputs):
         return float(value)
     return value
 
 
-def c_mod_sq(omega, params: ModelParams):
-    """Squared inverse range |c(w)|^2 = exp(b_0 + sum_k b_k cos(k w))."""
-    om = _as_float_array(omega, "omega")
+def _c_mod_sq(om: np.ndarray, params: ModelParams) -> np.ndarray:
     log_c2 = np.full(om.shape, params.c_coeffs[0])
     for k, bk in enumerate(params.c_coeffs[1:], start=1):
         log_c2 = log_c2 + bk * np.cos(k * om)
-    return _scalar_like(np.exp(log_c2), omega)
+    return np.exp(log_c2)
+
+
+def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
+    """C(h, w) on the broadcast of validated h and om, and C(0, w) on om.
+
+    |c(w)|^2 and the log-gamma constants are computed once, on om's own
+    shape, and x^mu K_mu(x) with x = h |c(w)| in one exponentially scaled
+    Bessel call, so large distances underflow to zero instead of 0 * inf.
+    Entries with h = 0 are C(0, w). Elsewhere the closed form is clamped to
+    at most C(0, w): the two formulas round differently, and at small h
+    their difference must not turn negative.
+    """
+    nu, d = params.nu, params.d
+    mu = 2.0 * nu - d / 2.0
+    log_scale = np.log(params.sigma_e2) - (d / 2.0) * np.log(_TWO_PI)
+    log_gamma_2nu = log_gamma(2.0 * nu)
+    c2 = _c_mod_sq(om, params)
+    if params.eq310_constant:
+        zero = params.sigma_e2 / (2.0 * (2.0 * nu - 1.0) * c2 ** (2.0 * nu - 1.0))
+    else:
+        log_const = log_scale - (d / 2.0) * np.log(2.0) + log_gamma(mu) - log_gamma_2nu
+        zero = np.exp(log_const - mu * np.log(c2))
+    h_b, c_abs_b, zero_b = np.broadcast_arrays(h, np.sqrt(c2), zero)
+    # C order, as the callers' grids are, so sums over the result keep their order
+    cov = np.array(zero_b, order="C")
+    pos = h_b > 0.0
+    if np.any(pos):
+        hv = h_b[pos]
+        c_abs = c_abs_b[pos]
+        x = hv * c_abs
+        log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
+        cov[pos] = np.exp(log_pref + mu * (np.log(hv) - np.log(c_abs)) - x) * _sspec.kve(mu, x)
+    if not np.all(np.isfinite(cov)):
+        raise FloatingPointError("covariance evaluation produced non-finite values")
+    return np.minimum(cov, zero_b, out=cov), zero
+
+
+def c_mod_sq(omega, params: ModelParams):
+    """Squared inverse range |c(w)|^2 = exp(b_0 + sum_k b_k cos(k w))."""
+    return _scalar_like(_c_mod_sq(_as_float_array(omega, "omega"), params), omega)
 
 
 def cov_zero(omega, params: ModelParams):
     """Zero-distance value C(0, w), the auto-spectrum of the noise-free field."""
-    om = _as_float_array(omega, "omega")
-    c2 = np.asarray(c_mod_sq(om, params))
-    nu, d = params.nu, params.d
-    mu = 2.0 * nu - d / 2.0
-    if params.eq310_constant:
-        value = params.sigma_e2 / (2.0 * (2.0 * nu - 1.0) * c2 ** (2.0 * nu - 1.0))
-    else:
-        log_const = (
-            np.log(params.sigma_e2)
-            - (d / 2.0) * np.log(_TWO_PI)
-            - (d / 2.0) * np.log(2.0)
-            + log_gamma(mu)
-            - log_gamma(2.0 * nu)
-        )
-        value = np.exp(log_const - mu * np.log(c2))
-    return _scalar_like(value, omega)
+    _, zero = _kernel(np.zeros(()), _as_float_array(omega, "omega"), params)
+    return _scalar_like(zero, omega)
 
 
 def cov_freq(h, omega, params: ModelParams):
@@ -175,58 +210,26 @@ def cov_freq(h, omega, params: ModelParams):
     float or numpy.ndarray
         C(h, w), strictly positive and decreasing in h.
     """
-    h_in = _as_float_array(h, "h")
-    if np.any(h_in < 0):
-        raise ValueError("spatial distance h must be nonnegative, got min %r" % float(h_in.min()))
-    om = _as_float_array(omega, "omega")
-    h_b, om_b = np.broadcast_arrays(h_in, om)
-    out = np.empty(h_b.shape, dtype=float)
-
-    zero = h_b == 0.0
-    if np.any(zero):
-        g0 = np.broadcast_to(np.asarray(cov_zero(om_b, params)), h_b.shape)
-        out[zero] = g0[zero]
-    if np.any(~zero):
-        nu, d = params.nu, params.d
-        mu = 2.0 * nu - d / 2.0
-        hv = h_b[~zero]
-        c_abs = np.sqrt(np.asarray(c_mod_sq(om_b[~zero], params)))
-        x = hv * c_abs
-        log_pref = (
-            np.log(params.sigma_e2)
-            - (d / 2.0) * np.log(_TWO_PI)
-            - (2.0 * nu - 1.0) * np.log(2.0)
-            - log_gamma(2.0 * nu)
-        )
-        # x^mu * K_mu(x) done on the exponentially scaled function so large
-        # distances underflow gracefully instead of turning into 0 * inf
-        kve = _sspec.kve(mu, x)
-        vals = np.exp(log_pref + mu * (np.log(hv) - np.log(c_abs)) - x) * kve
-        out[~zero] = vals
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("covariance evaluation produced non-finite values")
-    return _scalar_like(out, h, omega)
+    cov, _ = _kernel(_distances(h), _as_float_array(omega, "omega"), params)
+    return _scalar_like(cov, h, omega)
 
 
 def corr_freq(h, omega, params: ModelParams):
     """Spatial correlation at frequency w,
     rho(h, w) = (h |c(w)|)^mu K_mu(h |c(w)|) / (2^(mu - 1) Gamma(mu)).
 
-    Equals cov_freq / cov_zero and does not depend on sigma_e2 or the nugget.
+    Equals cov_freq / cov_zero (with eq310_constant off) and does not depend
+    on sigma_e2 or the nugget.
     """
-    h_in = _as_float_array(h, "h")
-    if np.any(h_in < 0):
-        raise ValueError("spatial distance h must be nonnegative, got min %r" % float(h_in.min()))
+    hv = _distances(h)
     om = _as_float_array(omega, "omega")
-    h_b, om_b = np.broadcast_arrays(h_in, om)
-    out = np.ones(h_b.shape, dtype=float)
-    pos = h_b > 0.0
-    if np.any(pos):
-        mu = 2.0 * params.nu - params.d / 2.0
-        x = h_b[pos] * np.sqrt(np.asarray(c_mod_sq(om_b[pos], params)))
-        kve = _sspec.kve(mu, x)
-        out[pos] = np.exp(mu * np.log(x) - x - (mu - 1.0) * np.log(2.0) - log_gamma(mu)) * kve
-    return _scalar_like(out, h, omega)
+    if params.eq310_constant:
+        # the switch rescales C(0, w) alone; rho is the Matern correlation
+        params = replace(params, eq310_constant=False)
+    cov, zero = _kernel(hv, om, params)
+    if not np.all((zero > 0) & np.isfinite(zero)):
+        raise FloatingPointError("C(0, w) is out of the double range, so rho is undefined")
+    return _scalar_like(cov / zero, h, omega)
 
 
 def st_spectral_density(wavenumber, omega, params: ModelParams):
@@ -247,8 +250,7 @@ def st_spectral_density(wavenumber, omega, params: ModelParams):
             "wavenumber last axis has length %d, expected d=%d" % (lam.shape[-1], params.d)
         )
     norm_sq = np.sum(lam * lam, axis=-1)
-    om = _as_float_array(omega, "omega")
-    c2 = np.asarray(c_mod_sq(om, params))
+    c2 = _c_mod_sq(_as_float_array(omega, "omega"), params)
     value = params.sigma_e2 / (_TWO_PI ** params.d * (norm_sq + c2) ** (2.0 * params.nu))
     return _scalar_like(value, omega, norm_sq)
 
@@ -261,15 +263,8 @@ def variogram_model(h, omega, params: ModelParams):
     distance h apart. The measurement-error spectrum enters the two
     auto-spectra but not the cross term, hence the single nugget summand.
     """
-    h_in = _as_float_array(h, "h")
-    if np.any(h_in <= 0):
-        raise ValueError(
-            "frequency variogram is defined for strictly positive distances, got min %r"
-            % float(h_in.min())
-        )
-    om = _as_float_array(omega, "omega")
-    g0 = np.asarray(cov_zero(om, params)) + params.nugget / _TWO_PI
-    value = 2.0 * (g0 - np.asarray(cov_freq(h_in, om, params)))
+    cov, zero = _kernel(_distances(h, positive=True), _as_float_array(omega, "omega"), params)
+    value = 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
     return _scalar_like(value, h, omega)
 
 
@@ -283,8 +278,7 @@ def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = Tru
     dmat = _as_float_array(distances, "distances")
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValueError("distances must be a square matrix, got shape %s" % (dmat.shape,))
-    f = np.asarray(cov_freq(dmat, float(omega), params), dtype=float)
-    f = np.atleast_2d(f)
+    f, _ = _kernel(_distances(dmat), _as_float_array(float(omega), "omega"), params)
     if include_nugget and params.nugget > 0:
         f = f + (params.nugget / _TWO_PI) * np.eye(dmat.shape[0])
     return f

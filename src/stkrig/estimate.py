@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .covmodel import (
     ModelParams,
-    cov_freq,
-    cov_zero,
     natural_names,
     pack_params,
     unpack_params,
@@ -195,21 +194,33 @@ def _binned_difference_periodograms(spectral: SpectralPanel, bins: DistanceBins,
     return out
 
 
+class _Prepared(NamedTuple):
+    """Everything the criterion reads from the data."""
+
+    binned: np.ndarray
+    distances: np.ndarray
+    frequencies: np.ndarray
+
+
+def _prepare(spectral: SpectralPanel, bins: DistanceBins,
+             n_frequencies: int | None) -> _Prepared:
+    """Check the frequency count and bin the difference periodograms."""
+    m_total = spectral.n_frequencies
+    m_use = m_total if n_frequencies is None else int(n_frequencies)
+    if not 1 <= m_use <= m_total:
+        raise ValueError(
+            "n_frequencies must lie in [1, %d], got %r" % (m_total, n_frequencies)
+        )
+    binned = _binned_difference_periodograms(spectral, bins, m_use)
+    return _Prepared(binned, bins.distances(), spectral.frequencies[:m_use])
+
+
 def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams, approximate: bool = False) -> np.ndarray:
+                     params: ModelParams) -> np.ndarray:
     """Per (bin, frequency) criterion terms; shape matches binned."""
-    h = distances[:, None]
-    w = frequencies[None, :]
-    if approximate:
-        # expansion of the exact terms for |rho| < 1 around the total sill
-        sill = np.asarray(cov_zero(w, params)) + params.nugget / _TWO_PI
-        sill = np.broadcast_to(sill, binned.shape)
-        ratio = np.asarray(cov_freq(h, w, params)) / sill
-        terms = np.log(sill) + ratio + binned / (2.0 * sill) * ratio
-    else:
-        g = np.asarray(variogram_model(h, w, params))
-        g = np.maximum(g, _VARIOGRAM_FLOOR)
-        terms = np.log(g) + binned / g
+    g = np.asarray(variogram_model(distances[:, None], frequencies[None, :], params))
+    g = np.maximum(g, _VARIOGRAM_FLOOR)
+    terms = np.log(g) + binned / g
     if not np.all(np.isfinite(terms)):
         raise EvaluationError(
             "criterion is not finite at sigma_e2=%r, nu=%r, c_coeffs=%r, nugget=%r"
@@ -219,7 +230,7 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
 
 
 def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: ModelParams,
-                      n_frequencies: int | None = None, approximate: bool = False) -> float:
+                      n_frequencies: int | None = None) -> float:
     """Evaluate the estimation criterion at the given parameters.
 
     Parameters
@@ -233,23 +244,12 @@ def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: Model
     n_frequencies : int, optional
         Use only the first n_frequencies interior ordinates. Defaults to the
         full grid.
-    approximate : bool
-        Evaluate the expansion-based variant instead of the exact criterion.
-        Intended for comparisons only, not as a fitting objective.
     """
-    m_total = spectral.n_frequencies
-    m_use = m_total if n_frequencies is None else int(n_frequencies)
-    if not 1 <= m_use <= m_total:
-        raise ValueError(
-            "n_frequencies must lie in [1, %d], got %r" % (m_total, n_frequencies)
-        )
     for b in bins:
         for i, j in b.pairs:
             if not (0 <= i < spectral.m and 0 <= j < spectral.m):
                 raise ValueError("bin pair %r is out of range for %d sites" % ((i, j), spectral.m))
-    binned = _binned_difference_periodograms(spectral, bins, m_use)
-    terms = _criterion_terms(binned, bins.distances(), spectral.frequencies[:m_use],
-                             params, approximate)
+    terms = _criterion_terms(*_prepare(spectral, bins, n_frequencies), params)
     return float(terms.sum(axis=1).mean())
 
 
@@ -400,15 +400,8 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         panel.locations, mode=config.bins_mode, n_bins=config.n_bins,
         tolerance=config.bin_tolerance,
     )
-    m_use = spectral.n_frequencies if config.n_frequencies is None else int(config.n_frequencies)
-    if not 1 <= m_use <= spectral.n_frequencies:
-        raise ValueError(
-            "n_frequencies must lie in [1, %d], got %r"
-            % (spectral.n_frequencies, config.n_frequencies)
-        )
-    binned = _binned_difference_periodograms(spectral, bins, m_use)
-    freqs = spectral.frequencies[:m_use]
-    dists = bins.distances()
+    prepared = _prepare(spectral, bins, config.n_frequencies)
+    m_use = prepared.frequencies.size
     d = panel.d
     p = config.n_coeffs
     nu_fixed = config.nu_fixed
@@ -420,7 +413,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         try:
             params = unpack_params(vec, p, d=d, nu_fixed=nu_fixed,
                                    fit_nugget=config.fit_nugget)
-            terms = _criterion_terms(binned, dists, freqs, params)
+            terms = _criterion_terms(*prepared, params)
         except (EvaluationError, ValueError, OverflowError, FloatingPointError):
             return np.inf
         return float(terms.sum(axis=1).mean())
@@ -458,7 +451,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             cov = asymptotic_covariance(
                 panel, bins, params_hat, n_frequencies=m_use,
                 nu_fixed=nu_fixed, fit_nugget=config.fit_nugget,
-                remove_mean=config.remove_mean,
+                remove_mean=config.remove_mean, _prepared=prepared,
             )
         except (SingularHessianError, EvaluationError, np.linalg.LinAlgError) as err:
             warnings.warn("asymptotic covariance unavailable: %s" % err)
@@ -477,7 +470,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
 def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat: ModelParams,
                           n_frequencies: int | None = None, *, nu_fixed: float | None = None,
                           fit_nugget: bool = False, step: float = 1e-4,
-                          remove_mean: bool = True) -> np.ndarray:
+                          remove_mean: bool = True, _prepared=None) -> np.ndarray:
     """Sandwich covariance of the fitted parameters on the natural scale.
 
     The criterion Hessian is computed by central finite differences in the
@@ -493,16 +486,10 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
         When the finite-difference Hessian cannot be inverted; the error
         carries its eigenvalues.
     """
-    spectral = dft_panel(panel, remove_mean=remove_mean)
-    m_use = spectral.n_frequencies if n_frequencies is None else int(n_frequencies)
-    if not 1 <= m_use <= spectral.n_frequencies:
-        raise ValueError(
-            "n_frequencies must lie in [1, %d], got %r"
-            % (spectral.n_frequencies, n_frequencies)
-        )
-    binned = _binned_difference_periodograms(spectral, bins, m_use)
-    freqs = spectral.frequencies[:m_use]
-    dists = bins.distances()
+    # fit hands over what it already prepared from the same panel and bins
+    if _prepared is None:
+        _prepared = _prepare(dft_panel(panel, remove_mean=remove_mean), bins, n_frequencies)
+    m_use = _prepared.frequencies.size
     p = params_hat.n_coeffs
     d = params_hat.d
 
@@ -512,7 +499,7 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     def per_frequency(vec: np.ndarray) -> np.ndarray:
         params = unpack_params(vec, p, d=d, nu_fixed=params_hat.nu if nu_fixed is not None else None,
                                fit_nugget=fit_nugget)
-        return _criterion_terms(binned, dists, freqs, params).mean(axis=0)
+        return _criterion_terms(*_prepared, params).mean(axis=0)
 
     # scores per frequency: central differences coordinate by coordinate
     plus_q = np.empty(k)

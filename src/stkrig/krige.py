@@ -12,7 +12,6 @@ inverted back to the time domain.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,15 +246,6 @@ class KrigingOutput:
         }
 
 
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        return 1
-    count = int(threads)
-    if count < 1:
-        raise ValueError("threads must be at least 1, got %r" % threads)
-    return count
-
-
 def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
                  include_target_noise: bool = False, remove_mean: bool = True,
                  threads: int | None = 1) -> KrigingOutput:
@@ -269,24 +259,18 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
     Parameters
     ----------
     threads : int or None
-        Worker threads for the per-frequency systems. Results are collected
-        in frequency order, so the output is identical for any thread count.
+        Accepted and checked to be at least 1; the systems are solved on
+        the calling thread, so the output is the same for any count.
     """
+    if threads is not None and int(threads) < 1:
+        raise ValueError("threads must be at least 1, got %r" % threads)
     spectral = dft_panel(panel, remove_mean=remove_mean)
     tgt = np.asarray(target, dtype=float).reshape(-1)
-    count = _resolve_threads(threads)
-
-    def build(omega: float):
-        return assemble_system(panel.locations, tgt, omega, params,
-                               include_target_noise=include_target_noise)
-
-    freq_list = [float(w) for w in spectral.frequencies]
-    if count > 1:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            systems = list(pool.map(build, freq_list))
-    else:
-        systems = [build(w) for w in freq_list]
-
+    systems = [
+        assemble_system(panel.locations, tgt, float(w), params,
+                        include_target_noise=include_target_noise)
+        for w in spectral.frequencies
+    ]
     prediction = predict_dft(spectral, systems)
     if prediction.failed:
         warnings.warn(

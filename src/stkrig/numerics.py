@@ -160,10 +160,16 @@ def dft_forward(series) -> np.ndarray:
         raise ValueError("series must have length at least 2, got %d" % n)
     if not np.all(np.isfinite(z)):
         raise ValueError("series contains non-finite values")
+    return _dft_rows(z)
+
+
+def _dft_rows(z: np.ndarray) -> np.ndarray:
+    """dft_forward along the last axis of a real array, without checks."""
+    n = z.shape[-1]
     k = np.arange(n // 2 + 1)
     # numpy indexes time from 0; the extra phase shifts it to t = 1, ..., n
     phase = np.exp(-2j * np.pi * k / n)
-    return phase * np.fft.rfft(z) / np.sqrt(2.0 * np.pi * n)
+    return phase * np.fft.rfft(z, axis=-1) / np.sqrt(2.0 * np.pi * n)
 
 
 def dft_inverse(coeffs, n: int) -> np.ndarray:
@@ -202,10 +208,15 @@ def dft_inverse(coeffs, n: int) -> np.ndarray:
             "coefficients violate conjugate symmetry by %.3e (tolerance %.3e); "
             "a real series requires J(w_{n-k}) = conj(J(w_k))" % (worst, tol)
         )
-    # synthesis: z_t = sqrt(2 pi / n) * sum_k J_k exp(i t w_k), t = 1, ..., n
-    y = np.fft.ifft(c) * n
-    out = np.sqrt(2.0 * np.pi / n) * np.roll(y, -1)
-    return out.real
+    return _synthesize_rows(c).real
+
+
+def _synthesize_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Complex synthesis z_t = sqrt(2 pi / n) * sum_k J_k exp(i t w_k),
+    t = 1, ..., n, along the last axis, without checks."""
+    n = coeffs.shape[-1]
+    y = np.fft.ifft(coeffs, axis=-1) * n
+    return np.sqrt(2.0 * np.pi / n) * np.roll(y, -1, axis=-1)
 
 
 def nelder_mead(objective: Callable[[np.ndarray], float], x0,
@@ -272,20 +283,15 @@ def cholesky_with_jitter(matrix) -> tuple[np.ndarray, float]:
     scale = float(np.abs(np.trace(a)).real) / dim
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
-    last = 0.0
     for level in JITTER_LADDER:
         jitter = level * scale
-        last = jitter
+        loaded = a if jitter == 0.0 else a + jitter * np.eye(dim)
         try:
-            loaded = a if jitter == 0.0 else a + jitter * np.eye(dim)
-            factor = _slinalg.cholesky(loaded, lower=True)
-            return factor, jitter
+            return _slinalg.cholesky(loaded, lower=True), jitter
         except np.linalg.LinAlgError:
             continue
-        except _slinalg.LinAlgError:  # pragma: no cover - alias of the above in scipy
-            continue
     raise SingularMatrixError(
-        "matrix is not positive definite even with diagonal jitter %.3e" % last, last
+        "matrix is not positive definite even with diagonal jitter %.3e" % jitter, jitter
     )
 
 
@@ -321,23 +327,5 @@ def hpd_solve(matrix, rhs) -> HpdSolution:
             "matrix is not Hermitian: max asymmetry %.3e exceeds tolerance %.3e"
             % (asym, 1e-10 * scale)
         )
-    dim = a.shape[0]
-    tr = float(np.abs(np.trace(a)).real) / dim
-    if tr <= 0.0 or not np.isfinite(tr):
-        tr = 1.0
-    last = 0.0
-    for level in JITTER_LADDER:
-        jitter = level * tr
-        last = jitter
-        try:
-            loaded = a if jitter == 0.0 else a + jitter * np.eye(dim)
-            factor = _slinalg.cho_factor(loaded, lower=True)
-            x = _slinalg.cho_solve(factor, b)
-            return HpdSolution(x=x, jitter=jitter)
-        except np.linalg.LinAlgError:
-            continue
-        except _slinalg.LinAlgError:  # pragma: no cover
-            continue
-    raise SingularMatrixError(
-        "system is not positive definite even with diagonal jitter %.3e" % last, last
-    )
+    factor, jitter = cholesky_with_jitter(a)
+    return HpdSolution(x=_slinalg.cho_solve((factor, True), b), jitter=jitter)

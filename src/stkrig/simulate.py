@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmodel import ModelParams, cov_matrix
-from .numerics import cholesky_with_jitter
+from .numerics import _synthesize_rows, cholesky_with_jitter
 from .spectral import TimeSeriesPanel, fourier_frequencies
-
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,7 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
         coeffs[:, n // 2] = factor_fold @ z_fold
 
     # synthesis of every site at once; symmetry is exact by construction
-    y = np.fft.ifft(coeffs, axis=1) * n
-    observations = np.sqrt(_TWO_PI / n) * np.roll(y, -1, axis=1)
+    observations = _synthesize_rows(coeffs)
     residue = float(np.abs(observations.imag).max())
     scale = max(1.0, float(np.abs(observations.real).max()))
     if residue > 1e-10 * scale:

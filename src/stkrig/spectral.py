@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import dft_forward
+from .numerics import _dft_rows
 
 
 def fourier_frequencies(n: int) -> np.ndarray:
@@ -68,12 +68,14 @@ class TimeSeriesPanel:
             )
         if len(set(ids)) != len(ids):
             raise ValueError("site ids must be unique")
-        for i in range(loc.shape[0]):
-            for j in range(i + 1, loc.shape[0]):
-                if np.array_equal(loc[i], loc[j]):
-                    raise ValueError(
-                        "duplicate location for sites %r and %r" % (ids[i], ids[j])
-                    )
+        # adding 0.0 turns -0.0 into 0.0, so the two compare as one location
+        _, first, label, counts = np.unique(loc + 0.0, axis=0, return_index=True,
+                                            return_inverse=True, return_counts=True)
+        if np.any(counts > 1):
+            # the first duplicate pair: lowest i, then lowest j
+            i = int(first[counts > 1].min())
+            j = int(np.flatnonzero(label == label[i])[1])
+            raise ValueError("duplicate location for sites %r and %r" % (ids[i], ids[j]))
         loc = loc.copy()
         obs = obs.copy()
         loc.flags.writeable = False
@@ -144,11 +146,8 @@ def dft_panel(panel: TimeSeriesPanel, remove_mean: bool = True) -> SpectralPanel
         raise ValueError(
             "series length %d leaves no interior frequencies; need n >= 3" % n
         )
-    k = np.arange(n // 2 + 1)
-    phase = np.exp(-2j * np.pi * k / n)
-    coeffs = phase * np.fft.rfft(obs, axis=1) / np.sqrt(2.0 * np.pi * n)
     return SpectralPanel(
-        dft=coeffs[:, 1 : m_int + 1],
+        dft=_dft_rows(obs)[:, 1 : m_int + 1],
         frequencies=fourier_frequencies(n),
         n=n,
         mean_removed=bool(remove_mean),

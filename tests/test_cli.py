@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from stkrig.cli import main
+from stkrig.cli import _DEFAULTS, _flag_actions, build_parser, main
 
 
 MODEL = {"sigma_e2": 1.0, "nu": 1.0, "c_coeffs": [0.2, 0.4], "nugget": 0.0, "d": 2}
@@ -188,6 +188,34 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config key 'bogus' is not a flag of the forecast command" in err
 
+    assert main(["forecast", "--config", str(tmp_path / "absent.json")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    with open(config_path, "wb") as handle:
+        handle.write(b"\xff\xfe")
+    assert main(["forecast", "--config", config_path]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def _int_flags():
+    parser = build_parser()
+    return [(command, dest) for command in _DEFAULTS
+            for dest, action in _flag_actions(parser, command).items() if action.type is int]
+
+
+@pytest.mark.parametrize("value", [[2], None, "x"], ids=["list", "null", "string"])
+@pytest.mark.parametrize("command,flag", _int_flags())
+def test_malformed_int_config_value_is_a_usage_error(command, flag, value, tmp_path, capsys):
+    config_path = str(tmp_path / "config.json")
+    with open(config_path, "w") as handle:
+        json.dump({flag: value}, handle)
+    assert main([command, "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    if value is None and _DEFAULTS[command][flag] is None:
+        # null leaves an optional-valued flag unset, so it passes conversion
+        assert "missing required option(s)" in err
+    else:
+        assert "config key %r must be of type int, got %s" % (flag, json.dumps(value)) in err
+
 
 def test_missing_required_options(capsys):
     assert main(["simulate"]) == 2
@@ -237,6 +265,14 @@ def test_thread_count_validation(pipeline, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STKRIG_THREADS", "0")
     assert main(argv) == 2
     assert "threads must be at least 1" in capsys.readouterr().err
+
+    monkeypatch.setenv("STKRIG_THREADS", "abc")
+    assert main(argv) == 2
+    assert "STKRIG_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    # every command checks the thread count, not only the one that takes it
+    assert main(["spectra", "--locations", pipeline["locations"],
+                 "--series", pipeline["series"], "--out", str(tmp_path / "sp")]) == 2
+    assert "STKRIG_THREADS must be an integer" in capsys.readouterr().err
 
     monkeypatch.setenv("STKRIG_THREADS", "2")
     assert main(argv) == 0

@@ -144,15 +144,6 @@ def test_criterion_frequency_truncation_and_bounds():
         whittle_criterion(spectral, bins, params, n_frequencies=10 ** 6)
 
 
-def test_approximate_criterion_is_comparable_near_truth():
-    panel, params = _toy_panel(seed=4)
-    spectral = dft_panel(panel)
-    bins = build_distance_bins(panel.locations)
-    exact = whittle_criterion(spectral, bins, params)
-    approx = whittle_criterion(spectral, bins, params, approximate=True)
-    assert np.isfinite(approx) and approx != exact
-
-
 def test_fit_recovers_simulated_truth():
     truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.5, 0.8), d=2)
     rng = np.random.default_rng(77)

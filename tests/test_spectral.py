@@ -42,6 +42,14 @@ def test_panel_validation():
         TimeSeriesPanel(dup, obs)
     with pytest.raises(ValueError):
         TimeSeriesPanel(locs, obs, site_ids=("a", "a", "b"))
+    # the first duplicate pair is named: lowest i, then lowest j; -0.0 and
+    # 0.0 are one coordinate
+    many = np.array([[0.5, 0.5], [5.0, 5.0], [0.0, 1.0], [5.0, 5.0], [-0.0, 1.0], [5.0, 5.0]])
+    with pytest.raises(ValueError, match="sites 'site1' and 'site3'"):
+        TimeSeriesPanel(many, rng.normal(size=(6, 10)))
+    many[1] = [7.0, 7.0]
+    with pytest.raises(ValueError, match="sites 'site2' and 'site4'"):
+        TimeSeriesPanel(many, rng.normal(size=(6, 10)))
 
 
 def test_panel_defaults_and_read_only():
