@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as _sspec
 
-from .numerics import log_gamma
+from .numerics import _scaled_bessel_k, log_gamma
 
 _TWO_PI = 2.0 * np.pi
 
@@ -168,19 +167,26 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
     else:
         log_const = log_scale - (d / 2.0) * np.log(2.0) + log_gamma(mu) - log_gamma_2nu
         zero = np.exp(log_const - mu * np.log(c2))
-    h_b, c_abs_b, zero_b = np.broadcast_arrays(h, np.sqrt(c2), zero)
+    c_abs = np.sqrt(c2)
+    log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
+
+    def closed_form(hv, cv):
+        x = hv * cv
+        return np.exp(log_pref + mu * (np.log(hv) - np.log(cv)) - x) * _scaled_bessel_k(mu, x)
+
     # C order, as the callers' grids are, so sums over the result keep their order
-    cov = np.array(zero_b, order="C")
-    pos = h_b > 0.0
-    if np.any(pos):
-        hv = h_b[pos]
-        c_abs = c_abs_b[pos]
-        x = hv * c_abs
-        log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
-        cov[pos] = np.exp(log_pref + mu * (np.log(hv) - np.log(c_abs)) - x) * _sspec.kve(mu, x)
+    if np.all(h > 0.0):
+        # the criterion's case: evaluated on the broadcast, no mask and no copies
+        cov = np.asarray(closed_form(h, c_abs), order="C")
+    else:
+        h_b, c_abs_b, zero_b = np.broadcast_arrays(h, c_abs, zero)
+        cov = np.array(zero_b, order="C")
+        pos = h_b > 0.0
+        if np.any(pos):
+            cov[pos] = closed_form(h_b[pos], c_abs_b[pos])
     if not np.all(np.isfinite(cov)):
         raise FloatingPointError("covariance evaluation produced non-finite values")
-    return np.minimum(cov, zero_b, out=cov), zero
+    return np.minimum(cov, zero, out=cov), zero
 
 
 def c_mod_sq(omega, params: ModelParams):

@@ -137,49 +137,59 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
     m = loc.shape[0]
     if m < 2:
         raise ValueError("need at least two sites to form pairs, got %d" % m)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    dists = np.array([float(np.linalg.norm(loc[i] - loc[j])) for i, j in pairs])
+    rows, cols = np.triu_indices(m, 1)
+    diff = loc[rows] - loc[cols]
+    # np.linalg.norm of one pair is sqrt(dot); a stacked matmul takes the same
+    # dot product (a sum of squares rounds differently), so each distance is
+    # that pair's norm to the bit
+    dists = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1))
     if np.any(dists == 0.0):
         k = int(np.argmin(dists))
-        raise ValueError("sites %d and %d are coincident" % pairs[k])
+        raise ValueError("sites %d and %d are coincident" % (rows[k], cols[k]))
     order = np.argsort(dists, kind="stable")
+    ranked = dists[order]
 
     if mode == "exact":
         tol = float(tolerance) if tolerance is not None else 1e-9 * float(dists.max())
-        groups = []
-        current = [order[0]]
-        for idx in order[1:]:
-            if dists[idx] - dists[current[0]] <= tol:
-                current.append(idx)
-            else:
-                groups.append(current)
-                current = [idx]
-        groups.append(current)
-        reps = np.array([dists[g].mean() for g in groups])
-        # honor the tie rule: each pair joins the nearest representative,
-        # breaking exact midpoints toward the smaller distance
-        assignment = [[] for _ in reps]
-        for idx in order:
-            gaps = np.abs(reps - dists[idx])
-            assignment[int(np.argmin(gaps))].append(idx)
-        bins = []
-        for members in assignment:
-            if not members:
-                continue
-            rep = float(dists[members].mean())
-            bins.append(DistanceBin(rep, tuple(pairs[i] for i in members)))
+        # a group takes every distance within tol of its first one
+        values = ranked.tolist()
+        groups, first = [0], values[0]
+        for k in range(1, len(values)):
+            if not values[k] - first <= tol:
+                groups.append(k)
+                first = values[k]
+        reps = _segment_means(ranked, np.array(groups))
+        # each pair joins the nearest representative; side="left" sends a
+        # pair exactly at a midpoint to the smaller distance
+        nearest = np.searchsorted(0.5 * (reps[:-1] + reps[1:]), ranked, side="left")
+        starts = np.flatnonzero(np.diff(nearest, prepend=-1))
     elif mode == "quantile":
         if n_bins is None or n_bins < 1:
             raise ValueError("quantile mode needs n_bins >= 1, got %r" % n_bins)
-        chunks = [c for c in np.array_split(order, n_bins) if c.size > 0]
-        bins = [
-            DistanceBin(float(dists[c].mean()), tuple(pairs[i] for i in c))
-            for c in chunks
-        ]
+        sizes = [c.size for c in np.array_split(order, n_bins) if c.size > 0]
+        starts = np.cumsum([0] + sizes[:-1])
     else:
         raise ValueError("mode must be 'exact' or 'quantile', got %r" % mode)
+    reps = _segment_means(ranked, starts)
+    ends = np.append(starts[1:], ranked.size).tolist()
+    pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
+    bins = [DistanceBin(float(reps[b]), tuple(pairs[a:e]))
+            for b, (a, e) in enumerate(zip(starts.tolist(), ends))]
     bins.sort(key=lambda b: b.distance)
     return DistanceBins(tuple(bins))
+
+
+def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mean of each run values[starts[k]:starts[k + 1]].
+
+    np.mean sums pairwise, so longer runs go through it (np.add.reduceat
+    sums in another order); a run of one is its value.
+    """
+    ends = np.append(starts[1:], values.size)
+    means = values[starts]
+    for k in np.flatnonzero(ends - starts > 1):
+        means[k] = values[starts[k]:ends[k]].mean()
+    return means
 
 
 def _binned_difference_periodograms(spectral: SpectralPanel, bins: DistanceBins,

@@ -333,15 +333,16 @@ class ForecastOutput:
         }
 
 
-def _ar_transfer(coeffs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """|1 - sum_j phi_j exp(-i j w)|^2 on the grid."""
-    acc = np.ones(freqs.size, dtype=complex)
-    for j, phi in enumerate(coeffs, start=1):
-        acc = acc - phi * np.exp(-1j * j * freqs)
+def _ar_transfer(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """|1 - sum_j phi_j exp(-i j w)|^2 on the grid; row j - 1 of phases
+    holds exp(-i j w)."""
+    acc = np.ones(phases.shape[1], dtype=complex)
+    for phi, phase in zip(coeffs, phases):
+        acc = acc - phi * phase
     return (acc * np.conj(acc)).real
 
 
-def _ar_whittle_value(coeffs: np.ndarray, pgram: np.ndarray, freqs: np.ndarray,
+def _ar_whittle_value(coeffs: np.ndarray, pgram: np.ndarray, phases: np.ndarray,
                       n: int) -> tuple[float, float]:
     """Concentrated spectral likelihood of an AR(p) and the implied
     innovation variance.
@@ -350,7 +351,7 @@ def _ar_whittle_value(coeffs: np.ndarray, pgram: np.ndarray, freqs: np.ndarray,
     int [ln g(w) + I(w) / g(w)] dw with g(w) = s2 / (2 pi A(w)); profiling
     out s2 leaves only the transfer function A.
     """
-    a = _ar_transfer(coeffs, freqs)
+    a = _ar_transfer(coeffs, phases)
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
         return np.inf, np.nan
     m = pgram.size
@@ -442,7 +443,8 @@ def forecast(series, horizons: int, max_order: int = 8,
     ordinates = dft_forward(centered)
     m_int = (n - 1) // 2
     pgram = (np.abs(ordinates[1 : m_int + 1]) ** 2).astype(float)
-    freqs = fourier_frequencies(n)
+    # exp(-i j w) for lags j = 1..max_order, once for every order and evaluation
+    phases = np.exp(-1j * np.arange(1, max_order + 1)[:, None] * fourier_frequencies(n))
 
     if np.all(pgram == 0.0):
         # constant series: nothing to model, forecast the level exactly
@@ -457,14 +459,14 @@ def forecast(series, horizons: int, max_order: int = 8,
     best = None
     for p in range(max_order + 1):
         if p == 0:
-            value, s2 = _ar_whittle_value(np.empty(0), pgram, freqs, n)
+            value, s2 = _ar_whittle_value(np.empty(0), pgram, phases, n)
             candidate = (np.empty(0), s2, value)
         else:
             start = _yule_walker_start(centered, p)
             start, _ = _enforce_stationarity(start)
 
             def objective(phi):
-                return _ar_whittle_value(phi, pgram, freqs, n)[0]
+                return _ar_whittle_value(phi, pgram, phases, n)[0]
 
             if not np.isfinite(objective(start)):
                 start = np.zeros(p)
@@ -475,7 +477,7 @@ def forecast(series, horizons: int, max_order: int = 8,
                     "order-%d fit was nonstationary; characteristic roots were "
                     "reflected outside the unit circle" % p
                 )
-            value, s2 = _ar_whittle_value(coeffs, pgram, freqs, n)
+            value, s2 = _ar_whittle_value(coeffs, pgram, phases, n)
             candidate = (coeffs, s2, value)
         aic = 2.0 * candidate[2] + 2.0 * p
         if best is None or aic < best[0]:

@@ -122,3 +122,37 @@ def ar1_series(phi, n, innovation_sd=1.0, seed=0):
     for t in range(1, n):
         z[t] = phi * z[t - 1] + eps[t - 1]
     return z
+
+
+def distance_bins_by_scan(locations, mode="exact", n_bins=None, tolerance=None):
+    """Distance bins by the original pair-by-pair scan, as (distance, pairs)
+    sorted by distance: per-pair norms, greedy tolerance groups, and each
+    pair assigned to the nearest group mean by a scan over all of them
+    (np.argmin, so an exact midpoint goes to the smaller distance).
+    O(pairs x bins); only for small layouts.
+    """
+    loc = np.atleast_2d(np.asarray(locations, dtype=float))
+    m = loc.shape[0]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    dists = np.array([float(np.linalg.norm(loc[i] - loc[j])) for i, j in pairs])
+    order = np.argsort(dists, kind="stable")
+    if mode == "quantile":
+        groups = [list(c) for c in np.array_split(order, n_bins) if c.size > 0]
+    else:
+        tol = float(tolerance) if tolerance is not None else 1e-9 * float(dists.max())
+        seeds = []
+        current = [order[0]]
+        for idx in order[1:]:
+            if dists[idx] - dists[current[0]] <= tol:
+                current.append(idx)
+            else:
+                seeds.append(current)
+                current = [idx]
+        seeds.append(current)
+        reps = np.array([dists[g].mean() for g in seeds])
+        groups = [[] for _ in reps]
+        for idx in order:
+            groups[int(np.argmin(np.abs(reps - dists[idx])))].append(idx)
+    bins = [(float(dists[g].mean()), tuple(pairs[i] for i in g)) for g in groups if g]
+    bins.sort(key=lambda b: b[0])
+    return bins

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 from scipy.integrate import trapezoid
 
 from stkrig import (ModelParams, c_mod_sq, corr_freq, cov_freq, cov_matrix,
@@ -87,6 +88,20 @@ def test_cov_freq_matches_direct_planar_form():
                                 * np.exp(log_gamma(2.0 * nu)))
                   * (h / c_abs) ** mu * bessel_k(mu, h * c_abs))
         assert_allclose(cov_freq(h, om, p), direct, rtol=1e-10)
+
+
+@pytest.mark.parametrize("nu", [0.75, 1.0, 1.25, 1.5])
+def test_cov_freq_at_dispatched_orders_matches_scipy_kv(nu):
+    # mu = 2 nu - 1 = 0.5, 1, 1.5, 2 takes the kernel's integer and
+    # half-integer Bessel branches; the reference is scipy's unscaled kv
+    p = ModelParams(sigma_e2=1.7, nu=nu, c_coeffs=(0.3, -0.45), d=2)
+    h = np.geomspace(1e-3, 30.0, 60)[:, None]
+    om = np.linspace(0.0, np.pi, 9)[None, :]
+    mu = 2.0 * nu - 1.0
+    c_abs = np.sqrt(np.exp(0.3 - 0.45 * np.cos(om)))
+    direct = (p.sigma_e2 / (2.0 * np.pi * 2.0 ** (2.0 * nu - 1.0) * special.gamma(2.0 * nu))
+              * (h / c_abs) ** mu * special.kv(mu, h * c_abs))
+    assert_allclose(cov_freq(h, om, p), direct, rtol=1e-12, atol=0.0)
 
 
 def test_corr_freq_is_normalized_covariance():

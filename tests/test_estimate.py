@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from stkrig import (DistanceBin, DistanceBins, FitConfig, ModelParams,
                     SimulationSpec, asymptotic_covariance, build_distance_bins,
                     cov_freq, dft_panel, fit, fourier_frequencies,
                     simulate_panel, variogram_model, whittle_criterion)
+from oracles import distance_bins_by_scan
 from stkrig.estimate import (EstimationError, EvaluationError,
                              SingularHessianError, _criterion_terms)
 
@@ -71,6 +73,61 @@ def test_quantile_bins_partition_all_pairs():
     assert np.all(np.diff(bins.distances()) > 0.0)
 
 
+def _grid(shape, spacing):
+    axes = [spacing * np.arange(k) for k in shape]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+
+
+@pytest.mark.parametrize("layout, kwargs", [
+    ("scattered", {}),
+    ("scattered", {"tolerance": 0.2}),
+    ("scattered", {"tolerance": 0.0}),
+    ("scattered", {"mode": "quantile", "n_bins": 7}),
+    ("grid", {}),
+    ("grid", {"tolerance": 0.15}),
+    ("near-grid", {}),
+    ("grid", {"mode": "quantile", "n_bins": 5}),
+])
+def test_bins_match_pair_scan(layout, kwargs):
+    # the vectorised bins against the original O(pairs x bins) scan: same
+    # bins, same representatives to the bit, same pairs in the same order
+    rng = np.random.default_rng(23)
+    layouts = []
+    for d in (1, 2, 3):
+        if layout == "scattered":
+            layouts += [rng.uniform(0.0, 3.0, (m, d)) for m in (2, 3, 17, 40)]
+        else:
+            shape = {1: (9,), 2: (6, 7), 3: (3, 4, 4)}[d]
+            layouts += [_grid(shape, spacing) for spacing in (1.0, 0.1, 0.37)]
+            if layout == "near-grid":
+                layouts = [g + rng.uniform(-1e-12, 1e-12, g.shape) for g in layouts]
+    for locs in layouts:
+        bins = build_distance_bins(locs, **kwargs)
+        expected = distance_bins_by_scan(locs, **kwargs)
+        assert [(b.distance, b.pairs) for b in bins] == expected
+
+
+def test_exact_bins_break_midpoint_ties_toward_smaller_distance():
+    # sites 0, 1, 3, 4 on a line with tolerance 2: groups {1, 1, 2, 3, 3}
+    # and {4}, representatives 2 and 4; the pairs at 3 sit on the midpoint
+    locs = np.array([[0.0], [1.0], [3.0], [4.0]])
+    bins = build_distance_bins(locs, tolerance=2.0)
+    assert list(bins.distances()) == [2.0, 4.0]
+    assert list(bins.pair_counts()) == [5, 1]
+    assert [(b.distance, b.pairs) for b in bins] == distance_bins_by_scan(locs, tolerance=2.0)
+
+
+def test_exact_bins_scale_to_a_thousand_scattered_sites():
+    # one bin per pair; the pair-by-pair scan did not finish in 5 minutes
+    locs = np.random.default_rng(31).uniform(0.0, 10.0, (1000, 2))
+    t0 = time.perf_counter()
+    bins = build_distance_bins(locs)
+    elapsed = time.perf_counter() - t0
+    assert int(bins.pair_counts().sum()) == 1000 * 999 // 2
+    assert np.all(np.diff(bins.distances()) >= 0.0)
+    assert elapsed < 60.0
+
+
 def test_bins_reject_bad_input():
     locs = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
@@ -109,10 +166,14 @@ def test_criterion_rejects_nonfinite():
     bad[0, 3] = np.inf
     with pytest.raises(EvaluationError):
         _criterion_terms(bad, dists, freqs, params)
-    # overflowing parameters fail upstream, inside the covariance evaluation
-    huge = ModelParams(sigma_e2=1e300, nu=1.0, c_coeffs=(700.0,), d=2)
-    with pytest.raises(FloatingPointError):
+    # overflowing parameters fail upstream, inside the covariance evaluation:
+    # here C(0, w) = 1e300 e^700 / (4 pi) leaves the double range
+    huge = ModelParams(sigma_e2=1e300, nu=1.0, c_coeffs=(-700.0,), d=2)
+    with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
         _criterion_terms(np.ones((1, freqs.size)), dists, freqs, huge)
+    # h |c(w)| = e^350 is no overflow: C(h, w) underflows to 0 and g = 2 C(0, w)
+    far = ModelParams(sigma_e2=1e300, nu=1.0, c_coeffs=(700.0,), d=2)
+    assert np.all(np.isfinite(_criterion_terms(np.ones((1, freqs.size)), dists, freqs, far)))
 
 
 def test_criterion_prefers_truth_on_average():

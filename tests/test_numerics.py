@@ -1,14 +1,18 @@
 """Numerical kernels against independent references."""
 
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy import special
 
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
 from stkrig.numerics import (JITTER_LADDER, OptimizerConfig, SingularMatrixError,
-                             bessel_k, cholesky_with_jitter, dft_forward,
-                             dft_inverse, hpd_solve, log_gamma, nelder_mead)
+                             _scaled_bessel_k, bessel_k, cholesky_with_jitter,
+                             dft_forward, dft_inverse, hpd_solve, log_gamma,
+                             nelder_mead)
 
 # value of the integral representation at (order, x) = (1, 1), computed by
 # adaptive quadrature before the implementation existed
@@ -61,8 +65,42 @@ def test_bessel_k_rejects_bad_input():
 
 
 def test_bessel_k_overflow_raises():
-    with pytest.raises(OverflowError):
-        bessel_k(20.0, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the recurrence overflows silently
+        for order in (20.0, 20.5, 3.0, 1.5):
+            with pytest.raises(OverflowError):
+                bessel_k(order, 1e-300)
+
+
+def test_bessel_k_keeps_kv_values_where_kve_gives_up():
+    # kve is NaN past x ~ 1.08e9 and overflows early at large orders
+    assert_array_equal(bessel_k(0.6, [1e10, 1e12]), [0.0, 0.0])
+    for order, x in ((140.0, 0.6916607400038025), (160.0, 1.4744807267122517)):
+        assert np.isinf(special.kve(order, x))
+        assert bessel_k(order, x) == special.kv(order, x)
+
+
+# every order the integer and half-integer branches serve
+DISPATCHED_ORDERS = [float(k) for k in range(21)] + [k + 0.5 for k in range(21)]
+
+
+@pytest.mark.parametrize("order", DISPATCHED_ORDERS)
+def test_scaled_bessel_dispatch_matches_kve(order):
+    x = np.geomspace(1e-6, 700.0, 2000)
+    assert_allclose(_scaled_bessel_k(order, x), special.kve(order, x), rtol=1e-13, atol=0.0)
+
+
+def test_scaled_bessel_other_orders_are_kve():
+    x = np.geomspace(1e-6, 700.0, 300)
+    for order in (0.6, 1.0 + 1e-12, 2.25, 21.0, 21.5, 33.0):
+        assert_array_equal(_scaled_bessel_k(order, x), special.kve(order, x))
+
+
+def test_bessel_k_dispatched_orders_match_quadrature_oracle():
+    for order in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 7.0, 10.5, 13.0, 20.0, 20.5):
+        for x in (1e-6, 0.01, 0.7, 5.0, 50.0):
+            assert_allclose(bessel_k(order, x), bessel_k_quadrature(order, x), rtol=1e-10)
+            assert bessel_k(-order, x) == bessel_k(order, x)
 
 
 def test_log_gamma_matches_math_lgamma():
