@@ -22,7 +22,6 @@ from .covmodel import (
     variogram_model,
 )
 from .estimate import (
-    DistanceBin,
     DistanceBins,
     FitConfig,
     FitResult,
@@ -35,7 +34,6 @@ from .indeptest import (
     IndependenceTestResult,
     default_half_window,
     independence_test,
-    partition_frequencies,
 )
 from .krige import (
     ForecastOutput,
@@ -65,6 +63,7 @@ from .spectral import (
     dft_panel,
     difference_periodogram,
     fourier_frequencies,
+    partition_frequencies,
     periodogram,
     smoothed_cross_spectrum,
 )
@@ -73,17 +72,16 @@ __all__ = [
     "__version__",
     "ModelParams", "c_mod_sq", "corr_freq", "cov_freq", "cov_matrix",
     "cov_zero", "st_spectral_density", "variogram_model",
-    "DistanceBin", "DistanceBins", "FitConfig", "FitResult",
+    "DistanceBins", "FitConfig", "FitResult",
     "asymptotic_covariance", "build_distance_bins", "fit", "whittle_criterion",
     "IndependenceTestResult", "default_half_window", "independence_test",
-    "partition_frequencies",
     "ForecastOutput", "KrigingOutput", "assemble_system", "forecast",
     "krige_series", "predict_dft", "reconstruct_series",
     "OptimizerConfig", "SingularMatrixError", "bessel_k", "dft_forward",
     "dft_inverse", "hpd_solve", "log_gamma", "nelder_mead",
     "SimulationSpec", "simulate_panel", "simulate_white_panel",
     "SpectralPanel", "TimeSeriesPanel", "block_center_frequencies",
-    "cross_periodogram", "dft_panel",
-    "difference_periodogram", "fourier_frequencies", "periodogram",
+    "cross_periodogram", "dft_panel", "difference_periodogram",
+    "fourier_frequencies", "partition_frequencies", "periodogram",
     "smoothed_cross_spectrum",
 ]

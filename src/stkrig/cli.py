@@ -35,7 +35,7 @@ from .io import (
 from .krige import forecast as ar_forecast
 from .krige import krige_series
 from .simulate import SimulationSpec, simulate_panel
-from .spectral import dft_panel, difference_periodogram, periodogram
+from .spectral import dft_panel, periodogram
 
 
 class UsageError(Exception):
@@ -283,15 +283,14 @@ def _cmd_spectra(resolved: dict) -> None:
         table = np.column_stack([periodogram(spectral, i) for i in range(panel.m)])
         for k in range(spectral.n_frequencies):
             writer.writerow([_fmt(spectral.frequencies[k])] + [_fmt(v) for v in table[k]])
-    pairs = [(i, j) for i in range(panel.m) for j in range(i + 1, panel.m)]
+    rows, cols = np.triu_indices(panel.m, 1)
     with open(os.path.join(out_dir, "difference_periodograms.csv"), "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["omega"] + ["%s|%s" % (panel.site_ids[i], panel.site_ids[j]) for i, j in pairs]
-        )
-        table = np.column_stack(
-            [difference_periodogram(spectral, i, j) for i, j in pairs]
-        ) if pairs else np.empty((spectral.n_frequencies, 0))
+        writer.writerow(["omega"] + ["%s|%s" % (panel.site_ids[i], panel.site_ids[j])
+                                     for i, j in zip(rows, cols)])
+        # |J_i - J_j|^2 for every pair i < j, as difference_periodogram
+        diff = spectral.dft[rows] - spectral.dft[cols]
+        table = (diff * np.conj(diff)).real.T
         for k in range(spectral.n_frequencies):
             writer.writerow([_fmt(spectral.frequencies[k])] + [_fmt(v) for v in table[k]])
     payload = _provenance("spectra", resolved)

@@ -172,7 +172,15 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
 
     def closed_form(hv, cv):
         x = hv * cv
-        return np.exp(log_pref + mu * (np.log(hv) - np.log(cv)) - x) * _scaled_bessel_k(mu, x)
+        cov = np.exp(log_pref + mu * (np.log(hv) - np.log(cv)) - x)
+        bessel = _scaled_bessel_k(mu, x)
+        # kve is NaN past x ~ 1.08e9, where the prefactor has long underflowed
+        # to 0 and C(h, w) with it; 0 * inf (a Bessel overflow) fails below.
+        # In place, as numpy multiplies into an unnamed temporary: a second
+        # array this size slows every criterion evaluation
+        lost = np.isnan(bessel) & (cov == 0.0)
+        cov *= bessel
+        return np.where(lost, 0.0, cov) if np.any(lost) else cov
 
     # C order, as the callers' grids are, so sums over the result keep their order
     if np.all(h > 0.0):

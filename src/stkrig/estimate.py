@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .covmodel import (
     ModelParams,
@@ -28,7 +30,7 @@ from .covmodel import (
     variogram_model,
 )
 from .numerics import OptimizerConfig, nelder_mead
-from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, difference_periodogram
+from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
 
 _TWO_PI = 2.0 * np.pi
 _VARIOGRAM_FLOOR = 1e-300
@@ -56,56 +58,64 @@ class SingularHessianError(RuntimeError):
         self.eigenvalues = eigenvalues
 
 
-@dataclass(frozen=True)
-class DistanceBin:
-    """A representative distance and the site pairs assigned to it."""
-
-    distance: float
-    pairs: tuple
-
-    def __post_init__(self):
-        if not (np.isfinite(self.distance) and self.distance > 0):
-            raise ValueError("bin distance must be positive, got %r" % self.distance)
-        if len(self.pairs) < 1:
-            raise ValueError("a distance bin cannot be empty")
-        object.__setattr__(self, "pairs", tuple((int(i), int(j)) for i, j in self.pairs))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceBins:
-    """Ordered collection of distance bins covering each site pair once."""
+    """Site pairs grouped by spatial distance, as three read-only arrays:
+    representatives (L,), the finite positive bin distances; pairs (P, 2),
+    site indices (i, j) grouped bin by bin, nonnegative, i != j and none
+    twice; counts (L,), the number of pairs in each bin, at least 1.
+    """
 
-    bins: tuple
+    representatives: np.ndarray
+    pairs: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", tuple(self.bins))
-        if len(self.bins) < 1:
-            raise ValueError("at least one distance bin is required")
-        seen = set()
-        for b in self.bins:
-            for pair in b.pairs:
-                if pair in seen:
-                    raise ValueError("pair %r appears in more than one bin" % (pair,))
-                seen.add(pair)
+        reps = np.array(self.representatives, dtype=float)
+        pairs, counts = np.array(self.pairs), np.array(self.counts)
+        integral = (np.issubdtype(pairs.dtype, np.integer)
+                    and np.issubdtype(counts.dtype, np.integer))
+        if not (integral and reps.ndim == 1 and reps.size and counts.shape == reps.shape
+                and pairs.shape == (counts.sum(), 2)):
+            raise ValueError("need L >= 1 distances, L integer pair counts and sum(counts) "
+                             "integer pairs; got shapes %s, %s and %s of %s"
+                             % (reps.shape, counts.shape, pairs.shape, pairs.dtype))
+        positive = np.isfinite(reps) & (reps > 0)
+        if not np.all(positive):
+            raise ValueError("bin distance must be positive, got %r" % float(reps[~positive][0]))
+        if np.any(counts < 1):
+            raise ValueError("a distance bin cannot be empty")
+        _check_pairs(pairs, np.any(pairs < 0, axis=1), "has a negative site index")
+        _check_pairs(pairs, pairs[:, 0] == pairs[:, 1], "joins a site to itself")
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        twice = np.zeros(len(pairs), dtype=bool)
+        twice[order[1:]] = np.all(pairs[order[1:]] == pairs[order[:-1]], axis=1)
+        _check_pairs(pairs, twice, "appears twice")
+        for name, value in (("representatives", reps), ("pairs", pairs), ("counts", counts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.bins)
-
-    def __iter__(self):
-        return iter(self.bins)
+        return self.counts.size
 
     def distances(self) -> np.ndarray:
-        return np.array([b.distance for b in self.bins])
+        return self.representatives.copy()
 
     def pair_counts(self) -> np.ndarray:
-        return np.array([len(b.pairs) for b in self.bins])
+        return self.counts.copy()
 
     def summary(self) -> dict:
         return {
-            "n_bins": len(self.bins),
-            "distances": [float(b.distance) for b in self.bins],
-            "pair_counts": [len(b.pairs) for b in self.bins],
+            "n_bins": len(self),
+            "distances": self.representatives.tolist(),
+            "pair_counts": self.counts.tolist(),
         }
+
+
+def _check_pairs(pairs: np.ndarray, bad: np.ndarray, what: str):
+    """Raise ValueError naming the first pair flagged in bad."""
+    if np.any(bad):
+        raise ValueError("pair %r %s" % (tuple(pairs[np.argmax(bad)].tolist()), what))
 
 
 def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = None,
@@ -123,8 +133,8 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
     n_bins : int, optional
         Number of groups for quantile mode.
     tolerance : float, optional
-        Merge tolerance for exact mode. Defaults to 1e-9 times the largest
-        pair distance.
+        Merge tolerance for exact mode, nonnegative. Defaults to 1e-9 times
+        the largest pair distance.
 
     Returns
     -------
@@ -151,14 +161,9 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
 
     if mode == "exact":
         tol = float(tolerance) if tolerance is not None else 1e-9 * float(dists.max())
-        # a group takes every distance within tol of its first one
-        values = ranked.tolist()
-        groups, first = [0], values[0]
-        for k in range(1, len(values)):
-            if not values[k] - first <= tol:
-                groups.append(k)
-                first = values[k]
-        reps = _segment_means(ranked, np.array(groups))
+        if not tol >= 0.0:
+            raise ValueError("tolerance must be nonnegative, got %r" % tolerance)
+        reps = _segment_means(ranked, _tolerance_groups(ranked, tol))
         # each pair joins the nearest representative; side="left" sends a
         # pair exactly at a midpoint to the smaller distance
         nearest = np.searchsorted(0.5 * (reps[:-1] + reps[1:]), ranked, side="left")
@@ -171,12 +176,32 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
     else:
         raise ValueError("mode must be 'exact' or 'quantile', got %r" % mode)
     reps = _segment_means(ranked, starts)
-    ends = np.append(starts[1:], ranked.size).tolist()
-    pairs = list(zip(rows[order].tolist(), cols[order].tolist()))
-    bins = [DistanceBin(float(reps[b]), tuple(pairs[a:e]))
-            for b, (a, e) in enumerate(zip(starts.tolist(), ends))]
-    bins.sort(key=lambda b: b.distance)
-    return DistanceBins(tuple(bins))
+    counts = np.diff(np.append(starts, ranked.size))
+    # bins by distance, stably: np.mean can round a run of ties (quantile
+    # mode) above the mean of the next bin; the pairs move with their bin
+    by_distance = np.argsort(reps, kind="stable")
+    picked = order[np.argsort(np.repeat(np.argsort(by_distance), counts), kind="stable")]
+    pairs = np.stack([rows[picked], cols[picked]], axis=1)
+    return DistanceBins(reps[by_distance], pairs, counts[by_distance])
+
+
+def _tolerance_groups(ranked: np.ndarray, tol: float) -> np.ndarray:
+    """Starts of the greedy groups of sorted values: each group takes every
+    value v with v - first <= tol, first being the value that opened it.
+    """
+    n = ranked.size
+    k = np.arange(n)
+    # nxt[k]: the first index a group opened at k does not take, bisected on
+    # the test v - first <= tol itself (ranked + tol rounds differently)
+    nxt, hi = k + 1, np.full(n, n)
+    while np.any(nxt < hi):
+        mid = (nxt + hi) // 2
+        taken = ranked[np.minimum(mid, n - 1)] - ranked <= tol
+        nxt, hi = np.where(taken & (nxt < hi), mid + 1, nxt), np.where(taken, hi, mid)
+    # the groups open at the indices reachable from 0 along k -> nxt[k]
+    path = csr_matrix((np.ones(n), (k, nxt)), shape=(n + 1, n + 1))
+    starts = breadth_first_order(path, 0, return_predecessors=False)
+    return starts[starts < n]
 
 
 def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -194,14 +219,22 @@ def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _binned_difference_periodograms(spectral: SpectralPanel, bins: DistanceBins,
                                     n_frequencies: int) -> np.ndarray:
-    """Mean difference periodogram of each bin, shape (L, n_frequencies)."""
-    out = np.empty((len(bins), n_frequencies))
-    for l, b in enumerate(bins):
-        acc = np.zeros(n_frequencies)
-        for i, j in b.pairs:
-            acc += difference_periodogram(spectral, i, j)[:n_frequencies]
-        out[l] = acc / len(b.pairs)
-    return out
+    """Mean difference periodogram |J_i - J_j|^2 of each bin, (L, M).
+
+    np.add.at adds the pairs' rows into their bins one at a time, in bin
+    order, so each sum rounds as a loop over the bin's pairs does
+    (np.add.reduceat does not), in chunks of about 2^18 values.
+    """
+    owner = np.repeat(np.arange(len(bins)), bins.counts)
+    acc = np.zeros((len(bins), n_frequencies))
+    dft = spectral.dft[:, :n_frequencies]
+    step = max(1, (1 << 18) // n_frequencies)
+    for lo in range(0, owner.size, step):
+        i, j = bins.pairs[lo:lo + step].T
+        diff = dft[i] - dft[j]
+        np.add.at(acc, owner[lo:lo + step], (diff * np.conj(diff)).real)
+    acc /= bins.counts[:, None]
+    return acc
 
 
 class _Prepared(NamedTuple):
@@ -214,13 +247,16 @@ class _Prepared(NamedTuple):
 
 def _prepare(spectral: SpectralPanel, bins: DistanceBins,
              n_frequencies: int | None) -> _Prepared:
-    """Check the frequency count and bin the difference periodograms."""
+    """Check the frequency count and the pair range, and bin the difference
+    periodograms."""
     m_total = spectral.n_frequencies
     m_use = m_total if n_frequencies is None else int(n_frequencies)
     if not 1 <= m_use <= m_total:
         raise ValueError(
             "n_frequencies must lie in [1, %d], got %r" % (m_total, n_frequencies)
         )
+    _check_pairs(bins.pairs, np.any(bins.pairs >= spectral.m, axis=1),
+                 "is out of range for %d sites" % spectral.m)
     binned = _binned_difference_periodograms(spectral, bins, m_use)
     return _Prepared(binned, bins.distances(), spectral.frequencies[:m_use])
 
@@ -255,10 +291,6 @@ def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: Model
         Use only the first n_frequencies interior ordinates. Defaults to the
         full grid.
     """
-    for b in bins:
-        for i, j in b.pairs:
-            if not (0 <= i < spectral.m and 0 <= j < spectral.m):
-                raise ValueError("bin pair %r is out of range for %d sites" % ((i, j), spectral.m))
     terms = _criterion_terms(*_prepare(spectral, bins, n_frequencies), params)
     return float(terms.sum(axis=1).mean())
 
@@ -405,6 +437,12 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     EstimationError
         If every restart fails to produce a finite criterion value.
     """
+    d = panel.d
+    p = config.n_coeffs
+    nu_fixed = config.nu_fixed
+    if nu_fixed is not None and nu_fixed <= d / 4.0:
+        raise ValueError("nu_fixed must exceed d/4 = %g, got %r" % (d / 4.0, nu_fixed))
+
     spectral = dft_panel(panel, remove_mean=config.remove_mean)
     bins = build_distance_bins(
         panel.locations, mode=config.bins_mode, n_bins=config.n_bins,
@@ -412,12 +450,6 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     )
     prepared = _prepare(spectral, bins, config.n_frequencies)
     m_use = prepared.frequencies.size
-    d = panel.d
-    p = config.n_coeffs
-    nu_fixed = config.nu_fixed
-
-    if nu_fixed is not None and nu_fixed <= d / 4.0:
-        raise ValueError("nu_fixed must exceed d/4 = %g, got %r" % (d / 4.0, nu_fixed))
 
     def objective(vec: np.ndarray) -> float:
         try:
@@ -428,8 +460,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             return np.inf
         return float(terms.sum(axis=1).mean())
 
-    pooled = float(np.mean([np.mean(np.abs(spectral.dft[i, :m_use]) ** 2)
-                            for i in range(spectral.m)]))
+    pooled = float(np.mean(np.mean(np.abs(spectral.dft[:, :m_use]) ** 2, axis=1)))
     log_scale = np.log(max(pooled, 1e-300))
     rng = np.random.default_rng(config.seed)
     best = None
@@ -512,14 +543,13 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
         return _criterion_terms(*_prepared, params).mean(axis=0)
 
     # scores per frequency: central differences coordinate by coordinate
+    steps = step * np.eye(k)
     plus_q = np.empty(k)
     minus_q = np.empty(k)
     scores = np.empty((k, m_use))
     for j in range(k):
-        e = np.zeros(k)
-        e[j] = step
-        up = per_frequency(vec0 + e)
-        down = per_frequency(vec0 - e)
+        up = per_frequency(vec0 + steps[j])
+        down = per_frequency(vec0 - steps[j])
         scores[j] = (up - down) / (2.0 * step)
         plus_q[j] = up.sum()
         minus_q[j] = down.sum()
@@ -531,12 +561,8 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     hess = np.empty((k, k))
     for j in range(k):
         hess[j, j] = (plus_q[j] - 2.0 * q0 + minus_q[j]) / step**2
-    for j in range(k):
         for l in range(j + 1, k):
-            ej = np.zeros(k)
-            el = np.zeros(k)
-            ej[j] = step
-            el[l] = step
+            ej, el = steps[j], steps[l]
             qpp = float(per_frequency(vec0 + ej + el).sum())
             qpm = float(per_frequency(vec0 + ej - el).sum())
             qmp = float(per_frequency(vec0 - ej + el).sum())
@@ -555,14 +581,10 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
 
     # delta method to the natural scale
     jac = np.ones(k)
-    pos = 0
-    jac[pos] = params_hat.sigma_e2
-    pos += 1
+    jac[0] = params_hat.sigma_e2
     if nu_fixed is None:
-        jac[pos] = params_hat.nu - d / 4.0
-        pos += 1
-    pos += p + 1
+        jac[1] = params_hat.nu - d / 4.0
     if fit_nugget:
-        jac[pos] = params_hat.nugget
+        jac[-1] = params_hat.nugget
     cov_nat = cov_unc * np.outer(jac, jac)
     return (cov_nat + cov_nat.T) / 2.0

@@ -26,18 +26,7 @@ import numpy as np
 from scipy import stats as _sstats
 
 from .numerics import SingularMatrixError, cholesky_with_jitter
-from .spectral import TimeSeriesPanel, _partition_centers, dft_panel
-
-
-def partition_frequencies(n: int, half_window: int) -> tuple[int, np.ndarray]:
-    """Number of blocks M_1 and the center indices j_l of the partition of
-    the interior grid into windows of width 2 * half_window + 1.
-
-    The series length must be odd; for even n drop the last observation
-    first. The window width must divide (n - 1) / 2 exactly, and the error
-    for an indivisible width lists the admissible half-window values.
-    """
-    return _partition_centers(n, half_window)
+from .spectral import TimeSeriesPanel, block_widths, dft_panel, partition_frequencies
 
 
 def default_half_window(n: int, m: int) -> int:
@@ -48,13 +37,7 @@ def default_half_window(n: int, m: int) -> int:
     to the largest admissible window wider than m when no window reaches
     2m, and raises when none is usable at all.
     """
-    if n % 2 == 0:
-        raise ValueError(
-            "frequency blocks need an odd series length; drop the last "
-            "observation first (length %d is even)" % n
-        )
-    half = (n - 1) // 2
-    widths = [q for q in range(3, half + 1, 2) if half % q == 0]
+    widths = block_widths(n)
     generous = [q for q in widths if q >= 2 * m]
     usable = [q for q in widths if q > m]
     if generous:

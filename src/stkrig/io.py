@@ -27,6 +27,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _number(path: str, r: int, column: str, cell: str) -> float:
+    """The finite number in one CSV cell (row r, named column)."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise PanelFormatError(
+            "%s: row %d, column %r: cannot parse %r as a number" % (path, r, column, cell)
+        ) from None
+    if not np.isfinite(value):
+        raise PanelFormatError("%s: row %d, column %r is not finite" % (path, r, column))
+    return value
+
+
 def load_locations(path: str) -> tuple[list, np.ndarray]:
     """Read site identifiers and coordinates.
 
@@ -57,22 +70,8 @@ def load_locations(path: str) -> tuple[list, np.ndarray]:
             raise PanelFormatError("%s: row %d, column 'site_id' is blank" % (path, r))
         if site in ids:
             raise PanelFormatError("%s: duplicate site id %r at row %d" % (path, site, r))
-        point = []
-        for c, cell in enumerate(row[1:], start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    "%s: row %d, column %r: cannot parse %r as a number"
-                    % (path, r, header[c], cell)
-                ) from None
-            if not np.isfinite(value):
-                raise PanelFormatError(
-                    "%s: row %d, column %r is not finite" % (path, r, header[c])
-                )
-            point.append(value)
         ids.append(site)
-        coords.append(point)
+        coords.append([_number(path, r, header[c], row[c]) for c in range(1, d + 1)])
     if not ids:
         raise PanelFormatError("%s: no sites found" % path)
     return ids, np.asarray(coords, dtype=float)
@@ -107,22 +106,7 @@ def load_series(path: str, site_ids: list) -> np.ndarray:
             raise PanelFormatError(
                 "%s: row %d has %d fields, expected %d" % (path, r, len(row), len(header))
             )
-        values = []
-        for c in order:
-            cell = row[c]
-            try:
-                value = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    "%s: row %d, column %r: cannot parse %r as a number"
-                    % (path, r, header[c], cell)
-                ) from None
-            if not np.isfinite(value):
-                raise PanelFormatError(
-                    "%s: row %d, column %r is not finite" % (path, r, header[c])
-                )
-            values.append(value)
-        data.append(values)
+        data.append([_number(path, r, header[c], row[c]) for c in order])
     if len(data) < 2:
         raise PanelFormatError("%s: need at least two time points, got %d" % (path, len(data)))
     return np.asarray(data, dtype=float).T

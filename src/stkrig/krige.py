@@ -104,9 +104,9 @@ def predict_dft(spectral: SpectralPanel, systems) -> DftPrediction:
     ----------
     spectral : SpectralPanel
         Observed ordinates, one row per site.
-    systems : sequence
+    systems : iterable
         One (F, g0, c0) triple per frequency, aligned with
-        spectral.frequencies.
+        spectral.frequencies; consumed one at a time.
 
     Returns
     -------
@@ -114,18 +114,17 @@ def predict_dft(spectral: SpectralPanel, systems) -> DftPrediction:
         A frequency whose covariance matrix is singular even after diagonal
         loading is marked failed and left as NaN; the others proceed.
     """
-    systems = list(systems)
     m_freq = spectral.n_frequencies
-    if len(systems) != m_freq:
-        raise ValueError(
-            "got %d systems for %d frequencies" % (len(systems), m_freq)
-        )
     predicted = np.full(m_freq, np.nan, dtype=complex)
     mse = np.full(m_freq, np.nan)
     jitter = np.zeros(m_freq)
     n_clamped = 0
     failed = []
+    n_systems = 0
     for k, (f, g0, c0) in enumerate(systems):
+        n_systems += 1
+        if k >= m_freq:
+            continue
         try:
             sol = hpd_solve(f, g0)
         except SingularMatrixError:
@@ -139,6 +138,8 @@ def predict_dft(spectral: SpectralPanel, systems) -> DftPrediction:
             raw = 0.0
         mse[k] = raw
         jitter[k] = sol.jitter
+    if n_systems != m_freq:
+        raise ValueError("got %d systems for %d frequencies" % (n_systems, m_freq))
     return DftPrediction(
         predicted=predicted,
         mse=mse,
@@ -266,11 +267,11 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
         raise ValueError("threads must be at least 1, got %r" % threads)
     spectral = dft_panel(panel, remove_mean=remove_mean)
     tgt = np.asarray(target, dtype=float).reshape(-1)
-    systems = [
+    systems = (
         assemble_system(panel.locations, tgt, float(w), params,
                         include_target_noise=include_target_noise)
         for w in spectral.frequencies
-    ]
+    )
     prediction = predict_dft(spectral, systems)
     if prediction.failed:
         warnings.warn(

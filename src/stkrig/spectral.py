@@ -188,29 +188,36 @@ def difference_periodogram(spectral: SpectralPanel, site_i: int, site_j: int) ->
     return (diff * np.conj(diff)).real
 
 
-def _partition_centers(n: int, half_window: int) -> tuple[int, np.ndarray]:
-    """Split the interior grid of an odd-length series into adjacent blocks
-    of width 2 * half_window + 1; return the block count and center indices.
-    """
+def block_widths(n: int) -> list:
+    """Admissible block widths 2K + 1 >= 3 for a series of odd length n:
+    the odd divisors of its (n - 1) / 2 interior frequencies, ascending."""
     if n % 2 == 0:
         raise ValueError(
             "frequency blocks need an odd series length; drop the last "
             "observation first (length %d is even)" % n
         )
+    half = (n - 1) // 2
+    return [q for q in range(3, half + 1, 2) if half % q == 0]
+
+
+def partition_frequencies(n: int, half_window: int) -> tuple[int, np.ndarray]:
+    """Number of blocks M_1 and the center indices j_l of the partition of
+    the interior grid into windows of width 2 * half_window + 1.
+
+    The series length must be odd; for even n drop the last observation
+    first. The window width must divide (n - 1) / 2 exactly, and the error
+    for an indivisible width lists the admissible half-window values.
+    """
+    widths = block_widths(n)
     if half_window < 1:
         raise ValueError("half_window must be at least 1, got %d" % half_window)
     half = (n - 1) // 2
     width = 2 * half_window + 1
     if half % width != 0:
-        admissible = sorted(
-            (q - 1) // 2
-            for q in range(3, half + 1, 2)
-            if half % q == 0
-        )
         raise ValueError(
             "block width %d does not divide the %d interior frequencies of a "
             "length-%d series; admissible half_window values: %s"
-            % (width, half, n, admissible if admissible else "none")
+            % (width, half, n, [(q - 1) // 2 for q in widths] or "none")
         )
     blocks = half // width
     centers = np.arange(blocks) * width + half_window + 1
@@ -233,18 +240,15 @@ def smoothed_cross_spectrum(spectral: SpectralPanel, site_i: int, site_j: int,
     """
     i = _check_site(spectral, site_i)
     j = _check_site(spectral, site_j)
-    blocks, centers = _partition_centers(spectral.n, half_window)
+    blocks, _ = partition_frequencies(spectral.n, half_window)
     width = 2 * half_window + 1
     cross = spectral.dft[i] * np.conj(spectral.dft[j])
-    # center index c covers ordinates k = c - K, ..., c + K; column of w_k is k - 1
-    out = np.empty(blocks, dtype=complex)
-    for l, c in enumerate(centers):
-        out[l] = cross[c - half_window - 1 : c + half_window].mean()
-    return out
+    # block l, centred on j_l = l K' + K + 1, holds ordinates l K' + 1 .. (l + 1) K'
+    return cross[: blocks * width].reshape(blocks, width).mean(axis=1)
 
 
 def block_center_frequencies(n: int, half_window: int) -> np.ndarray:
     """Frequencies 2 pi j_l / n of the block centers used by
     smoothed_cross_spectrum."""
-    _, centers = _partition_centers(n, half_window)
+    _, centers = partition_frequencies(n, half_window)
     return 2.0 * np.pi * centers / n

@@ -156,3 +156,31 @@ def distance_bins_by_scan(locations, mode="exact", n_bins=None, tolerance=None):
     bins = [(float(dists[g].mean()), tuple(pairs[i] for i in g)) for g in groups if g]
     bins.sort(key=lambda b: b[0])
     return bins
+
+
+def tolerance_group_starts_by_loop(ranked, tol):
+    """Starts of the greedy tolerance groups of sorted values, one value at
+    a time: a value opens a new group unless value - first <= tol, first
+    being the value that opened the current group."""
+    values = np.asarray(ranked, dtype=float).tolist()
+    starts, first = [0], values[0]
+    for k in range(1, len(values)):
+        if not values[k] - first <= tol:
+            starts.append(k)
+            first = values[k]
+    return np.array(starts)
+
+
+def binned_difference_periodograms_by_loop(spectral, bins, n_frequencies):
+    """Mean difference periodogram of each bin by the original pair-by-pair
+    loop; bins is a list of (distance, pairs) as distance_bins_by_scan
+    returns it. Each pair's periodogram is |J_i - J_j|^2 over the whole
+    grid, truncated after, as difference_periodogram computes it."""
+    out = np.empty((len(bins), n_frequencies))
+    for l, (_, pairs) in enumerate(bins):
+        acc = np.zeros(n_frequencies)
+        for i, j in pairs:
+            diff = spectral.dft[i] - spectral.dft[j]
+            acc += (diff * np.conj(diff)).real[:n_frequencies]
+        out[l] = acc / len(pairs)
+    return out

@@ -125,6 +125,14 @@ def test_cov_freq_underflows_gracefully():
     p = _params()
     tiny = cov_freq(1e4, 1.0, p)
     assert tiny >= 0.0 and tiny < 1e-300
+    # non-integer mu = 0.6 goes through kve, which is NaN past x ~ 1.08e9;
+    # C(h, w) has underflowed to 0 there, as it does for nu = 1
+    for nu in (0.8, 1.0):
+        p = ModelParams(1.0, nu, (0.2,))
+        assert cov_freq(1e10, 1.0, p) == 0.0
+        assert variogram_model(1e10, 1.0, p) == 2.0 * cov_zero(1.0, p)
+        far = cov_matrix(np.array([[0.0, 1e10], [1e10, 0.0]]), 1.0, p)
+        assert far[0, 1] == 0.0 and far[0, 0] == cov_zero(1.0, p)
 
 
 def test_covariance_matrices_positive_semidefinite():

@@ -9,27 +9,56 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stkrig import (DistanceBin, DistanceBins, FitConfig, ModelParams,
-                    SimulationSpec, asymptotic_covariance, build_distance_bins,
+from stkrig import (DistanceBins, FitConfig, ModelParams, SimulationSpec,
+                    TimeSeriesPanel, asymptotic_covariance, build_distance_bins,
                     cov_freq, dft_panel, fit, fourier_frequencies,
                     simulate_panel, variogram_model, whittle_criterion)
-from oracles import distance_bins_by_scan
+from oracles import (binned_difference_periodograms_by_loop, distance_bins_by_scan,
+                     tolerance_group_starts_by_loop)
 from stkrig.estimate import (EstimationError, EvaluationError,
-                             SingularHessianError, _criterion_terms)
+                             SingularHessianError, _binned_difference_periodograms,
+                             _criterion_terms, _tolerance_groups)
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
                                        "pilot_thresholds.json")))
 
 
+def _as_list(bins):
+    """The bins as (distance, pairs) with pairs a tuple of (i, j) tuples, the
+    form distance_bins_by_scan returns."""
+    groups = np.split(bins.pairs, np.cumsum(bins.counts)[:-1])
+    return [(d, tuple(map(tuple, g.tolist())))
+            for d, g in zip(bins.distances().tolist(), groups)]
+
+
 def test_distance_bin_validation():
-    b = DistanceBin(1.0, ((0, 1), (1, 2)))
-    assert b.distance == 1.0 and len(b.pairs) == 2
-    with pytest.raises(ValueError):
-        DistanceBin(-1.0, ((0, 1),))
-    with pytest.raises(ValueError):
-        DistanceBin(1.0, ())
-    with pytest.raises(ValueError):
-        DistanceBins([DistanceBin(1.0, ((0, 1),)), DistanceBin(2.0, ((0, 1),))])
+    b = DistanceBins([1.0, 2.0], [[0, 1], [1, 2], [0, 2]], [2, 1])
+    assert len(b) == 2 and b.pairs.shape == (3, 2)
+    assert _as_list(b) == [(1.0, ((0, 1), (1, 2))), (2.0, ((0, 2),))]
+    for array in (b.representatives, b.pairs, b.counts):
+        assert not array.flags.writeable
+    bad = [
+        ([-1.0], [[0, 1]], [1], "positive"),                        # negative distance
+        ([np.nan], [[0, 1]], [1], "positive"),
+        ([1.0, 2.0], [[0, 1]], [1, 0], "empty"),                    # empty bin
+        ([1.0, 2.0], [[0, 1], [0, 1]], [1, 1], r"\(0, 1\) appears twice"),  # two bins
+        ([1.0], [[0, 1], [2, 3], [0, 1]], [3], "appears twice"),    # twice in one
+        ([1.0], [[0, -1]], [1], "negative"),
+        ([1.0], [[2, 2]], [1], "itself"),
+        ([], [], [], "L >= 1"),                                     # no bin
+        ([1.0], [[0.0, 1.0]], [1], "of float64"),
+        ([1.0, 2.0], [[0, 1]], [1], r"shapes \(2,\), \(1,\)"),
+        ([1.0], [[0, 1], [1, 2]], [1], r"\(2, 2\) of int"),
+    ]
+    for reps, pairs, counts, message in bad:
+        with pytest.raises(ValueError, match=message):
+            DistanceBins(reps, pairs, counts)
+
+
+def test_bins_leave_the_callers_arrays_writable():
+    reps, pairs, counts = np.array([1.0]), np.array([[0, 1]]), np.array([1])
+    DistanceBins(reps, pairs, counts)
+    assert reps.flags.writeable and pairs.flags.writeable and counts.flags.writeable
 
 
 def test_exact_bins_on_unit_square():
@@ -56,11 +85,9 @@ def test_exact_bins_assign_to_nearest_representative():
     locs = rng.uniform(0.0, 3.0, (9, 2))
     bins = build_distance_bins(locs, tolerance=0.25)
     reps = bins.distances()
-    for b in bins:
-        for i, j in b.pairs:
-            d = float(np.linalg.norm(locs[i] - locs[j]))
-            nearest = reps[np.argmin(np.abs(reps - d))]
-            assert nearest == b.distance
+    d = np.linalg.norm(locs[bins.pairs[:, 0]] - locs[bins.pairs[:, 1]], axis=1)
+    nearest = reps[np.argmin(np.abs(reps[None, :] - d[:, None]), axis=1)]
+    assert np.array_equal(nearest, np.repeat(reps, bins.counts))
 
 
 def test_quantile_bins_partition_all_pairs():
@@ -103,8 +130,56 @@ def test_bins_match_pair_scan(layout, kwargs):
                 layouts = [g + rng.uniform(-1e-12, 1e-12, g.shape) for g in layouts]
     for locs in layouts:
         bins = build_distance_bins(locs, **kwargs)
-        expected = distance_bins_by_scan(locs, **kwargs)
-        assert [(b.distance, b.pairs) for b in bins] == expected
+        assert _as_list(bins) == distance_bins_by_scan(locs, **kwargs)
+
+
+def test_quantile_bins_keep_distance_order_when_a_mean_rounds_up():
+    # 3x3x3 unit grid, 24 quantile bins: one bin is seven pairs at sqrt(2),
+    # whose np.mean rounds one ulp above sqrt(2), and the next bin's mean is
+    # sqrt(2) itself; the bins (and their pairs) swap places
+    locs = _grid((3, 3, 3), 1.0)
+    bins = build_distance_bins(locs, mode="quantile", n_bins=24)
+    assert np.all(np.diff(bins.distances()) >= 0.0)
+    assert _as_list(bins) == distance_bins_by_scan(locs, mode="quantile", n_bins=24)
+
+
+@pytest.mark.parametrize("layout", ["scattered", "grid", "line"])
+@pytest.mark.parametrize("kwargs", [{}, {"tolerance": 0.3}, {"mode": "quantile", "n_bins": 1},
+                                    {"mode": "quantile", "n_bins": 6}])
+def test_binned_periodograms_match_pair_loop(layout, kwargs):
+    # the array binning against the original loop over each bin's pairs, to
+    # the bit, on the full grid and on truncations
+    rng = np.random.default_rng(41)
+    locs = {"scattered": rng.uniform(0.0, 3.0, (25, 2)),
+            "grid": _grid((5, 6), 0.37),
+            "line": _grid((14,), 1.0)}[layout]
+    spectral = dft_panel(TimeSeriesPanel(locs, rng.normal(size=(len(locs), 41))))
+    bins = build_distance_bins(locs, **kwargs)
+    for n_frequencies in (spectral.n_frequencies, 7, 1):
+        expected = binned_difference_periodograms_by_loop(
+            spectral, distance_bins_by_scan(locs, **kwargs), n_frequencies)
+        got = _binned_difference_periodograms(spectral, bins, n_frequencies)
+        assert np.array_equal(got, expected)
+
+
+def test_tolerance_groups_match_the_greedy_loop():
+    # ties, values a few ulps apart, and tolerances at the rounding edge of
+    # v - first, where searchsorted on ranked + tol guesses wrong
+    rng = np.random.default_rng(43)
+    for trial in range(400):
+        size = int(rng.integers(1, 50))
+        values = [rng.uniform(0.0, 3.0, size),
+                  rng.integers(1, 6, size) * 0.37,
+                  1.0 + rng.integers(0, 8, size) * np.spacing(1.0),
+                  np.sqrt(rng.integers(1, 30, size).astype(float)) * 0.3][trial % 4]
+        ranked = np.sort(values)
+        gaps = np.diff(ranked)
+        tols = [0.0, 0.1, 1.0, np.inf, np.spacing(1.0), 2.0 * np.spacing(1.0), 0.3 - 0.1 * 2]
+        if gaps.size:
+            tols.append(float(rng.choice(gaps)))
+        for tol in tols:
+            assert np.array_equal(_tolerance_groups(ranked, tol),
+                                  tolerance_group_starts_by_loop(ranked, tol))
 
 
 def test_exact_bins_break_midpoint_ties_toward_smaller_distance():
@@ -114,7 +189,7 @@ def test_exact_bins_break_midpoint_ties_toward_smaller_distance():
     bins = build_distance_bins(locs, tolerance=2.0)
     assert list(bins.distances()) == [2.0, 4.0]
     assert list(bins.pair_counts()) == [5, 1]
-    assert [(b.distance, b.pairs) for b in bins] == distance_bins_by_scan(locs, tolerance=2.0)
+    assert _as_list(bins) == distance_bins_by_scan(locs, tolerance=2.0)
 
 
 def test_exact_bins_scale_to_a_thousand_scattered_sites():
@@ -137,6 +212,9 @@ def test_bins_reject_bad_input():
         build_distance_bins(good, mode="quantile")  # n_bins missing
     with pytest.raises(ValueError):
         build_distance_bins(good, mode="nope")
+    for tolerance in (-1e-9, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            build_distance_bins(good, tolerance=tolerance)
 
 
 def _toy_panel(seed=0, m=6, n=64):
@@ -205,6 +283,15 @@ def test_criterion_frequency_truncation_and_bounds():
         whittle_criterion(spectral, bins, params, n_frequencies=10 ** 6)
 
 
+def test_out_of_range_pair_is_rejected_before_any_work():
+    panel, params = _toy_panel(seed=3)
+    bins = build_distance_bins(np.vstack([panel.locations, [[9.0, 9.0]]]))
+    with pytest.raises(ValueError, match=r"pair \(\d+, 6\) is out of range for 6 sites"):
+        whittle_criterion(dft_panel(panel), bins, params)
+    with pytest.raises(ValueError, match="out of range for 6 sites"):
+        asymptotic_covariance(panel, bins, params, nu_fixed=1.0)
+
+
 def test_fit_recovers_simulated_truth():
     truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.5, 0.8), d=2)
     rng = np.random.default_rng(77)
@@ -263,6 +350,14 @@ def test_fit_free_smoothness_reproduces_covariance_function():
     for h in (0.5, 1.0, 2.0):
         ratio = cov_freq(h, om, res.params) / cov_freq(h, om, truth)
         assert np.all((ratio > 0.6) & (ratio < 1.6))
+
+
+def test_fit_checks_nu_fixed_before_any_work():
+    # one site forms no pair: binning would fail, but the nu_fixed check
+    # comes first
+    one = TimeSeriesPanel(np.array([[0.0, 0.0]]), np.zeros((1, 16)))
+    with pytest.raises(ValueError, match="nu_fixed must exceed d/4"):
+        fit(one, FitConfig(n_coeffs=0, nu_fixed=0.1))
 
 
 def test_fit_result_serializes():

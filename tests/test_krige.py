@@ -1,5 +1,7 @@
 """Frequency-domain prediction, series reconstruction, and forecasting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -93,6 +95,43 @@ def test_singular_system_marks_frequency_failed():
     assert len(pred.failed) > 0 or np.any(pred.jitter > 0.0)
     for k in pred.failed:
         assert np.isnan(pred.predicted[k])
+
+
+def test_predict_dft_counts_the_systems():
+    locs, target, params = _setup(seed=2)
+    rng = np.random.default_rng(3)
+    spectral = dft_panel(TimeSeriesPanel(locs, rng.normal(size=(5, 17))))
+    systems = [assemble_system(locs, target, w, params) for w in spectral.frequencies]
+    for wrong in (systems[:-1], systems + systems[:2]):
+        with pytest.raises(ValueError, match="got %d systems for 8 frequencies" % len(wrong)):
+            predict_dft(spectral, iter(wrong))
+
+
+def test_krige_series_streams_the_same_prediction():
+    # krige_series hands predict_dft a generator; the result is the one a
+    # list of the same systems gives
+    locs, target, params = _setup(seed=9, m=7)
+    rng = np.random.default_rng(10)
+    panel = TimeSeriesPanel(locs, rng.normal(size=(7, 65)))
+    spectral = dft_panel(panel)
+    listed = predict_dft(spectral, [assemble_system(locs, target, w, params)
+                                    for w in spectral.frequencies])
+    out = krige_series(panel, target, params)
+    assert np.array_equal(out.predicted_dft, listed.predicted)
+    assert np.array_equal(out.mse, listed.mse)
+
+
+def test_krige_series_holds_one_system_at_a_time():
+    # m=40, n=1025: a list of the 512 systems alone is 6.6 MB of matrices
+    locs, target, params = _setup(seed=11, m=40, box=6.0)
+    panel = TimeSeriesPanel(locs, np.random.default_rng(12).normal(size=(40, 1025)))
+    tracemalloc.start()
+    try:
+        krige_series(panel, target, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_estimate_target_mean_weights():
