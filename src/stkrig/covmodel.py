@@ -117,19 +117,19 @@ class ModelParams:
 
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("%s contains non-finite values" % name)
     return arr
 
 
 def _distances(h, positive: bool = False) -> np.ndarray:
     arr = _as_float_array(h, "h")
-    if positive and np.any(arr <= 0):
+    if positive and (arr <= 0).any():
         raise ValueError(
             "frequency variogram is defined for strictly positive distances, got min %r"
             % float(arr.min())
         )
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("spatial distance h must be nonnegative, got min %r" % float(arr.min()))
     return arr
 
@@ -147,6 +147,9 @@ def _c_mod_sq(om: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.exp(log_c2)
 
 
+# |c(w)|^2, C(0, w) and the prefactor may leave the double range; each then
+# either reaches its limit in double (0) or fails the finite check below
+@np.errstate(over="ignore", divide="ignore")
 def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
     """C(h, w) on the broadcast of validated h and om, and C(0, w) on om.
 
@@ -155,7 +158,8 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
     Bessel call, so large distances underflow to zero instead of 0 * inf.
     Entries with h = 0 are C(0, w). Elsewhere the closed form is clamped to
     at most C(0, w): the two formulas round differently, and at small h
-    their difference must not turn negative.
+    their difference must not turn negative. A value outside the double
+    range raises FloatingPointError, without a numpy warning first.
     """
     nu, d = params.nu, params.d
     mu = 2.0 * nu - d / 2.0
@@ -170,29 +174,35 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
     c_abs = np.sqrt(c2)
     log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
 
-    def closed_form(hv, cv):
+    def closed_form(hv, cv, zv):
         x = hv * cv
         cov = np.exp(log_pref + mu * (np.log(hv) - np.log(cv)) - x)
         bessel = _scaled_bessel_k(mu, x)
-        # kve is NaN past x ~ 1.08e9, where the prefactor has long underflowed
-        # to 0 and C(h, w) with it; 0 * inf (a Bessel overflow) fails below.
-        # In place, as numpy multiplies into an unnamed temporary: a second
-        # array this size slows every criterion evaluation
-        lost = np.isnan(bessel) & (cov == 0.0)
-        cov *= bessel
-        return np.where(lost, 0.0, cov) if np.any(lost) else cov
+        if np.isfinite(bessel).all():
+            # in place, as numpy multiplies into an unnamed temporary: a
+            # second array this size slows every criterion evaluation
+            cov *= bessel
+            return cov
+        # Where the Bessel factor is not finite the product is its limit.
+        # kve is NaN past x ~ 1.08e9, where the prefactor has underflowed and
+        # C(h, w) is 0. e^x K_mu(x) overflows only at tiny x, where
+        # 1 - C(h, w) / C(0, w) = O(x^2) is below double resolution, so
+        # C(h, w) is C(0, w) there.
+        small_x = np.isinf(bessel)
+        lost = small_x | (np.isnan(bessel) & (cov == 0.0))
+        return np.where(lost, np.where(small_x, zv, 0.0), cov * np.where(lost, 1.0, bessel))
 
     # C order, as the callers' grids are, so sums over the result keep their order
-    if np.all(h > 0.0):
+    if (h > 0.0).all():
         # the criterion's case: evaluated on the broadcast, no mask and no copies
-        cov = np.asarray(closed_form(h, c_abs), order="C")
+        cov = np.asarray(closed_form(h, c_abs, zero), order="C")
     else:
         h_b, c_abs_b, zero_b = np.broadcast_arrays(h, c_abs, zero)
         cov = np.array(zero_b, order="C")
         pos = h_b > 0.0
-        if np.any(pos):
-            cov[pos] = closed_form(h_b[pos], c_abs_b[pos])
-    if not np.all(np.isfinite(cov)):
+        if pos.any():
+            cov[pos] = closed_form(h_b[pos], c_abs_b[pos], zero_b[pos])
+    if not np.isfinite(cov).all():
         raise FloatingPointError("covariance evaluation produced non-finite values")
     return np.minimum(cov, zero, out=cov), zero
 
@@ -287,14 +297,24 @@ def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = Tru
 
     Off-diagonal entries are C(h_ij, w); diagonal entries are C(0, w) plus,
     when include_nugget is set, the measurement error spectrum
-    sigma_n^2 / (2 pi).
+    sigma_n^2 / (2 pi). The distance matrix must be exactly symmetric: the
+    kernel is evaluated on one triangle, diagonal included, and the result
+    mirrored.
     """
-    dmat = _as_float_array(distances, "distances")
+    dmat = _distances(distances)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValueError("distances must be a square matrix, got shape %s" % (dmat.shape,))
-    f, _ = _kernel(_distances(dmat), _as_float_array(float(omega), "omega"), params)
+    if not np.array_equal(dmat, dmat.T):
+        raise ValueError("distances must be a symmetric matrix")
+    m = dmat.shape[0]
+    # a boolean mask indexes several times faster than np.tril_indices' arrays
+    lower = np.tri(m, dtype=bool)
+    tri, _ = _kernel(dmat[lower], _as_float_array(float(omega), "omega"), params)
+    f = np.empty((m, m))
+    f[lower] = tri
+    f.T[lower] = tri
     if include_nugget and params.nugget > 0:
-        f = f + (params.nugget / _TWO_PI) * np.eye(dmat.shape[0])
+        f.flat[:: m + 1] += params.nugget / _TWO_PI
     return f
 
 

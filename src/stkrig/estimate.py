@@ -63,7 +63,8 @@ class DistanceBins:
     """Site pairs grouped by spatial distance, as three read-only arrays:
     representatives (L,), the finite positive bin distances; pairs (P, 2),
     site indices (i, j) grouped bin by bin, nonnegative, i != j and none
-    twice; counts (L,), the number of pairs in each bin, at least 1.
+    twice in either order; counts (L,), the number of pairs in each bin, at
+    least 1.
     """
 
     representatives: np.ndarray
@@ -87,9 +88,11 @@ class DistanceBins:
             raise ValueError("a distance bin cannot be empty")
         _check_pairs(pairs, np.any(pairs < 0, axis=1), "has a negative site index")
         _check_pairs(pairs, pairs[:, 0] == pairs[:, 1], "joins a site to itself")
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        # (i, j) and (j, i) are one site pair
+        unordered = np.sort(pairs, axis=1)
+        order = np.lexsort((unordered[:, 1], unordered[:, 0]))
         twice = np.zeros(len(pairs), dtype=bool)
-        twice[order[1:]] = np.all(pairs[order[1:]] == pairs[order[:-1]], axis=1)
+        twice[order[1:]] = np.all(unordered[order[1:]] == unordered[order[:-1]], axis=1)
         _check_pairs(pairs, twice, "appears twice")
         for name, value in (("representatives", reps), ("pairs", pairs), ("counts", counts)):
             value.setflags(write=False)

@@ -56,6 +56,12 @@ def assemble_system(locations, target, omega: float, params: ModelParams,
         diagonal), the m-vector of target covariances (never any nugget),
         and the scalar target variance.
     """
+    dmat, h0 = _site_distances(locations, target)
+    return _frequency_system(dmat, h0, omega, params, include_target_noise)
+
+
+def _site_distances(locations, target):
+    """Site distance matrix and target-to-site distances, after the checks."""
     loc = np.atleast_2d(np.asarray(locations, dtype=float))
     tgt = np.asarray(target, dtype=float).reshape(-1)
     if tgt.size != loc.shape[1]:
@@ -63,8 +69,12 @@ def assemble_system(locations, target, omega: float, params: ModelParams,
             "target has dimension %d but sites have dimension %d" % (tgt.size, loc.shape[1])
         )
     dmat = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
+    return dmat, np.linalg.norm(loc - tgt[None, :], axis=-1)
+
+
+def _frequency_system(dmat, h0, omega, params: ModelParams, include_target_noise: bool):
+    """assemble_system's (F, g0, c0) from the distances of _site_distances."""
     f = cov_matrix(dmat, omega, params, include_nugget=True)
-    h0 = np.linalg.norm(loc - tgt[None, :], axis=-1)
     g0 = np.asarray(cov_freq(h0, float(omega), params), dtype=float)
     c0 = float(cov_zero(float(omega), params))
     if include_target_noise:
@@ -267,9 +277,9 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
         raise ValueError("threads must be at least 1, got %r" % threads)
     spectral = dft_panel(panel, remove_mean=remove_mean)
     tgt = np.asarray(target, dtype=float).reshape(-1)
+    dmat, h0 = _site_distances(panel.locations, tgt)
     systems = (
-        assemble_system(panel.locations, tgt, float(w), params,
-                        include_target_noise=include_target_noise)
+        _frequency_system(dmat, h0, float(w), params, include_target_noise)
         for w in spectral.frequencies
     )
     prediction = predict_dft(spectral, systems)

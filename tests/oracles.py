@@ -184,3 +184,17 @@ def binned_difference_periodograms_by_loop(spectral, bins, n_frequencies):
             acc += (diff * np.conj(diff)).real[:n_frequencies]
         out[l] = acc / len(pairs)
     return out
+
+
+def cov_matrix_full(distances, omega, params, include_nugget=True):
+    """cov_matrix as it was before it evaluated one triangle: the package's
+    kernel (through cov_freq) on every entry of the distance matrix, then
+    the nugget spectrum added on the diagonal. Not independent of stkrig;
+    it pins the triangle-and-mirror assembly to the full evaluation."""
+    from stkrig import cov_freq
+
+    dmat = np.asarray(distances, dtype=float)
+    f = np.asarray(cov_freq(dmat, float(omega), params))
+    if include_nugget and params.nugget > 0:
+        f = f + (params.nugget / (2.0 * np.pi)) * np.eye(dmat.shape[0])
+    return f

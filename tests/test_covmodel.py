@@ -1,11 +1,14 @@
 """Space-frequency covariance family."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 from scipy.integrate import trapezoid
 
+from oracles import cov_matrix_full
 from stkrig import (ModelParams, c_mod_sq, corr_freq, cov_freq, cov_matrix,
                     cov_zero, st_spectral_density, variogram_model)
 from stkrig.covmodel import natural_names, pack_params, unpack_params
@@ -160,6 +163,68 @@ def test_cov_matrix_diagonal_and_nugget():
     assert_allclose(bare, bare.T, atol=1e-14)
     with pytest.raises(ValueError):
         cov_matrix(np.ones((2, 3)), 0.8, p)
+
+
+@pytest.mark.parametrize("nu", [0.8, 1.0, 1.25, 2.3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("nugget", [0.0, 0.4])
+def test_cov_matrix_equals_the_full_evaluation(nu, d, nugget):
+    # one triangle mirrored is the full evaluation, bit for bit, coincident
+    # sites (h = 0 off the diagonal) included
+    rng = np.random.default_rng(int(10 * nu) + 7 * d)
+    p = _params(nu=nu, d=d, c_coeffs=(0.3, -0.2), nugget=nugget)
+    for m in (1, 2, 7, 20):
+        locs = rng.uniform(0.0, 4.0, (m, d))
+        if m > 2:
+            locs[m // 2] = locs[0]
+        dists = np.linalg.norm(locs[:, None, :] - locs[None, :, :], axis=-1)
+        for om in (0.0, 0.7, np.pi):
+            for include in (True, False):
+                mat = cov_matrix(dists, om, p, include_nugget=include)
+                assert np.array_equal(mat, cov_matrix_full(dists, om, p, include))
+                assert np.array_equal(mat, mat.T)
+
+
+def test_cov_matrix_rejects_an_asymmetric_distance_matrix():
+    p = _params()
+    for dists in ([[0.0, 1.0], [2.0, 0.0]],
+                  [[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            cov_matrix(dists, 1.0, p)
+
+
+def test_cov_matrix_evaluates_one_triangle(kernel_points):
+    m = 30
+    locs = np.random.default_rng(31).uniform(0.0, 5.0, (m, 2))
+    dists = np.linalg.norm(locs[:, None, :] - locs[None, :, :], axis=-1)
+    cov_matrix(dists, 0.9, _params(nu=0.8))
+    assert 0 < sum(kernel_points) <= m * (m + 1) // 2
+
+
+def test_tiny_distance_gives_the_zero_distance_value():
+    # the prefactor underflows to 0 where e^x K_mu(x) overflows; the limit
+    # is C(0, w) with no 0 * inf on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h, nu in ((1e-15, 10.5), (1e-20, 10.0), (1e-60, 5.0), (1e-15, 10.3)):
+            p = ModelParams(1.0, nu, (0.0,))
+            assert cov_freq(h, 1.0, p) == cov_zero(1.0, p)
+        p = ModelParams(1.0, 10.5, (0.0,))
+        mat = cov_matrix([[0.0, 1e-15], [1e-15, 0.0]], 1.0, p)
+        assert np.all(mat == cov_zero(1.0, p))
+
+
+def test_overflowing_zero_distance_value_fails_loudly():
+    # |c|^(-2 mu) leaves the double range (|c|^2 itself underflows to 0 at
+    # b0 = -800); no limit to fall back on. At b0 = 800 |c|^2 overflows and
+    # C(h, w) underflows to its limit 0. Neither passes through a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b0 in (-700.0, -800.0):
+            for h in (1e-300, 1.0):
+                with pytest.raises(FloatingPointError):
+                    cov_freq(h, 1.0, ModelParams(1.0, 3.0, (b0,)))
+        assert cov_freq(1.0, 1.0, ModelParams(1.0, 3.0, (800.0,))) == 0.0
 
 
 def test_variogram_model_formula_and_limits():

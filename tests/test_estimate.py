@@ -43,6 +43,7 @@ def test_distance_bin_validation():
         ([1.0, 2.0], [[0, 1]], [1, 0], "empty"),                    # empty bin
         ([1.0, 2.0], [[0, 1], [0, 1]], [1, 1], r"\(0, 1\) appears twice"),  # two bins
         ([1.0], [[0, 1], [2, 3], [0, 1]], [3], "appears twice"),    # twice in one
+        ([1.0], [[0, 1], [1, 0]], [2], r"\(1, 0\) appears twice"),  # either order
         ([1.0], [[0, -1]], [1], "negative"),
         ([1.0], [[2, 2]], [1], "itself"),
         ([], [], [], "L >= 1"),                                     # no bin

@@ -1,6 +1,7 @@
 """Frequency-domain prediction, series reconstruction, and forecasting."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ def test_krige_series_streams_the_same_prediction():
     out = krige_series(panel, target, params)
     assert np.array_equal(out.predicted_dft, listed.predicted)
     assert np.array_equal(out.mse, listed.mse)
+
+
+def test_krige_series_evaluates_one_triangle_per_frequency(kernel_points):
+    # per frequency: one m(m+1)/2 triangle of F and the m entries of g0
+    m = 30
+    locs, target, params = _setup(seed=15, m=m, box=6.0)
+    panel = TimeSeriesPanel(locs, np.random.default_rng(16).normal(size=(m, 33)))
+    out = krige_series(panel, target, replace(params, nu=0.8))
+    n_freq = out.frequencies.size
+    assert 0 < sum(kernel_points) <= n_freq * (m * (m + 1) // 2 + m)
 
 
 def test_krige_series_holds_one_system_at_a_time():

@@ -1,4 +1,5 @@
-"""Property tests of the Matern kernel and the jitter ladder."""
+"""Property tests of the Matern kernel, the jitter ladder, the DFT and
+kriging."""
 
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from stkrig import ModelParams, corr_freq, cov_freq, cov_zero, hpd_solve, variogram_model
+from stkrig import (ModelParams, SimulationSpec, corr_freq, cov_freq, cov_zero, dft_forward,
+                    dft_inverse, hpd_solve, krige_series, simulate_panel, variogram_model)
 from stkrig.numerics import cholesky_with_jitter
 
 # smallest normal double; below it a value carries no relative precision
@@ -70,3 +72,46 @@ def test_solve_and_factor_share_the_jitter_ladder(dim, rank, seed):
     gram = vectors @ vectors.T
     _, jitter = cholesky_with_jitter(gram)
     assert hpd_solve(gram, np.ones(dim)).jitter == jitter
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=2, max_size=300))
+def test_dft_round_trip(values):
+    z = np.array(values)
+    n = z.size
+    half = dft_forward(z)
+    full = np.empty(n, dtype=complex)
+    full[: half.size] = half
+    full[half.size:] = np.conj(half[1: n - half.size + 1][::-1])
+    assert np.max(np.abs(dft_inverse(full, n) - z)) <= 1e-12 * np.max(np.abs(z))
+
+
+@st.composite
+def observed_layouts(draw):
+    # sites on a perturbed grid of unit spacing, so every system is well
+    # conditioned and needs no jitter
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 6))
+    nu = draw(st.floats(d / 4.0 + 0.05, 2.0))
+    params = ModelParams(sigma_e2=1.0, nu=nu, c_coeffs=(draw(st.floats(-0.5, 0.5)),), d=d)
+    seed = draw(st.integers(0, 2**32 - 1))
+    cells = np.random.default_rng(seed).permutation(16 if d == 2 else m)[:m]
+    grid = np.column_stack([cells % 4, cells // 4]) if d == 2 else cells[:, None]
+    locs = grid + np.random.default_rng(seed + 1).uniform(-0.2, 0.2, (m, d))
+    return locs, params, draw(st.integers(0, m - 1)), seed
+
+
+@settings(deadline=None, max_examples=50)
+@given(observed_layouts(), st.sampled_from([17, 33, 65]))
+def test_kriging_is_exact_at_an_observed_site(layout, n):
+    # no nugget and odd n (no folding ordinate): the weights select site i,
+    # so the variance is 0 and its centred series comes back
+    locs, params, i, seed = layout
+    panel = simulate_panel(SimulationSpec(locations=locs, n=n, params=params, seed=seed))
+    out = krige_series(panel, locs[i], params)
+    assert out.jitter_report["n_jittered"] == 0
+    assert np.all(out.mse <= 1e-12 * cov_zero(out.frequencies, params))
+    centered = panel.observations[i] - panel.observations[i].mean()
+    scale = np.max(np.abs(centered))
+    assert np.max(np.abs(out.reconstructed - out.site_mean - centered)) <= 1e-10 * scale
+    assert out.site_mean == panel.site_means()[i]
