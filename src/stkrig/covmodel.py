@@ -31,6 +31,7 @@ import numpy as np
 from .numerics import _scaled_bessel_k, log_gamma
 
 _TWO_PI = 2.0 * np.pi
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -178,19 +179,29 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
         x = hv * cv
         cov = np.exp(log_pref + mu * (np.log(hv) - np.log(cv)) - x)
         bessel = _scaled_bessel_k(mu, x)
+        # a subnormal prefactor has lost bits that a large Bessel factor
+        # would carry into the product; those entries are taken in log space
+        subnormal = cov < _TINY
         if np.isfinite(bessel).all():
             # in place, as numpy multiplies into an unnamed temporary: a
             # second array this size slows every criterion evaluation
             cov *= bessel
-            return cov
-        # Where the Bessel factor is not finite the product is its limit.
-        # kve is NaN past x ~ 1.08e9, where the prefactor has underflowed and
-        # C(h, w) is 0. e^x K_mu(x) overflows only at tiny x, where
-        # 1 - C(h, w) / C(0, w) = O(x^2) is below double resolution, so
-        # C(h, w) is C(0, w) there.
-        small_x = np.isinf(bessel)
-        lost = small_x | (np.isnan(bessel) & (cov == 0.0))
-        return np.where(lost, np.where(small_x, zv, 0.0), cov * np.where(lost, 1.0, bessel))
+        else:
+            # Where the Bessel factor is not finite the product is its limit.
+            # kve is NaN past x ~ 1.08e9, where the prefactor has underflowed
+            # and C(h, w) is 0. e^x K_mu(x) overflows only at tiny x, where
+            # 1 - C(h, w) / C(0, w) = O(x^2) is below double resolution, so
+            # C(h, w) is C(0, w) there.
+            small_x = np.isinf(bessel)
+            lost = small_x | (np.isnan(bessel) & (cov == 0.0))
+            cov = np.where(lost, np.where(small_x, zv, 0.0), cov * np.where(lost, 1.0, bessel))
+            subnormal &= ~lost
+        if subnormal.any():
+            cov = np.array(cov, copy=None)  # an array also for scalar input
+            hs, cs, xs, ks = (np.broadcast_to(a, cov.shape)[subnormal]
+                              for a in (hv, cv, x, bessel))
+            cov[subnormal] = np.exp(log_pref + mu * (np.log(hs) - np.log(cs)) - xs + np.log(ks))
+        return cov
 
     # C order, as the callers' grids are, so sums over the result keep their order
     if (h > 0.0).all():
@@ -319,10 +330,14 @@ def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = Tru
 
 
 def pack_params(params: ModelParams, nu_fixed: bool = False, fit_nugget: bool = False) -> np.ndarray:
-    """Map model parameters to an unconstrained vector for optimization.
+    """Map model parameters to an unconstrained vector.
 
     Layout: [log sigma_e^2, (log(nu - d/4) unless nu is held fixed),
-    b_0, ..., b_p, (log nugget when the nugget is estimated)].
+    b_0, ..., b_p, (log nugget when the nugget is estimated)]. The
+    asymptotic covariance works in this full layout. estimate.fit searches
+    a profiled criterion instead: it drops log sigma_e^2, whose minimizer
+    is closed-form, and reads the last coordinate as the log of the ratio
+    nugget / sigma_e^2.
     """
     vec = [np.log(params.sigma_e2)]
     if not nu_fixed:

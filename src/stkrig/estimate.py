@@ -7,15 +7,18 @@ frequency variogram g_h(w) with the Whittle-type criterion
     Q(theta) = (1 / L) * sum_bins (1 / |bin|) * sum_pairs sum_k
                [ ln g_h(w_k; theta) + I_ij(w_k) / g_h(w_k; theta) ]
 
-minimized over an unconstrained reparameterization of theta. Every quantity
-the criterion needs from the data is the per-bin mean difference
-periodogram, which is precomputed once per fit.
+minimized over an unconstrained reparameterization of theta. g is sigma_e^2
+times a function of the other parameters (the nugget taken as a ratio to
+sigma_e^2), so the minimizing sigma_e^2 is closed-form and fit searches the
+remaining coordinates only. Every quantity the criterion needs from the data
+is the per-bin mean difference periodogram, which is precomputed once per
+fit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -264,18 +267,32 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     return _Prepared(binned, bins.distances(), spectral.frequencies[:m_use])
 
 
+# g or binned / g may leave the double range; the terms are then not finite
+# and the check below raises, without a numpy warning first
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams) -> np.ndarray:
-    """Per (bin, frequency) criterion terms; shape matches binned."""
+                     params: ModelParams, profile: bool = False):
+    """Per (bin, frequency) criterion terms; shape matches binned.
+
+    g is proportional to sigma_e2 once the nugget is held as a ratio to it,
+    so scaling sigma_e2 and the nugget by k scales g by k, and the sum of the
+    terms is least at k = mean(binned / g). With profile set, returns
+    (terms at the scaled parameters, k): the criterion with sigma_e2
+    concentrated out.
+    """
     g = np.asarray(variogram_model(distances[:, None], frequencies[None, :], params))
     g = np.maximum(g, _VARIOGRAM_FLOOR)
+    if profile:
+        scale = float(np.mean(binned / g))
+        g = np.maximum(scale * g, _VARIOGRAM_FLOOR)
     terms = np.log(g) + binned / g
     if not np.all(np.isfinite(terms)):
         raise EvaluationError(
-            "criterion is not finite at sigma_e2=%r, nu=%r, c_coeffs=%r, nugget=%r"
-            % (params.sigma_e2, params.nu, params.c_coeffs, params.nugget)
+            "criterion is not finite at sigma_e2=%r, nu=%r, c_coeffs=%r, nugget=%r%s"
+            % (params.sigma_e2, params.nu, params.c_coeffs, params.nugget,
+               " scaled by %r" % scale if profile else "")
         )
-    return terms
+    return (terms, scale) if profile else terms
 
 
 def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: ModelParams,
@@ -402,6 +419,12 @@ class FitResult:
         Distance-bin summary (distances and pair counts).
     n_restarts : int
         Restarts attempted.
+    restarts : list of dict
+        One entry per restart, in order: "start", its start point in the
+        searched coordinates (see fit); "criterion", the profiled criterion
+        it finished at, or None when the start was not finite and the restart
+        was skipped; "nfev", the simplex search's criterion evaluations; and
+        "converged".
     """
 
     params: ModelParams
@@ -412,6 +435,7 @@ class FitResult:
     n_frequencies: int
     bins: dict
     n_restarts: int
+    restarts: list
 
     def to_dict(self) -> dict:
         return {
@@ -424,16 +448,22 @@ class FitResult:
             "n_frequencies": int(self.n_frequencies),
             "bins": self.bins,
             "n_restarts": int(self.n_restarts),
+            "restarts": [dict(r) for r in self.restarts],
         }
 
 
 def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     """Estimate the covariance model from an observed panel.
 
-    Runs the simplex optimizer from several randomized starting points in the
-    unconstrained parameterization and keeps the best finisher. The starting
-    scale is read off the pooled periodogram mean; cosine coefficients start
-    at independent N(0, 0.5^2) draws.
+    The variogram is sigma_e2 times a function of the other parameters once
+    the nugget is written as the ratio tau = nugget / sigma_e2, so for given
+    (nu, b, tau) the criterion's minimizing sigma_e2 has a closed form. The
+    simplex optimizer searches this profiled criterion over pack_params'
+    coordinates without the leading log sigma_e2 and with log tau in place
+    of the log nugget, from several randomized starting points, and keeps the
+    best finisher. Cosine coefficients start at independent N(0, 0.5^2)
+    draws, log(nu - d/4) at 0 and log tau at log(2 pi / 10). The reported
+    parameters and criterion are one full evaluation at the unpacked winner.
 
     Raises
     ------
@@ -454,31 +484,35 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     prepared = _prepare(spectral, bins, config.n_frequencies)
     m_use = prepared.frequencies.size
 
+    def scale_free(vec: np.ndarray) -> ModelParams:
+        # sigma_e2 = exp(0) = 1, so the nugget coordinate reads as log tau
+        return unpack_params(np.concatenate(([0.0], vec)), p, d=d, nu_fixed=nu_fixed,
+                             fit_nugget=config.fit_nugget)
+
     def objective(vec: np.ndarray) -> float:
         try:
-            params = unpack_params(vec, p, d=d, nu_fixed=nu_fixed,
-                                   fit_nugget=config.fit_nugget)
-            terms = _criterion_terms(*prepared, params)
+            terms, _ = _criterion_terms(*prepared, scale_free(vec), profile=True)
         except (EvaluationError, ValueError, OverflowError, FloatingPointError):
             return np.inf
         return float(terms.sum(axis=1).mean())
 
-    pooled = float(np.mean(np.mean(np.abs(spectral.dft[:, :m_use]) ** 2, axis=1)))
-    log_scale = np.log(max(pooled, 1e-300))
     rng = np.random.default_rng(config.seed)
     best = None
+    restarts = []
     for _ in range(config.multistart):
         coeffs = rng.normal(0.0, 0.5, size=p + 1)
-        start = [log_scale]
-        if nu_fixed is None:
-            start.append(0.0)
+        start = [0.0] if nu_fixed is None else []
         start.extend(coeffs)
         if config.fit_nugget:
-            start.append(log_scale + np.log(_TWO_PI) - np.log(10.0))
+            start.append(np.log(_TWO_PI) - np.log(10.0))
         start_vec = np.asarray(start)
+        record = {"start": start_vec.tolist(), "criterion": None, "nfev": 0,
+                  "converged": False}
+        restarts.append(record)
         if not np.isfinite(objective(start_vec)):
             continue
         result = nelder_mead(objective, start_vec, config.optimizer)
+        record.update(criterion=result.fun, nfev=result.nfev, converged=result.converged)
         if best is None or result.fun < best.fun:
             best = result
     if best is None or not np.isfinite(best.fun):
@@ -486,8 +520,10 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             "all %d restarts failed to reach a finite criterion" % config.multistart
         )
 
-    params_hat = unpack_params(best.x, p, d=d, nu_fixed=nu_fixed,
-                               fit_nugget=config.fit_nugget)
+    theta_hat = scale_free(best.x)
+    _, scale = _criterion_terms(*prepared, theta_hat, profile=True)
+    params_hat = replace(theta_hat, sigma_e2=scale, nugget=scale * theta_hat.nugget)
+    criterion = float(_criterion_terms(*prepared, params_hat).sum(axis=1).mean())
     names = natural_names(p, nu_fixed=nu_fixed is not None, fit_nugget=config.fit_nugget)
     cov = None
     if config.compute_covariance:
@@ -501,13 +537,14 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             warnings.warn("asymptotic covariance unavailable: %s" % err)
     return FitResult(
         params=params_hat,
-        criterion=float(best.fun),
+        criterion=criterion,
         covariance=cov,
         param_names=names,
         converged=bool(best.converged),
         n_frequencies=m_use,
         bins=bins.summary(),
         n_restarts=config.multistart,
+        restarts=restarts,
     )
 
 

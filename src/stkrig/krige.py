@@ -29,6 +29,8 @@ from .numerics import (
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
 _TWO_PI = 2.0 * np.pi
+# smallest normal double; below it a value carries no relative precision
+_TINY = np.finfo(float).tiny
 
 
 def assemble_system(locations, target, omega: float, params: ModelParams,
@@ -68,8 +70,15 @@ def _site_distances(locations, target):
         raise ValueError(
             "target has dimension %d but sites have dimension %d" % (tgt.size, loc.shape[1])
         )
-    dmat = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
-    return dmat, np.linalg.norm(loc - tgt[None, :], axis=-1)
+    # coordinates near the top of the double range overflow the norms; that
+    # is reported below, without a numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        dmat = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
+        h0 = np.linalg.norm(loc - tgt[None, :], axis=-1)
+    if not np.isfinite(h0).all():
+        raise ValueError("target-to-site distances must be finite, got %r"
+                         % float(h0[~np.isfinite(h0)][0]))
+    return dmat, h0
 
 
 def _frequency_system(dmat, h0, omega, params: ModelParams, include_target_noise: bool):
@@ -77,6 +86,10 @@ def _frequency_system(dmat, h0, omega, params: ModelParams, include_target_noise
     f = cov_matrix(dmat, omega, params, include_nugget=True)
     g0 = np.asarray(cov_freq(h0, float(omega), params), dtype=float)
     c0 = float(cov_zero(float(omega), params))
+    if not c0 >= _TINY:
+        raise FloatingPointError(
+            "C(0, w) = %r at w = %r is not a normal double; the model's covariance "
+            "scale is out of range" % (c0, float(omega)))
     if include_target_noise:
         c0 += params.nugget / _TWO_PI
     return f, g0, c0

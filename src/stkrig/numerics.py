@@ -77,6 +77,7 @@ class NelderMeadResult(NamedTuple):
     x: np.ndarray
     fun: float
     converged: bool
+    nfev: int
 
 
 class HpdSolution(NamedTuple):
@@ -287,8 +288,10 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0,
     Returns
     -------
     NelderMeadResult
-        Best vertex found, its objective value, and a convergence flag. The
-        returned value never exceeds the value at the start point.
+        Best vertex found, its objective value, a convergence flag and the
+        number of objective evaluations the simplex search made (scipy's
+        count; the start-point check above it adds one). The returned value
+        never exceeds the value at the start point.
     """
     start = np.atleast_1d(np.asarray(x0, dtype=float))
     if start.ndim != 1:
@@ -318,7 +321,7 @@ def nelder_mead(objective: Callable[[np.ndarray], float], x0,
     fun = float(res.fun)
     if fun > f0:
         x, fun = start, f0
-    return NelderMeadResult(x=x, fun=fun, converged=bool(res.success))
+    return NelderMeadResult(x=x, fun=fun, converged=bool(res.success), nfev=int(res.nfev))
 
 
 def cholesky_with_jitter(matrix) -> tuple[np.ndarray, float]:

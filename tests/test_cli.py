@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,35 @@ def test_runtime_error_reports_json(tmp_path, capsys):
     assert report["error"]["command"] == "spectra"
     assert report["error"]["type"] == "FileNotFoundError"
     assert "absent.csv" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("case", ["missing-input", "overflowing-target", "subnormal-scale"])
+def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path, capsys):
+    # every exit-1 path: stderr parses as one JSON object, and no warning
+    # (which a real run prints to stderr) comes before it
+    krige = ["krige", "--locations", pipeline["locations"], "--series", pipeline["series"],
+             "--out", str(tmp_path / "kr")]
+    if case == "missing-input":
+        argv = ["spectra", "--locations", str(tmp_path / "absent.csv"),
+                "--series", str(tmp_path / "absent2.csv"), "--out", str(tmp_path / "out")]
+        expected = ("spectra", "FileNotFoundError")
+    elif case == "overflowing-target":
+        argv = krige + ["--model", pipeline["model"], "--target", "1e308,1e308"]
+        expected = ("krige", "ValueError")
+    else:
+        # b0 = 706: C(0, w) = e^-706 / (4 pi) ~ 1.9e-308 is below the
+        # smallest normal double
+        model_path = str(tmp_path / "model.json")
+        with open(model_path, "w") as handle:
+            json.dump(dict(MODEL, c_coeffs=[706.0]), handle)
+        argv = krige + ["--model", model_path, "--target", "1.4,0.9"]
+        expected = ("krige", "FloatingPointError")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    report = json.loads(capsys.readouterr().err)
+    assert (report["error"]["command"], report["error"]["type"]) == expected
 
 
 def test_bad_bins_and_target_values(pipeline, tmp_path, capsys):

@@ -214,6 +214,23 @@ def test_tiny_distance_gives_the_zero_distance_value():
         assert np.all(mat == cov_zero(1.0, p))
 
 
+def test_small_scales_keep_full_precision_near_zero_distance():
+    # at tiny h the prefactor (h / |c|)^mu can be subnormal while e^x K_mu(x)
+    # is still finite, the more so the smaller sigma_e2 is; rho = C / C(0)
+    # must not depend on sigma_e2 (the plain product read 0 for 1 at
+    # sigma_e2 = 1e-30), and at mu > 1 it is 1 to double resolution once
+    # x^2 is (it was off by 1e-9 at x = 1e-68, nu = 3, d = 3)
+    x = 10.0 ** -np.arange(1.0, 320.0, 0.05)
+    for nu, d, b0 in ((3.0, 3, 2.125), (2.0, 2, 0.0), (1.0, 2, 0.0)):
+        h = x / np.sqrt(c_mod_sq(1.0, _params(c_coeffs=(b0,))))
+        reference = corr_freq(h, 1.0, _params(nu=nu, d=d, c_coeffs=(b0,)))
+        if nu > 1.0:
+            assert np.all(np.abs(reference[x < 1e-9] - 1.0) <= 1e-12)
+        for sigma_e2 in (1e-6, 1e-30, 1e-250):
+            rho = corr_freq(h, 1.0, _params(sigma_e2=sigma_e2, nu=nu, d=d, c_coeffs=(b0,)))
+            assert_allclose(rho, reference, rtol=1e-12)
+
+
 def test_overflowing_zero_distance_value_fails_loudly():
     # |c|^(-2 mu) leaves the double range (|c|^2 itself underflows to 0 at
     # b0 = -800); no limit to fall back on. At b0 = 800 |c|^2 overflows and

@@ -4,6 +4,7 @@ import json
 import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,6 +371,60 @@ def test_fit_result_serializes():
     assert back["params"]["sigma_e2"] == pytest.approx(res.params.sigma_e2)
     assert back["criterion"] == pytest.approx(res.criterion)
     assert back["covariance"] is None
+
+
+@pytest.mark.parametrize("fit_nugget", [False, True])
+def test_fit_profiles_the_scale_and_reports_the_full_criterion(fit_nugget):
+    # sigma_e2 is concentrated out of the search; the reported point is still
+    # a minimum in sigma_e2 (the nugget held fixed), and the reported value
+    # is the criterion at the reported parameters
+    truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.3,), nugget=0.5 if fit_nugget else 0.0)
+    rng = np.random.default_rng(881)
+    locs = rng.uniform(0.0, 4.0, (12, 2))
+    panel = simulate_panel(SimulationSpec(locations=locs, n=128, params=truth, seed=882,
+                                          include_measurement_error=fit_nugget))
+    res = fit(panel, FitConfig(n_coeffs=0, nu_fixed=1.0, fit_nugget=fit_nugget,
+                               multistart=2, compute_covariance=False))
+    spectral, bins = dft_panel(panel), build_distance_bins(locs)
+    q_hat = whittle_criterion(spectral, bins, res.params)
+    assert res.criterion == pytest.approx(q_hat, rel=1e-12, abs=0.0)
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        moved = replace(res.params, sigma_e2=factor * res.params.sigma_e2)
+        assert whittle_criterion(spectral, bins, moved) >= q_hat
+    assert (res.params.nugget > 0.0) == fit_nugget
+    assert [len(r["start"]) for r in res.restarts] == [1 + fit_nugget] * 2
+
+
+def test_fit_reports_each_restart():
+    panel, _ = _toy_panel(seed=6)
+    config = FitConfig(n_coeffs=1, multistart=3, seed=5, compute_covariance=False)
+    res = fit(panel, config)
+    assert len(res.restarts) == 3
+    coeffs = np.random.default_rng(5).normal(0.0, 0.5, size=(3, 2))
+    for record, drawn in zip(res.restarts, coeffs):
+        # the searched coordinates: log(nu - d/4), b0, b1; no log sigma_e2
+        assert record["start"] == [0.0] + drawn.tolist()
+        assert record["nfev"] > 0 and isinstance(record["converged"], bool)
+    assert min(r["criterion"] for r in res.restarts) == pytest.approx(res.criterion, rel=1e-12)
+    blob = res.to_dict()
+    assert blob["restarts"] == res.restarts
+    assert json.dumps(blob) == json.dumps(fit(panel, config).to_dict())
+
+
+def test_fit_evaluation_count_on_the_recovery_design():
+    # criterion-4 replicate 0 with the frozen configuration: about 205
+    # simplex evaluations over the two restarts with the scale profiled
+    # out, about 466 when log sigma_e2 was searched too
+    fx = FIXTURES["whittle_recovery"]
+    truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.5, 0.8), d=2)
+    locs = np.random.default_rng(fx["site_seed_base"]).uniform(0.0, 10.0, size=(20, 2))
+    panel = simulate_panel(SimulationSpec(locations=locs, n=512, params=truth,
+                                          seed=fx["panel_seed_base"]))
+    res = fit(panel, FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=fx["multistart"],
+                               seed=0, compute_covariance=False))
+    assert len(res.restarts) == fx["multistart"]
+    assert all(r["converged"] for r in res.restarts)
+    assert sum(r["nfev"] for r in res.restarts) <= 300
 
 
 def test_fit_raises_when_every_restart_fails(monkeypatch):

@@ -1,6 +1,7 @@
 """Frequency-domain prediction, series reconstruction, and forecasting."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,32 @@ def test_target_noise_raises_mse_by_nugget_spectrum():
                     params.nugget / (2.0 * np.pi) * np.ones_like(bare.mse),
                     atol=1e-12)
     assert np.array_equal(noisy.predicted_dft, bare.predicted_dft)
+
+
+def test_subnormal_covariance_scale_fails_loudly():
+    # b0 = 706 puts C(0, w) = e^-706 / (4 pi) ~ 1.9e-308 below the smallest
+    # normal double at every frequency; b0 = 700 (C(0, w) ~ 7.8e-306) is
+    # still normal and kriges, with no spatial correlation left
+    locs, target, params = _setup(seed=17)
+    panel = simulate_panel(SimulationSpec(locations=locs, n=33, params=params, seed=18))
+    tiny = replace(params, c_coeffs=(706.0,), nugget=0.0)
+    assert 0.0 < cov_zero(1.1, tiny) < np.finfo(float).tiny
+    with pytest.raises(FloatingPointError, match="not a normal double"):
+        assemble_system(locs, target, 1.1, tiny)
+    with pytest.raises(FloatingPointError, match="not a normal double"):
+        krige_series(panel, target, tiny)
+    small = krige_series(panel, target, replace(tiny, c_coeffs=(700.0,)))
+    assert np.all(small.mse > 0.0)
+
+
+def test_overflowing_target_distance_is_rejected_without_a_warning():
+    locs, target, params = _setup(seed=19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="target-to-site distances must be finite"):
+            assemble_system(locs, np.array([1e308, 1e308]), 1.1, params)
+        with pytest.raises(ValueError, match="target-to-site distances must be finite"):
+            assemble_system(locs, np.array([np.inf, 0.0]), 1.1, params)
 
 
 def test_enforce_stationarity_reflection():

@@ -216,8 +216,10 @@ def test_optimizer_config_validation():
 
 def test_nelder_mead_quadratic_bowl():
     target = np.array([1.0, -2.0, 0.5])
+    calls = []
 
     def objective(v):
+        calls.append(1)
         return float(np.sum((v - target) ** 2))
 
     res = nelder_mead(objective, np.zeros(3),
@@ -225,6 +227,8 @@ def test_nelder_mead_quadratic_bowl():
                                       tolerance_x=1e-10, initial_step=0.5))
     assert res.converged
     assert_allclose(res.x, target, atol=1e-5)
+    # the simplex search's evaluations, after the one start-point check
+    assert res.nfev == len(calls) - 1 > 0
 
 
 def test_nelder_mead_never_worse_than_start():

@@ -7,9 +7,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
-from stkrig import (ModelParams, SimulationSpec, corr_freq, cov_freq, cov_zero, dft_forward,
-                    dft_inverse, hpd_solve, krige_series, simulate_panel, variogram_model)
+from stkrig import (ModelParams, SimulationSpec, c_mod_sq, corr_freq, cov_freq, cov_zero,
+                    dft_forward, dft_inverse, hpd_solve, krige_series, simulate_panel,
+                    variogram_model)
 from stkrig.numerics import cholesky_with_jitter
 
 # smallest normal double; below it a value carries no relative precision
@@ -55,6 +57,25 @@ def test_covariance_is_non_increasing_in_distance(params, omega, h1, h2):
     # nearby distances can rise by a few 1e-14 relative, as in the example.
     near, far = min(h1, h2), max(h1, h2)
     assert cov_freq(far, omega, params) <= cov_freq(near, omega, params) * (1.0 + 1e-12)
+
+
+@settings(deadline=None)
+@given(models(), omegas)
+def test_covariance_tends_to_the_zero_distance_value(params, omega):
+    # Along x = h |c(w)| = 1, 1e-4, ..., 1e-100 the gap 1 - C(h, w) / C(0, w)
+    # shrinks, and at the end it is within the series bound: for mu < 1,
+    # 1 - rho(x) = Gamma(1 - mu) / Gamma(1 + mu) (x / 2)^(2 mu) (1 + O(x^2))
+    # - O(x^2) (DLMF 10.25.2, 10.27.4); for mu >= 1 it is O(x^2 log x).
+    x = 10.0 ** -np.arange(0.0, 101.0, 4.0)
+    h = x / np.sqrt(c_mod_sq(omega, params))
+    gap = 1.0 - cov_freq(h, omega, params) / cov_zero(omega, params)
+    assert np.all((gap >= 0.0) & (gap <= 1.0))
+    assert np.all(np.diff(gap) <= 1e-12)
+    mu = 2.0 * params.nu - params.d / 2.0
+    bound = 0.0
+    if mu < 1.0:
+        bound = 2.0 * np.exp(gammaln(1.0 - mu) - gammaln(1.0 + mu)) * (x[-1] / 2.0) ** (2.0 * mu)
+    assert gap[-1] <= bound + 1e-12
 
 
 @settings(deadline=None)
