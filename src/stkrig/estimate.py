@@ -154,11 +154,17 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
     if m < 2:
         raise ValueError("need at least two sites to form pairs, got %d" % m)
     rows, cols = np.triu_indices(m, 1)
-    diff = loc[rows] - loc[cols]
     # np.linalg.norm of one pair is sqrt(dot); a stacked matmul takes the same
     # dot product (a sum of squares rounds differently), so each distance is
-    # that pair's norm to the bit
-    dists = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1))
+    # that pair's norm to the bit. Coordinates near the top of the double
+    # range overflow it; that is reported below, without a numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = loc[rows] - loc[cols]
+        dists = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1))
+    if not np.isfinite(dists).all():
+        k = int(np.flatnonzero(~np.isfinite(dists))[0])
+        raise ValueError("the distance between sites %d and %d is not finite (%r)"
+                         % (rows[k], cols[k], float(dists[k])))
     if np.any(dists == 0.0):
         k = int(np.argmin(dists))
         raise ValueError("sites %d and %d are coincident" % (rows[k], cols[k]))
@@ -509,9 +515,11 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         record = {"start": start_vec.tolist(), "criterion": None, "nfev": 0,
                   "converged": False}
         restarts.append(record)
-        if not np.isfinite(objective(start_vec)):
+        try:
+            result = nelder_mead(objective, start_vec, config.optimizer)
+        except ValueError:
+            # nelder_mead's start check: the criterion is not finite here
             continue
-        result = nelder_mead(objective, start_vec, config.optimizer)
         record.update(criterion=result.fun, nfev=result.nfev, converged=result.converged)
         if best is None or result.fun < best.fun:
             best = result

@@ -163,14 +163,12 @@ def load_single_series(path: str) -> np.ndarray:
         raise PanelFormatError("%s: expected a header row 't,<name>'" % path)
     if rows[0][0].strip() != "t":
         raise PanelFormatError("%s: first column must be 't', got %r" % (path, rows[0][0]))
+    column = rows[0][1].strip()
     values = []
     for r, row in enumerate(rows[1:], start=2):
-        try:
-            values.append(float(row[1]))
-        except (IndexError, ValueError):
-            raise PanelFormatError(
-                "%s: row %d: cannot parse a number from %r" % (path, r, row)
-            ) from None
+        if len(row) < 2:
+            raise PanelFormatError("%s: row %d has no value column: %r" % (path, r, row))
+        values.append(_number(path, r, column, row[1]))
     if len(values) < 2:
         raise PanelFormatError("%s: need at least two values" % path)
     return np.asarray(values, dtype=float)

@@ -18,19 +18,13 @@ import numpy as np
 from scipy import linalg as _slinalg
 
 from .covmodel import ModelParams, cov_freq, cov_matrix, cov_zero
-from .numerics import (
-    OptimizerConfig,
-    SingularMatrixError,
-    dft_forward,
-    dft_inverse,
-    hpd_solve,
-    nelder_mead,
-)
+from .numerics import SingularMatrixError, dft_forward, dft_inverse, hpd_solve
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
 _TWO_PI = 2.0 * np.pi
 # smallest normal double; below it a value carries no relative precision
 _TINY = np.finfo(float).tiny
+_AR_NEWTON_STEPS = 50
 
 
 def assemble_system(locations, target, omega: float, params: ModelParams,
@@ -360,9 +354,7 @@ class ForecastOutput:
 def _ar_transfer(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """|1 - sum_j phi_j exp(-i j w)|^2 on the grid; row j - 1 of phases
     holds exp(-i j w)."""
-    acc = np.ones(phases.shape[1], dtype=complex)
-    for phi, phase in zip(coeffs, phases):
-        acc = acc - phi * phase
+    acc = 1.0 - coeffs @ phases[: coeffs.size]
     return (acc * np.conj(acc)).real
 
 
@@ -387,18 +379,44 @@ def _ar_whittle_value(coeffs: np.ndarray, pgram: np.ndarray, phases: np.ndarray,
     return value, s2
 
 
-def _yule_walker_start(x: np.ndarray, p: int) -> np.ndarray:
-    n = x.size
-    r = np.array([float(np.dot(x[: n - k], x[k:])) / n for k in range(p + 1)])
-    if r[0] <= 0:
-        return np.zeros(p)
+def _ar_fit(p: int, pgram: np.ndarray, phases: np.ndarray, n: int) -> np.ndarray:
+    """AR(p) coefficients at the minimum of _ar_whittle_value: from the minimizer of
+    mean(I A) = t' R t, t = (1, -phi), R Toeplitz in r_j = mean(I cos j w) (or from
+    phi = 0), Newton steps on F = m log mean(I A) - sum log A while they shrink, each
+    halved until F falls by its exact change, which the rounding of F hides."""
+    m, lags = pgram.size, phases[:p]
+    r = np.append(pgram.mean(), lags.real @ pgram / m)
     try:
-        phi = _slinalg.solve_toeplitz(r[:p], r[1 : p + 1])
+        phi = _slinalg.solve_toeplitz(r[:p], r[1:])
     except np.linalg.LinAlgError:
-        return np.zeros(p)
-    if not np.all(np.isfinite(phi)):
-        return np.zeros(p)
-    return np.asarray(phi, dtype=float)
+        phi = np.zeros(p)
+    phi = phi if np.isfinite(_ar_whittle_value(phi, pgram, phases, n)[0]) else np.zeros(p)
+    previous = np.inf
+    with np.errstate(all="ignore"):  # steps that overflow or take A to 0 compare false
+        for _ in range(_AR_NEWTON_STEPS):
+            a = 1.0 - phi @ lags
+            # dA/dphi_j = -2 Re(conj(a) e^{-ijw}); d2A/dphi_i dphi_j = 2 Re(e^{-iiw} e^{ijw})
+            big_a, d_a = (a * np.conj(a)).real, -2.0 * (np.conj(a) * lags).real
+            q = np.mean(pgram * big_a)
+            w, g_q, g_log = pgram / q - 1.0 / big_a, d_a @ pgram / q, d_a / big_a
+            hess = 2.0 * (lags * w @ lags.conj().T).real - np.outer(g_q, g_q) / m + g_log @ g_log.T
+            if not np.isfinite(hess).all():
+                break
+            curv, basis = np.linalg.eigh(hess)  # negative curvature is turned downhill
+            step = basis @ ((basis.T @ (d_a @ w)) / np.abs(curv))
+            if not np.linalg.norm(step) < previous:
+                break
+            previous = np.linalg.norm(step)
+            while True:
+                shift = step @ lags
+                delta = 2.0 * (np.conj(a) * shift).real + (shift * np.conj(shift)).real
+                if np.array_equal(big_a + delta, big_a):
+                    return phi
+                if m * np.log1p(np.mean(pgram * delta) / q) < np.log1p(delta / big_a).sum():
+                    break
+                step = step / 2.0
+            phi = phi - step
+    return phi
 
 
 def _enforce_stationarity(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -424,12 +442,11 @@ def _enforce_stationarity(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
     return repaired, True
 
 
-def forecast(series, horizons: int, max_order: int = 8,
-             optimizer: OptimizerConfig | None = None) -> ForecastOutput:
+def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:
     """Forecast a reconstructed series with a spectrally fitted AR model.
 
-    Orders p = 0, ..., max_order are fitted by minimizing the grid
-    approximation of the integral spectral likelihood, and the order is
+    Each order p = 0, ..., max_order is solved exactly for the minimum of the
+    grid approximation of the integral spectral likelihood, and the order is
     chosen by AIC = 2 * criterion + 2 p. Forecasts come from the AR recursion
     on the mean-centered series; their mean squared errors accumulate the
     moving-average weights of the fitted model.
@@ -442,12 +459,12 @@ def forecast(series, horizons: int, max_order: int = 8,
         Number of steps ahead; zero yields empty arrays.
     max_order : int
         Largest autoregressive order tried.
-    optimizer : OptimizerConfig, optional
-        Settings for the coefficient search.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one dimensional, got shape %s" % (x.shape,))
+    if not np.isfinite(x).all():
+        raise ValueError("series contains non-finite values")
     if horizons < 0:
         raise ValueError("horizons must be nonnegative, got %r" % horizons)
     if max_order < 0:
@@ -457,16 +474,19 @@ def forecast(series, horizons: int, max_order: int = 8,
             "series of length %d is too short for max_order=%d; need at least %d points"
             % (x.size, max_order, max(4 * max_order, 3))
         )
-    if optimizer is None:
-        optimizer = OptimizerConfig(max_iterations=2000, tolerance_f=1e-10,
-                                    tolerance_x=1e-8, initial_step=0.05)
 
     n = x.size
-    mu = float(x.mean())
-    centered = x - mu
-    ordinates = dft_forward(centered)
     m_int = (n - 1) // 2
-    pgram = (np.abs(ordinates[1 : m_int + 1]) ** 2).astype(float)
+    # values near the top of the double range overflow the centring or the
+    # periodogram; that is reported here, without a numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(x.mean())
+        centered = x - mu
+        if not np.isfinite(centered).all():
+            raise ValueError("centring the series overflows the double range")
+        pgram = np.abs(dft_forward(centered)[1 : m_int + 1]) ** 2
+    if not np.isfinite(pgram).all():
+        raise ValueError("the periodogram of the series overflows the double range")
     # exp(-i j w) for lags j = 1..max_order, once for every order and evaluation
     phases = np.exp(-1j * np.arange(1, max_order + 1)[:, None] * fourier_frequencies(n))
 
@@ -482,32 +502,18 @@ def forecast(series, horizons: int, max_order: int = 8,
 
     best = None
     for p in range(max_order + 1):
-        if p == 0:
-            value, s2 = _ar_whittle_value(np.empty(0), pgram, phases, n)
-            candidate = (np.empty(0), s2, value)
-        else:
-            start = _yule_walker_start(centered, p)
-            start, _ = _enforce_stationarity(start)
-
-            def objective(phi):
-                return _ar_whittle_value(phi, pgram, phases, n)[0]
-
-            if not np.isfinite(objective(start)):
-                start = np.zeros(p)
-            result = nelder_mead(objective, start, optimizer)
-            coeffs, changed = _enforce_stationarity(result.x)
-            if changed:
-                warnings.warn(
-                    "order-%d fit was nonstationary; characteristic roots were "
-                    "reflected outside the unit circle" % p
-                )
-            value, s2 = _ar_whittle_value(coeffs, pgram, phases, n)
-            candidate = (coeffs, s2, value)
-        aic = 2.0 * candidate[2] + 2.0 * p
+        coeffs, changed = _enforce_stationarity(_ar_fit(p, pgram, phases, n))
+        if changed:
+            warnings.warn(
+                "order-%d fit was nonstationary; characteristic roots were "
+                "reflected outside the unit circle" % p
+            )
+        value, s2 = _ar_whittle_value(coeffs, pgram, phases, n)
+        aic = 2.0 * value + 2.0 * p
         if best is None or aic < best[0]:
-            best = (aic, p, candidate)
+            best = (aic, p, coeffs, s2)
 
-    _, order, (coeffs, s2, _) = best
+    _, order, coeffs, s2 = best
 
     fc = np.empty(horizons)
     extended = list(centered)

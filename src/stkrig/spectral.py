@@ -137,17 +137,26 @@ def dft_panel(panel: TimeSeriesPanel, remove_mean: bool = True) -> SpectralPanel
     which the interior grid drops anyway, but is kept explicit so downstream
     consumers know the data were centered.
     """
-    obs = panel.observations
-    if remove_mean:
-        obs = obs - obs.mean(axis=1, keepdims=True)
     n = panel.n
     m_int = (n - 1) // 2
     if m_int < 1:
         raise ValueError(
             "series length %d leaves no interior frequencies; need n >= 3" % n
         )
+    obs = panel.observations
+    # values near the top of the double range overflow the means or the
+    # transform; that is reported here, without a numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        if remove_mean:
+            means = obs.mean(axis=1, keepdims=True)
+            if not np.isfinite(means).all():
+                raise ValueError("site means overflow the double range")
+            obs = obs - means
+        dft = _dft_rows(obs)[:, 1 : m_int + 1]
+    if not np.isfinite(dft).all():
+        raise ValueError("the Fourier transform of the series overflows the double range")
     return SpectralPanel(
-        dft=_dft_rows(obs)[:, 1 : m_int + 1],
+        dft=dft,
         frequencies=fourier_frequencies(n),
         n=n,
         mean_removed=bool(remove_mean),

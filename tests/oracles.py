@@ -8,6 +8,7 @@ generator. The tests compare the fast paths in stkrig against these.
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_toeplitz
 
 
 _LN2 = float(np.log(2.0))
@@ -124,6 +125,20 @@ def ar1_series(phi, n, innovation_sd=1.0, seed=0):
     return z
 
 
+def arma_series(phis, theta, n, seed=0, burn_in=200):
+    """ARMA(p, 1) drawn in the time domain from zero initial values, with
+    the first burn_in points discarded."""
+    rng = np.random.default_rng(seed)
+    eps = rng.normal(size=n + burn_in)
+    z = np.zeros(n + burn_in)
+    for t in range(n + burn_in):
+        z[t] = eps[t] + (theta * eps[t - 1] if t > 0 else 0.0)
+        for j, phi in enumerate(phis, start=1):
+            if t >= j:
+                z[t] += phi * z[t - j]
+    return z[burn_in:]
+
+
 def distance_bins_by_scan(locations, mode="exact", n_bins=None, tolerance=None):
     """Distance bins by the original pair-by-pair scan, as (distance, pairs)
     sorted by distance: per-pair norms, greedy tolerance groups, and each
@@ -198,3 +213,51 @@ def cov_matrix_full(distances, omega, params, include_nugget=True):
     if include_nugget and params.nugget > 0:
         f = f + (params.nugget / (2.0 * np.pi)) * np.eye(dmat.shape[0])
     return f
+
+
+def _yule_walker_start(x, p):
+    n = x.size
+    r = np.array([float(np.dot(x[: n - k], x[k:])) / n for k in range(p + 1)])
+    if r[0] <= 0:
+        return np.zeros(p)
+    try:
+        phi = solve_toeplitz(r[:p], r[1 : p + 1])
+    except np.linalg.LinAlgError:
+        return np.zeros(p)
+    if not np.all(np.isfinite(phi)):
+        return np.zeros(p)
+    return np.asarray(phi, dtype=float)
+
+
+def ar_fits_by_simplex(series, max_order=8):
+    """Whittle AR fits of orders 0..max_order by the original simplex search:
+    a time-domain Yule-Walker start made stationary, Nelder-Mead on the
+    package's grid criterion, the result made stationary. Returns the list
+    of (coefficients, criterion) per order, the order AIC selects and the
+    criterion as a function of the coefficients. Not independent of stkrig
+    (it shares the criterion and the root reflection); it pins the exact
+    per-order solve to the old search."""
+    from stkrig.krige import _ar_whittle_value, _enforce_stationarity
+    from stkrig.numerics import OptimizerConfig, dft_forward, nelder_mead
+    from stkrig.spectral import fourier_frequencies
+
+    x = np.asarray(series, dtype=float)
+    n = x.size
+    centered = x - x.mean()
+    pgram = np.abs(dft_forward(centered)[1 : (n - 1) // 2 + 1]) ** 2
+    phases = np.exp(-1j * np.arange(1, max_order + 1)[:, None] * fourier_frequencies(n))
+    config = OptimizerConfig(max_iterations=2000, tolerance_f=1e-10,
+                             tolerance_x=1e-8, initial_step=0.05)
+
+    def objective(phi):
+        return _ar_whittle_value(phi, pgram, phases, n)[0]
+
+    fits = [(np.empty(0), objective(np.empty(0)))]
+    for p in range(1, max_order + 1):
+        start, _ = _enforce_stationarity(_yule_walker_start(centered, p))
+        if not np.isfinite(objective(start)):
+            start = np.zeros(p)
+        coeffs, _ = _enforce_stationarity(nelder_mead(objective, start, config).x)
+        fits.append((coeffs, objective(coeffs)))
+    order = int(np.argmin([2.0 * value + 2.0 * p for p, (_, value) in enumerate(fits)]))
+    return fits, order, objective

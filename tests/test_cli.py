@@ -235,7 +235,24 @@ def test_runtime_error_reports_json(tmp_path, capsys):
     assert "absent.csv" in report["error"]["message"]
 
 
-@pytest.mark.parametrize("case", ["missing-input", "overflowing-target", "subnormal-scale"])
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+def _huge_values(shape, seed):
+    # +-1e308: finite, but their sums and transforms overflow
+    return (1e308 * np.random.default_rng(seed).choice([-1.0, 1.0], size=shape)).tolist()
+
+
+@pytest.mark.parametrize("case", [
+    "missing-input", "overflowing-target", "subnormal-scale",
+    "overflowing-series-spectra", "overflowing-series-estimate", "overflowing-series-krige",
+    "overflowing-coordinates", "infinite-forecast-cell", "overflowing-forecast",
+])
 def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path, capsys):
     # every exit-1 path: stderr parses as one JSON object, and no warning
     # (which a real run prints to stderr) comes before it
@@ -248,7 +265,7 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
     elif case == "overflowing-target":
         argv = krige + ["--model", pipeline["model"], "--target", "1e308,1e308"]
         expected = ("krige", "ValueError")
-    else:
+    elif case == "subnormal-scale":
         # b0 = 706: C(0, w) = e^-706 / (4 pi) ~ 1.9e-308 is below the
         # smallest normal double
         model_path = str(tmp_path / "model.json")
@@ -256,12 +273,47 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
             json.dump(dict(MODEL, c_coeffs=[706.0]), handle)
         argv = krige + ["--model", model_path, "--target", "1.4,0.9"]
         expected = ("krige", "FloatingPointError")
+    elif case.startswith("overflowing-series"):
+        # 4 sites, n = 33; every command transforms through dft_panel
+        command = case.rsplit("-", 1)[1]
+        ids = ["a%d" % i for i in range(4)]
+        locs = _write_csv(tmp_path / "locs.csv", ["site_id", "x1", "x2"],
+                          [[site, i, i % 2] for i, site in enumerate(ids)])
+        series = _write_csv(tmp_path / "huge.csv", ["t"] + ids,
+                            [[t + 1] + [repr(v) for v in row]
+                             for t, row in enumerate(_huge_values((33, 4), seed=5))])
+        argv = [command, "--locations", locs, "--series", series]
+        if command == "krige":
+            argv += ["--model", pipeline["model"], "--target", "0.5,0.5",
+                     "--out", str(tmp_path / "kr")]
+        else:
+            argv += ["--out", str(tmp_path / ("fit.json" if command == "estimate" else "out"))]
+        expected = (command, "ValueError")
+    elif case == "overflowing-coordinates":
+        with open(pipeline["locations"], newline="") as handle:
+            ids = [row[0] for row in list(csv.reader(handle))[1:]]
+        # distinct sites on both sides of the origin: their distances overflow
+        locs = _write_csv(tmp_path / "far.csv", ["site_id", "x1", "x2"],
+                          [[site, repr((-1.0) ** i * 1e308), i] for i, site in enumerate(ids)])
+        argv = ["estimate", "--locations", locs, "--series", pipeline["series"],
+                "--out", str(tmp_path / "fit.json")]
+        expected = ("estimate", "ValueError")
+    else:
+        rows = [[t + 1, repr(v)] for t, v in enumerate(_huge_values(40, seed=7))]
+        if case == "infinite-forecast-cell":
+            rows = [[t + 1, "inf" if t == 5 else repr(0.1 * t)] for t in range(40)]
+        argv = ["forecast", "--reconstructed", _write_csv(tmp_path / "rec.csv", ["t", "zhat"], rows),
+                "--horizons", "2", "--out", str(tmp_path / "fc.json")]
+        expected = ("forecast", "PanelFormatError" if case == "infinite-forecast-cell"
+                    else "ValueError")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 1
     assert [str(w.message) for w in caught] == []
     report = json.loads(capsys.readouterr().err)
     assert (report["error"]["command"], report["error"]["type"]) == expected
+    if case == "infinite-forecast-cell":
+        assert "row 7, column 'zhat' is not finite" in report["error"]["message"]
 
 
 def test_bad_bins_and_target_values(pipeline, tmp_path, capsys):

@@ -411,10 +411,20 @@ def test_fit_reports_each_restart():
     assert json.dumps(blob) == json.dumps(fit(panel, config).to_dict())
 
 
-def test_fit_evaluation_count_on_the_recovery_design():
+def test_fit_evaluation_count_on_the_recovery_design(monkeypatch):
     # criterion-4 replicate 0 with the frozen configuration: about 205
     # simplex evaluations over the two restarts with the scale profiled
     # out, about 466 when log sigma_e2 was searched too
+    import stkrig.estimate as est
+
+    calls = []
+    criterion_terms = est._criterion_terms
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return criterion_terms(*args, **kwargs)
+
+    monkeypatch.setattr(est, "_criterion_terms", counted)
     fx = FIXTURES["whittle_recovery"]
     truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.5, 0.8), d=2)
     locs = np.random.default_rng(fx["site_seed_base"]).uniform(0.0, 10.0, size=(20, 2))
@@ -424,7 +434,11 @@ def test_fit_evaluation_count_on_the_recovery_design():
                                seed=0, compute_covariance=False))
     assert len(res.restarts) == fx["multistart"]
     assert all(r["converged"] for r in res.restarts)
-    assert sum(r["nfev"] for r in res.restarts) <= 300
+    nfev = sum(r["nfev"] for r in res.restarts)
+    assert nfev <= 300
+    # the simplex's evaluations, nelder_mead's start check once per restart,
+    # and the two that unpack the winner
+    assert len(calls) == nfev + fx["multistart"] + 2
 
 
 def test_fit_raises_when_every_restart_fails(monkeypatch):
@@ -438,6 +452,28 @@ def test_fit_raises_when_every_restart_fails(monkeypatch):
     with pytest.raises(EstimationError):
         fit(panel, FitConfig(n_coeffs=0, nu_fixed=1.0, multistart=2,
                              compute_covariance=False))
+
+
+def test_fit_skips_a_restart_whose_start_is_not_finite(monkeypatch):
+    # the first evaluation is nelder_mead's check of the first start point
+    import stkrig.estimate as est
+
+    criterion_terms = est._criterion_terms
+    calls = []
+
+    def first_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise EvaluationError("forced failure")
+        return criterion_terms(*args, **kwargs)
+
+    panel, _ = _toy_panel(seed=7)
+    monkeypatch.setattr(est, "_criterion_terms", first_call_fails)
+    res = fit(panel, FitConfig(n_coeffs=0, nu_fixed=1.0, multistart=2,
+                               compute_covariance=False))
+    skipped, used = res.restarts
+    assert (skipped["criterion"], skipped["nfev"], skipped["converged"]) == (None, 0, False)
+    assert used["nfev"] > 0 and np.isfinite(used["criterion"])
 
 
 def test_asymptotic_covariance_properties():

@@ -1,5 +1,8 @@
 """Frequency-domain prediction, series reconstruction, and forecasting."""
 
+import inspect
+import json
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,12 +11,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import ar1_series, invert_gauss, synthesize_brute_force
-from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel,
+from oracles import (ar1_series, ar_fits_by_simplex, arma_series, invert_gauss,
+                     synthesize_brute_force)
+from stkrig import (ModelParams, OptimizerConfig, SimulationSpec, TimeSeriesPanel,
                     assemble_system, cov_zero, dft_panel, forecast,
                     fourier_frequencies, krige_series, predict_dft,
                     reconstruct_series, simulate_panel)
-from stkrig.krige import (_enforce_stationarity, estimate_target_mean)
+from stkrig.krige import (_ar_transfer, _enforce_stationarity, estimate_target_mean)
+
+with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                       "pilot_thresholds.json")) as _handle:
+    FORECAST_SEEDS = json.load(_handle)["forecast_rates"]
 
 
 def _setup(seed=0, m=5, box=3.0):
@@ -331,3 +339,78 @@ def test_forecast_validation():
         forecast(np.ones((4, 4)), horizons=1)
     empty = forecast(z, horizons=0, max_order=2)
     assert empty.forecasts.size == 0 and empty.forecast_mse.size == 0
+
+
+def test_ar_transfer_matches_the_term_by_term_loop():
+    # one matrix product replaced a subtraction per lag; the sums round
+    # differently, so the loop's |1 - sum_j phi_j e^{-ijw}|^2 is met to a
+    # few ulps of the terms
+    n = 101
+    phases = np.exp(-1j * np.arange(1, 9)[:, None] * fourier_frequencies(n))
+    rng = np.random.default_rng(64005)
+    for p in range(9):
+        coeffs = rng.uniform(-0.5, 0.5, p)
+        acc = np.ones(phases.shape[1], dtype=complex)
+        for phi, phase in zip(coeffs, phases):
+            acc = acc - phi * phase
+        assert_allclose(_ar_transfer(coeffs, phases), (acc * np.conj(acc)).real,
+                        rtol=0.0, atol=1e-14 * (1.0 + np.abs(coeffs).sum()) ** 2)
+
+
+def _forecast_draws(family):
+    fx = FORECAST_SEEDS
+    if family == "white":
+        return [np.random.default_rng(fx["white_seed_base"] + rep).normal(size=256)
+                for rep in range(fx["replicates"])]
+    if family == "ar1":
+        return [ar1_series(0.6, 512, seed=fx["ar_seed_base"] + rep)
+                for rep in range(fx["replicates"])]
+    if family == "ar2":
+        return [arma_series((0.5, -0.3), 0.0, 300, seed=65000 + rep) for rep in range(10)]
+    return [arma_series((0.5,), 0.4, 265, seed=66000 + rep) for rep in range(10)]
+
+
+@pytest.mark.parametrize("family", ["white", "ar1", "ar2", "arma11"])
+def test_forecast_solves_each_order_as_the_simplex_search_did(family):
+    # criterion 8's series and AR(2) and ARMA(1, 1) draws: the exact solve
+    # selects the simplex's order, with its coefficients, at a criterion
+    # value no higher than the one the simplex reached
+    for z in _forecast_draws(family):
+        fits, order, objective = ar_fits_by_simplex(z)
+        out = forecast(z, horizons=1)
+        assert out.ar_order == order
+        assert_allclose(out.ar_coefficients, fits[order][0], rtol=0.0, atol=1e-6)
+        reached = fits[order][1]
+        assert objective(out.ar_coefficients) <= reached + 1e-12 * abs(reached)
+
+
+def test_forecast_fits_a_pure_sinusoid_at_a_fourier_frequency():
+    # the periodogram is non-zero (beyond rounding) at one ordinate, so the
+    # Toeplitz systems of order 3 and up are singular and the criterion is
+    # unbounded below at the unit root; the AR(2) still continues the wave
+    n = 128
+    t = np.arange(1, n + 4)
+    wave = np.sin(2.0 * np.pi * 5.0 * t / n)
+    with pytest.warns(UserWarning, match="nonstationary"):
+        out = forecast(wave[:n], horizons=3)
+    assert out.ar_order == 2
+    assert np.all(np.isfinite(out.forecast_mse))
+    assert_allclose(out.forecasts, wave[n:], atol=1e-4)
+
+
+def test_forecast_takes_no_optimizer_settings():
+    z = np.random.default_rng(64003).normal(size=64)
+    assert "optimizer" not in inspect.signature(forecast).parameters
+    with pytest.raises(TypeError):
+        forecast(z, horizons=1, optimizer=OptimizerConfig())
+
+
+@pytest.mark.parametrize("bad", [np.inf, 1e308])
+def test_forecast_rejects_series_it_cannot_transform_without_a_warning(bad):
+    z = np.random.default_rng(64004).normal(size=40)
+    z[::2] = bad
+    z[1::2] = -bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite|overflows the double range"):
+            forecast(z, horizons=1, max_order=2)

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import gammaln
+from scipy.special import gammaln, k0e
 
 from stkrig import (ModelParams, SimulationSpec, c_mod_sq, corr_freq, cov_freq, cov_zero,
                     dft_forward, dft_inverse, hpd_solve, krige_series, simulate_panel,
@@ -76,6 +76,39 @@ def test_covariance_tends_to_the_zero_distance_value(params, omega):
     if mu < 1.0:
         bound = 2.0 * np.exp(gammaln(1.0 - mu) - gammaln(1.0 + mu)) * (x[-1] / 2.0) ** (2.0 * mu)
     assert gap[-1] <= bound + 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), st.floats(-15.0, np.log10(5e-7)), st.floats(-3.0, 3.0),
+       st.floats(-1.0, 1.0), st.floats(-300.0, 300.0), omegas, distances)
+@example(2, -8.0, 0.0, 0.0, 0.0, 1.0, 0.5)
+@example(3, -15.0, 3.0, 1.0, 300.0, np.pi, 1e-6)
+def test_kernel_at_vanishing_smoothness(d, log_gap, b0, b1, log_sill, omega, h):
+    # mu = 2 nu - d/2 = 2 (nu - d/4) -> 0+: Gamma(mu) ~ 1/mu, so C(0, w)
+    # grows like 1/mu, and rho(x) = 2 mu (x/2)^mu K_mu(x) / Gamma(1 + mu),
+    # x = h |c(w)|, tends to 2 mu K_0(x) with relative error about
+    # mu (log(x/2) + Euler's gamma). A C(0, w) past the largest double
+    # raises FloatingPointError.
+    params = ModelParams(sigma_e2=10.0 ** log_sill, nu=d / 4.0 + 10.0 ** log_gap,
+                         c_coeffs=(b0, b1), d=d)
+    mu = 2.0 * params.nu - d / 2.0
+    log_zero = (np.log(params.sigma_e2) - d / 2.0 * np.log(4.0 * np.pi) + gammaln(mu)
+                - gammaln(2.0 * params.nu) - mu * np.log(c_mod_sq(omega, params)))
+    log_max = np.log(np.finfo(float).max)
+    try:
+        zero, cov = cov_zero(omega, params), cov_freq(h, omega, params)
+    except FloatingPointError:
+        assert log_zero > log_max - 1e-9
+        return
+    assert log_zero < log_max + 1e-9
+    assert_allclose(np.log(zero), log_zero, rtol=1e-12)
+    assert 0.0 <= cov <= zero
+    rho = corr_freq(h, omega, replace(params, sigma_e2=1.0))
+    assert 0.0 <= rho <= 1.0
+    x = h * np.sqrt(c_mod_sq(omega, params))
+    if rho >= TINY:
+        gap = np.expm1(np.log(rho) - np.log(2.0 * mu * k0e(x)) + x)
+        assert abs(gap) <= mu * (abs(np.log(x / 2.0)) + 1.0) + 1e-12
 
 
 @settings(deadline=None)
