@@ -151,7 +151,7 @@ def _c_mod_sq(om: np.ndarray, params: ModelParams) -> np.ndarray:
 # |c(w)|^2, C(0, w) and the prefactor may leave the double range; each then
 # either reaches its limit in double (0) or fails the finite check below
 @np.errstate(over="ignore", divide="ignore")
-def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
+def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False):
     """C(h, w) on the broadcast of validated h and om, and C(0, w) on om.
 
     |c(w)|^2 and the log-gamma constants are computed once, on om's own
@@ -161,6 +161,12 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
     at most C(0, w): the two formulas round differently, and at small h
     their difference must not turn negative. A value outside the double
     range raises FloatingPointError, without a numpy warning first.
+
+    With gradient set, also returns dC(h, w) / d log|c(w)|^2
+    = -mu C - (x / 2) C K_{mu-1}(x) / K_mu(x), from the same Bessel call
+    (d/dx [x^mu K_mu(x)] = -x^mu K_{mu-1}(x), DLMF 10.29.4); that of C(0, w)
+    is -mu C(0, w). Where the Bessel factors are not finite, x K_{mu-1} /
+    K_mu takes its limit 0 at small x; C is 0 at large x.
     """
     nu, d = params.nu, params.d
     mu = 2.0 * nu - d / 2.0
@@ -178,7 +184,10 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
     def closed_form(hv, cv, zv):
         x = hv * cv
         cov = np.exp(log_pref + mu * (np.log(hv) - np.log(cv)) - x)
-        bessel = _scaled_bessel_k(mu, x)
+        if gradient:
+            previous, bessel = _scaled_bessel_k(mu, x, with_previous=True)
+        else:
+            bessel = _scaled_bessel_k(mu, x)
         # a subnormal prefactor has lost bits that a large Bessel factor
         # would carry into the product; those entries are taken in log space
         subnormal = cov < _TINY
@@ -201,21 +210,38 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams):
             hs, cs, xs, ks = (np.broadcast_to(a, cov.shape)[subnormal]
                               for a in (hv, cv, x, bessel))
             cov[subnormal] = np.exp(log_pref + mu * (np.log(hs) - np.log(cs)) - xs + np.log(ks))
-        return cov
+        if not gradient:
+            return cov, None
+        # the log-derivative -dC / C = mu + (x / 2) K_{mu-1} / K_mu, in place
+        with np.errstate(invalid="ignore"):
+            slope = np.divide(previous, bessel, out=np.empty(np.shape(bessel)))
+            slope *= x
+        slope[~np.isfinite(slope)] = 0.0
+        slope *= 0.5
+        slope += mu
+        return cov, slope
 
     # C order, as the callers' grids are, so sums over the result keep their order
     if (h > 0.0).all():
         # the criterion's case: evaluated on the broadcast, no mask and no copies
-        cov = np.asarray(closed_form(h, c_abs, zero), order="C")
+        cov, slope = closed_form(h, c_abs, zero)
+        cov = np.asarray(cov, order="C")
     else:
         h_b, c_abs_b, zero_b = np.broadcast_arrays(h, c_abs, zero)
         cov = np.array(zero_b, order="C")
+        slope = np.full(cov.shape, mu) if gradient else None
         pos = h_b > 0.0
         if pos.any():
-            cov[pos] = closed_form(h_b[pos], c_abs_b[pos], zero_b[pos])
+            cov[pos], slope_pos = closed_form(h_b[pos], c_abs_b[pos], zero_b[pos])
+            if gradient:
+                slope[pos] = slope_pos
     if not np.isfinite(cov).all():
         raise FloatingPointError("covariance evaluation produced non-finite values")
-    return np.minimum(cov, zero, out=cov), zero
+    np.minimum(cov, zero, out=cov)
+    if not gradient:
+        return cov, zero
+    slope *= cov
+    return cov, zero, np.negative(slope, out=slope)
 
 
 def c_mod_sq(omega, params: ModelParams):
@@ -298,9 +324,21 @@ def variogram_model(h, omega, params: ModelParams):
     distance h apart. The measurement-error spectrum enters the two
     auto-spectra but not the cross term, hence the single nugget summand.
     """
-    cov, zero = _kernel(_distances(h, positive=True), _as_float_array(omega, "omega"), params)
-    value = 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
+    value = _variogram(_distances(h, positive=True), _as_float_array(omega, "omega"), params)
     return _scalar_like(value, h, omega)
+
+
+def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False):
+    """variogram_model on validated h > 0 and om. With gradient set, returns
+    (g, dg / d log|c(w)|^2) from one kernel pass."""
+    if not gradient:
+        cov, zero = _kernel(h, om, params)
+        return 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
+    cov, zero, d_cov = _kernel(h, om, params, gradient=True)
+    mu = 2.0 * params.nu - params.d / 2.0
+    d_cov += mu * zero
+    d_cov *= -2.0
+    return 2.0 * ((zero + params.nugget / _TWO_PI) - cov), d_cov
 
 
 def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = True) -> np.ndarray:

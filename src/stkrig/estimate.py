@@ -22,17 +22,18 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy import optimize as _sopt
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from .covmodel import (
     ModelParams,
+    _variogram,
     natural_names,
     pack_params,
     unpack_params,
-    variogram_model,
 )
-from .numerics import OptimizerConfig, nelder_mead
+from .numerics import OptimizerConfig
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
 
 _TWO_PI = 2.0 * np.pi
@@ -53,7 +54,7 @@ class SingularHessianError(RuntimeError):
     Attributes
     ----------
     eigenvalues : numpy.ndarray
-        Eigenvalues of the finite-difference Hessian, for diagnosis.
+        Eigenvalues of the criterion Hessian, for diagnosis.
     """
 
     def __init__(self, message: str, eigenvalues: np.ndarray):
@@ -241,10 +242,15 @@ def _binned_difference_periodograms(spectral: SpectralPanel, bins: DistanceBins,
     acc = np.zeros((len(bins), n_frequencies))
     dft = spectral.dft[:, :n_frequencies]
     step = max(1, (1 << 18) // n_frequencies)
-    for lo in range(0, owner.size, step):
-        i, j = bins.pairs[lo:lo + step].T
-        diff = dft[i] - dft[j]
-        np.add.at(acc, owner[lo:lo + step], (diff * np.conj(diff)).real)
+    # dft_panel bounds each difference periodogram, but a bin's sum of them
+    # can still overflow; that is reported below, without a numpy warning
+    with np.errstate(over="ignore"):
+        for lo in range(0, owner.size, step):
+            i, j = bins.pairs[lo:lo + step].T
+            diff = dft[i] - dft[j]
+            np.add.at(acc, owner[lo:lo + step], (diff * np.conj(diff)).real)
+    if not np.isfinite(acc).all():
+        raise ValueError("a bin's sum of difference periodograms overflows the double range")
     acc /= bins.counts[:, None]
     return acc
 
@@ -273,11 +279,16 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     return _Prepared(binned, bins.distances(), spectral.frequencies[:m_use])
 
 
+# Step in log(nu - d/4) of the central difference that gives the terms'
+# derivative in the smoothness: K has no closed-form derivative in its order
+_NU_STEP = 1e-5
+
+
 # g or binned / g may leave the double range; the terms are then not finite
 # and the check below raises, without a numpy warning first
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams, profile: bool = False):
+                     params: ModelParams, profile: bool = False, scores=None):
     """Per (bin, frequency) criterion terms; shape matches binned.
 
     g is proportional to sigma_e2 once the nugget is held as a ratio to it,
@@ -285,20 +296,57 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     terms is least at k = mean(binned / g). With profile set, returns
     (terms at the scaled parameters, k): the criterion with sigma_e2
     concentrated out.
+
+    With scores = (nu_free, fit_nugget), the per-frequency scores are
+    returned last, shape (K, M): the derivatives of the terms' mean over
+    bins in the K coordinates of pack_params(params, not nu_free,
+    fit_nugget), each mean_bins (1 - binned / g) d log g. They come from the
+    same kernel pass as the terms, except the smoothness row, a central
+    difference. With profile set they are taken at the scaled parameters,
+    where d log g is what it is at unit scale, so by the envelope theorem
+    their row sums after the leading log sigma_e2 row are the gradient of
+    the profiled criterion in fit's coordinates.
     """
-    g = np.asarray(variogram_model(distances[:, None], frequencies[None, :], params))
+    grid = (distances[:, None], frequencies[None, :])
+    if scores is None:
+        g = _variogram(*grid, params)
+    else:
+        g, dg_dlogc2 = _variogram(*grid, params, gradient=True)
     g = np.maximum(g, _VARIOGRAM_FLOOR)
+    scaled = g
     if profile:
         scale = float(np.mean(binned / g))
-        g = np.maximum(scale * g, _VARIOGRAM_FLOOR)
-    terms = np.log(g) + binned / g
+        scaled = np.maximum(scale * g, _VARIOGRAM_FLOOR)
+    ratio = binned / scaled
+    terms = np.log(scaled) + ratio
     if not np.all(np.isfinite(terms)):
         raise EvaluationError(
             "criterion is not finite at sigma_e2=%r, nu=%r, c_coeffs=%r, nugget=%r%s"
             % (params.sigma_e2, params.nu, params.c_coeffs, params.nugget,
                " scaled by %r" % scale if profile else "")
         )
-    return (terms, scale) if profile else terms
+    if scores is None:
+        return (terms, scale) if profile else terms
+    nu_free, fit_nugget = scores
+    weight = 1.0 - ratio
+    per_g = np.mean(weight / g, axis=0)
+    nugget_row = (params.nugget / np.pi) * per_g
+    # log sigma_e2 moves g - nugget / pi in proportion
+    rows = [np.mean(weight, axis=0) - nugget_row]
+    if nu_free:
+        excess = params.nu - params.d / 4.0
+        up, down = (np.log(np.maximum(_variogram(*grid, replace(
+            params, nu=params.d / 4.0 + excess * np.exp(step))), _VARIOGRAM_FLOOR))
+            for step in (_NU_STEP, -_NU_STEP))
+        rows.append(np.mean(weight * (up - down), axis=0) / (2.0 * _NU_STEP))
+    # b_k moves log|c(w)|^2 by cos(k w)
+    dg_dlogc2 *= weight
+    dg_dlogc2 /= g
+    per_c2 = np.mean(dg_dlogc2, axis=0)
+    rows.extend(per_c2 * np.cos(k * frequencies) for k in range(params.n_coeffs + 1))
+    if fit_nugget:
+        rows.append(nugget_row)
+    return ((terms, scale) if profile else (terms,)) + (np.array(rows),)
 
 
 def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: ModelParams,
@@ -349,7 +397,17 @@ class FitConfig:
     seed : int
         Seed for the restart draws; fits are reproducible given the seed.
     optimizer : OptimizerConfig
-        Simplex settings shared by all restarts.
+        Settings of the gradient search (scipy's L-BFGS-B) shared by all
+        restarts. max_iterations caps its iterations. tolerance_f is an
+        absolute criterion tolerance: the search stops once an iteration
+        lowers the criterion by at most about tolerance_f (scipy's ftol,
+        relative to max(1, |Q|), is set to tolerance_f / max(1, |Q(start)|)).
+        tolerance_x is the gradient tolerance: the search stops once no
+        component of the gradient exceeds it (scipy's gtol); near the
+        minimum that bounds the remaining quasi-Newton step. initial_step
+        is unused by fit, which sizes its first step from the gradient; it
+        is kept, and recorded by to_dict, as the simplex size of
+        numerics.nelder_mead.
     compute_covariance : bool
         Attach the asymptotic covariance of the estimates to the result.
         Failures there degrade to a warning rather than failing the fit.
@@ -429,8 +487,9 @@ class FitResult:
         One entry per restart, in order: "start", its start point in the
         searched coordinates (see fit); "criterion", the profiled criterion
         it finished at, or None when the start was not finite and the restart
-        was skipped; "nfev", the simplex search's criterion evaluations; and
-        "converged".
+        was skipped; "nfev", the gradient search's value-and-gradient
+        evaluations, the start's included; and "converged", whether the
+        search met the optimizer tolerances.
     """
 
     params: ModelParams
@@ -458,17 +517,59 @@ class FitResult:
         }
 
 
+def _quasi_newton(objective, start: np.ndarray, optimizer: OptimizerConfig):
+    """Minimize objective(vec) -> (value, gradient) by scipy's L-BFGS-B from
+    start; scipy's result, or None when the objective fails or is not
+    finite at the start.
+
+    The start's evaluation is the search's first, and nfev counts it. A
+    point where the objective fails or is not finite reads as the start
+    value plus max(1, |start value|), above every iterate, with a zero
+    gradient, so the line search backs off from it (an infinite value would
+    end the search where it stands).
+    """
+
+    def guarded(vec):
+        try:
+            value, grad = objective(vec)
+        except (EvaluationError, ValueError, OverflowError, FloatingPointError):
+            return None
+        return (value, grad) if np.isfinite(value) and np.isfinite(grad).all() else None
+
+    first = guarded(start)
+    if first is None:
+        return None
+    failed = (first[0] + max(1.0, abs(first[0])), np.zeros_like(start))
+    # scipy evaluates the start first; that evaluation is the one above
+    done = {start.tobytes(): first}
+
+    def evaluate(vec):
+        return done.pop(vec.tobytes(), None) or guarded(vec) or failed
+
+    return _sopt.minimize(evaluate, start, jac=True, method="L-BFGS-B", options={
+        "maxiter": optimizer.max_iterations,
+        # scipy's ftol is relative to max(|Q|, 1); tolerance_f is absolute
+        "ftol": optimizer.tolerance_f / max(1.0, abs(first[0])),
+        "gtol": optimizer.tolerance_x,
+    })
+
+
 def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     """Estimate the covariance model from an observed panel.
 
     The variogram is sigma_e2 times a function of the other parameters once
     the nugget is written as the ratio tau = nugget / sigma_e2, so for given
-    (nu, b, tau) the criterion's minimizing sigma_e2 has a closed form. The
-    simplex optimizer searches this profiled criterion over pack_params'
-    coordinates without the leading log sigma_e2 and with log tau in place
-    of the log nugget, from several randomized starting points, and keeps the
-    best finisher. Cosine coefficients start at independent N(0, 0.5^2)
-    draws, log(nu - d/4) at 0 and log tau at log(2 pi / 10). The reported
+    (nu, b, tau) the criterion's minimizing sigma_e2 has a closed form. A
+    quasi-Newton search (scipy's L-BFGS-B) minimizes this profiled criterion
+    over pack_params' coordinates without the leading log sigma_e2 and with
+    log tau in place of the log nugget, from several randomized starting
+    points, and keeps the best finisher. Each evaluation returns the
+    criterion and its exact gradient from one kernel pass (the smoothness
+    coordinate by a central difference), since by the envelope theorem the
+    profiled gradient is (1 / L) sum (1 - I / g) d log g / d theta at the
+    profiled scale. A restart whose start value is not finite is skipped.
+    Cosine coefficients start at independent N(0, 0.5^2) draws,
+    log(nu - d/4) at 0 and log tau at log(2 pi / 10). The reported
     parameters and criterion are one full evaluation at the unpacked winner.
 
     Raises
@@ -495,12 +596,13 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         return unpack_params(np.concatenate(([0.0], vec)), p, d=d, nu_fixed=nu_fixed,
                              fit_nugget=config.fit_nugget)
 
-    def objective(vec: np.ndarray) -> float:
-        try:
-            terms, _ = _criterion_terms(*prepared, scale_free(vec), profile=True)
-        except (EvaluationError, ValueError, OverflowError, FloatingPointError):
-            return np.inf
-        return float(terms.sum(axis=1).mean())
+    layout = (nu_fixed is None, config.fit_nugget)
+
+    def objective(vec: np.ndarray):
+        terms, _, scores = _criterion_terms(*prepared, scale_free(vec), profile=True,
+                                            scores=layout)
+        # the log sigma_e2 row is not searched
+        return float(terms.sum(axis=1).mean()), scores[1:].sum(axis=1)
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -515,15 +617,15 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         record = {"start": start_vec.tolist(), "criterion": None, "nfev": 0,
                   "converged": False}
         restarts.append(record)
-        try:
-            result = nelder_mead(objective, start_vec, config.optimizer)
-        except ValueError:
-            # nelder_mead's start check: the criterion is not finite here
+        result = _quasi_newton(objective, start_vec, config.optimizer)
+        if result is None:
+            # the criterion is not finite at this start
             continue
-        record.update(criterion=result.fun, nfev=result.nfev, converged=result.converged)
+        record.update(criterion=float(result.fun), nfev=int(result.nfev),
+                      converged=bool(result.success))
         if best is None or result.fun < best.fun:
             best = result
-    if best is None or not np.isfinite(best.fun):
+    if best is None:
         raise EstimationError(
             "all %d restarts failed to reach a finite criterion" % config.multistart
         )
@@ -548,7 +650,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         criterion=criterion,
         covariance=cov,
         param_names=names,
-        converged=bool(best.converged),
+        converged=bool(best.success),
         n_frequencies=m_use,
         bins=bins.summary(),
         n_restarts=config.multistart,
@@ -562,62 +664,50 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
                           remove_mean: bool = True, _prepared=None) -> np.ndarray:
     """Sandwich covariance of the fitted parameters on the natural scale.
 
-    The criterion Hessian is computed by central finite differences in the
-    unconstrained coordinates, the middle term aggregates the per-frequency
-    score vectors (frequencies are asymptotically uncorrelated, so scores are
-    clustered by frequency), and the result is mapped to the natural scale by
-    the delta method. Row and column order follows
+    Works in pack_params' coordinates. The per-frequency scores, the
+    derivatives of each frequency's mean term over bins, are exact (the
+    smoothness row a central difference); the middle term aggregates them
+    (frequencies are asymptotically uncorrelated, so scores are clustered
+    by frequency). The criterion Hessian is the central difference, with
+    the given step, of the summed scores, the criterion's gradient: 2k
+    gradient evaluations for k coordinates. The result is mapped to the
+    natural scale by the delta method. Row and column order follows
     covmodel.natural_names(...).
 
     Raises
     ------
     SingularHessianError
-        When the finite-difference Hessian cannot be inverted; the error
-        carries its eigenvalues.
+        When the Hessian cannot be inverted; the error carries its
+        eigenvalues.
     """
     # fit hands over what it already prepared from the same panel and bins
     if _prepared is None:
         _prepared = _prepare(dft_panel(panel, remove_mean=remove_mean), bins, n_frequencies)
-    m_use = _prepared.frequencies.size
     p = params_hat.n_coeffs
     d = params_hat.d
 
     vec0 = pack_params(params_hat, nu_fixed=nu_fixed is not None, fit_nugget=fit_nugget)
     k = vec0.size
 
-    def per_frequency(vec: np.ndarray) -> np.ndarray:
+    layout = (nu_fixed is None, fit_nugget)
+
+    def scores_at(vec: np.ndarray) -> np.ndarray:
         params = unpack_params(vec, p, d=d, nu_fixed=params_hat.nu if nu_fixed is not None else None,
                                fit_nugget=fit_nugget)
-        return _criterion_terms(*_prepared, params).mean(axis=0)
+        return _criterion_terms(*_prepared, params, scores=layout)[1]
 
-    # scores per frequency: central differences coordinate by coordinate
-    steps = step * np.eye(k)
-    plus_q = np.empty(k)
-    minus_q = np.empty(k)
-    scores = np.empty((k, m_use))
-    for j in range(k):
-        up = per_frequency(vec0 + steps[j])
-        down = per_frequency(vec0 - steps[j])
-        scores[j] = (up - down) / (2.0 * step)
-        plus_q[j] = up.sum()
-        minus_q[j] = down.sum()
-
+    # scores per frequency: exact, but for the smoothness row's central difference
+    scores = scores_at(vec0)
     centered = scores - scores.mean(axis=1, keepdims=True)
     middle = centered @ centered.T
 
-    q0 = float(per_frequency(vec0).sum())
-    hess = np.empty((k, k))
-    for j in range(k):
-        hess[j, j] = (plus_q[j] - 2.0 * q0 + minus_q[j]) / step**2
-        for l in range(j + 1, k):
-            ej, el = steps[j], steps[l]
-            qpp = float(per_frequency(vec0 + ej + el).sum())
-            qpm = float(per_frequency(vec0 + ej - el).sum())
-            qmp = float(per_frequency(vec0 - ej + el).sum())
-            qmm = float(per_frequency(vec0 - ej - el).sum())
-            hess[j, l] = hess[l, j] = (qpp - qpm - qmp + qmm) / (4.0 * step**2)
+    # Hessian: central differences of the criterion's gradient
+    steps = step * np.eye(k)
+    hess = np.array([scores_at(vec0 + e).sum(axis=1) - scores_at(vec0 - e).sum(axis=1)
+                     for e in steps]) / (2.0 * step)
+    hess = (hess + hess.T) / 2.0
 
-    eigvals = np.linalg.eigvalsh((hess + hess.T) / 2.0)
+    eigvals = np.linalg.eigvalsh(hess)
     if np.min(np.abs(eigvals)) <= 1e-12 * max(1.0, np.max(np.abs(eigvals))):
         raise SingularHessianError(
             "criterion Hessian is numerically singular; eigenvalues %s" % eigvals,

@@ -422,11 +422,20 @@ def _ar_fit(p: int, pgram: np.ndarray, phases: np.ndarray, n: int) -> np.ndarray
 def _enforce_stationarity(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Reflect characteristic roots inside the unit circle to their
     reciprocals; returns the repaired coefficients and whether anything
-    changed."""
+    changed.
+
+    Trailing coefficients at most eps times the largest (or 1) are left out
+    of the characteristic polynomial: each only adds roots far outside the
+    unit circle, and np.roots would overflow dividing by it. A repair sets
+    them to 0.
+    """
+    negligible = np.finfo(float).eps * max(1.0, np.abs(coeffs).max(initial=0.0))
     p = coeffs.size
+    while p and abs(coeffs[p - 1]) <= negligible:
+        p -= 1
     if p == 0:
         return coeffs, False
-    poly_coeffs = np.concatenate([-coeffs[::-1], [1.0]])
+    poly_coeffs = np.concatenate([-coeffs[p - 1::-1], [1.0]])
     roots = np.roots(poly_coeffs)
     bad = np.abs(roots) < 1.0
     on_circle = np.isclose(np.abs(roots), 1.0, atol=1e-10)
@@ -439,7 +448,7 @@ def _enforce_stationarity(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
     monic = np.poly(fixed)
     normalized = monic / monic[-1]
     repaired = -normalized[:-1][::-1].real
-    return repaired, True
+    return np.concatenate([repaired, np.zeros(coeffs.size - p)]), True
 
 
 def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:

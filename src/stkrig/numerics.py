@@ -41,7 +41,10 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the simplex minimizer.
+    """Settings for the simplex minimizer, nelder_mead.
+
+    estimate.FitConfig holds one for its gradient search, which reads the
+    same keys otherwise (see FitConfig.optimizer).
 
     Parameters
     ----------
@@ -159,7 +162,7 @@ _HALF_INTEGER_COEFFS = tuple(
 )
 
 
-def _scaled_bessel_k(order: float, x: np.ndarray) -> np.ndarray:
+def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False):
     """e^x K_order(x) for order >= 0 on an array of x > 0, without checks.
 
     The method follows the order. An exact integer runs the upward
@@ -168,24 +171,43 @@ def _scaled_bessel_k(order: float, x: np.ndarray) -> np.ndarray:
     sqrt(pi / 2x) * sum_k (n + k)! / (k! (n - k)!) (2x)^(-k), by Horner in
     1 / (2x). Any other order, or one above _CLOSED_FORM_MAX_ORDER, is
     scipy's kve. Where K overflows the result is inf, as kve's is.
+
+    With with_previous set, returns the pair (e^x K_{order-1}(x),
+    e^x K_order(x)), which gives the derivative
+    d/dx [x^order K_order(x)] = -x^order K_{order-1}(x). K is even in its
+    order, so K_{order-1} is K_{|order-1|}: the recurrence's previous term
+    for an integer order (k1e at order 0), the closed form at n - 1/2 for a
+    half-integer one, and one more kve call otherwise.
     """
     n = int(order)
     if order > _CLOSED_FORM_MAX_ORDER or order - n not in (0.0, 0.5):
-        return _sspec.kve(order, x)
+        cur = _sspec.kve(order, x)
+        return (_sspec.kve(abs(order - 1.0), x), cur) if with_previous else cur
     with np.errstate(over="ignore", divide="ignore"):
         if order == n:
-            if n < 2:
+            if n < 2 and not with_previous:
                 return _sspec.k1e(x) if n else _sspec.k0e(x)
             prev, cur = _sspec.k0e(x), _sspec.k1e(x)
+            if n == 0:
+                prev, cur = cur, prev
             for j in range(1, n):
                 prev, cur = cur, prev + (2.0 * j / x) * cur
-            return cur
+            return (prev, cur) if with_previous else cur
         t = 0.5 / x
-        coeffs = _HALF_INTEGER_COEFFS[n]
-        poly = coeffs[n]
-        for k in range(n - 1, -1, -1):
-            poly = poly * t + coeffs[k]
-        return np.sqrt(np.pi / (2.0 * x)) * poly
+        root = np.sqrt(np.pi / (2.0 * x))
+        cur = root * _half_integer_poly(n, t)
+        if not with_previous:
+            return cur
+        return (root * _half_integer_poly(n - 1, t) if n else cur), cur
+
+
+def _half_integer_poly(n: int, t: np.ndarray) -> np.ndarray:
+    """sum_k (n + k)! / (k! (n - k)!) t^k by Horner."""
+    coeffs = _HALF_INTEGER_COEFFS[n]
+    poly = coeffs[n]
+    for k in range(n - 1, -1, -1):
+        poly = poly * t + coeffs[k]
+    return poly
 
 
 def dft_forward(series) -> np.ndarray:

@@ -14,6 +14,10 @@ import numpy as np
 
 from .numerics import _dft_rows
 
+# Largest Fourier ordinate modulus dft_panel accepts: |J_i - J_j|^2 is then
+# at most 4 * _MAX_ORDINATE^2, the largest double
+_MAX_ORDINATE = np.sqrt(np.finfo(float).max) / 2.0
+
 
 def fourier_frequencies(n: int) -> np.ndarray:
     """Interior canonical frequencies 2 pi k / n, k = 1, ..., floor((n-1)/2)."""
@@ -135,7 +139,9 @@ def dft_panel(panel: TimeSeriesPanel, remove_mean: bool = True) -> SpectralPanel
 
     Subtracting the site mean only changes the ordinate at frequency zero,
     which the interior grid drops anyway, but is kept explicit so downstream
-    consumers know the data were centered.
+    consumers know the data were centered. Series whose means or transform
+    overflow, or with an ordinate of modulus above sqrt(max double) / 2,
+    whose difference periodograms would overflow, raise ValueError.
     """
     n = panel.n
     m_int = (n - 1) // 2
@@ -153,8 +159,13 @@ def dft_panel(panel: TimeSeriesPanel, remove_mean: bool = True) -> SpectralPanel
                 raise ValueError("site means overflow the double range")
             obs = obs - means
         dft = _dft_rows(obs)[:, 1 : m_int + 1]
+        largest = np.abs(dft).max()
     if not np.isfinite(dft).all():
         raise ValueError("the Fourier transform of the series overflows the double range")
+    if largest > _MAX_ORDINATE:
+        raise ValueError("a Fourier ordinate of the series has modulus %r, above %r: its "
+                         "difference periodograms would overflow"
+                         % (float(largest), float(_MAX_ORDINATE)))
     return SpectralPanel(
         dft=dft,
         frequencies=fourier_frequencies(n),

@@ -13,9 +13,9 @@ def kernel_points(monkeypatch):
     points = []
     inner = covmodel._scaled_bessel_k
 
-    def counted(order, x):
+    def counted(order, x, **kwargs):
         points.append(np.size(x))
-        return inner(order, x)
+        return inner(order, x, **kwargs)
 
     monkeypatch.setattr(covmodel, "_scaled_bessel_k", counted)
     return points

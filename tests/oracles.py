@@ -261,3 +261,54 @@ def ar_fits_by_simplex(series, max_order=8):
         fits.append((coeffs, objective(coeffs)))
     order = int(np.argmin([2.0 * value + 2.0 * p for p, (_, value) in enumerate(fits)]))
     return fits, order, objective
+
+
+def fit_by_simplex(panel, config):
+    """fit as it searched before it had the criterion's gradient: the same
+    seeded starts and profiled criterion, searched by Nelder-Mead under
+    config.optimizer, and the same full evaluation at the unpacked winner.
+    Returns (params, criterion, nfev per restart). Not independent of stkrig
+    (it shares the criterion); it pins the gradient search to the simplex's
+    minima."""
+    from dataclasses import replace
+
+    from stkrig.covmodel import unpack_params
+    from stkrig.estimate import _criterion_terms, _prepare, build_distance_bins
+    from stkrig.numerics import nelder_mead
+    from stkrig.spectral import dft_panel
+
+    p, d, nu_fixed = config.n_coeffs, panel.d, config.nu_fixed
+    bins = build_distance_bins(panel.locations, mode=config.bins_mode,
+                               n_bins=config.n_bins, tolerance=config.bin_tolerance)
+    prepared = _prepare(dft_panel(panel, remove_mean=config.remove_mean), bins,
+                        config.n_frequencies)
+
+    def scale_free(vec):
+        return unpack_params(np.concatenate(([0.0], vec)), p, d=d, nu_fixed=nu_fixed,
+                             fit_nugget=config.fit_nugget)
+
+    def objective(vec):
+        try:
+            terms, _ = _criterion_terms(*prepared, scale_free(vec), profile=True)
+        except (ArithmeticError, ValueError):
+            return np.inf
+        return float(terms.sum(axis=1).mean())
+
+    rng = np.random.default_rng(config.seed)
+    best, nfev = None, []
+    for _ in range(config.multistart):
+        start = ([0.0] if nu_fixed is None else []) + list(rng.normal(0.0, 0.5, size=p + 1))
+        if config.fit_nugget:
+            start.append(np.log(2.0 * np.pi) - np.log(10.0))
+        try:
+            result = nelder_mead(objective, np.asarray(start), config.optimizer)
+        except ValueError:
+            nfev.append(0)
+            continue
+        nfev.append(result.nfev)
+        if best is None or result.fun < best.fun:
+            best = result
+    theta = scale_free(best.x)
+    _, scale = _criterion_terms(*prepared, theta, profile=True)
+    params = replace(theta, sigma_e2=scale, nugget=scale * theta.nugget)
+    return params, float(_criterion_terms(*prepared, params).sum(axis=1).mean()), nfev

@@ -251,6 +251,7 @@ def _huge_values(shape, seed):
 @pytest.mark.parametrize("case", [
     "missing-input", "overflowing-target", "subnormal-scale",
     "overflowing-series-spectra", "overflowing-series-estimate", "overflowing-series-krige",
+    "large-series-spectra", "large-series-estimate", "large-series-krige",
     "overflowing-coordinates", "infinite-forecast-cell", "overflowing-forecast",
 ])
 def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path, capsys):
@@ -273,15 +274,18 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
             json.dump(dict(MODEL, c_coeffs=[706.0]), handle)
         argv = krige + ["--model", model_path, "--target", "1.4,0.9"]
         expected = ("krige", "FloatingPointError")
-    elif case.startswith("overflowing-series"):
-        # 4 sites, n = 33; every command transforms through dft_panel
+    elif "-series-" in case:
+        # 4 sites, n = 33; every command transforms through dft_panel.
+        # +-1e308 overflows the transform; 1e200 N(0, 1) values transform,
+        # but their squared moduli overflow
         command = case.rsplit("-", 1)[1]
         ids = ["a%d" % i for i in range(4)]
         locs = _write_csv(tmp_path / "locs.csv", ["site_id", "x1", "x2"],
                           [[site, i, i % 2] for i, site in enumerate(ids)])
+        values = (_huge_values((33, 4), seed=5) if case.startswith("overflowing")
+                  else (1e200 * np.random.default_rng(5).normal(size=(33, 4))).tolist())
         series = _write_csv(tmp_path / "huge.csv", ["t"] + ids,
-                            [[t + 1] + [repr(v) for v in row]
-                             for t, row in enumerate(_huge_values((33, 4), seed=5))])
+                            [[t + 1] + [repr(v) for v in row] for t, row in enumerate(values)])
         argv = [command, "--locations", locs, "--series", series]
         if command == "krige":
             argv += ["--model", pipeline["model"], "--target", "0.5,0.5",

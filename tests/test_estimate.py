@@ -15,10 +15,12 @@ from stkrig import (DistanceBins, FitConfig, ModelParams, SimulationSpec,
                     cov_freq, dft_panel, fit, fourier_frequencies,
                     simulate_panel, variogram_model, whittle_criterion)
 from oracles import (binned_difference_periodograms_by_loop, distance_bins_by_scan,
-                     tolerance_group_starts_by_loop)
+                     fit_by_simplex, tolerance_group_starts_by_loop)
+from stkrig.covmodel import pack_params, unpack_params
 from stkrig.estimate import (EstimationError, EvaluationError,
                              SingularHessianError, _binned_difference_periodograms,
-                             _criterion_terms, _tolerance_groups)
+                             _criterion_terms, _prepare, _quasi_newton, _tolerance_groups)
+from stkrig.numerics import OptimizerConfig
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
                                        "pilot_thresholds.json")))
@@ -411,10 +413,19 @@ def test_fit_reports_each_restart():
     assert json.dumps(blob) == json.dumps(fit(panel, config).to_dict())
 
 
+def _recovery_panel():
+    # criterion 4's design, replicate 0 of its frozen seeds
+    fx = FIXTURES["whittle_recovery"]
+    truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.5, 0.8), d=2)
+    locs = np.random.default_rng(fx["site_seed_base"]).uniform(0.0, 10.0, size=(20, 2))
+    return simulate_panel(SimulationSpec(locations=locs, n=512, params=truth,
+                                         seed=fx["panel_seed_base"]))
+
+
 def test_fit_evaluation_count_on_the_recovery_design(monkeypatch):
-    # criterion-4 replicate 0 with the frozen configuration: about 205
-    # simplex evaluations over the two restarts with the scale profiled
-    # out, about 466 when log sigma_e2 was searched too
+    # criterion-4 replicate 0 with the frozen configuration: 22 value-and-
+    # gradient evaluations over the two restarts, against about 205 simplex
+    # evaluations of the profiled criterion
     import stkrig.estimate as est
 
     calls = []
@@ -425,20 +436,102 @@ def test_fit_evaluation_count_on_the_recovery_design(monkeypatch):
         return criterion_terms(*args, **kwargs)
 
     monkeypatch.setattr(est, "_criterion_terms", counted)
-    fx = FIXTURES["whittle_recovery"]
-    truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.5, 0.8), d=2)
-    locs = np.random.default_rng(fx["site_seed_base"]).uniform(0.0, 10.0, size=(20, 2))
-    panel = simulate_panel(SimulationSpec(locations=locs, n=512, params=truth,
-                                          seed=fx["panel_seed_base"]))
-    res = fit(panel, FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=fx["multistart"],
-                               seed=0, compute_covariance=False))
-    assert len(res.restarts) == fx["multistart"]
+    multistart = FIXTURES["whittle_recovery"]["multistart"]
+    res = fit(_recovery_panel(), FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=multistart,
+                                           seed=0, compute_covariance=False))
+    assert len(res.restarts) == multistart
     assert all(r["converged"] for r in res.restarts)
     nfev = sum(r["nfev"] for r in res.restarts)
-    assert nfev <= 300
-    # the simplex's evaluations, nelder_mead's start check once per restart,
-    # and the two that unpack the winner
-    assert len(calls) == nfev + fx["multistart"] + 2
+    assert nfev <= 60
+    # the searches' evaluations (the first of each is its start check) and
+    # the two that unpack the winner
+    assert len(calls) == nfev + 2
+
+
+@pytest.mark.parametrize("case", ["criterion4", "nu-free-nugget"])
+def test_fit_reaches_the_simplex_minimum(case):
+    # the gradient search ends no higher than the simplex search it replaced
+    if case == "criterion4":
+        panel = _recovery_panel()
+        config = FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=2, compute_covariance=False)
+    else:
+        truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.3,), nugget=0.5, d=2)
+        locs = np.random.default_rng(881).uniform(0.0, 4.0, (12, 2))
+        panel = simulate_panel(SimulationSpec(locations=locs, n=256, params=truth, seed=882,
+                                              include_measurement_error=True))
+        config = FitConfig(n_coeffs=0, fit_nugget=True, multistart=2, compute_covariance=False)
+    res = fit(panel, config)
+    params, criterion, nfev = fit_by_simplex(panel, config)
+    assert res.criterion <= criterion + 1e-10 * abs(criterion)
+    assert all(r["converged"] for r in res.restarts)
+    assert sum(r["nfev"] for r in res.restarts) < sum(nfev) / 4
+    assert res.params.nu == pytest.approx(params.nu, rel=1e-3)
+    assert_allclose(res.params.c_coeffs, params.c_coeffs, rtol=1e-3, atol=1e-4)
+
+
+def _gradient_panel():
+    rng = np.random.default_rng(3)
+    locs = rng.uniform(0.0, 3.0, (6, 2))
+    truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.3, 0.5), nugget=0.2, d=2)
+    panel = simulate_panel(SimulationSpec(locations=locs, n=64, params=truth, seed=4,
+                                          include_measurement_error=True))
+    return _prepare(dft_panel(panel), build_distance_bins(locs), None)
+
+
+# the Bessel paths of mu = 2 nu - 1: the integer recurrence (mu = 1), the
+# half-integer closed form (1.5), and kve above 1 (2.4) and below it (0.6,
+# where K_{mu-1} is K_{1-mu})
+@pytest.mark.parametrize("nu", [1.0, 1.25, 1.7, 0.8])
+@pytest.mark.parametrize("nugget", [0.0, 0.3])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_criterion_gradient_matches_central_differences(nu, nugget, p):
+    prepared = _gradient_panel()
+    params = ModelParams(sigma_e2=1.3, nu=nu, c_coeffs=(0.2, -0.3, 0.1)[:p + 1], nugget=nugget)
+    fit_nugget = nugget > 0.0
+    for nu_free in (True, False):
+        def unpack(vec):
+            return unpack_params(vec, p, nu_fixed=None if nu_free else nu,
+                                 fit_nugget=fit_nugget)
+
+        def full(vec):
+            return _criterion_terms(*prepared, unpack(vec)).sum(axis=1).mean()
+
+        def profiled(vec):
+            terms, _ = _criterion_terms(*prepared, unpack(np.concatenate(([0.0], vec))),
+                                        profile=True)
+            return terms.sum(axis=1).mean()
+
+        vec = pack_params(params, nu_fixed=not nu_free, fit_nugget=fit_nugget)
+        _, scores = _criterion_terms(*prepared, params, scores=(nu_free, fit_nugget))
+        unit = unpack(np.concatenate(([0.0], vec[1:])))
+        _, _, unit_scores = _criterion_terms(*prepared, unit, profile=True,
+                                             scores=(nu_free, fit_nugget))
+        for value, point, gradient in ((full, vec, scores.sum(axis=1)),
+                                       (profiled, vec[1:], unit_scores[1:].sum(axis=1))):
+            step = 1e-5
+            numeric = [(value(point + step * e) - value(point - step * e)) / (2.0 * step)
+                       for e in np.eye(point.size)]
+            assert_allclose(gradient, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max())
+
+
+def test_quasi_newton_backs_off_where_the_objective_fails():
+    # a bowl with its minimum at (1.9, 0) next to a region, x > 2, where the
+    # objective raises: an infinite value there would end the search early
+    calls = []
+
+    def objective(vec):
+        calls.append(vec.copy())
+        if vec[0] > 2.0:
+            raise EvaluationError("outside")
+        return (vec[0] - 1.9) ** 2 + 10.0 * vec[1] ** 2, np.array([2.0 * (vec[0] - 1.9),
+                                                                   20.0 * vec[1]])
+
+    config = OptimizerConfig(max_iterations=200, tolerance_f=1e-12, tolerance_x=1e-8)
+    res = _quasi_newton(objective, np.array([-30.0, 3.0]), config)
+    assert any(v[0] > 2.0 for v in calls)
+    assert res.success and res.nfev == len(calls)
+    assert_allclose(res.x, [1.9, 0.0], atol=1e-6)
+    assert _quasi_newton(objective, np.array([3.0, 0.0]), config) is None
 
 
 def test_fit_raises_when_every_restart_fails(monkeypatch):
@@ -455,7 +548,7 @@ def test_fit_raises_when_every_restart_fails(monkeypatch):
 
 
 def test_fit_skips_a_restart_whose_start_is_not_finite(monkeypatch):
-    # the first evaluation is nelder_mead's check of the first start point
+    # the first evaluation is the first search's, at its start point
     import stkrig.estimate as est
 
     criterion_terms = est._criterion_terms

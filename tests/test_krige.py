@@ -274,6 +274,20 @@ def test_enforce_stationarity_reflection():
     assert_allclose(same, [0.5], rtol=1e-15)
 
 
+def test_enforce_stationarity_drops_negligible_trailing_coefficients():
+    # np.roots divides by the leading coefficient of the characteristic
+    # polynomial, here phi_2 = 1e-320, and overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same, changed = _enforce_stationarity(np.array([0.5, 1e-320]))
+        assert not changed and same.tolist() == [0.5, 1e-320]
+        repaired, changed = _enforce_stationarity(np.array([1.25, 1e-320]))
+        assert changed and repaired.shape == (2,)
+        assert_allclose(repaired, [0.8, 0.0], rtol=1e-12)
+        same, changed = _enforce_stationarity(np.array([5e-324]))
+        assert not changed and same.tolist() == [5e-324]
+
+
 def test_forecast_white_noise_selects_order_zero():
     hits = 0
     for rep in range(50):

@@ -90,6 +90,16 @@ def test_scaled_bessel_dispatch_matches_kve(order):
     assert_allclose(_scaled_bessel_k(order, x), special.kve(order, x), rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("order", DISPATCHED_ORDERS + [0.3, 0.6, 2.25, 21.0, 33.0])
+def test_scaled_bessel_previous_order(order):
+    # K_{order-1} = K_{|order-1|}, K being even in its order; the order's
+    # own value is the one without the pair
+    x = np.geomspace(1e-6, 700.0, 2000)
+    previous, current = _scaled_bessel_k(order, x, with_previous=True)
+    assert_array_equal(current, _scaled_bessel_k(order, x))
+    assert_allclose(previous, special.kve(abs(order - 1.0), x), rtol=1e-13, atol=0.0)
+
+
 def test_scaled_bessel_other_orders_are_kve():
     x = np.geomspace(1e-6, 700.0, 300)
     for order in (0.6, 1.0 + 1e-12, 2.25, 21.0, 21.5, 33.0):
