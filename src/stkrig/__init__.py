@@ -52,7 +52,6 @@ from .numerics import (
     dft_inverse,
     hpd_solve,
     log_gamma,
-    nelder_mead,
 )
 from .simulate import SimulationSpec, simulate_panel, simulate_white_panel
 from .spectral import (
@@ -78,7 +77,7 @@ __all__ = [
     "ForecastOutput", "KrigingOutput", "assemble_system", "forecast",
     "krige_series", "predict_dft", "reconstruct_series",
     "OptimizerConfig", "SingularMatrixError", "bessel_k", "dft_forward",
-    "dft_inverse", "hpd_solve", "log_gamma", "nelder_mead",
+    "dft_inverse", "hpd_solve", "log_gamma",
     "SimulationSpec", "simulate_panel", "simulate_white_panel",
     "SpectralPanel", "TimeSeriesPanel", "block_center_frequencies",
     "cross_periodogram", "dft_panel", "difference_periodogram",

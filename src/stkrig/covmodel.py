@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import gammaln
 
-from .numerics import _scaled_bessel_k, log_gamma
+from .numerics import _scaled_bessel_k
 
 _TWO_PI = 2.0 * np.pi
 _TINY = np.finfo(float).tiny
@@ -79,6 +80,11 @@ class ModelParams:
             raise ValueError(
                 "smoothness nu must exceed d/4 = %g, got %r" % (self.d / 4.0, self.nu)
             )
+        # the kernel's log-gamma constants; log Gamma(2 nu) overflows past
+        # nu ~ 1.3e305, and 2 nu itself past half the largest double
+        if not np.isfinite(gammaln(2.0 * float(self.nu))):
+            raise ValueError("smoothness nu = %r is too large: log Gamma(2 nu) overflows "
+                             "the double range" % self.nu)
         if not (np.isfinite(self.nugget) and self.nugget >= 0):
             raise ValueError("nugget must be nonnegative, got %r" % self.nugget)
         if self.eq310_constant and self.d != 2:
@@ -171,12 +177,12 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     nu, d = params.nu, params.d
     mu = 2.0 * nu - d / 2.0
     log_scale = np.log(params.sigma_e2) - (d / 2.0) * np.log(_TWO_PI)
-    log_gamma_2nu = log_gamma(2.0 * nu)
+    log_gamma_2nu = float(gammaln(2.0 * nu))
     c2 = _c_mod_sq(om, params)
     if params.eq310_constant:
         zero = params.sigma_e2 / (2.0 * (2.0 * nu - 1.0) * c2 ** (2.0 * nu - 1.0))
     else:
-        log_const = log_scale - (d / 2.0) * np.log(2.0) + log_gamma(mu) - log_gamma_2nu
+        log_const = log_scale - (d / 2.0) * np.log(2.0) + float(gammaln(mu)) - log_gamma_2nu
         zero = np.exp(log_const - mu * np.log(c2))
     c_abs = np.sqrt(c2)
     log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
@@ -346,25 +352,66 @@ def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = Tru
 
     Off-diagonal entries are C(h_ij, w); diagonal entries are C(0, w) plus,
     when include_nugget is set, the measurement error spectrum
-    sigma_n^2 / (2 pi). The distance matrix must be exactly symmetric: the
-    kernel is evaluated on one triangle, diagonal included, and the result
-    mirrored.
+    sigma_n^2 / (2 pi). The distance matrix must be exactly symmetric with a
+    zero diagonal: the kernel is evaluated on the strict lower triangle and
+    the result mirrored.
     """
     dmat = _distances(distances)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValueError("distances must be a square matrix, got shape %s" % (dmat.shape,))
     if not np.array_equal(dmat, dmat.T):
         raise ValueError("distances must be a symmetric matrix")
-    m = dmat.shape[0]
+    if np.diagonal(dmat).any():
+        raise ValueError("distances must have a zero diagonal")
+    om = _as_float_array(float(omega), "omega")
+    lower = np.tri(dmat.shape[0], k=-1, dtype=bool)
+    f, _, _ = _covariance_system(dmat[lower], lower, om, params, include_nugget)
+    return f
+
+
+def _site_pair_distances(locations: np.ndarray):
+    """The distances under the strict lower triangle of the sites' distance
+    matrix, in row order, and that triangle as a mask: what
+    _covariance_system takes.
+
+    Coordinates near the top of the double range overflow a distance; that
+    is rejected here, without a numpy warning first.
+    """
+    lower = np.tri(locations.shape[0], k=-1, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = locations[:, None, :] - locations[None, :, :]
+        dists = np.linalg.norm(diff, axis=-1)[lower]
+    if not np.isfinite(dists).all():
+        k = int(np.argmin(np.isfinite(dists)))
+        i, j = np.argwhere(lower)[k]
+        raise ValueError("the distance between sites %d and %d is not finite (%r)"
+                         % (j, i, float(dists[k])))
+    return dists, lower
+
+
+def _covariance_system(h: np.ndarray, lower: np.ndarray, omega, params: ModelParams,
+                       include_nugget: bool = True):
+    """Covariances at one frequency from one kernel call, without checks.
+
+    h holds validated distances: those under lower, the strict lower
+    triangle of an m x m distance matrix, in row order, then any extra
+    distances. Returns (F, C(h_extra, w), C(0, w)). F mirrors the
+    triangle; its diagonal is C(0, w) plus, when include_nugget is set, the
+    measurement error spectrum sigma_n^2 / (2 pi).
+    """
+    values, zero = _kernel(h, np.asarray(omega, dtype=float), params)
+    zero = float(zero)
+    # the kernel checks the values it returns; C(0, w) is on the diagonal
+    if not np.isfinite(zero):
+        raise FloatingPointError("covariance evaluation produced non-finite values")
+    m = lower.shape[0]
+    tri = values[: m * (m - 1) // 2]
     # a boolean mask indexes several times faster than np.tril_indices' arrays
-    lower = np.tri(m, dtype=bool)
-    tri, _ = _kernel(dmat[lower], _as_float_array(float(omega), "omega"), params)
     f = np.empty((m, m))
     f[lower] = tri
     f.T[lower] = tri
-    if include_nugget and params.nugget > 0:
-        f.flat[:: m + 1] += params.nugget / _TWO_PI
-    return f
+    f.flat[:: m + 1] = zero + (params.nugget / _TWO_PI if include_nugget else 0.0)
+    return f, values[tri.size :], zero
 
 
 def pack_params(params: ModelParams, nu_fixed: bool = False, fit_nugget: bool = False) -> np.ndarray:

@@ -404,10 +404,8 @@ class FitConfig:
         relative to max(1, |Q|), is set to tolerance_f / max(1, |Q(start)|)).
         tolerance_x is the gradient tolerance: the search stops once no
         component of the gradient exceeds it (scipy's gtol); near the
-        minimum that bounds the remaining quasi-Newton step. initial_step
-        is unused by fit, which sizes its first step from the gradient; it
-        is kept, and recorded by to_dict, as the simplex size of
-        numerics.nelder_mead.
+        minimum that bounds the remaining quasi-Newton step. The first
+        step is sized from the gradient.
     compute_covariance : bool
         Attach the asymptotic covariance of the estimates to the result.
         Failures there degrade to a warning rather than failing the fit.
@@ -425,7 +423,7 @@ class FitConfig:
     seed: int = 0
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(
-            max_iterations=4000, tolerance_f=1e-9, tolerance_x=1e-6, initial_step=0.25
+            max_iterations=4000, tolerance_f=1e-9, tolerance_x=1e-6
         )
     )
     compute_covariance: bool = True
@@ -454,7 +452,6 @@ class FitConfig:
                 "max_iterations": self.optimizer.max_iterations,
                 "tolerance_f": self.optimizer.tolerance_f,
                 "tolerance_x": self.optimizer.tolerance_x,
-                "initial_step": self.optimizer.initial_step,
             },
             "compute_covariance": self.compute_covariance,
         }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _slinalg
 
-from .covmodel import ModelParams, cov_freq, cov_matrix, cov_zero
+from .covmodel import ModelParams, _covariance_system, _site_pair_distances
 from .numerics import SingularMatrixError, dft_forward, dft_inverse, hpd_solve
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
@@ -52,34 +52,36 @@ def assemble_system(locations, target, omega: float, params: ModelParams,
         diagonal), the m-vector of target covariances (never any nugget),
         and the scalar target variance.
     """
-    dmat, h0 = _site_distances(locations, target)
-    return _frequency_system(dmat, h0, omega, params, include_target_noise)
+    if not np.isfinite(omega):
+        raise ValueError("omega contains non-finite values")
+    distances, lower = _site_distances(locations, target)
+    return _frequency_system(distances, lower, omega, params, include_target_noise)
 
 
 def _site_distances(locations, target):
-    """Site distance matrix and target-to-site distances, after the checks."""
+    """The site-pair distances under the strict lower triangle mask, followed
+    by the target-to-site distances, and the mask, after the checks."""
     loc = np.atleast_2d(np.asarray(locations, dtype=float))
     tgt = np.asarray(target, dtype=float).reshape(-1)
     if tgt.size != loc.shape[1]:
         raise ValueError(
             "target has dimension %d but sites have dimension %d" % (tgt.size, loc.shape[1])
         )
-    # coordinates near the top of the double range overflow the norms; that
+    pairs, lower = _site_pair_distances(loc)
+    # a target near the top of the double range overflows the norms; that
     # is reported below, without a numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        dmat = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
         h0 = np.linalg.norm(loc - tgt[None, :], axis=-1)
     if not np.isfinite(h0).all():
         raise ValueError("target-to-site distances must be finite, got %r"
                          % float(h0[~np.isfinite(h0)][0]))
-    return dmat, h0
+    return np.concatenate((pairs, h0)), lower
 
 
-def _frequency_system(dmat, h0, omega, params: ModelParams, include_target_noise: bool):
-    """assemble_system's (F, g0, c0) from the distances of _site_distances."""
-    f = cov_matrix(dmat, omega, params, include_nugget=True)
-    g0 = np.asarray(cov_freq(h0, float(omega), params), dtype=float)
-    c0 = float(cov_zero(float(omega), params))
+def _frequency_system(distances, lower, omega, params: ModelParams, include_target_noise: bool):
+    """assemble_system's (F, g0, c0) from the distances of _site_distances,
+    in one kernel call."""
+    f, g0, c0 = _covariance_system(distances, lower, omega, params)
     if not c0 >= _TINY:
         raise FloatingPointError(
             "C(0, w) = %r at w = %r is not a normal double; the model's covariance "
@@ -284,9 +286,9 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
         raise ValueError("threads must be at least 1, got %r" % threads)
     spectral = dft_panel(panel, remove_mean=remove_mean)
     tgt = np.asarray(target, dtype=float).reshape(-1)
-    dmat, h0 = _site_distances(panel.locations, tgt)
+    distances, lower = _site_distances(panel.locations, tgt)
     systems = (
-        _frequency_system(dmat, h0, float(w), params, include_target_noise)
+        _frequency_system(distances, lower, w, params, include_target_noise)
         for w in spectral.frequencies
     )
     prediction = predict_dft(spectral, systems)

@@ -1,5 +1,5 @@
 """Shared numerical kernels: special functions, the discrete Fourier transform
-at canonical frequencies, a Nelder-Mead driver, and regularized Hermitian
+at canonical frequencies, the optimizer settings, and regularized Hermitian
 positive definite solves.
 
 Every routine in this module is deterministic. The transform pair uses the
@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as _slinalg
-from scipy import optimize as _sopt
 from scipy import special as _sspec
 
 # Relative diagonal loadings tried, in order, when a Cholesky factorization
@@ -41,29 +40,23 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the simplex minimizer, nelder_mead.
-
-    estimate.FitConfig holds one for its gradient search, which reads the
-    same keys otherwise (see FitConfig.optimizer).
+    """Termination settings of a gradient search; estimate.FitConfig holds
+    one for fit's (see FitConfig.optimizer).
 
     Parameters
     ----------
     max_iterations : int
         Iteration cap before the search gives up.
     tolerance_f : float
-        Absolute spread of objective values across the simplex at which the
+        Absolute change of the objective over an iteration at which the
         search stops.
     tolerance_x : float
-        Absolute spread of vertex coordinates at which the search stops.
-    initial_step : float
-        Offset added to each coordinate of the start point to build the
-        initial simplex.
+        Largest gradient component at which the search stops.
     """
 
     max_iterations: int = 5000
     tolerance_f: float = 1e-10
     tolerance_x: float = 1e-8
-    initial_step: float = 0.1
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -72,15 +65,6 @@ class OptimizerConfig:
             raise ValueError("tolerance_f must be positive and finite")
         if not (self.tolerance_x > 0 and np.isfinite(self.tolerance_x)):
             raise ValueError("tolerance_x must be positive and finite")
-        if not (self.initial_step > 0 and np.isfinite(self.initial_step)):
-            raise ValueError("initial_step must be positive and finite")
-
-
-class NelderMeadResult(NamedTuple):
-    x: np.ndarray
-    fun: float
-    converged: bool
-    nfev: int
 
 
 class HpdSolution(NamedTuple):
@@ -292,58 +276,6 @@ def _synthesize_rows(coeffs: np.ndarray) -> np.ndarray:
     n = coeffs.shape[-1]
     y = np.fft.ifft(coeffs, axis=-1) * n
     return np.sqrt(2.0 * np.pi / n) * np.roll(y, -1, axis=-1)
-
-
-def nelder_mead(objective: Callable[[np.ndarray], float], x0,
-                config: OptimizerConfig = OptimizerConfig()) -> NelderMeadResult:
-    """Minimize a scalar function with the downhill simplex method.
-
-    Parameters
-    ----------
-    objective : callable
-        Maps a parameter vector to a float. May return +inf to veto a region.
-    x0 : array_like
-        Start point. The objective must be finite here.
-    config : OptimizerConfig
-        Termination settings.
-
-    Returns
-    -------
-    NelderMeadResult
-        Best vertex found, its objective value, a convergence flag and the
-        number of objective evaluations the simplex search made (scipy's
-        count; the start-point check above it adds one). The returned value
-        never exceeds the value at the start point.
-    """
-    start = np.atleast_1d(np.asarray(x0, dtype=float))
-    if start.ndim != 1:
-        raise ValueError("x0 must be a vector, got shape %s" % (start.shape,))
-    f0 = float(objective(start))
-    if not np.isfinite(f0):
-        raise ValueError("objective is not finite at the start point (value %r)" % f0)
-
-    dim = start.size
-    simplex = np.repeat(start[None, :], dim + 1, axis=0)
-    for i in range(dim):
-        simplex[i + 1, i] += config.initial_step
-
-    res = _sopt.minimize(
-        lambda v: float(objective(v)),
-        start,
-        method="Nelder-Mead",
-        options={
-            "maxiter": config.max_iterations,
-            "maxfev": 50 * config.max_iterations,
-            "fatol": config.tolerance_f,
-            "xatol": config.tolerance_x,
-            "initial_simplex": simplex,
-        },
-    )
-    x = np.asarray(res.x, dtype=float)
-    fun = float(res.fun)
-    if fun > f0:
-        x, fun = start, f0
-    return NelderMeadResult(x=x, fun=fun, converged=bool(res.success), nfev=int(res.nfev))
 
 
 def cholesky_with_jitter(matrix) -> tuple[np.ndarray, float]:

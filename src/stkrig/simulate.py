@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmodel import ModelParams, cov_matrix
+from .covmodel import ModelParams, _covariance_system, _site_pair_distances
 from .numerics import _synthesize_rows, cholesky_with_jitter
 from .spectral import TimeSeriesPanel, fourier_frequencies
 
@@ -81,11 +81,9 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
     m = spec.m
     n = spec.n
     loc = spec.locations
-    dmat = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
-    if m > 1:
-        off = dmat[~np.eye(m, dtype=bool)]
-        if np.any(off == 0.0):
-            raise ValueError("locations must be pairwise distinct")
+    pairs, lower = _site_pair_distances(loc)
+    if np.any(pairs == 0.0):
+        raise ValueError("locations must be pairwise distinct")
 
     freqs = fourier_frequencies(n)
     m_int = freqs.size
@@ -95,25 +93,19 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
     z_re = rng.standard_normal((m_int, m))
     z_im = rng.standard_normal((m_int, m))
     z_zero = rng.standard_normal(m)
-    z_fold = rng.standard_normal(m) if n % 2 == 0 else None
+    z_fold = [rng.standard_normal(m)] if n % 2 == 0 else []
 
+    # the grid is 0, the interior and, for even n, pi; the two edge
+    # ordinates are real draws, which their own conjugates leave in place
+    grid = [0.0, *freqs] + [np.pi] * len(z_fold)
+    draws = [z_zero, *((z_re + 1j * z_im) / np.sqrt(2.0)), *z_fold]
     coeffs = np.zeros((m, n), dtype=complex)
-    for idx, w in enumerate(freqs):
-        f = cov_matrix(dmat, float(w), params, include_nugget=False)
+    for k, (w, zeta) in enumerate(zip(grid, draws)):
+        f, _, _ = _covariance_system(pairs, lower, w, params, include_nugget=False)
         factor, _ = cholesky_with_jitter(f)
-        zeta = (z_re[idx] + 1j * z_im[idx]) / np.sqrt(2.0)
         ordinate = factor @ zeta
-        k = idx + 1
         coeffs[:, k] = ordinate
-        coeffs[:, n - k] = np.conj(ordinate)
-
-    f0 = cov_matrix(dmat, 0.0, params, include_nugget=False)
-    factor0, _ = cholesky_with_jitter(f0)
-    coeffs[:, 0] = factor0 @ z_zero
-    if z_fold is not None:
-        f_fold = cov_matrix(dmat, np.pi, params, include_nugget=False)
-        factor_fold, _ = cholesky_with_jitter(f_fold)
-        coeffs[:, n // 2] = factor_fold @ z_fold
+        coeffs[:, -k] = np.conj(ordinate)
 
     # synthesis of every site at once; symmetry is exact by construction
     observations = _synthesize_rows(coeffs)

@@ -215,6 +215,44 @@ def cov_matrix_full(distances, omega, params, include_nugget=True):
     return f
 
 
+def simulate_panel_by_frequency(spec):
+    """simulate_panel's observations as it drew them before it shared one
+    loop over the grid: the interior frequencies, then separate blocks for
+    w = 0 and w = pi, each a cov_matrix call on the full distance matrix
+    and a jittered Cholesky factor. Not independent of stkrig (it shares
+    the kernel, the factorization and the synthesis); it pins the single
+    loop to the old draws, bit for bit."""
+    from stkrig import cov_matrix
+    from stkrig.numerics import _synthesize_rows, cholesky_with_jitter
+    from stkrig.spectral import fourier_frequencies
+
+    loc, n, params = spec.locations, spec.n, spec.params
+    m = loc.shape[0]
+    dmat = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
+    freqs = fourier_frequencies(n)
+    rng = np.random.default_rng(spec.seed)
+    z_re = rng.standard_normal((freqs.size, m))
+    z_im = rng.standard_normal((freqs.size, m))
+    z_zero = rng.standard_normal(m)
+    z_fold = rng.standard_normal(m) if n % 2 == 0 else None
+
+    def factor(w):
+        return cholesky_with_jitter(cov_matrix(dmat, float(w), params, include_nugget=False))[0]
+
+    coeffs = np.zeros((m, n), dtype=complex)
+    for idx, w in enumerate(freqs):
+        ordinate = factor(w) @ ((z_re[idx] + 1j * z_im[idx]) / np.sqrt(2.0))
+        coeffs[:, idx + 1] = ordinate
+        coeffs[:, n - idx - 1] = np.conj(ordinate)
+    coeffs[:, 0] = factor(0.0) @ z_zero
+    if z_fold is not None:
+        coeffs[:, n // 2] = factor(np.pi) @ z_fold
+    observations = _synthesize_rows(coeffs).real.copy()
+    if spec.include_measurement_error and params.nugget > 0:
+        observations += rng.normal(0.0, np.sqrt(params.nugget), size=(m, n))
+    return observations
+
+
 def _yule_walker_start(x, p):
     n = x.size
     r = np.array([float(np.dot(x[: n - k], x[k:])) / n for k in range(p + 1)])
@@ -229,6 +267,28 @@ def _yule_walker_start(x, p):
     return np.asarray(phi, dtype=float)
 
 
+def simplex_search(objective, start, step, max_iterations, tolerance_f, tolerance_x):
+    """scipy's Nelder-Mead from start, whose initial simplex adds step to
+    each coordinate in turn, with scipy's fatol = tolerance_f, xatol =
+    tolerance_x, maxiter = max_iterations and maxfev fifty times that.
+    Returns (x, value, nfev), x the start itself when the search ended
+    above it; raises ValueError when the objective is not finite at start."""
+    from scipy.optimize import minimize
+
+    start = np.asarray(start, dtype=float)
+    f0 = float(objective(start))
+    if not np.isfinite(f0):
+        raise ValueError("objective is not finite at the start point (value %r)" % f0)
+    simplex = np.vstack([start, start + step * np.eye(start.size)])
+    res = minimize(lambda v: float(objective(v)), start, method="Nelder-Mead",
+                   options={"maxiter": max_iterations, "maxfev": 50 * max_iterations,
+                            "fatol": tolerance_f, "xatol": tolerance_x,
+                            "initial_simplex": simplex})
+    if float(res.fun) > f0:
+        return start, f0, int(res.nfev)
+    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nfev)
+
+
 def ar_fits_by_simplex(series, max_order=8):
     """Whittle AR fits of orders 0..max_order by the original simplex search:
     a time-domain Yule-Walker start made stationary, Nelder-Mead on the
@@ -238,7 +298,7 @@ def ar_fits_by_simplex(series, max_order=8):
     (it shares the criterion and the root reflection); it pins the exact
     per-order solve to the old search."""
     from stkrig.krige import _ar_whittle_value, _enforce_stationarity
-    from stkrig.numerics import OptimizerConfig, dft_forward, nelder_mead
+    from stkrig.numerics import dft_forward
     from stkrig.spectral import fourier_frequencies
 
     x = np.asarray(series, dtype=float)
@@ -246,8 +306,6 @@ def ar_fits_by_simplex(series, max_order=8):
     centered = x - x.mean()
     pgram = np.abs(dft_forward(centered)[1 : (n - 1) // 2 + 1]) ** 2
     phases = np.exp(-1j * np.arange(1, max_order + 1)[:, None] * fourier_frequencies(n))
-    config = OptimizerConfig(max_iterations=2000, tolerance_f=1e-10,
-                             tolerance_x=1e-8, initial_step=0.05)
 
     def objective(phi):
         return _ar_whittle_value(phi, pgram, phases, n)[0]
@@ -257,7 +315,9 @@ def ar_fits_by_simplex(series, max_order=8):
         start, _ = _enforce_stationarity(_yule_walker_start(centered, p))
         if not np.isfinite(objective(start)):
             start = np.zeros(p)
-        coeffs, _ = _enforce_stationarity(nelder_mead(objective, start, config).x)
+        found, _, _ = simplex_search(objective, start, 0.05, max_iterations=2000,
+                                     tolerance_f=1e-10, tolerance_x=1e-8)
+        coeffs, _ = _enforce_stationarity(found)
         fits.append((coeffs, objective(coeffs)))
     order = int(np.argmin([2.0 * value + 2.0 * p for p, (_, value) in enumerate(fits)]))
     return fits, order, objective
@@ -274,7 +334,6 @@ def fit_by_simplex(panel, config):
 
     from stkrig.covmodel import unpack_params
     from stkrig.estimate import _criterion_terms, _prepare, build_distance_bins
-    from stkrig.numerics import nelder_mead
     from stkrig.spectral import dft_panel
 
     p, d, nu_fixed = config.n_coeffs, panel.d, config.nu_fixed
@@ -301,14 +360,16 @@ def fit_by_simplex(panel, config):
         if config.fit_nugget:
             start.append(np.log(2.0 * np.pi) - np.log(10.0))
         try:
-            result = nelder_mead(objective, np.asarray(start), config.optimizer)
+            result = simplex_search(objective, np.asarray(start), 0.25,
+                                    config.optimizer.max_iterations,
+                                    config.optimizer.tolerance_f, config.optimizer.tolerance_x)
         except ValueError:
             nfev.append(0)
             continue
-        nfev.append(result.nfev)
-        if best is None or result.fun < best.fun:
+        nfev.append(result[2])
+        if best is None or result[1] < best[1]:
             best = result
-    theta = scale_free(best.x)
+    theta = scale_free(best[0])
     _, scale = _criterion_terms(*prepared, theta, profile=True)
     params = replace(theta, sigma_e2=scale, nugget=scale * theta.nugget)
     return params, float(_criterion_terms(*prepared, params).sum(axis=1).mean()), nfev

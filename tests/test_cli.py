@@ -252,7 +252,8 @@ def _huge_values(shape, seed):
     "missing-input", "overflowing-target", "subnormal-scale",
     "overflowing-series-spectra", "overflowing-series-estimate", "overflowing-series-krige",
     "large-series-spectra", "large-series-estimate", "large-series-krige",
-    "overflowing-coordinates", "infinite-forecast-cell", "overflowing-forecast",
+    "overflowing-coordinates", "overflowing-coordinates-simulate",
+    "overflowing-coordinates-krige", "infinite-forecast-cell", "overflowing-forecast",
 ])
 def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path, capsys):
     # every exit-1 path: stderr parses as one JSON object, and no warning
@@ -293,15 +294,26 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
         else:
             argv += ["--out", str(tmp_path / ("fit.json" if command == "estimate" else "out"))]
         expected = (command, "ValueError")
-    elif case == "overflowing-coordinates":
+    elif case.startswith("overflowing-coordinates"):
+        command = "estimate" if case == "overflowing-coordinates" else case.rsplit("-", 1)[1]
         with open(pipeline["locations"], newline="") as handle:
             ids = [row[0] for row in list(csv.reader(handle))[1:]]
-        # distinct sites on both sides of the origin: their distances overflow
+        # distinct sites on both sides of the origin: their distances
+        # overflow; at 1e154 the distances to a target at the origin do not
+        scale = 1e154 if command == "krige" else 1e308
         locs = _write_csv(tmp_path / "far.csv", ["site_id", "x1", "x2"],
-                          [[site, repr((-1.0) ** i * 1e308), i] for i, site in enumerate(ids)])
-        argv = ["estimate", "--locations", locs, "--series", pipeline["series"],
-                "--out", str(tmp_path / "fit.json")]
-        expected = ("estimate", "ValueError")
+                          [[site, repr((-1.0) ** i * scale), i] for i, site in enumerate(ids)])
+        if command == "simulate":
+            argv = ["simulate", "--locations", locs, "--model", pipeline["model"], "--n", "32",
+                    "--out", str(tmp_path / "sim")]
+        elif command == "krige":
+            argv = ["krige", "--locations", locs, "--series", pipeline["series"],
+                    "--model", pipeline["model"], "--target", "0,0",
+                    "--out", str(tmp_path / "kr")]
+        else:
+            argv = ["estimate", "--locations", locs, "--series", pipeline["series"],
+                    "--out", str(tmp_path / "fit.json")]
+        expected = (command, "ValueError")
     else:
         rows = [[t + 1, repr(v)] for t, v in enumerate(_huge_values(40, seed=7))]
         if case == "infinite-forecast-cell":
@@ -318,6 +330,8 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
     assert (report["error"]["command"], report["error"]["type"]) == expected
     if case == "infinite-forecast-cell":
         assert "row 7, column 'zhat' is not finite" in report["error"]["message"]
+    if case.startswith("overflowing-coordinates"):
+        assert "the distance between sites 0 and 1 is not finite" in report["error"]["message"]
 
 
 def test_bad_bins_and_target_values(pipeline, tmp_path, capsys):

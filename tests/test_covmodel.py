@@ -46,6 +46,19 @@ def test_params_validation():
         _params(d=3, eq310_constant=True)
 
 
+def test_nu_whose_log_gamma_constant_overflows_is_rejected():
+    # 2 nu overflows at 1e308, log Gamma(2 nu) from about 1.3e305; past
+    # either the kernel's constants would be inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (1e308, 1e307, 1.3e305):
+            with pytest.raises(ValueError, match="too large"):
+                ModelParams(sigma_e2=1.0, nu=nu, c_coeffs=(0.0,))
+            with pytest.raises(ValueError, match="too large"):
+                cov_freq(1.0, 0.5, ModelParams(sigma_e2=1.0, nu=nu, c_coeffs=(0.0,)))
+        assert cov_freq(1.0, 0.5, ModelParams(sigma_e2=1.0, nu=1.2e305, c_coeffs=(0.0,))) == 0.0
+
+
 def test_params_round_trip():
     p = ModelParams(sigma_e2=2.0, nu=1.5, c_coeffs=(0.1, -0.2), nugget=0.3, d=2)
     q = ModelParams.from_dict(p.to_dict())
@@ -163,6 +176,8 @@ def test_cov_matrix_diagonal_and_nugget():
     assert_allclose(bare, bare.T, atol=1e-14)
     with pytest.raises(ValueError):
         cov_matrix(np.ones((2, 3)), 0.8, p)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        cov_matrix(np.ones((2, 2)), 0.8, p)
 
 
 @pytest.mark.parametrize("nu", [0.8, 1.0, 1.25, 2.3])
@@ -198,7 +213,7 @@ def test_cov_matrix_evaluates_one_triangle(kernel_points):
     locs = np.random.default_rng(31).uniform(0.0, 5.0, (m, 2))
     dists = np.linalg.norm(locs[:, None, :] - locs[None, :, :], axis=-1)
     cov_matrix(dists, 0.9, _params(nu=0.8))
-    assert 0 < sum(kernel_points) <= m * (m + 1) // 2
+    assert kernel_points == [m * (m - 1) // 2]
 
 
 def test_tiny_distance_gives_the_zero_distance_value():
@@ -242,6 +257,11 @@ def test_overflowing_zero_distance_value_fails_loudly():
                 with pytest.raises(FloatingPointError):
                     cov_freq(h, 1.0, ModelParams(1.0, 3.0, (b0,)))
         assert cov_freq(1.0, 1.0, ModelParams(1.0, 3.0, (800.0,))) == 0.0
+        # C(h, w) finite far out while C(0, w), the diagonal, overflows
+        p = ModelParams(1.0, 1.025, (-700.0,))
+        assert 0.0 < cov_freq(1e155, 1.0, p) < 1e-100
+        with pytest.raises(FloatingPointError):
+            cov_matrix([[0.0, 1e155], [1e155, 0.0]], 1.0, p)
 
 
 def test_variogram_model_formula_and_limits():

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from oracles import (ar1_series, ar_fits_by_simplex, arma_series, invert_gauss,
                      synthesize_brute_force)
 from stkrig import (ModelParams, OptimizerConfig, SimulationSpec, TimeSeriesPanel,
-                    assemble_system, cov_zero, dft_panel, forecast,
+                    assemble_system, cov_freq, cov_matrix, cov_zero, dft_panel, forecast,
                     fourier_frequencies, krige_series, predict_dft,
                     reconstruct_series, simulate_panel)
 from stkrig.krige import (_ar_transfer, _enforce_stationarity, estimate_target_mean)
@@ -46,6 +46,26 @@ def test_assemble_system_structure():
     assert noisy[2] == pytest.approx(c0 + 0.3 / (2.0 * np.pi))
     with pytest.raises(ValueError):
         assemble_system(locs, np.zeros(3), 1.1, params)
+    with pytest.raises(ValueError, match="omega contains non-finite values"):
+        assemble_system(locs, target, np.nan, params)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.25, 0.8])
+@pytest.mark.parametrize("nugget", [0.0, 0.3])
+def test_assemble_system_equals_the_public_covariances(nu, nugget):
+    # one kernel call on the triangle and the target distances gives what
+    # the three public functions give, bit for bit; a target on a site too
+    locs, target, params = _setup(seed=int(4 * nu), m=7)
+    params = replace(params, nu=nu, nugget=nugget)
+    dmat = np.linalg.norm(locs[:, None, :] - locs[None, :, :], axis=-1)
+    for tgt in (target, locs[2]):
+        h0 = np.linalg.norm(locs - tgt[None, :], axis=-1)
+        for w in (0.3, 1.1, np.pi):
+            for noise in (False, True):
+                f, g0, c0 = assemble_system(locs, tgt, w, params, include_target_noise=noise)
+                assert np.array_equal(f, cov_matrix(dmat, w, params))
+                assert np.array_equal(g0, cov_freq(h0, w, params))
+                assert c0 == cov_zero(w, params) + (nugget / (2.0 * np.pi) if noise else 0.0)
 
 
 def test_prediction_matches_full_inverse_oracle():
@@ -132,13 +152,13 @@ def test_krige_series_streams_the_same_prediction():
 
 
 def test_krige_series_evaluates_one_triangle_per_frequency(kernel_points):
-    # per frequency: one m(m+1)/2 triangle of F and the m entries of g0
+    # per frequency one kernel call: the m(m-1)/2 strict triangle of F and
+    # the m entries of g0; C(0, w) comes with it
     m = 30
     locs, target, params = _setup(seed=15, m=m, box=6.0)
     panel = TimeSeriesPanel(locs, np.random.default_rng(16).normal(size=(m, 33)))
     out = krige_series(panel, target, replace(params, nu=0.8))
-    n_freq = out.frequencies.size
-    assert 0 < sum(kernel_points) <= n_freq * (m * (m + 1) // 2 + m)
+    assert kernel_points == [m * (m - 1) // 2 + m] * out.frequencies.size
 
 
 def test_krige_series_holds_one_system_at_a_time():
@@ -263,6 +283,14 @@ def test_overflowing_target_distance_is_rejected_without_a_warning():
             assemble_system(locs, np.array([1e308, 1e308]), 1.1, params)
         with pytest.raises(ValueError, match="target-to-site distances must be finite"):
             assemble_system(locs, np.array([np.inf, 0.0]), 1.1, params)
+        # sites on both sides of the origin: their distances overflow, the
+        # target's do not
+        far = np.column_stack([(-1.0) ** np.arange(5) * 1e154, np.arange(5.0)])
+        panel = TimeSeriesPanel(far, np.random.default_rng(20).normal(size=(5, 33)))
+        for call in (lambda: assemble_system(far, np.zeros(2), 1.1, params),
+                     lambda: krige_series(panel, np.zeros(2), params)):
+            with pytest.raises(ValueError, match="distance between sites 0 and 1 is not finite"):
+                call()
 
 
 def test_enforce_stationarity_reflection():

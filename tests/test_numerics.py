@@ -11,8 +11,7 @@ from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
 from stkrig.numerics import (JITTER_LADDER, OptimizerConfig, SingularMatrixError,
                              _scaled_bessel_k, bessel_k, cholesky_with_jitter,
-                             dft_forward, dft_inverse, hpd_solve, log_gamma,
-                             nelder_mead)
+                             dft_forward, dft_inverse, hpd_solve, log_gamma)
 
 # value of the integral representation at (order, x) = (1, 1), computed by
 # adaptive quadrature before the implementation existed
@@ -220,52 +219,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(tolerance_f=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance_x=-1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(initial_step=np.inf)
-
-
-def test_nelder_mead_quadratic_bowl():
-    target = np.array([1.0, -2.0, 0.5])
-    calls = []
-
-    def objective(v):
-        calls.append(1)
-        return float(np.sum((v - target) ** 2))
-
-    res = nelder_mead(objective, np.zeros(3),
-                      OptimizerConfig(max_iterations=2000, tolerance_f=1e-12,
-                                      tolerance_x=1e-10, initial_step=0.5))
-    assert res.converged
-    assert_allclose(res.x, target, atol=1e-5)
-    # the simplex search's evaluations, after the one start-point check
-    assert res.nfev == len(calls) - 1 > 0
-
-
-def test_nelder_mead_never_worse_than_start():
-    # a spiky objective the simplex cannot improve from this start
-    def objective(v):
-        return 0.0 if np.all(v == 0.0) else 10.0
-
-    res = nelder_mead(objective, np.zeros(2))
-    assert res.fun <= 0.0
-    assert_allclose(res.x, np.zeros(2))
-
-
-def test_nelder_mead_handles_infinite_regions():
-    def objective(v):
-        if v[0] < 0.0:
-            return np.inf
-        return float((v[0] - 2.0) ** 2)
-
-    res = nelder_mead(objective, np.array([0.5]),
-                      OptimizerConfig(max_iterations=1000, tolerance_f=1e-12,
-                                      tolerance_x=1e-10, initial_step=0.2))
-    assert_allclose(res.x, [2.0], atol=1e-5)
-
-
-def test_nelder_mead_rejects_nonfinite_start():
-    with pytest.raises(ValueError):
-        nelder_mead(lambda v: np.nan, np.zeros(2))
 
 
 def test_jitter_ladder_is_increasing_from_zero():

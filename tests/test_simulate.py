@@ -1,9 +1,12 @@
 """Spectral simulator as its own sanity check."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import simulate_panel_by_frequency
 from stkrig import (ModelParams, SimulationSpec, cov_freq, cov_zero,
                     simulate_panel, simulate_white_panel)
 
@@ -23,6 +26,38 @@ def test_simulation_is_deterministic_in_the_seed():
     c = simulate_panel(_spec(seed=6))
     assert np.array_equal(a.observations, b.observations)
     assert not np.array_equal(a.observations, c.observations)
+
+
+@pytest.mark.parametrize("n", [33, 34])
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("m", [1, 6])
+def test_one_loop_over_the_grid_draws_the_old_panel(n, noise, m):
+    # w = 0 and w = pi share the interior's loop; the panel is bit for bit
+    # the one the separate edge blocks drew
+    rng = np.random.default_rng(n + m)
+    for nu in (1.0, 1.25, 0.8):
+        params = ModelParams(sigma_e2=1.3, nu=nu, c_coeffs=(0.1, 0.4), nugget=0.2, d=2)
+        spec = SimulationSpec(locations=rng.uniform(0.0, 2.0, (m, 2)), n=n, params=params,
+                              seed=int(rng.integers(1000)), include_measurement_error=noise)
+        assert np.array_equal(simulate_panel(spec).observations,
+                              simulate_panel_by_frequency(spec))
+
+
+def test_simulation_evaluates_one_triangle_per_grid_frequency(kernel_points):
+    for n in (33, 34):
+        simulate_panel(_spec(n=n))
+        assert kernel_points == [4 * 3 // 2] * (n // 2 + 1)
+        kernel_points.clear()
+
+
+def test_overflowing_site_distances_are_rejected_without_a_warning():
+    # sites on both sides of the origin: their distance overflows
+    params = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.0,), d=2)
+    far = SimulationSpec(locations=[[1e308, 0.0], [-1e308, 1.0]], n=32, params=params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distance between sites 0 and 1 is not finite"):
+            simulate_panel(far)
 
 
 def test_spec_validation():
