@@ -42,47 +42,83 @@ class UsageError(Exception):
     """Bad invocation that argparse could not catch on its own."""
 
 
-_DEFAULTS = {
-    "simulate": {
-        "locations": None, "model": None, "n": None, "seed": 0,
-        "measurement_error": False, "out": None, "threads": None,
-    },
-    "spectra": {
-        "locations": None, "series": None, "keep_mean": False, "out": None,
-        "threads": None,
-    },
-    "estimate": {
-        "locations": None, "series": None, "p": 1, "nu_fixed": None,
-        "nugget": False, "bins": "exact", "bin_tolerance": None, "M": None,
-        "multistart": 5, "seed": 0, "no_covariance": False, "out": None,
-        "threads": None,
-    },
-    "krige": {
-        "locations": None, "series": None, "model": None, "target": None,
-        "include_target_noise": False, "out": None, "threads": None,
-    },
-    "forecast": {
-        "reconstructed": None, "horizons": None, "pmax": 8, "out": None,
-        "threads": None,
-    },
-    "test-indep": {
-        "locations": None, "series": None, "K": None, "out": None,
-        "threads": None,
-    },
+# In place of a default: the flag has none and must be given
+_MANDATORY = object()
+
+# Each subcommand's help text and its flags, in the order --help lists them.
+# A flag is (name, type, default, help): the type is int, float, str, or bool
+# for a switch; the name is its key in the resolved config and, with dashes
+# for underscores, its spelling on the command line and in a config file.
+# This table is the one declaration of the flags: the parser, the defaults,
+# the required-flag check and the config-file conversion all read it.
+_COMMANDS = {
+    "simulate": ("draw a synthetic panel from a model", (
+        ("locations", str, _MANDATORY, "site CSV (site_id,x1,...,xd)"),
+        ("model", str, _MANDATORY, "model parameter JSON"),
+        ("n", int, _MANDATORY, "series length"),
+        ("seed", int, 0, None),
+        ("measurement_error", bool, False, "add nugget noise to the observations"),
+        ("out", str, _MANDATORY, "output directory"),
+    )),
+    "spectra": ("write periodogram summaries of a panel", (
+        ("locations", str, _MANDATORY, None),
+        ("series", str, _MANDATORY, None),
+        ("out", str, _MANDATORY, "output directory"),
+    )),
+    "estimate": ("fit the covariance model to a panel", (
+        ("locations", str, _MANDATORY, None),
+        ("series", str, _MANDATORY, None),
+        ("p", int, 1, "cosine terms in the inverse range"),
+        ("nu_fixed", float, None, "hold the smoothness at this value"),
+        ("nugget", bool, False, "estimate a measurement-error variance"),
+        ("bins", str, "exact", "'exact' or 'quantile:<count>' pair grouping"),
+        ("bin_tolerance", float, None, None),
+        ("M", int, None, "number of frequencies to use"),
+        ("multistart", int, 5, None),
+        ("seed", int, 0, None),
+        ("no_covariance", bool, False, "skip the asymptotic covariance"),
+        ("out", str, _MANDATORY, "output JSON path"),
+    )),
+    "krige": ("predict the series at a new location", (
+        ("locations", str, _MANDATORY, None),
+        ("series", str, _MANDATORY, None),
+        ("model", str, _MANDATORY, "model JSON (bare parameters or an estimate output)"),
+        ("target", str, _MANDATORY, "coordinates, e.g. '3.5,2.0'"),
+        ("include_target_noise", bool, False,
+         "predict a noisy observation instead of the field value"),
+        ("out", str, _MANDATORY, "output directory"),
+    )),
+    "forecast": ("forecast a reconstructed series", (
+        ("reconstructed", str, _MANDATORY, "CSV with columns t,value"),
+        ("horizons", int, _MANDATORY, "steps ahead"),
+        ("pmax", int, 8, "largest AR order tried"),
+        ("out", str, _MANDATORY, "output JSON path"),
+    )),
+    "test-indep": ("test spatial independence of a panel", (
+        ("locations", str, _MANDATORY, None),
+        ("series", str, _MANDATORY, None),
+        ("K", int, None, "block half window"),
+        ("out", str, _MANDATORY, "output JSON path"),
+    )),
 }
 
-_REQUIRED = {
-    "simulate": ("locations", "model", "n", "out"),
-    "spectra": ("locations", "series", "out"),
-    "estimate": ("locations", "series", "out"),
-    "krige": ("locations", "series", "model", "target", "out"),
-    "forecast": ("reconstructed", "horizons", "out"),
-    "test-indep": ("locations", "series", "out"),
-}
+# Every subcommand ends with --config and then this flag. It changes how
+# fast the answer is computed, never the answer, so it stays out of the
+# recorded config and reruns compare byte for byte.
+_THREADS = ("threads", int, None, "worker threads (or set STKRIG_THREADS)")
 
-# knobs that change how fast the answer is computed, never the answer; they
-# stay out of the recorded config so reruns compare byte for byte
-_EXECUTION_ONLY = ("threads",)
+
+def _flags(command: str) -> tuple:
+    """The (name, type, default, help) of each flag of one subcommand, in
+    the order of its resolved config."""
+    return _COMMANDS[command][1] + (_THREADS,)
+
+
+def _add_flag(parser: argparse.ArgumentParser, name: str, kind: type, _default, text) -> None:
+    # unset flags stay off the namespace, so config-file values show through
+    option = {"action": "store_true"} if kind is bool else {"type": kind}
+    parser.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
+                        help=text, **option)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,104 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version="stkrig %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    s = argparse.SUPPRESS
-
-    def common(p):
+    for command, (summary, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag in own:
+            _add_flag(p, *flag)
         p.add_argument("--config", default=None, help="JSON file of flag defaults")
-        p.add_argument("--threads", type=int, default=s,
-                       help="worker threads (or set STKRIG_THREADS)")
-
-    p = sub.add_parser("simulate", help="draw a synthetic panel from a model")
-    p.add_argument("--locations", default=s, help="site CSV (site_id,x1,...,xd)")
-    p.add_argument("--model", default=s, help="model parameter JSON")
-    p.add_argument("--n", type=int, default=s, help="series length")
-    p.add_argument("--seed", type=int, default=s)
-    p.add_argument("--measurement-error", dest="measurement_error",
-                   action="store_true", default=s,
-                   help="add nugget noise to the observations")
-    p.add_argument("--out", default=s, help="output directory")
-    common(p)
-
-    p = sub.add_parser("spectra", help="write periodogram summaries of a panel")
-    p.add_argument("--locations", default=s)
-    p.add_argument("--series", default=s)
-    p.add_argument("--keep-mean", dest="keep_mean", action="store_true", default=s,
-                   help="do not subtract site means before transforming")
-    p.add_argument("--out", default=s, help="output directory")
-    common(p)
-
-    p = sub.add_parser("estimate", help="fit the covariance model to a panel")
-    p.add_argument("--locations", default=s)
-    p.add_argument("--series", default=s)
-    p.add_argument("--p", type=int, default=s, help="cosine terms in the inverse range")
-    p.add_argument("--nu-fixed", dest="nu_fixed", type=float, default=s,
-                   help="hold the smoothness at this value")
-    p.add_argument("--nugget", action="store_true", default=s,
-                   help="estimate a measurement-error variance")
-    p.add_argument("--bins", default=s,
-                   help="'exact' or 'quantile:<count>' pair grouping")
-    p.add_argument("--bin-tolerance", dest="bin_tolerance", type=float, default=s)
-    p.add_argument("--M", type=int, default=s, help="number of frequencies to use")
-    p.add_argument("--multistart", type=int, default=s)
-    p.add_argument("--seed", type=int, default=s)
-    p.add_argument("--no-covariance", dest="no_covariance", action="store_true",
-                   default=s, help="skip the asymptotic covariance")
-    p.add_argument("--out", default=s, help="output JSON path")
-    common(p)
-
-    p = sub.add_parser("krige", help="predict the series at a new location")
-    p.add_argument("--locations", default=s)
-    p.add_argument("--series", default=s)
-    p.add_argument("--model", default=s,
-                   help="model JSON (bare parameters or an estimate output)")
-    p.add_argument("--target", default=s, help="coordinates, e.g. '3.5,2.0'")
-    p.add_argument("--include-target-noise", dest="include_target_noise",
-                   action="store_true", default=s,
-                   help="predict a noisy observation instead of the field value")
-    p.add_argument("--out", default=s, help="output directory")
-    common(p)
-
-    p = sub.add_parser("forecast", help="forecast a reconstructed series")
-    p.add_argument("--reconstructed", default=s, help="CSV with columns t,value")
-    p.add_argument("--horizons", type=int, default=s, help="steps ahead")
-    p.add_argument("--pmax", type=int, default=s, help="largest AR order tried")
-    p.add_argument("--out", default=s, help="output JSON path")
-    common(p)
-
-    p = sub.add_parser("test-indep", help="test spatial independence of a panel")
-    p.add_argument("--locations", default=s)
-    p.add_argument("--series", default=s)
-    p.add_argument("--K", type=int, default=s, help="block half window")
-    p.add_argument("--out", default=s, help="output JSON path")
-    common(p)
-
+        _add_flag(p, *_THREADS)
     return parser
 
 
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The argparse action of each flag of one subcommand, by destination."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions}
-
-
-def _config_value(action: argparse.Action, default, key: str, value):
-    """A config file value, converted as its flag's argparse type converts
-    a command-line string."""
+def _config_value(kind: type, default, key: str, value):
+    """A config file value, converted as its flag's type converts a
+    command-line string."""
     if value is None and default is None:
         return None
-    if action.nargs == 0:
+    if kind is bool:
         if isinstance(value, bool):
             return value
         expected = "true or false"
-    elif action.type is None:
+    elif kind is str:
         if isinstance(value, str):
             return value
         expected = "a string"
     else:
         try:
-            return action.type(str(value))
+            return kind(str(value))
         except ValueError:
-            expected = "of type %s" % action.type.__name__
+            expected = "of type %s" % kind.__name__
     raise UsageError("config key %r must be %s, got %s" % (key, expected, json.dumps(value)))
 
 
@@ -207,8 +172,10 @@ def _threads(resolved: dict) -> int:
     return value
 
 
-def _resolve(command: str, namespace: argparse.Namespace, actions: dict) -> dict:
-    resolved = dict(_DEFAULTS[command])
+def _resolve(command: str, namespace: argparse.Namespace) -> dict:
+    table = _flags(command)
+    resolved = {name: None if default is _MANDATORY else default
+                for name, _, default, _ in table}
     config_path = getattr(namespace, "config", None)
     if config_path:
         try:
@@ -220,17 +187,19 @@ def _resolve(command: str, namespace: argparse.Namespace, actions: dict) -> dict
             raise UsageError("config file %s is not valid JSON: %s" % (config_path, err))
         if not isinstance(overrides, dict):
             raise UsageError("config file %s must hold a JSON object" % config_path)
+        kinds = {name: kind for name, kind, _, _ in table}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if attr not in resolved:
                 raise UsageError(
                     "config key %r is not a flag of the %s command" % (key, command)
                 )
-            resolved[attr] = _config_value(actions[attr], resolved[attr], key, value)
+            resolved[attr] = _config_value(kinds[attr], resolved[attr], key, value)
     for key in resolved:
         if hasattr(namespace, key):
             resolved[key] = getattr(namespace, key)
-    missing = [k for k in _REQUIRED[command] if resolved.get(k) is None]
+    missing = [name for name, _, default, _ in table
+               if default is _MANDATORY and resolved[name] is None]
     if missing:
         raise UsageError(
             "%s is missing required option(s): %s"
@@ -241,7 +210,7 @@ def _resolve(command: str, namespace: argparse.Namespace, actions: dict) -> dict
 
 
 def _recorded_config(resolved: dict) -> dict:
-    return {k: v for k, v in resolved.items() if k not in _EXECUTION_ONLY}
+    return {k: v for k, v in resolved.items() if k != "threads"}
 
 
 def _provenance(command: str, resolved: dict) -> dict:
@@ -274,7 +243,7 @@ def _cmd_simulate(resolved: dict) -> None:
 
 def _cmd_spectra(resolved: dict) -> None:
     panel = load_panel(resolved["locations"], resolved["series"])
-    spectral = dft_panel(panel, remove_mean=not resolved["keep_mean"])
+    spectral = dft_panel(panel)
     out_dir = resolved["out"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "periodograms.csv"), "w", newline="") as handle:
@@ -408,7 +377,7 @@ def main(argv=None) -> int:
     namespace = parser.parse_args(argv)
     command = namespace.command
     try:
-        resolved = _resolve(command, namespace, _flag_actions(parser, command))
+        resolved = _resolve(command, namespace)
     except UsageError as err:
         print("stkrig %s: %s" % (command, err), file=sys.stderr)
         return 2
@@ -418,7 +387,7 @@ def main(argv=None) -> int:
         print("stkrig %s: %s" % (command, err), file=sys.stderr)
         return 2
     except (PanelFormatError, ValueError, OSError, ArithmeticError,
-            RuntimeError, np.linalg.LinAlgError) as err:
+            RuntimeError, MemoryError, np.linalg.LinAlgError) as err:
         report = {
             "error": {
                 "command": command,

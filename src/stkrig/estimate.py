@@ -283,6 +283,10 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
 # derivative in the smoothness: K has no closed-form derivative in its order
 _NU_STEP = 1e-5
 
+# Step in pack_params' coordinates of the central difference of the
+# criterion's gradient that gives asymptotic_covariance its Hessian
+_HESSIAN_STEP = 1e-4
+
 
 # g or binned / g may leave the double range; the terms are then not finite
 # and the check below raises, without a numpy warning first
@@ -349,6 +353,17 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     return ((terms, scale) if profile else (terms,)) + (np.array(rows),)
 
 
+def _criterion_value(terms: np.ndarray) -> float:
+    """The criterion from its finite terms: the mean over bins of each
+    bin's sum over frequencies. Raises EvaluationError, without a numpy
+    warning, when a sum leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(terms.sum(axis=1).mean())
+    if not np.isfinite(value):
+        raise EvaluationError("the criterion's sum over its terms overflows the double range")
+    return value
+
+
 def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: ModelParams,
                       n_frequencies: int | None = None) -> float:
     """Evaluate the estimation criterion at the given parameters.
@@ -365,8 +380,7 @@ def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: Model
         Use only the first n_frequencies interior ordinates. Defaults to the
         full grid.
     """
-    terms = _criterion_terms(*_prepare(spectral, bins, n_frequencies), params)
-    return float(terms.sum(axis=1).mean())
+    return _criterion_value(_criterion_terms(*_prepare(spectral, bins, n_frequencies), params))
 
 
 @dataclass(frozen=True)
@@ -390,8 +404,6 @@ class FitConfig:
         Bin count for quantile mode.
     bin_tolerance : float or None
         Merge tolerance for exact mode.
-    remove_mean : bool
-        Subtract site means before the transform.
     multistart : int
         Number of optimizer restarts from randomized starting points.
     seed : int
@@ -418,7 +430,6 @@ class FitConfig:
     bins_mode: str = "exact"
     n_bins: int | None = None
     bin_tolerance: float | None = None
-    remove_mean: bool = True
     multistart: int = 5
     seed: int = 0
     optimizer: OptimizerConfig = field(
@@ -445,7 +456,6 @@ class FitConfig:
             "bins_mode": self.bins_mode,
             "n_bins": self.n_bins,
             "bin_tolerance": self.bin_tolerance,
-            "remove_mean": self.remove_mean,
             "multistart": self.multistart,
             "seed": self.seed,
             "optimizer": {
@@ -580,7 +590,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     if nu_fixed is not None and nu_fixed <= d / 4.0:
         raise ValueError("nu_fixed must exceed d/4 = %g, got %r" % (d / 4.0, nu_fixed))
 
-    spectral = dft_panel(panel, remove_mean=config.remove_mean)
+    spectral = dft_panel(panel)
     bins = build_distance_bins(
         panel.locations, mode=config.bins_mode, n_bins=config.n_bins,
         tolerance=config.bin_tolerance,
@@ -599,7 +609,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         terms, _, scores = _criterion_terms(*prepared, scale_free(vec), profile=True,
                                             scores=layout)
         # the log sigma_e2 row is not searched
-        return float(terms.sum(axis=1).mean()), scores[1:].sum(axis=1)
+        return _criterion_value(terms), scores[1:].sum(axis=1)
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -630,7 +640,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     theta_hat = scale_free(best.x)
     _, scale = _criterion_terms(*prepared, theta_hat, profile=True)
     params_hat = replace(theta_hat, sigma_e2=scale, nugget=scale * theta_hat.nugget)
-    criterion = float(_criterion_terms(*prepared, params_hat).sum(axis=1).mean())
+    criterion = _criterion_value(_criterion_terms(*prepared, params_hat))
     names = natural_names(p, nu_fixed=nu_fixed is not None, fit_nugget=config.fit_nugget)
     cov = None
     if config.compute_covariance:
@@ -638,7 +648,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             cov = asymptotic_covariance(
                 panel, bins, params_hat, n_frequencies=m_use,
                 nu_fixed=nu_fixed, fit_nugget=config.fit_nugget,
-                remove_mean=config.remove_mean, _prepared=prepared,
+                _prepared=prepared,
             )
         except (SingularHessianError, EvaluationError, np.linalg.LinAlgError) as err:
             warnings.warn("asymptotic covariance unavailable: %s" % err)
@@ -657,8 +667,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
 
 def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat: ModelParams,
                           n_frequencies: int | None = None, *, nu_fixed: float | None = None,
-                          fit_nugget: bool = False, step: float = 1e-4,
-                          remove_mean: bool = True, _prepared=None) -> np.ndarray:
+                          fit_nugget: bool = False, _prepared=None) -> np.ndarray:
     """Sandwich covariance of the fitted parameters on the natural scale.
 
     Works in pack_params' coordinates. The per-frequency scores, the
@@ -666,7 +675,7 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     smoothness row a central difference); the middle term aggregates them
     (frequencies are asymptotically uncorrelated, so scores are clustered
     by frequency). The criterion Hessian is the central difference, with
-    the given step, of the summed scores, the criterion's gradient: 2k
+    step _HESSIAN_STEP, of the summed scores, the criterion's gradient: 2k
     gradient evaluations for k coordinates. The result is mapped to the
     natural scale by the delta method. Row and column order follows
     covmodel.natural_names(...).
@@ -676,10 +685,13 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     SingularHessianError
         When the Hessian cannot be inverted; the error carries its
         eigenvalues.
+    EvaluationError
+        When the covariance leaves the double range, as the delta method's
+        sigma_e2^2 does for a scale near the top of it.
     """
     # fit hands over what it already prepared from the same panel and bins
     if _prepared is None:
-        _prepared = _prepare(dft_panel(panel, remove_mean=remove_mean), bins, n_frequencies)
+        _prepared = _prepare(dft_panel(panel), bins, n_frequencies)
     p = params_hat.n_coeffs
     d = params_hat.d
 
@@ -699,9 +711,9 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     middle = centered @ centered.T
 
     # Hessian: central differences of the criterion's gradient
-    steps = step * np.eye(k)
+    steps = _HESSIAN_STEP * np.eye(k)
     hess = np.array([scores_at(vec0 + e).sum(axis=1) - scores_at(vec0 - e).sum(axis=1)
-                     for e in steps]) / (2.0 * step)
+                     for e in steps]) / (2.0 * _HESSIAN_STEP)
     hess = (hess + hess.T) / 2.0
 
     eigvals = np.linalg.eigvalsh(hess)
@@ -721,5 +733,11 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
         jac[1] = params_hat.nu - d / 4.0
     if fit_nugget:
         jac[-1] = params_hat.nugget
-    cov_nat = cov_unc * np.outer(jac, jac)
-    return (cov_nat + cov_nat.T) / 2.0
+    # an overflow is reported below, without a numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_nat = cov_unc * np.outer(jac, jac)
+        cov_nat = (cov_nat + cov_nat.T) / 2.0
+    if not np.isfinite(cov_nat).all():
+        raise EvaluationError("the natural-scale covariance at sigma_e2=%r overflows the double range"
+                              % params_hat.sigma_e2)
+    return cov_nat

@@ -160,7 +160,7 @@ def independence_test(panel: TimeSeriesPanel, half_window: int | None = None) ->
         )
     n_blocks, centers = partition_frequencies(n, k)
 
-    spectral = dft_panel(working, remove_mean=True)
+    spectral = dft_panel(working)
     lambdas = np.empty(n_blocks)
     repairs = 0
     for l, center in enumerate(centers):

@@ -267,13 +267,14 @@ class KrigingOutput:
 
 
 def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
-                 include_target_noise: bool = False, remove_mean: bool = True,
+                 include_target_noise: bool = False,
                  threads: int | None = 1) -> KrigingOutput:
     """Predict the full series at an unobserved location.
 
-    Assembles and solves one kriging system per interior frequency, then
-    inverts the predicted ordinates and adds an inverse-distance estimate of
-    the local mean. Frequencies whose system cannot be solved contribute zero
+    Assembles and solves one kriging system per interior frequency from the
+    ordinates of the centred site series (dft_panel), then inverts the
+    predicted ordinates and adds an inverse-distance estimate of the local
+    mean. Frequencies whose system cannot be solved contribute zero
     to the reconstruction and are listed in the jitter report.
 
     Parameters
@@ -284,7 +285,7 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
     """
     if threads is not None and int(threads) < 1:
         raise ValueError("threads must be at least 1, got %r" % threads)
-    spectral = dft_panel(panel, remove_mean=remove_mean)
+    spectral = dft_panel(panel)
     tgt = np.asarray(target, dtype=float).reshape(-1)
     distances, lower = _site_distances(panel.locations, tgt)
     systems = (

@@ -111,19 +111,16 @@ class SpectralPanel:
     Attributes
     ----------
     dft : numpy.ndarray
-        Complex ordinates, shape (m, M).
+        Complex ordinates of the centred site series, shape (m, M).
     frequencies : numpy.ndarray
         The interior grid, shape (M,).
     n : int
         Length of the underlying series.
-    mean_removed : bool
-        Whether site means were subtracted before transforming.
     """
 
     dft: np.ndarray
     frequencies: np.ndarray
     n: int
-    mean_removed: bool
 
     @property
     def m(self) -> int:
@@ -134,14 +131,14 @@ class SpectralPanel:
         return self.dft.shape[1]
 
 
-def dft_panel(panel: TimeSeriesPanel, remove_mean: bool = True) -> SpectralPanel:
-    """Transform every site series to the interior frequency grid.
+def dft_panel(panel: TimeSeriesPanel) -> SpectralPanel:
+    """Transform every centred site series to the interior frequency grid.
 
-    Subtracting the site mean only changes the ordinate at frequency zero,
-    which the interior grid drops anyway, but is kept explicit so downstream
-    consumers know the data were centered. Series whose means or transform
-    overflow, or with an ordinate of modulus above sqrt(max double) / 2,
-    whose difference periodograms would overflow, raise ValueError.
+    The DFT of a constant vanishes at every interior frequency, so
+    subtracting the site means changes the ordinates only by rounding.
+    Series whose means or transform overflow, or with an ordinate of
+    modulus above sqrt(max double) / 2, whose difference periodograms would
+    overflow, raise ValueError.
     """
     n = panel.n
     m_int = (n - 1) // 2
@@ -153,12 +150,10 @@ def dft_panel(panel: TimeSeriesPanel, remove_mean: bool = True) -> SpectralPanel
     # values near the top of the double range overflow the means or the
     # transform; that is reported here, without a numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        if remove_mean:
-            means = obs.mean(axis=1, keepdims=True)
-            if not np.isfinite(means).all():
-                raise ValueError("site means overflow the double range")
-            obs = obs - means
-        dft = _dft_rows(obs)[:, 1 : m_int + 1]
+        means = obs.mean(axis=1, keepdims=True)
+        if not np.isfinite(means).all():
+            raise ValueError("site means overflow the double range")
+        dft = _dft_rows(obs - means)[:, 1 : m_int + 1]
         largest = np.abs(dft).max()
     if not np.isfinite(dft).all():
         raise ValueError("the Fourier transform of the series overflows the double range")
@@ -166,12 +161,7 @@ def dft_panel(panel: TimeSeriesPanel, remove_mean: bool = True) -> SpectralPanel
         raise ValueError("a Fourier ordinate of the series has modulus %r, above %r: its "
                          "difference periodograms would overflow"
                          % (float(largest), float(_MAX_ORDINATE)))
-    return SpectralPanel(
-        dft=dft,
-        frequencies=fourier_frequencies(n),
-        n=n,
-        mean_removed=bool(remove_mean),
-    )
+    return SpectralPanel(dft=dft, frequencies=fourier_frequencies(n), n=n)
 
 
 def _check_site(spectral: SpectralPanel, site: int) -> int:

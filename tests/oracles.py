@@ -339,8 +339,7 @@ def fit_by_simplex(panel, config):
     p, d, nu_fixed = config.n_coeffs, panel.d, config.nu_fixed
     bins = build_distance_bins(panel.locations, mode=config.bins_mode,
                                n_bins=config.n_bins, tolerance=config.bin_tolerance)
-    prepared = _prepare(dft_panel(panel, remove_mean=config.remove_mean), bins,
-                        config.n_frequencies)
+    prepared = _prepare(dft_panel(panel), bins, config.n_frequencies)
 
     def scale_free(vec):
         return unpack_params(np.concatenate(([0.0], vec)), p, d=d, nu_fixed=nu_fixed,

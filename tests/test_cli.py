@@ -3,12 +3,13 @@
 import csv
 import json
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from stkrig.cli import _DEFAULTS, _flag_actions, build_parser, main
+from stkrig.cli import _COMMANDS, _MANDATORY, _flags, main
 
 
 MODEL = {"sigma_e2": 1.0, "nu": 1.0, "c_coeffs": [0.2, 0.4], "nugget": 0.0, "d": 2}
@@ -98,7 +99,6 @@ def test_spectra_outputs(pipeline):
     with open(os.path.join(pipeline["spectra"], "spectra.json")) as handle:
         payload = json.load(handle)
     assert payload["n_frequencies"] == 33
-    assert payload["config"]["keep_mean"] is False
 
 
 def test_estimate_output_feeds_krige(pipeline):
@@ -172,13 +172,13 @@ def test_config_file_provides_defaults_and_flags_override(pipeline, tmp_path):
 def test_config_accepts_dashed_keys(pipeline, tmp_path):
     config_path = str(tmp_path / "config.json")
     with open(config_path, "w") as handle:
-        json.dump({"keep-mean": True}, handle)
-    out_dir = str(tmp_path / "spectra")
-    assert main(["spectra", "--config", config_path,
-                 "--locations", pipeline["locations"],
-                 "--series", pipeline["series"], "--out", out_dir]) == 0
-    with open(os.path.join(out_dir, "spectra.json")) as handle:
-        assert json.load(handle)["config"]["keep_mean"] is True
+        json.dump({"no-covariance": True}, handle)
+    out_path = str(tmp_path / "fit.json")
+    assert main(["estimate", "--config", config_path,
+                 "--locations", pipeline["locations"], "--series", pipeline["series"],
+                 "--nu-fixed", "1.0", "--multistart", "2", "--out", out_path]) == 0
+    with open(out_path) as handle:
+        assert json.load(handle)["config"]["no_covariance"] is True
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
@@ -198,9 +198,8 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
 
 
 def _int_flags():
-    parser = build_parser()
-    return [(command, dest) for command in _DEFAULTS
-            for dest, action in _flag_actions(parser, command).items() if action.type is int]
+    return [(command, name) for command in _COMMANDS
+            for name, kind, _, _ in _flags(command) if kind is int]
 
 
 @pytest.mark.parametrize("value", [[2], None, "x"], ids=["list", "null", "string"])
@@ -211,7 +210,8 @@ def test_malformed_int_config_value_is_a_usage_error(command, flag, value, tmp_p
         json.dump({flag: value}, handle)
     assert main([command, "--config", config_path]) == 2
     err = capsys.readouterr().err
-    if value is None and _DEFAULTS[command][flag] is None:
+    default = {name: default for name, _, default, _ in _flags(command)}[flag]
+    if value is None and default in (None, _MANDATORY):
         # null leaves an optional-valued flag unset, so it passes conversion
         assert "missing required option(s)" in err
     else:
@@ -254,6 +254,7 @@ def _huge_values(shape, seed):
     "large-series-spectra", "large-series-estimate", "large-series-krige",
     "overflowing-coordinates", "overflowing-coordinates-simulate",
     "overflowing-coordinates-krige", "infinite-forecast-cell", "overflowing-forecast",
+    "absurd-horizons", "absurd-length",
 ])
 def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path, capsys):
     # every exit-1 path: stderr parses as one JSON object, and no warning
@@ -294,6 +295,18 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
         else:
             argv += ["--out", str(tmp_path / ("fit.json" if command == "estimate" else "out"))]
         expected = (command, "ValueError")
+    elif case.startswith("absurd"):
+        # each first allocation is petabytes, so it fails before anything is
+        # allocated
+        if case == "absurd-horizons":
+            argv = ["forecast", "--reconstructed",
+                    os.path.join(pipeline["krige"], "target_series.csv"),
+                    "--horizons", "1000000000000000", "--out", str(tmp_path / "fc.json")]
+        else:
+            argv = ["simulate", "--locations", pipeline["locations"],
+                    "--model", pipeline["model"], "--n", "1000000000000000",
+                    "--out", str(tmp_path / "sim")]
+        expected = (argv[0], "MemoryError")
     elif case.startswith("overflowing-coordinates"):
         command = "estimate" if case == "overflowing-coordinates" else case.rsplit("-", 1)[1]
         with open(pipeline["locations"], newline="") as handle:
@@ -385,3 +398,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("stkrig ")
+
+
+def test_readme_usage_lists_every_flag():
+    # --config and --threads, which every command takes, are covered by the
+    # README's prose
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    usage = {}
+    for line in block.splitlines():
+        if line.startswith("stkrig "):
+            command = line.split()[1]
+            usage[command] = []
+        usage[command] += re.findall(r"--[A-Za-z][A-Za-z-]*", line)
+    assert usage == {command: ["--" + name.replace("_", "-") for name, _, _, _ in own]
+                     for command, (_, own) in _COMMANDS.items()}

@@ -21,6 +21,7 @@ from stkrig.estimate import (EstimationError, EvaluationError,
                              SingularHessianError, _binned_difference_periodograms,
                              _criterion_terms, _prepare, _quasi_newton, _tolerance_groups)
 from stkrig.numerics import OptimizerConfig
+from stkrig.spectral import _MAX_ORDINATE
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
                                        "pilot_thresholds.json")))
@@ -256,6 +257,36 @@ def test_criterion_rejects_nonfinite():
     # h |c(w)| = e^350 is no overflow: C(h, w) underflows to 0 and g = 2 C(0, w)
     far = ModelParams(sigma_e2=1e300, nu=1.0, c_coeffs=(700.0,), d=2)
     assert np.all(np.isfinite(_criterion_terms(np.ones((1, freqs.size)), dists, freqs, far)))
+
+
+def _near_bound_panel(fraction):
+    """4 sites on the unit square, n = 33, scaled so that the largest
+    Fourier ordinate is the given fraction of dft_panel's bound."""
+    locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    obs = np.random.default_rng(5).normal(size=(4, 33))
+    largest = np.abs(dft_panel(TimeSeriesPanel(locs, obs)).dft).max()
+    return TimeSeriesPanel(locs, obs * (fraction * _MAX_ORDINATE / largest))
+
+
+def test_criterion_sum_overflow_raises_without_a_warning():
+    # every term is finite, but I / g ~ 1e306 at unit scale and their sum is not
+    panel = _near_bound_panel(0.3)
+    params = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.0, 0.0), d=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EvaluationError, match="sum over its terms overflows"):
+            whittle_criterion(dft_panel(panel), build_distance_bins(panel.locations), params)
+    assert caught == []
+
+
+def test_fit_drops_an_overflowing_covariance_with_one_warning():
+    # the fit is finite, but the delta method squares sigma_e2 ~ 1e306
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit(_near_bound_panel(0.1), FitConfig(nu_fixed=1.0, multistart=2))
+    assert result.covariance is None and np.isfinite(result.criterion)
+    assert [(w.category, str(w.message).split(":")[0]) for w in caught] == [
+        (UserWarning, "asymptotic covariance unavailable")]
 
 
 def test_criterion_prefers_truth_on_average():

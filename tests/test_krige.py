@@ -191,8 +191,7 @@ def test_reconstruct_series_matches_brute_force():
     rng = np.random.default_rng(8)
     z = rng.normal(size=n)
     z -= z.mean()
-    spectral = dft_panel(TimeSeriesPanel(np.array([[0.0, 0.0]]),
-                                         z[None, :]), remove_mean=False)
+    spectral = dft_panel(TimeSeriesPanel(np.array([[0.0, 0.0]]), z[None, :]))
     pred = spectral.dft[0]
     rebuilt = reconstruct_series(pred, n, site_mean=2.5)
     full = np.zeros(n, dtype=complex)

@@ -63,21 +63,21 @@ def test_panel_defaults_and_read_only():
 
 def test_dft_panel_rows_match_brute_force():
     panel = _panel(m=4, n=19, seed=2)
-    spectral = dft_panel(panel, remove_mean=False)
+    spectral = dft_panel(panel)
     m_int = (19 - 1) // 2
+    centred = panel.observations - panel.site_means()[:, None]
     for i in range(4):
-        ref = dft_brute_force(panel.observations[i])[1 : m_int + 1]
+        ref = dft_brute_force(centred[i])[1 : m_int + 1]
         assert_allclose(spectral.dft[i], ref, atol=1e-12)
     assert_allclose(spectral.frequencies, fourier_frequencies(19))
-    assert spectral.n == 19 and not spectral.mean_removed
+    assert spectral.n == 19
 
 
 def test_mean_removal_leaves_interior_ordinates_alone():
     panel = _panel(m=2, n=32, seed=3)
-    kept = dft_panel(panel, remove_mean=False)
-    removed = dft_panel(panel, remove_mean=True)
-    assert removed.mean_removed
-    assert_allclose(kept.dft, removed.dft, atol=1e-12)
+    shifted = TimeSeriesPanel(panel.locations,
+                              panel.observations + np.array([[3.0], [-40.0]]))
+    assert_allclose(dft_panel(shifted).dft, dft_panel(panel).dft, rtol=0, atol=1e-12)
 
 
 def test_dft_panel_needs_three_points():
