@@ -319,7 +319,11 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     g = np.maximum(g, _VARIOGRAM_FLOOR)
     scaled = g
     if profile:
-        scale = float(np.mean(binned / g))
+        # binned over the power of two above its largest value first, so
+        # binned / g stays finite where the scale itself is; exact, so the
+        # scale has the bits of mean(binned / g) wherever that is finite
+        _, exponent = np.frexp(binned.max())
+        scale = float(np.ldexp(np.mean(np.ldexp(binned, -exponent) / g), exponent))
         scaled = np.maximum(scale * g, _VARIOGRAM_FLOOR)
     ratio = binned / scaled
     terms = np.log(scaled) + ratio

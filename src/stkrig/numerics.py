@@ -97,6 +97,12 @@ def bessel_k(order, x):
     Arguments must be strictly positive; results that overflow the double
     range raise OverflowError.
 
+    e^-x times _scaled_bessel_k: exact integer and half-integer orders up to
+    20.5 by recurrence or closed form; any other order by a Chebyshev table
+    over the call's range when the call has enough points (within 6e-14 of
+    kve), and by scipy's kve otherwise. Where kve gives up (inf or NaN),
+    scipy's kv takes over.
+
     Parameters
     ----------
     order : float
@@ -153,20 +159,24 @@ def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False):
     recurrence K_{j+1} = K_{j-1} + (2 j / x) K_j from k0e and k1e, which is
     stable upward. An exact half-integer n + 1/2 is the closed form
     sqrt(pi / 2x) * sum_k (n + k)! / (k! (n - k)!) (2x)^(-k), by Horner in
-    1 / (2x). Any other order, or one above _CLOSED_FORM_MAX_ORDER, is
-    scipy's kve. Where K overflows the result is inf, as kve's is.
+    1 / (2x). Any other order, or one above _CLOSED_FORM_MAX_ORDER, goes
+    through _kve_by_table: a Chebyshev table of the call's own x-range
+    when the call has enough points for one to pay, scipy's kve otherwise.
+    Where K overflows the result is inf, and from x = 2^30 on it is NaN, as
+    kve's are.
 
     With with_previous set, returns the pair (e^x K_{order-1}(x),
     e^x K_order(x)), which gives the derivative
     d/dx [x^order K_order(x)] = -x^order K_{order-1}(x). K is even in its
     order, so K_{order-1} is K_{|order-1|}: the recurrence's previous term
     for an integer order (k1e at order 0), the closed form at n - 1/2 for a
-    half-integer one, and one more kve call otherwise.
+    half-integer one, and one more table or kve call otherwise.
     """
     n = int(order)
     if order > _CLOSED_FORM_MAX_ORDER or order - n not in (0.0, 0.5):
-        cur = _sspec.kve(order, x)
-        return (_sspec.kve(abs(order - 1.0), x), cur) if with_previous else cur
+        if with_previous:
+            return tuple(_kve_by_table((abs(order - 1.0), order), x))
+        return _kve_by_table((order,), x)[0]
     with np.errstate(over="ignore", divide="ignore"):
         if order == n:
             if n < 2 and not with_previous:
@@ -192,6 +202,126 @@ def _half_integer_poly(n: int, t: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         poly = poly * t + coeffs[k]
     return poly
+
+
+# The table of _kve_by_table: pieces of fixed width in t = log x, each
+# interpolating log(e^x K(x)) at the degree + 1 Chebyshev nodes of the first
+# kind. log K is analytic in t for |Im t| < pi / 2 (K_mu has no zeros with
+# |arg z| <= pi / 2), so on a piece of half-width 1/4 the degree-12 error is
+# below the rounding of kve's own node values: within 6e-14 of kve for
+# orders 1e-3 to 40 on x in [1e-6, 700].
+_TABLE_WIDTH = 0.5
+_TABLE_DEGREE = 12
+# A call takes the table when it has more points than this plus twice the
+# table's nodes. Measured on a 2-core Xeon: the table's fixed cost is about
+# that of 300 kve points, each node costs one, and each point a fifth of
+# one; twice the nodes keeps calls near the break-even on kve.
+_TABLE_CROSSOVER = 250
+
+_CHEB_ANGLES = np.pi * (np.arange(_TABLE_DEGREE + 1) + 0.5) / (_TABLE_DEGREE + 1)
+_CHEB_CENTRE = _TABLE_DEGREE // 2
+# x at the nodes over x at the piece's centre; the degree is even, so the
+# centre is a node, set to exactly 0 (its cosine rounds to 6e-17)
+_NODE_FACTORS = np.exp(0.5 * _TABLE_WIDTH * np.cos(_CHEB_ANGLES))
+_NODE_FACTORS[_CHEB_CENTRE] = 1.0
+# node values times this matrix are the Chebyshev coefficients
+_CHEB_MATRIX = (2.0 / (_TABLE_DEGREE + 1)) * np.cos(
+    np.outer(_CHEB_ANGLES, np.arange(_TABLE_DEGREE + 1)))
+_CHEB_MATRIX[:, 0] *= 0.5
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _kve_by_table(orders, x: np.ndarray) -> list:
+    """scipy's kve(order, x) for each of the orders, within about 1e-13.
+
+    With more points than _TABLE_CROSSOVER plus twice the table's nodes
+    (13 per half unit of log x), each order gets a table of the pieces that
+    cover the call's own [min x, max x]: one kve call on their nodes, then
+    per point a piece lookup and a Clenshaw sum. The pieces lie on a fixed
+    grid in log x, so a point's value does not depend on the call's other
+    points. One of the grid's ends is x = 2, where kve (AMOS's CBKNU)
+    switches from its series to its large-x method and its values jump by
+    up to 2.5e-13: no piece straddles the jump, so each follows kve's values
+    on its side of it. A piece stores its centre value as a scale and
+    interpolates log(K / K_centre), which is small, so the rounding of
+    log K itself (an ulp of 6e-14 where log K ~ 300) does not enter. Points
+    of a piece where kve is not finite at a node or an end (K overflowing at
+    tiny x and high order, kve's NaN from x = 2^30 on) take kve itself, so
+    the result is inf or NaN exactly where kve's is. Otherwise each order is
+    one kve call.
+    """
+    # the most pieces a table of this call may have
+    affordable = (np.size(x) - _TABLE_CROSSOVER - 1) // (2 * (_TABLE_DEGREE + 1))
+    if affordable > 0:
+        t = np.multiply(np.ravel(x), 0.5)
+        np.log(t, out=t)
+        t *= 1.0 / _TABLE_WIDTH  # log(x / 2) in piece widths
+        first = np.floor(t.min())
+        pieces = np.floor(t.max()) - first + 1.0
+        # false also when x holds 0, inf or NaN
+        if pieces <= affordable:
+            return _tabulated(orders, x, t, first, int(pieces))
+    return [_sspec.kve(order, x) for order in orders]
+
+
+def _tabulated(orders, x: np.ndarray, t: np.ndarray, first: float, pieces: int) -> list:
+    """The table path of _kve_by_table: t is log(x / 2) over the width, and
+    the pieces are [first + k, first + k + 1) in t, k < pieces. Overwrites
+    t."""
+    flat = np.ravel(x)
+    np.floor(t, out=t)
+    t -= first
+    piece = t.astype(np.intp)
+    centres = 2.0 * np.exp(_TABLE_WIDTH * (first + 0.5 + np.arange(pieces)))
+    # the local variable log(x / centre) in [-1, 1], from the centre rather
+    # than from t, whose rounding grows with |log x|
+    u = np.take(1.0 / centres, piece, out=t)
+    u *= flat
+    np.log(u, out=u)
+    u *= 2.0 / _TABLE_WIDTH
+    # the nodes, then the pieces' ends
+    points = np.concatenate([np.ravel(centres[:, None] * _NODE_FACTORS),
+                             2.0 * np.exp(_TABLE_WIDTH * (first + np.arange(pieces + 1)))])
+    out = []
+    for order in orders:
+        values = _sspec.kve(order, points)
+        finite_ends = np.isfinite(values[-pieces - 1:])
+        values = values[:-pieces - 1].reshape(pieces, -1)
+        scale = values[:, _CHEB_CENTRE]
+        log_ratio = np.log(values / scale[:, None])
+        # kve is inf only below some x and NaN only from x = 2^30 on, so it
+        # is finite on a piece where it is at both ends
+        bad = ~(np.isfinite(log_ratio).all(axis=1) & finite_ends[:-1] & finite_ends[1:])
+        log_ratio[bad] = 0.0
+        # einsum rather than BLAS, so the bits do not depend on the thread
+        # count; rows are coefficients, so each Clenshaw step reads one row
+        coeffs = np.einsum("pj,jk->kp", log_ratio, _CHEB_MATRIX, order="C")
+        value = _clenshaw(coeffs, piece, u)
+        np.exp(value, out=value)
+        value *= np.take(scale, piece)
+        if bad.any():
+            fallback = bad[piece]
+            value[fallback] = _sspec.kve(order, flat[fallback])
+        out.append(value.reshape(np.shape(x)))
+    return out
+
+
+def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k, piece] T_k(u), elementwise, by Clenshaw's recurrence."""
+    two_u = u + u
+    b1 = np.take(coeffs[-1], piece)
+    b2 = np.zeros_like(u)
+    step = np.empty_like(u)
+    for row in coeffs[-2:0:-1]:
+        np.multiply(two_u, b1, out=step)
+        step -= b2
+        np.take(row, piece, out=b2)
+        b2 += step
+        b1, b2 = b2, b1
+    np.multiply(u, b1, out=step)
+    step -= b2
+    step += np.take(coeffs[0], piece)
+    return step
 
 
 def dft_forward(series) -> np.ndarray:

@@ -121,6 +121,8 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
         observations += rng.normal(0.0, np.sqrt(params.nugget), size=(m, n))
 
     ids = spec.site_ids if spec.site_ids else tuple("site%d" % i for i in range(m))
+    # read-only, so the panel keeps it without a copy
+    observations.flags.writeable = False
     return TimeSeriesPanel(locations=loc, observations=observations, site_ids=ids)
 
 

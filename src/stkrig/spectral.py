@@ -27,6 +27,20 @@ def fourier_frequencies(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(1, m + 1) / n
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself when it and every array down its chain of bases are
+    read-only, the last one owning its memory, as for a slice of another
+    panel; otherwise a read-only copy."""
+    owner = arr
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None:
+        return arr
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class TimeSeriesPanel:
     """Observations of one scalar series at each of m spatial sites.
@@ -39,6 +53,10 @@ class TimeSeriesPanel:
         Real data, shape (m, n) with n >= 2.
     site_ids : tuple of str
         One identifier per site, unique.
+
+    The panel holds its arrays read-only. It keeps an array that nothing
+    can write, such as a row slice of another panel's, and copies any
+    other.
     """
 
     locations: np.ndarray
@@ -80,12 +98,8 @@ class TimeSeriesPanel:
             i = int(first[counts > 1].min())
             j = int(np.flatnonzero(label == label[i])[1])
             raise ValueError("duplicate location for sites %r and %r" % (ids[i], ids[j]))
-        loc = loc.copy()
-        obs = obs.copy()
-        loc.flags.writeable = False
-        obs.flags.writeable = False
-        object.__setattr__(self, "locations", loc)
-        object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "locations", _read_only(loc))
+        object.__setattr__(self, "observations", _read_only(obs))
         object.__setattr__(self, "site_ids", ids)
 
     @property

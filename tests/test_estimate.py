@@ -289,6 +289,28 @@ def test_fit_drops_an_overflowing_covariance_with_one_warning():
         (UserWarning, "asymptotic covariance unavailable")]
 
 
+def test_fit_near_the_bound_with_nu_free():
+    # at the start min g ~ 0.01 and max binned ~ 5e305: mean(binned / g)
+    # would overflow before the profiled scale is formed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit(_near_bound_panel(0.1), FitConfig())
+    assert np.isfinite(result.criterion) and np.isfinite(result.params.sigma_e2)
+    assert [(w.category, str(w.message).split(":")[0]) for w in caught] == [
+        (UserWarning, "asymptotic covariance unavailable")]
+
+
+def test_profiled_scale_past_the_double_range_raises_without_a_warning():
+    # g is at its floor 1e-300 at a near-zero distance, so the scale is 1e600
+    params = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.0,), d=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EvaluationError, match="scaled by inf"):
+            _criterion_terms(np.full((1, 3), 1e300), np.array([1e-300]),
+                             np.array([0.5, 1.0, 1.5]), params, profile=True)
+    assert caught == []
+
+
 def test_criterion_prefers_truth_on_average():
     truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.3, 0.5), d=2)
     bumped = ModelParams(sigma_e2=1.5, nu=1.0, c_coeffs=(0.3, 0.5), d=2)

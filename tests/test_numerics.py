@@ -9,9 +9,10 @@ from scipy import special
 
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
-from stkrig.numerics import (JITTER_LADDER, OptimizerConfig, SingularMatrixError,
-                             _scaled_bessel_k, bessel_k, cholesky_with_jitter,
-                             dft_forward, dft_inverse, hpd_solve, log_gamma)
+from stkrig.numerics import (_TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
+                             OptimizerConfig, SingularMatrixError, _scaled_bessel_k,
+                             bessel_k, cholesky_with_jitter, dft_forward, dft_inverse,
+                             hpd_solve, log_gamma)
 
 # value of the integral representation at (order, x) = (1, 1), computed by
 # adaptive quadrature before the implementation existed
@@ -103,6 +104,99 @@ def test_scaled_bessel_other_orders_are_kve():
     x = np.geomspace(1e-6, 700.0, 300)
     for order in (0.6, 1.0 + 1e-12, 2.25, 21.0, 21.5, 33.0):
         assert_array_equal(_scaled_bessel_k(order, x), special.kve(order, x))
+
+
+@pytest.fixture
+def kve_points(monkeypatch):
+    """List that receives the number of points of every scipy kve call."""
+    points = []
+    inner = special.kve
+
+    def counted(order, x):
+        points.append(np.size(x))
+        return inner(order, x)
+
+    monkeypatch.setattr(special, "kve", counted)
+    return points
+
+
+def _assert_matches_kve(values, order, x):
+    # within 1e-12 where kve is finite, and its inf or NaN where it is not
+    reference = special.kve(order, x)
+    finite = np.isfinite(reference)
+    assert_allclose(values[finite], reference[finite], rtol=1e-12, atol=0.0)
+    assert_array_equal(values[~finite], reference[~finite])
+
+
+# orders the table serves: off the exact ones, or above the closed forms; the
+# smallest put Temme's small-x crossover, log x ~ -1 / order, in or below range
+TABLE_ORDERS = [1e-3, 2e-3, 0.01, 0.05, 0.3, 0.6, 0.97, 1.3, 2.25, 3.3, 7.77,
+                12.1, 19.9, 20.3, 21.0, 27.5, 33.0, 40.0]
+
+
+@pytest.mark.parametrize("order", TABLE_ORDERS)
+def test_table_matches_kve_over_the_double_range(order, kve_points):
+    # from the smallest normal double to 1e6: 1,446 pieces, so the call
+    # needs more than 250 + 2 * 13 * 1,446 = 37,846 points for the table
+    x = np.geomspace(np.finfo(float).tiny, 1e6, 40000)
+    previous, current = _scaled_bessel_k(order, x, with_previous=True)
+    assert kve_points and max(kve_points) < x.size  # the table ran
+    _assert_matches_kve(current, order, x)
+    _assert_matches_kve(previous, abs(order - 1.0), x)
+    assert_array_equal(_scaled_bessel_k(order, x), current)
+
+
+@pytest.mark.parametrize("order", [1e-3, 0.3, 2.25, 12.1, 33.0, 40.0])
+def test_table_matches_quadrature_oracle(order):
+    x = np.geomspace(np.finfo(float).tiny, 1e6, 40000)
+    scaled = _scaled_bessel_k(order, x)
+    # the oracle integrates up to t = 700, which is asinh(order / x) near
+    # x = 1e-300, and K underflows past x ~ 700
+    picked = np.flatnonzero(np.isfinite(scaled) & (x >= 1e-280) & (x <= 700.0))[::997]
+    for i in picked:
+        assert_allclose(np.exp(-x[i]) * scaled[i], bessel_k_quadrature(order, x[i]),
+                        rtol=1e-12)
+
+
+def test_table_value_of_a_point_does_not_depend_on_the_call():
+    rng = np.random.default_rng(8)
+    x = np.exp(rng.uniform(-5.0, 3.0, 5000))
+    wider = np.concatenate([np.exp(rng.uniform(-9.0, 6.0, 7000)), x[:100]])
+    for order in (0.6, 27.1):
+        assert_array_equal(_scaled_bessel_k(order, wider)[-100:],
+                           _scaled_bessel_k(order, x)[:100])
+        assert_array_equal(_scaled_bessel_k(order, wider, with_previous=True)[0][-100:],
+                           _scaled_bessel_k(order, x, with_previous=True)[0][:100])
+
+
+def test_table_follows_kve_on_both_sides_of_x_2():
+    # kve changes method at x = 2 and jumps there by 2.5e-13 at this order;
+    # a piece ends at 2, so none interpolates across the jump
+    x = np.geomspace(1.0, 4.0, 3000)
+    assert_allclose(_scaled_bessel_k(0.8882, x), special.kve(0.8882, x), rtol=2e-14, atol=0.0)
+
+
+def test_table_edges_keep_kve_inf_and_nan(kve_points):
+    # K_25.7 overflows below x ~ 2.7e-11, and kve is NaN from x = 2^30 on;
+    # the points of pieces reaching into either take kve itself
+    x = np.geomspace(1e-14, 1e10, 5000)
+    values = {order: _scaled_bessel_k(order, x) for order in (25.7, 0.6)}
+    assert max(kve_points) < x.size  # the tables ran
+    assert np.isinf(values[25.7][0]) and np.isnan(values[0.6][-1])
+    for order, value in values.items():
+        _assert_matches_kve(value, order, x)
+
+
+def test_table_takes_over_above_the_crossover(kve_points):
+    # one piece, 13 nodes: the table needs more than crossover + 26 points
+    size = _TABLE_CROSSOVER + 2 * (_TABLE_DEGREE + 1)
+    for n, table in ((size, False), (size + 1, True)):
+        x = np.linspace(1.0, 1.2, n)
+        kve_points.clear()
+        values = _scaled_bessel_k(0.6, x)
+        # the nodes and the piece's two ends, or every point
+        assert kve_points == [_TABLE_DEGREE + 3 if table else n]
+        _assert_matches_kve(values, 0.6, x)
 
 
 def test_bessel_k_dispatched_orders_match_quadrature_oracle():

@@ -61,6 +61,29 @@ def test_panel_defaults_and_read_only():
     assert_allclose(panel.site_means(), panel.observations.mean(axis=1))
 
 
+def test_panel_adopts_a_slice_of_another_panel():
+    full = simulate_panel(SimulationSpec(
+        locations=np.random.default_rng(2).uniform(0.0, 3.0, (5, 2)), n=16,
+        params=ModelParams(sigma_e2=1.0, nu=0.8, c_coeffs=(0.1,), d=2)))
+    part = TimeSeriesPanel(full.locations[:3], full.observations[:3])
+    assert np.shares_memory(part.observations, full.observations)
+    assert np.shares_memory(part.locations, full.locations)
+    assert not part.observations.flags.writeable
+    with pytest.raises(ValueError):
+        part.observations[0, 0] = 1.0
+
+
+def test_panel_copies_a_read_only_view_of_writeable_memory():
+    obs = np.random.default_rng(3).normal(size=(3, 24))
+    view = obs.view()
+    view.flags.writeable = False
+    panel = TimeSeriesPanel(_panel().locations, view)
+    assert not np.shares_memory(panel.observations, obs)
+    before = panel.observations.copy()
+    obs[:] = 7.0
+    assert np.array_equal(panel.observations, before)
+
+
 def test_dft_panel_rows_match_brute_force():
     panel = _panel(m=4, n=19, seed=2)
     spectral = dft_panel(panel)
