@@ -45,7 +45,6 @@ from .krige import (
     reconstruct_series,
 )
 from .numerics import (
-    OptimizerConfig,
     SingularMatrixError,
     bessel_k,
     dft_forward,
@@ -76,8 +75,8 @@ __all__ = [
     "IndependenceTestResult", "default_half_window", "independence_test",
     "ForecastOutput", "KrigingOutput", "assemble_system", "forecast",
     "krige_series", "predict_dft", "reconstruct_series",
-    "OptimizerConfig", "SingularMatrixError", "bessel_k", "dft_forward",
-    "dft_inverse", "hpd_solve", "log_gamma",
+    "SingularMatrixError", "bessel_k", "dft_forward", "dft_inverse",
+    "hpd_solve", "log_gamma",
     "SimulationSpec", "simulate_panel", "simulate_white_panel",
     "SpectralPanel", "TimeSeriesPanel", "block_center_frequencies",
     "cross_periodogram", "dft_panel", "difference_periodogram",

@@ -105,7 +105,7 @@ _COMMANDS = {
 # Every subcommand ends with --config and then this flag. It changes how
 # fast the answer is computed, never the answer, so it stays out of the
 # recorded config and reruns compare byte for byte.
-_THREADS = ("threads", int, None, "worker threads (or set STKRIG_THREADS)")
+_THREADS = ("threads", int, 1, "worker threads")
 
 
 def _flags(command: str) -> tuple:
@@ -161,12 +161,6 @@ def _config_value(kind: type, default, key: str, value):
 
 def _threads(resolved: dict) -> int:
     value = resolved["threads"]
-    if value is None:
-        env = os.environ.get("STKRIG_THREADS")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise UsageError("STKRIG_THREADS must be an integer, got %r" % env) from None
     if value < 1:
         raise UsageError("threads must be at least 1, got %r" % value)
     return value

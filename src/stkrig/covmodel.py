@@ -251,8 +251,17 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
 
 
 def c_mod_sq(omega, params: ModelParams):
-    """Squared inverse range |c(w)|^2 = exp(b_0 + sum_k b_k cos(k w))."""
-    return _scalar_like(_c_mod_sq(_as_float_array(omega, "omega"), params), omega)
+    """Squared inverse range |c(w)|^2 = exp(b_0 + sum_k b_k cos(k w)).
+
+    Below the double range it is 0; above it raises FloatingPointError,
+    without a numpy warning first.
+    """
+    om = _as_float_array(omega, "omega")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _c_mod_sq(om, params)
+    if not np.isfinite(value).all():
+        raise FloatingPointError("|c(w)|^2 overflows the double range")
+    return _scalar_like(value, omega)
 
 
 def cov_zero(omega, params: ModelParams):
@@ -310,15 +319,23 @@ def st_spectral_density(wavenumber, omega, params: ModelParams):
     omega : float or array_like
         Temporal frequencies, broadcast against the leading axes of
         wavenumber.
+
+    Where the denominator passes the top of the double range the density
+    is 0; where it passes the bottom, the density raises
+    FloatingPointError, without a numpy warning first.
     """
     lam = _as_float_array(wavenumber, "wavenumber")
     if lam.shape[-1] != params.d:
         raise ValueError(
             "wavenumber last axis has length %d, expected d=%d" % (lam.shape[-1], params.d)
         )
-    norm_sq = np.sum(lam * lam, axis=-1)
-    c2 = _c_mod_sq(_as_float_array(omega, "omega"), params)
-    value = params.sigma_e2 / (_TWO_PI ** params.d * (norm_sq + c2) ** (2.0 * params.nu))
+    om = _as_float_array(omega, "omega")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norm_sq = np.sum(lam * lam, axis=-1)
+        c2 = _c_mod_sq(om, params)
+        value = params.sigma_e2 / (_TWO_PI ** params.d * (norm_sq + c2) ** (2.0 * params.nu))
+    if not np.isfinite(value).all():
+        raise FloatingPointError("the spectral density overflows the double range")
     return _scalar_like(value, omega, norm_sq)
 
 

@@ -18,7 +18,7 @@ fit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,6 @@ from .covmodel import (
     pack_params,
     unpack_params,
 )
-from .numerics import OptimizerConfig
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
 
 _TWO_PI = 2.0 * np.pi
@@ -104,12 +103,6 @@ class DistanceBins:
 
     def __len__(self) -> int:
         return self.counts.size
-
-    def distances(self) -> np.ndarray:
-        return self.representatives.copy()
-
-    def pair_counts(self) -> np.ndarray:
-        return self.counts.copy()
 
     def summary(self) -> dict:
         return {
@@ -276,12 +269,20 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     _check_pairs(bins.pairs, np.any(bins.pairs >= spectral.m, axis=1),
                  "is out of range for %d sites" % spectral.m)
     binned = _binned_difference_periodograms(spectral, bins, m_use)
-    return _Prepared(binned, bins.distances(), spectral.frequencies[:m_use])
+    return _Prepared(binned, bins.representatives, spectral.frequencies[:m_use])
 
 
 # Step in log(nu - d/4) of the central difference that gives the terms'
 # derivative in the smoothness: K has no closed-form derivative in its order
 _NU_STEP = 1e-5
+
+# Termination of each restart's gradient search: after _MAX_ITERATIONS
+# iterations, once an iteration lowers the criterion by at most about
+# _TOLERANCE_F (absolute), or once no gradient component exceeds
+# _TOLERANCE_X (scipy's gtol), which near the minimum bounds the next step
+_MAX_ITERATIONS = 4000
+_TOLERANCE_F = 1e-9
+_TOLERANCE_X = 1e-6
 
 # Step in pack_params' coordinates of the central difference of the
 # criterion's gradient that gives asymptotic_covariance its Hessian
@@ -412,16 +413,6 @@ class FitConfig:
         Number of optimizer restarts from randomized starting points.
     seed : int
         Seed for the restart draws; fits are reproducible given the seed.
-    optimizer : OptimizerConfig
-        Settings of the gradient search (scipy's L-BFGS-B) shared by all
-        restarts. max_iterations caps its iterations. tolerance_f is an
-        absolute criterion tolerance: the search stops once an iteration
-        lowers the criterion by at most about tolerance_f (scipy's ftol,
-        relative to max(1, |Q|), is set to tolerance_f / max(1, |Q(start)|)).
-        tolerance_x is the gradient tolerance: the search stops once no
-        component of the gradient exceeds it (scipy's gtol); near the
-        minimum that bounds the remaining quasi-Newton step. The first
-        step is sized from the gradient.
     compute_covariance : bool
         Attach the asymptotic covariance of the estimates to the result.
         Failures there degrade to a warning rather than failing the fit.
@@ -436,11 +427,6 @@ class FitConfig:
     bin_tolerance: float | None = None
     multistart: int = 5
     seed: int = 0
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(
-            max_iterations=4000, tolerance_f=1e-9, tolerance_x=1e-6
-        )
-    )
     compute_covariance: bool = True
 
     def __post_init__(self):
@@ -450,25 +436,6 @@ class FitConfig:
             raise ValueError("multistart must be at least 1, got %d" % self.multistart)
         if self.nu_fixed is not None and not np.isfinite(self.nu_fixed):
             raise ValueError("nu_fixed must be finite, got %r" % self.nu_fixed)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_coeffs": self.n_coeffs,
-            "nu_fixed": None if self.nu_fixed is None else float(self.nu_fixed),
-            "fit_nugget": self.fit_nugget,
-            "n_frequencies": self.n_frequencies,
-            "bins_mode": self.bins_mode,
-            "n_bins": self.n_bins,
-            "bin_tolerance": self.bin_tolerance,
-            "multistart": self.multistart,
-            "seed": self.seed,
-            "optimizer": {
-                "max_iterations": self.optimizer.max_iterations,
-                "tolerance_f": self.optimizer.tolerance_f,
-                "tolerance_x": self.optimizer.tolerance_x,
-            },
-            "compute_covariance": self.compute_covariance,
-        }
 
 
 @dataclass
@@ -528,10 +495,10 @@ class FitResult:
         }
 
 
-def _quasi_newton(objective, start: np.ndarray, optimizer: OptimizerConfig):
+def _quasi_newton(objective, start: np.ndarray):
     """Minimize objective(vec) -> (value, gradient) by scipy's L-BFGS-B from
-    start; scipy's result, or None when the objective fails or is not
-    finite at the start.
+    start, under _MAX_ITERATIONS, _TOLERANCE_F and _TOLERANCE_X; scipy's
+    result, or None when the objective fails or is not finite at the start.
 
     The start's evaluation is the search's first, and nfev counts it. A
     point where the objective fails or is not finite reads as the start
@@ -558,10 +525,10 @@ def _quasi_newton(objective, start: np.ndarray, optimizer: OptimizerConfig):
         return done.pop(vec.tobytes(), None) or guarded(vec) or failed
 
     return _sopt.minimize(evaluate, start, jac=True, method="L-BFGS-B", options={
-        "maxiter": optimizer.max_iterations,
-        # scipy's ftol is relative to max(|Q|, 1); tolerance_f is absolute
-        "ftol": optimizer.tolerance_f / max(1.0, abs(first[0])),
-        "gtol": optimizer.tolerance_x,
+        "maxiter": _MAX_ITERATIONS,
+        # scipy's ftol is relative to max(|Q|, 1); _TOLERANCE_F is absolute
+        "ftol": _TOLERANCE_F / max(1.0, abs(first[0])),
+        "gtol": _TOLERANCE_X,
     })
 
 
@@ -628,7 +595,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         record = {"start": start_vec.tolist(), "criterion": None, "nfev": 0,
                   "converged": False}
         restarts.append(record)
-        result = _quasi_newton(objective, start_vec, config.optimizer)
+        result = _quasi_newton(objective, start_vec)
         if result is None:
             # the criterion is not finite at this start
             continue

@@ -1,6 +1,5 @@
 """Shared numerical kernels: special functions, the discrete Fourier transform
-at canonical frequencies, the optimizer settings, and regularized Hermitian
-positive definite solves.
+at canonical frequencies, and regularized Hermitian positive definite solves.
 
 Every routine in this module is deterministic. The transform pair uses the
 normalization 1 / sqrt(2 * pi * n) so that the squared modulus of a Fourier
@@ -11,7 +10,6 @@ at times t = 1, ..., n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +19,8 @@ from scipy import special as _sspec
 # Relative diagonal loadings tried, in order, when a Cholesky factorization
 # fails. Scaled by trace(A) / dim so the ladder is unit-free.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+
+_LN2 = math.log(2.0)
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -36,35 +36,6 @@ class SingularMatrixError(np.linalg.LinAlgError):
     def __init__(self, message: str, jitter: float):
         super().__init__(message)
         self.jitter = jitter
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Termination settings of a gradient search; estimate.FitConfig holds
-    one for fit's (see FitConfig.optimizer).
-
-    Parameters
-    ----------
-    max_iterations : int
-        Iteration cap before the search gives up.
-    tolerance_f : float
-        Absolute change of the objective over an iteration at which the
-        search stops.
-    tolerance_x : float
-        Largest gradient component at which the search stops.
-    """
-
-    max_iterations: int = 5000
-    tolerance_f: float = 1e-10
-    tolerance_x: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1, got %d" % self.max_iterations)
-        if not (self.tolerance_f > 0 and np.isfinite(self.tolerance_f)):
-            raise ValueError("tolerance_f must be positive and finite")
-        if not (self.tolerance_x > 0 and np.isfinite(self.tolerance_x)):
-            raise ValueError("tolerance_x must be positive and finite")
 
 
 class HpdSolution(NamedTuple):
@@ -101,7 +72,9 @@ def bessel_k(order, x):
     20.5 by recurrence or closed form; any other order by a Chebyshev table
     over the call's range when the call has enough points (within 6e-14 of
     kve), and by scipy's kve otherwise. Where kve gives up (inf or NaN),
-    scipy's kv takes over.
+    scipy's kv takes over, and where kv overflows too below x = 1e-150,
+    the leading terms of K's small-x series (both report overflow at every
+    order below x = 2.2e-305, where K is finite up to about order 1).
 
     Parameters
     ----------
@@ -127,6 +100,8 @@ def bessel_k(order, x):
     edge = ~np.isfinite(out)
     if np.any(edge):
         out[edge] = _sspec.kv(nu, xs[edge])
+        tiny = np.isinf(out) & (xs < _LEADING_TERMS_MAX_X)
+        out[tiny] = _small_x_bessel_k(nu, xs[tiny])
     if np.any(np.isinf(out)):
         raise OverflowError(
             "bessel_k overflowed for order %r at argument %r"
@@ -135,6 +110,33 @@ def bessel_k(order, x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out[0])
     return out
+
+
+# Below this x the leading terms of K's series are K to a double's precision:
+# the terms left out are (x / 2)^2 times smaller
+_LEADING_TERMS_MAX_X = 1e-150
+
+
+def _small_x_bessel_k(order: float, x: np.ndarray) -> np.ndarray:
+    """K_order(x) for an order > 0 and x below _LEADING_TERMS_MAX_X, inf
+    where it overflows.
+
+    The leading term is Gamma(order) 2^(order-1) x^-order (DLMF 10.30.2).
+    Below order 1 the leading terms of DLMF 10.27.4, K = pi / (2 sin(order
+    pi)) (I_-order - I_order), scale it by 1 - r with r = (x / 2)^(2 order)
+    Gamma(1 - order) / Gamma(1 + order), taken in logs, and 1 - r by expm1
+    as r nears 1 for small orders. The power is not taken in logs: log K
+    near 700 has an ulp of 1.1e-13, which exp(log K) would carry into K. It
+    is two half powers instead, so it does not overflow where K does not.
+    """
+    rest = 1.0
+    if order < 1.0:
+        log_r = (2.0 * order * (np.log(x) - _LN2) + _sspec.gammaln(1.0 - order)
+                 - _sspec.gammaln(1.0 + order))
+        rest = -np.expm1(log_r)
+    with np.errstate(over="ignore"):
+        half = np.power(x, -0.5 * order)
+        return half * (_sspec.gamma(order) * np.exp2(order - 1.0) * rest) * half
 
 
 # Largest order served by the integer and half-integer branches of
@@ -455,10 +457,9 @@ def hpd_solve(matrix, rhs) -> HpdSolution:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square, got shape %s" % (a.shape,))
     b = np.asarray(rhs)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(
-            "rhs leading dimension %d does not match matrix size %d" % (b.shape[0], a.shape[0])
-        )
+    if b.ndim == 0 or b.shape[0] != a.shape[0]:
+        raise ValueError("rhs must have %d rows to match the matrix, got shape %s"
+                         % (a.shape[0], b.shape))
     scale = max(1.0, float(np.abs(a).max()))
     asym = float(np.abs(a - a.conj().T).max())
     if asym > 1e-10 * scale:

@@ -120,10 +120,9 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
     if spec.include_measurement_error and params.nugget > 0:
         observations += rng.normal(0.0, np.sqrt(params.nugget), size=(m, n))
 
-    ids = spec.site_ids if spec.site_ids else tuple("site%d" % i for i in range(m))
     # read-only, so the panel keeps it without a copy
     observations.flags.writeable = False
-    return TimeSeriesPanel(locations=loc, observations=observations, site_ids=ids)
+    return TimeSeriesPanel(locations=loc, observations=observations, site_ids=spec.site_ids)
 
 
 def simulate_white_panel(m: int, n: int, variance: float = 1.0, seed: int = 0,
@@ -147,5 +146,4 @@ def simulate_white_panel(m: int, n: int, variance: float = 1.0, seed: int = 0,
             raise ValueError("got %d locations for %d sites" % (loc.shape[0], m))
     rng = np.random.default_rng(seed)
     obs = rng.normal(0.0, np.sqrt(variance), size=(m, n))
-    ids = site_ids if site_ids else tuple("site%d" % i for i in range(m))
-    return TimeSeriesPanel(locations=loc, observations=obs, site_ids=ids)
+    return TimeSeriesPanel(locations=loc, observations=obs, site_ids=site_ids)

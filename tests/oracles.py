@@ -15,12 +15,15 @@ _LN2 = float(np.log(2.0))
 
 
 def _log_bessel_integrand(t, order, x):
-    # log of exp(-x cosh t) cosh(order t); log1p keeps cosh from overflowing
-    # and -x*inf falls through to -inf where cosh itself would.
+    # log of exp(-x cosh t) cosh(order t); log1p keeps cosh(order t) from
+    # overflowing. Past t = 700, near cosh's overflow, x cosh t is taken as
+    # (x e^700) e^(t - 700) / 2, whose e^-t term is below an ulp, so windows
+    # for x near the smallest double reach past it; -x*inf falls through to
+    # -inf where even that overflows.
     with np.errstate(over="ignore"):
-        c = np.cosh(t)
+        xc = x * np.cosh(t) if t <= 700.0 else x * np.exp(700.0) * (0.5 * np.exp(t - 700.0))
     u = abs(order * t)
-    return -x * c + u - _LN2 + np.log1p(np.exp(-2.0 * u))
+    return -xc + u - _LN2 + np.log1p(np.exp(-2.0 * u))
 
 
 def bessel_k_quadrature(order, x):
@@ -36,7 +39,12 @@ def bessel_k_quadrature(order, x):
     if order < 0.0 or x <= 0.0:
         raise ValueError("need order >= 0 and x > 0")
 
-    split = float(np.arcsinh(order / x)) if order > 0.0 else 0.0
+    # asinh(y) is log(2 y) to a double's precision from y = 1e8 on, and
+    # order / x can overflow
+    if order > 1e8 * x:
+        split = float(np.log(order) - np.log(x) + _LN2)
+    else:
+        split = float(np.arcsinh(order / x)) if order > 0.0 else 0.0
     scale = max(_log_bessel_integrand(split, order, x),
                 _log_bessel_integrand(0.0, order, x))
 
@@ -44,7 +52,7 @@ def bessel_k_quadrature(order, x):
         return np.exp(_log_bessel_integrand(t, order, x) - scale)
 
     end = max(split, 1.0)
-    while _log_bessel_integrand(end, order, x) > scale - 320.0 and end < 700.0:
+    while _log_bessel_integrand(end, order, x) > scale - 320.0:
         end *= 1.25
     total = 0.0
     if split > 0.0:
@@ -325,15 +333,17 @@ def ar_fits_by_simplex(series, max_order=8):
 
 def fit_by_simplex(panel, config):
     """fit as it searched before it had the criterion's gradient: the same
-    seeded starts and profiled criterion, searched by Nelder-Mead under
-    config.optimizer, and the same full evaluation at the unpacked winner.
+    seeded starts and profiled criterion, searched by Nelder-Mead under fit's
+    iteration cap and tolerances, and the same full evaluation at the unpacked
+    winner.
     Returns (params, criterion, nfev per restart). Not independent of stkrig
     (it shares the criterion); it pins the gradient search to the simplex's
     minima."""
     from dataclasses import replace
 
     from stkrig.covmodel import unpack_params
-    from stkrig.estimate import _criterion_terms, _prepare, build_distance_bins
+    from stkrig.estimate import (_MAX_ITERATIONS, _TOLERANCE_F, _TOLERANCE_X,
+                                 _criterion_terms, _prepare, build_distance_bins)
     from stkrig.spectral import dft_panel
 
     p, d, nu_fixed = config.n_coeffs, panel.d, config.nu_fixed
@@ -359,9 +369,8 @@ def fit_by_simplex(panel, config):
         if config.fit_nugget:
             start.append(np.log(2.0 * np.pi) - np.log(10.0))
         try:
-            result = simplex_search(objective, np.asarray(start), 0.25,
-                                    config.optimizer.max_iterations,
-                                    config.optimizer.tolerance_f, config.optimizer.tolerance_x)
+            result = simplex_search(objective, np.asarray(start), 0.25, _MAX_ITERATIONS,
+                                    _TOLERANCE_F, _TOLERANCE_X)
         except ValueError:
             nfev.append(0)
             continue

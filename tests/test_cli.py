@@ -368,27 +368,19 @@ def test_bad_bins_and_target_values(pipeline, tmp_path, capsys):
     assert "sites have dimension 2" in capsys.readouterr().err
 
 
-def test_thread_count_validation(pipeline, tmp_path, capsys, monkeypatch):
+def test_thread_count_validation(pipeline, tmp_path, capsys):
     argv = ["krige", "--locations", pipeline["locations"],
             "--series", pipeline["series"], "--model", pipeline["model"],
             "--target", "1.4,0.9", "--out", str(tmp_path / "kr")]
     assert main(argv + ["--threads", "0"]) == 2
     assert "threads must be at least 1" in capsys.readouterr().err
-
-    monkeypatch.setenv("STKRIG_THREADS", "0")
-    assert main(argv) == 2
-    assert "threads must be at least 1" in capsys.readouterr().err
-
-    monkeypatch.setenv("STKRIG_THREADS", "abc")
-    assert main(argv) == 2
-    assert "STKRIG_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
     # every command checks the thread count, not only the one that takes it
     assert main(["spectra", "--locations", pipeline["locations"],
-                 "--series", pipeline["series"], "--out", str(tmp_path / "sp")]) == 2
-    assert "STKRIG_THREADS must be an integer" in capsys.readouterr().err
+                 "--series", pipeline["series"], "--out", str(tmp_path / "sp"),
+                 "--threads", "-1"]) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
 
-    monkeypatch.setenv("STKRIG_THREADS", "2")
-    assert main(argv) == 0
+    assert main(argv + ["--threads", "2"]) == 0
     with open(str(tmp_path / "kr" / "kriging.json")) as handle:
         assert "threads" not in json.load(handle)["config"]
 

@@ -297,6 +297,28 @@ def test_spectral_density_shape_checks():
         st_spectral_density(np.zeros(3), 1.0, p)
 
 
+def test_range_and_spectral_density_edges_fail_loudly_or_reach_their_limit():
+    # |c|^2 = e^1000 overflows and has no limit in double; e^-1000 underflows
+    # to 0. The density's denominator overflowing gives its limit 0; its
+    # underflowing to 0, at zero wave number and |c|^2 = 0, has none. No
+    # numpy warning comes first.
+    up, down = ModelParams(1.0, 1.0, (1000.0,)), ModelParams(1.0, 1.0, (-1000.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"\|c\(w\)\|\^2 overflows"):
+            c_mod_sq(1.0, up)
+        with pytest.raises(FloatingPointError, match=r"\|c\(w\)\|\^2 overflows"):
+            c_mod_sq([0.5, 1.0], up)
+        assert c_mod_sq(1.0, down) == 0.0
+        assert st_spectral_density(np.zeros(2), 1.0, up) == 0.0
+        assert_allclose(st_spectral_density(np.array([[0.5, 1.0], [1e200, 0.0]]), 1.0, _params()),
+                        [1.0 / ((2.0 * np.pi) ** 2 * 2.25 ** 2), 0.0], rtol=1e-15)
+        assert st_spectral_density(np.array([0.5, 1.0]), 1.0, down) == pytest.approx(
+            1.0 / ((2.0 * np.pi) ** 2 * 1.25 ** 2), rel=1e-15)
+        with pytest.raises(FloatingPointError, match="spectral density overflows"):
+            st_spectral_density(np.zeros(2), 1.0, down)
+
+
 def test_alternative_zero_distance_constant():
     # the switch rescales C(0, w) by exactly 2 pi and leaves C(h > 0, w) alone
     base = _params(sigma_e2=1.3, nu=1.2, c_coeffs=(0.1, 0.2))

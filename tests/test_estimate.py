@@ -20,7 +20,6 @@ from stkrig.covmodel import pack_params, unpack_params
 from stkrig.estimate import (EstimationError, EvaluationError,
                              SingularHessianError, _binned_difference_periodograms,
                              _criterion_terms, _prepare, _quasi_newton, _tolerance_groups)
-from stkrig.numerics import OptimizerConfig
 from stkrig.spectral import _MAX_ORDINATE
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -32,7 +31,7 @@ def _as_list(bins):
     form distance_bins_by_scan returns."""
     groups = np.split(bins.pairs, np.cumsum(bins.counts)[:-1])
     return [(d, tuple(map(tuple, g.tolist())))
-            for d, g in zip(bins.distances().tolist(), groups)]
+            for d, g in zip(bins.representatives.tolist(), groups)]
 
 
 def test_distance_bin_validation():
@@ -71,8 +70,8 @@ def test_exact_bins_on_unit_square():
     locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     bins = build_distance_bins(locs)
     assert len(bins) == 2
-    assert_allclose(bins.distances(), [1.0, np.sqrt(2.0)])
-    assert list(bins.pair_counts()) == [4, 2]
+    assert_allclose(bins.representatives, [1.0, np.sqrt(2.0)])
+    assert list(bins.counts) == [4, 2]
     summary = bins.summary()
     assert summary["n_bins"] == 2
     assert summary["pair_counts"] == [4, 2]
@@ -82,14 +81,14 @@ def test_exact_bins_merge_near_ties():
     locs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0 + 1e-12, 0.0]])
     bins = build_distance_bins(locs)
     assert len(bins) == 2  # 1.0 twice (0-1, 1-2), 2.0 once (0-2)
-    assert list(bins.pair_counts()) == [2, 1]
+    assert list(bins.counts) == [2, 1]
 
 
 def test_exact_bins_assign_to_nearest_representative():
     rng = np.random.default_rng(17)
     locs = rng.uniform(0.0, 3.0, (9, 2))
     bins = build_distance_bins(locs, tolerance=0.25)
-    reps = bins.distances()
+    reps = bins.representatives
     d = np.linalg.norm(locs[bins.pairs[:, 0]] - locs[bins.pairs[:, 1]], axis=1)
     nearest = reps[np.argmin(np.abs(reps[None, :] - d[:, None]), axis=1)]
     assert np.array_equal(nearest, np.repeat(reps, bins.counts))
@@ -99,10 +98,10 @@ def test_quantile_bins_partition_all_pairs():
     rng = np.random.default_rng(11)
     locs = rng.uniform(0.0, 1.0, (20, 2))
     bins = build_distance_bins(locs, mode="quantile", n_bins=4)
-    counts = sorted(int(c) for c in bins.pair_counts())
+    counts = sorted(int(c) for c in bins.counts)
     assert counts == [47, 47, 48, 48]
-    assert int(bins.pair_counts().sum()) == 190
-    assert np.all(np.diff(bins.distances()) > 0.0)
+    assert int(bins.counts.sum()) == 190
+    assert np.all(np.diff(bins.representatives) > 0.0)
 
 
 def _grid(shape, spacing):
@@ -144,7 +143,7 @@ def test_quantile_bins_keep_distance_order_when_a_mean_rounds_up():
     # sqrt(2) itself; the bins (and their pairs) swap places
     locs = _grid((3, 3, 3), 1.0)
     bins = build_distance_bins(locs, mode="quantile", n_bins=24)
-    assert np.all(np.diff(bins.distances()) >= 0.0)
+    assert np.all(np.diff(bins.representatives) >= 0.0)
     assert _as_list(bins) == distance_bins_by_scan(locs, mode="quantile", n_bins=24)
 
 
@@ -192,8 +191,8 @@ def test_exact_bins_break_midpoint_ties_toward_smaller_distance():
     # and {4}, representatives 2 and 4; the pairs at 3 sit on the midpoint
     locs = np.array([[0.0], [1.0], [3.0], [4.0]])
     bins = build_distance_bins(locs, tolerance=2.0)
-    assert list(bins.distances()) == [2.0, 4.0]
-    assert list(bins.pair_counts()) == [5, 1]
+    assert list(bins.representatives) == [2.0, 4.0]
+    assert list(bins.counts) == [5, 1]
     assert _as_list(bins) == distance_bins_by_scan(locs, tolerance=2.0)
 
 
@@ -203,8 +202,8 @@ def test_exact_bins_scale_to_a_thousand_scattered_sites():
     t0 = time.perf_counter()
     bins = build_distance_bins(locs)
     elapsed = time.perf_counter() - t0
-    assert int(bins.pair_counts().sum()) == 1000 * 999 // 2
-    assert np.all(np.diff(bins.distances()) >= 0.0)
+    assert int(bins.counts.sum()) == 1000 * 999 // 2
+    assert np.all(np.diff(bins.representatives) >= 0.0)
     assert elapsed < 60.0
 
 
@@ -579,12 +578,11 @@ def test_quasi_newton_backs_off_where_the_objective_fails():
         return (vec[0] - 1.9) ** 2 + 10.0 * vec[1] ** 2, np.array([2.0 * (vec[0] - 1.9),
                                                                    20.0 * vec[1]])
 
-    config = OptimizerConfig(max_iterations=200, tolerance_f=1e-12, tolerance_x=1e-8)
-    res = _quasi_newton(objective, np.array([-30.0, 3.0]), config)
+    res = _quasi_newton(objective, np.array([-30.0, 3.0]))
     assert any(v[0] > 2.0 for v in calls)
     assert res.success and res.nfev == len(calls)
     assert_allclose(res.x, [1.9, 0.0], atol=1e-6)
-    assert _quasi_newton(objective, np.array([3.0, 0.0]), config) is None
+    assert _quasi_newton(objective, np.array([3.0, 0.0])) is None
 
 
 def test_fit_raises_when_every_restart_fails(monkeypatch):

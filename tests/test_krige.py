@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (ar1_series, ar_fits_by_simplex, arma_series, invert_gauss,
                      synthesize_brute_force)
-from stkrig import (ModelParams, OptimizerConfig, SimulationSpec, TimeSeriesPanel,
+from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel,
                     assemble_system, cov_freq, cov_matrix, cov_zero, dft_panel, forecast,
                     fourier_frequencies, krige_series, predict_dft,
                     reconstruct_series, simulate_panel)
@@ -443,7 +443,7 @@ def test_forecast_takes_no_optimizer_settings():
     z = np.random.default_rng(64003).normal(size=64)
     assert "optimizer" not in inspect.signature(forecast).parameters
     with pytest.raises(TypeError):
-        forecast(z, horizons=1, optimizer=OptimizerConfig())
+        forecast(z, horizons=1, optimizer={"max_iterations": 100})
 
 
 @pytest.mark.parametrize("bad", [np.inf, 1e308])

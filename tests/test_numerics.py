@@ -10,7 +10,7 @@ from scipy import special
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
 from stkrig.numerics import (_TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
-                             OptimizerConfig, SingularMatrixError, _scaled_bessel_k,
+                             SingularMatrixError, _scaled_bessel_k, _small_x_bessel_k,
                              bessel_k, cholesky_with_jitter, dft_forward, dft_inverse,
                              hpd_solve, log_gamma)
 
@@ -67,9 +67,10 @@ def test_bessel_k_rejects_bad_input():
 def test_bessel_k_overflow_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the recurrence overflows silently
-        for order in (20.0, 20.5, 3.0, 1.5):
+        for order, x in ((20.0, 1e-300), (20.5, 1e-300), (3.0, 1e-300), (1.5, 1e-300),
+                         (1.3, 1e-306), (0.999, 5e-324)):
             with pytest.raises(OverflowError):
-                bessel_k(order, 1e-300)
+                bessel_k(order, x)
 
 
 def test_bessel_k_keeps_kv_values_where_kve_gives_up():
@@ -150,12 +151,35 @@ def test_table_matches_kve_over_the_double_range(order, kve_points):
 def test_table_matches_quadrature_oracle(order):
     x = np.geomspace(np.finfo(float).tiny, 1e6, 40000)
     scaled = _scaled_bessel_k(order, x)
-    # the oracle integrates up to t = 700, which is asinh(order / x) near
-    # x = 1e-300, and K underflows past x ~ 700
-    picked = np.flatnonzero(np.isfinite(scaled) & (x >= 1e-280) & (x <= 700.0))[::997]
+    # K underflows past x ~ 700
+    picked = np.flatnonzero(np.isfinite(scaled) & (x <= 700.0))[::997]
     for i in picked:
         assert_allclose(np.exp(-x[i]) * scaled[i], bessel_k_quadrature(order, x[i]),
                         rtol=1e-12)
+
+
+# below this kve and kv report overflow at every order
+KVE_GUARD = 1e3 * np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("order", [1e-3, 0.01, 0.3, 0.6, 0.875, 0.999])
+def test_bessel_k_below_the_kve_guard_matches_quadrature_oracle(order):
+    # K_order is finite down to the smallest normal double for orders below
+    # 1, and down to 5e-324 below about 0.95, where kve gives up; 0.6 at
+    # 1e-306 is 4.49e183
+    x = np.append(np.geomspace(np.finfo(float).tiny, 0.99 * KVE_GUARD, 6), 1e-306)
+    if order < 0.95:
+        x = np.append(x, 5e-324)
+    assert np.isinf(special.kve(order, x)).all()
+    values = bessel_k(order, x)
+    for value, point in zip(values, x):
+        assert_allclose(value, bessel_k_quadrature(order, point), rtol=1e-13)
+
+
+def test_bessel_k_leading_terms_meet_kv_above_the_kve_guard():
+    x = np.geomspace(1.01 * KVE_GUARD, 1e-150, 50)
+    for order in np.geomspace(1e-3, 0.999, 40):
+        assert_allclose(_small_x_bessel_k(order, x), special.kv(order, x), rtol=1e-13)
 
 
 def test_table_value_of_a_point_does_not_depend_on_the_call():
@@ -306,15 +330,6 @@ def test_dft_inverse_rejects_asymmetric_coefficients():
         dft_inverse(full, 8)
 
 
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance_f=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance_x=-1.0)
-
-
 def test_jitter_ladder_is_increasing_from_zero():
     assert JITTER_LADDER[0] == 0.0
     assert all(a < b for a, b in zip(JITTER_LADDER, JITTER_LADDER[1:]))
@@ -358,6 +373,12 @@ def test_hpd_solve_rejects_non_hermitian():
     a = np.array([[2.0, 1.0], [0.0, 2.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         hpd_solve(a, np.ones(2))
+
+
+@pytest.mark.parametrize("rhs", [1.0, np.ones(3), np.ones((3, 2))])
+def test_hpd_solve_rejects_a_right_hand_side_of_the_wrong_shape(rhs):
+    with pytest.raises(ValueError, match="rhs must have 2 rows"):
+        hpd_solve(np.eye(2), rhs)
 
 
 def test_hpd_solve_singular_raises():
