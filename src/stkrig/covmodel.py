@@ -115,11 +115,17 @@ class ModelParams:
                 nu=float(data["nu"]),
                 c_coeffs=tuple(float(b) for b in data["c_coeffs"]),
                 nugget=float(data.get("nugget", 0.0)),
-                d=int(data.get("d", 2)),
+                d=data.get("d", 2),
                 eq310_constant=bool(data.get("eq310_constant", False)),
             )
         except KeyError as missing:
             raise ValueError("model parameters missing required key %s" % missing) from None
+
+
+def _check_dimension(d: int, params: ModelParams):
+    """Raise ValueError unless sites of dimension d match the model's d."""
+    if d != params.d:
+        raise ValueError("locations have dimension %d but the model has d=%d" % (d, params.d))
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -429,73 +435,3 @@ def _covariance_system(h: np.ndarray, lower: np.ndarray, omega, params: ModelPar
     f.T[lower] = tri
     f.flat[:: m + 1] = zero + (params.nugget / _TWO_PI if include_nugget else 0.0)
     return f, values[tri.size :], zero
-
-
-def pack_params(params: ModelParams, nu_fixed: bool = False, fit_nugget: bool = False) -> np.ndarray:
-    """Map model parameters to an unconstrained vector.
-
-    Layout: [log sigma_e^2, (log(nu - d/4) unless nu is held fixed),
-    b_0, ..., b_p, (log nugget when the nugget is estimated)]. The
-    asymptotic covariance works in this full layout. estimate.fit searches
-    a profiled criterion instead: it drops log sigma_e^2, whose minimizer
-    is closed-form, and reads the last coordinate as the log of the ratio
-    nugget / sigma_e^2.
-    """
-    vec = [np.log(params.sigma_e2)]
-    if not nu_fixed:
-        vec.append(np.log(params.nu - params.d / 4.0))
-    vec.extend(params.c_coeffs)
-    if fit_nugget:
-        if params.nugget <= 0:
-            raise ValueError("cannot place a zero nugget on the log scale")
-        vec.append(np.log(params.nugget))
-    return np.asarray(vec, dtype=float)
-
-
-def unpack_params(vector, n_coeffs: int, d: int = 2, nu_fixed=None,
-                  fit_nugget: bool = False) -> ModelParams:
-    """Inverse of pack_params.
-
-    Parameters
-    ----------
-    vector : array_like
-        Unconstrained coordinates.
-    n_coeffs : int
-        Number of cosine terms p (the coefficient block has p + 1 entries).
-    d : int
-        Spatial dimension.
-    nu_fixed : float or None
-        When a float, nu is held at that value and the vector carries no
-        smoothness coordinate.
-    fit_nugget : bool
-        Whether the vector ends with a log nugget coordinate.
-    """
-    vec = np.asarray(vector, dtype=float)
-    expected = 1 + (0 if nu_fixed is not None else 1) + (n_coeffs + 1) + (1 if fit_nugget else 0)
-    if vec.ndim != 1 or vec.size != expected:
-        raise ValueError(
-            "expected %d unconstrained coordinates, got shape %s" % (expected, (vec.shape,))
-        )
-    pos = 0
-    sigma_e2 = float(np.exp(vec[pos]))
-    pos += 1
-    if nu_fixed is None:
-        nu = d / 4.0 + float(np.exp(vec[pos]))
-        pos += 1
-    else:
-        nu = float(nu_fixed)
-    coeffs = tuple(float(b) for b in vec[pos : pos + n_coeffs + 1])
-    pos += n_coeffs + 1
-    nugget = float(np.exp(vec[pos])) if fit_nugget else 0.0
-    return ModelParams(sigma_e2=sigma_e2, nu=nu, c_coeffs=coeffs, nugget=nugget, d=d)
-
-
-def natural_names(n_coeffs: int, nu_fixed: bool = False, fit_nugget: bool = False) -> list:
-    """Names of the natural-scale parameters in pack_params order."""
-    names = ["sigma_e2"]
-    if not nu_fixed:
-        names.append("nu")
-    names.extend("b%d" % k for k in range(n_coeffs + 1))
-    if fit_nugget:
-        names.append("nugget")
-    return names

@@ -26,13 +26,7 @@ from scipy import optimize as _sopt
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .covmodel import (
-    ModelParams,
-    _variogram,
-    natural_names,
-    pack_params,
-    unpack_params,
-)
+from .covmodel import ModelParams, _check_dimension, _variogram
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
 
 _TWO_PI = 2.0 * np.pi
@@ -118,6 +112,13 @@ def _check_pairs(pairs: np.ndarray, bad: np.ndarray, what: str):
         raise ValueError("pair %r %s" % (tuple(pairs[np.argmax(bad)].tolist()), what))
 
 
+def _count(value, name: str) -> int:
+    """value as an int; ValueError unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ValueError("%s must be a whole number, got %r" % (name, value))
+    return int(value)
+
+
 def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = None,
                         tolerance: float | None = None) -> DistanceBins:
     """Group all site pairs by spatial separation.
@@ -175,7 +176,7 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
         nearest = np.searchsorted(0.5 * (reps[:-1] + reps[1:]), ranked, side="left")
         starts = np.flatnonzero(np.diff(nearest, prepend=-1))
     elif mode == "quantile":
-        if n_bins is None or n_bins < 1:
+        if n_bins is None or _count(n_bins, "n_bins") < 1:
             raise ValueError("quantile mode needs n_bins >= 1, got %r" % n_bins)
         sizes = [c.size for c in np.array_split(order, n_bins) if c.size > 0]
         starts = np.cumsum([0] + sizes[:-1])
@@ -261,7 +262,7 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     """Check the frequency count and the pair range, and bin the difference
     periodograms."""
     m_total = spectral.n_frequencies
-    m_use = m_total if n_frequencies is None else int(n_frequencies)
+    m_use = m_total if n_frequencies is None else _count(n_frequencies, "n_frequencies")
     if not 1 <= m_use <= m_total:
         raise ValueError(
             "n_frequencies must lie in [1, %d], got %r" % (m_total, n_frequencies)
@@ -284,9 +285,80 @@ _MAX_ITERATIONS = 4000
 _TOLERANCE_F = 1e-9
 _TOLERANCE_X = 1e-6
 
-# Step in pack_params' coordinates of the central difference of the
-# criterion's gradient that gives asymptotic_covariance its Hessian
+# Step in _Coordinates of the central difference of the criterion's
+# gradient that gives asymptotic_covariance its Hessian
 _HESSIAN_STEP = 1e-4
+
+
+@dataclass(frozen=True)
+class _Coordinates:
+    """The unconstrained vector the estimator works in, and the one place
+    that knows its layout: [log sigma_e2, log(nu - d/4) unless nu is held at
+    nu_fixed, b_0, ..., b_p, log nugget when fit_nugget is set].
+
+    The sandwich works in all of them. fit searches a profiled criterion in
+    the coordinates after log sigma_e2, unpacked at sigma_e2 = 1, where the
+    last one reads as the log of the ratio nugget / sigma_e2.
+    """
+
+    n_coeffs: int
+    d: int
+    nu_fixed: float | None
+    fit_nugget: bool
+
+    def names(self) -> list:
+        """The natural parameters' names, in coordinate order."""
+        return (["sigma_e2"] + (["nu"] if self.nu_fixed is None else [])
+                + ["b%d" % k for k in range(self.n_coeffs + 1)]
+                + (["nugget"] if self.fit_nugget else []))
+
+    def _logged(self) -> np.ndarray:
+        """Which coordinates are logs: all but the b_k, which are searched
+        as they are."""
+        return np.array([not name.startswith("b") for name in self.names()])
+
+    def _natural(self, params: ModelParams) -> np.ndarray:
+        """The natural parameters in coordinate order, nu less d/4."""
+        return np.array([params.sigma_e2]
+                        + ([params.nu - params.d / 4.0] if self.nu_fixed is None else [])
+                        + list(params.c_coeffs) + ([params.nugget] if self.fit_nugget else []))
+
+    def pack(self, params: ModelParams) -> np.ndarray:
+        if self.fit_nugget and params.nugget <= 0:
+            raise ValueError("cannot place a zero nugget on the log scale")
+        vec, logged = self._natural(params), self._logged()
+        vec[logged] = np.log(vec[logged])
+        return vec
+
+    def unpack(self, vector) -> ModelParams:
+        """The parameters at vector; ModelParams rejects a point outside the
+        model, such as one where an exponential overflows."""
+        natural, logged = np.array(vector, dtype=float), self._logged()
+        if natural.ndim != 1 or natural.size != logged.size:
+            raise ValueError("expected %d unconstrained coordinates, got shape %s"
+                             % (logged.size, (natural.shape,)))
+        natural[logged] = np.exp(natural[logged])
+        nu_free = self.nu_fixed is None
+        return ModelParams(
+            sigma_e2=float(natural[0]),
+            nu=self.d / 4.0 + float(natural[1]) if nu_free else float(self.nu_fixed),
+            c_coeffs=natural[1 + nu_free:2 + nu_free + self.n_coeffs],
+            nugget=float(natural[-1]) if self.fit_nugget else 0.0,
+            d=self.d,
+        )
+
+    def start(self, rng: np.random.Generator) -> np.ndarray:
+        """fit's start in the coordinates after log sigma_e2: log(nu - d/4)
+        at 0, the b_k independent N(0, 0.5^2) draws, log tau at
+        log(2 pi / 10)."""
+        coeffs = rng.normal(0.0, 0.5, size=self.n_coeffs + 1)
+        return np.concatenate(([0.0] if self.nu_fixed is None else [], coeffs,
+                               [np.log(_TWO_PI) - np.log(10.0)] if self.fit_nugget else []))
+
+    def jacobian(self, params: ModelParams) -> np.ndarray:
+        """The diagonal of d natural / d coordinate at params, for the
+        delta method: the natural value at a log, else 1."""
+        return np.where(self._logged(), self._natural(params), 1.0)
 
 
 # g or binned / g may leave the double range; the terms are then not finite
@@ -302,10 +374,10 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     (terms at the scaled parameters, k): the criterion with sigma_e2
     concentrated out.
 
-    With scores = (nu_free, fit_nugget), the per-frequency scores are
-    returned last, shape (K, M): the derivatives of the terms' mean over
-    bins in the K coordinates of pack_params(params, not nu_free,
-    fit_nugget), each mean_bins (1 - binned / g) d log g. They come from the
+    With scores set to _Coordinates, the per-frequency scores are returned
+    last, shape (K, M): the derivatives of the terms' mean over bins in the
+    K coordinates at scores.pack(params), each mean_bins (1 - binned / g)
+    d log g. They come from the
     same kernel pass as the terms, except the smoothness row, a central
     difference. With profile set they are taken at the scaled parameters,
     where d log g is what it is at unit scale, so by the envelope theorem
@@ -336,13 +408,12 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
         )
     if scores is None:
         return (terms, scale) if profile else terms
-    nu_free, fit_nugget = scores
     weight = 1.0 - ratio
     per_g = np.mean(weight / g, axis=0)
     nugget_row = (params.nugget / np.pi) * per_g
     # log sigma_e2 moves g - nugget / pi in proportion
     rows = [np.mean(weight, axis=0) - nugget_row]
-    if nu_free:
+    if scores.nu_fixed is None:
         excess = params.nu - params.d / 4.0
         up, down = (np.log(np.maximum(_variogram(*grid, replace(
             params, nu=params.d / 4.0 + excess * np.exp(step))), _VARIOGRAM_FLOOR))
@@ -353,7 +424,7 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     dg_dlogc2 /= g
     per_c2 = np.mean(dg_dlogc2, axis=0)
     rows.extend(per_c2 * np.cos(k * frequencies) for k in range(params.n_coeffs + 1))
-    if fit_nugget:
+    if scores.fit_nugget:
         rows.append(nugget_row)
     return ((terms, scale) if profile else (terms,)) + (np.array(rows),)
 
@@ -430,6 +501,9 @@ class FitConfig:
     compute_covariance: bool = True
 
     def __post_init__(self):
+        for name in ("n_coeffs", "n_frequencies", "n_bins", "multistart"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n_coeffs < 0:
             raise ValueError("n_coeffs must be nonnegative, got %d" % self.n_coeffs)
         if self.multistart < 1:
@@ -539,16 +613,15 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     the nugget is written as the ratio tau = nugget / sigma_e2, so for given
     (nu, b, tau) the criterion's minimizing sigma_e2 has a closed form. A
     quasi-Newton search (scipy's L-BFGS-B) minimizes this profiled criterion
-    over pack_params' coordinates without the leading log sigma_e2 and with
-    log tau in place of the log nugget, from several randomized starting
-    points, and keeps the best finisher. Each evaluation returns the
-    criterion and its exact gradient from one kernel pass (the smoothness
-    coordinate by a central difference), since by the envelope theorem the
-    profiled gradient is (1 / L) sum (1 - I / g) d log g / d theta at the
-    profiled scale. A restart whose start value is not finite is skipped.
-    Cosine coefficients start at independent N(0, 0.5^2) draws,
-    log(nu - d/4) at 0 and log tau at log(2 pi / 10). The reported
-    parameters and criterion are one full evaluation at the unpacked winner.
+    over _Coordinates without the leading log sigma_e2 and with log tau in
+    place of the log nugget, from several randomized starting points, and
+    keeps the best finisher. Each evaluation returns the criterion and its
+    exact gradient from one kernel pass (the smoothness coordinate by a
+    central difference), since by the envelope theorem the profiled
+    gradient is (1 / L) sum (1 - I / g) d log g / d theta at the profiled
+    scale. A restart whose start value is not finite is skipped. The starts
+    are _Coordinates.start's seeded draws. The reported parameters and
+    criterion are one full evaluation at the unpacked winner.
 
     Raises
     ------
@@ -556,7 +629,6 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         If every restart fails to produce a finite criterion value.
     """
     d = panel.d
-    p = config.n_coeffs
     nu_fixed = config.nu_fixed
     if nu_fixed is not None and nu_fixed <= d / 4.0:
         raise ValueError("nu_fixed must exceed d/4 = %g, got %r" % (d / 4.0, nu_fixed))
@@ -567,18 +639,15 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         tolerance=config.bin_tolerance,
     )
     prepared = _prepare(spectral, bins, config.n_frequencies)
-    m_use = prepared.frequencies.size
+    coords = _Coordinates(config.n_coeffs, d, nu_fixed, config.fit_nugget)
 
     def scale_free(vec: np.ndarray) -> ModelParams:
         # sigma_e2 = exp(0) = 1, so the nugget coordinate reads as log tau
-        return unpack_params(np.concatenate(([0.0], vec)), p, d=d, nu_fixed=nu_fixed,
-                             fit_nugget=config.fit_nugget)
-
-    layout = (nu_fixed is None, config.fit_nugget)
+        return coords.unpack(np.concatenate(([0.0], vec)))
 
     def objective(vec: np.ndarray):
         terms, _, scores = _criterion_terms(*prepared, scale_free(vec), profile=True,
-                                            scores=layout)
+                                            scores=coords)
         # the log sigma_e2 row is not searched
         return _criterion_value(terms), scores[1:].sum(axis=1)
 
@@ -586,12 +655,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     best = None
     restarts = []
     for _ in range(config.multistart):
-        coeffs = rng.normal(0.0, 0.5, size=p + 1)
-        start = [0.0] if nu_fixed is None else []
-        start.extend(coeffs)
-        if config.fit_nugget:
-            start.append(np.log(_TWO_PI) - np.log(10.0))
-        start_vec = np.asarray(start)
+        start_vec = coords.start(rng)
         record = {"start": start_vec.tolist(), "criterion": None, "nfev": 0,
                   "converged": False}
         restarts.append(record)
@@ -612,24 +676,19 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     _, scale = _criterion_terms(*prepared, theta_hat, profile=True)
     params_hat = replace(theta_hat, sigma_e2=scale, nugget=scale * theta_hat.nugget)
     criterion = _criterion_value(_criterion_terms(*prepared, params_hat))
-    names = natural_names(p, nu_fixed=nu_fixed is not None, fit_nugget=config.fit_nugget)
     cov = None
     if config.compute_covariance:
         try:
-            cov = asymptotic_covariance(
-                panel, bins, params_hat, n_frequencies=m_use,
-                nu_fixed=nu_fixed, fit_nugget=config.fit_nugget,
-                _prepared=prepared,
-            )
+            cov = _sandwich(prepared, coords, params_hat)
         except (SingularHessianError, EvaluationError, np.linalg.LinAlgError) as err:
             warnings.warn("asymptotic covariance unavailable: %s" % err)
     return FitResult(
         params=params_hat,
         criterion=criterion,
         covariance=cov,
-        param_names=names,
+        param_names=coords.names(),
         converged=bool(best.success),
-        n_frequencies=m_use,
+        n_frequencies=prepared.frequencies.size,
         bins=bins.summary(),
         n_restarts=config.multistart,
         restarts=restarts,
@@ -638,21 +697,25 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
 
 def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat: ModelParams,
                           n_frequencies: int | None = None, *, nu_fixed: float | None = None,
-                          fit_nugget: bool = False, _prepared=None) -> np.ndarray:
+                          fit_nugget: bool = False) -> np.ndarray:
     """Sandwich covariance of the fitted parameters on the natural scale.
 
-    Works in pack_params' coordinates. The per-frequency scores, the
-    derivatives of each frequency's mean term over bins, are exact (the
-    smoothness row a central difference); the middle term aggregates them
-    (frequencies are asymptotically uncorrelated, so scores are clustered
-    by frequency). The criterion Hessian is the central difference, with
-    step _HESSIAN_STEP, of the summed scores, the criterion's gradient: 2k
-    gradient evaluations for k coordinates. The result is mapped to the
-    natural scale by the delta method. Row and column order follows
-    covmodel.natural_names(...).
+    Works in _Coordinates: with nu_fixed set, which must equal
+    params_hat.nu, the smoothness is held there; with fit_nugget set, the
+    nugget is a coordinate. The per-frequency scores, the derivatives of
+    each frequency's mean term over bins, are exact (the smoothness row a
+    central difference); the middle term aggregates them (frequencies are
+    asymptotically uncorrelated, so scores are clustered by frequency). The
+    criterion Hessian is the central difference, with step _HESSIAN_STEP,
+    of the summed scores, the criterion's gradient: 2k gradient evaluations
+    for k coordinates. The result is mapped to the natural scale by the
+    delta method. Rows and columns are in FitResult.param_names' order.
 
     Raises
     ------
+    ValueError
+        When nu_fixed differs from params_hat.nu, or the panel's dimension
+        from the model's.
     SingularHessianError
         When the Hessian cannot be inverted; the error carries its
         eigenvalues.
@@ -660,29 +723,28 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
         When the covariance leaves the double range, as the delta method's
         sigma_e2^2 does for a scale near the top of it.
     """
-    # fit hands over what it already prepared from the same panel and bins
-    if _prepared is None:
-        _prepared = _prepare(dft_panel(panel), bins, n_frequencies)
-    p = params_hat.n_coeffs
-    d = params_hat.d
+    if nu_fixed is not None and nu_fixed != params_hat.nu:
+        raise ValueError("nu_fixed = %r, but the sandwich holds nu at the fitted %r"
+                         % (nu_fixed, params_hat.nu))
+    _check_dimension(panel.d, params_hat)
+    coords = _Coordinates(params_hat.n_coeffs, params_hat.d, nu_fixed, fit_nugget)
+    return _sandwich(_prepare(dft_panel(panel), bins, n_frequencies), coords, params_hat)
 
-    vec0 = pack_params(params_hat, nu_fixed=nu_fixed is not None, fit_nugget=fit_nugget)
-    k = vec0.size
 
-    layout = (nu_fixed is None, fit_nugget)
+def _sandwich(prepared: _Prepared, coords: _Coordinates, params_hat: ModelParams) -> np.ndarray:
+    """asymptotic_covariance from the prepared data, in coords."""
 
     def scores_at(vec: np.ndarray) -> np.ndarray:
-        params = unpack_params(vec, p, d=d, nu_fixed=params_hat.nu if nu_fixed is not None else None,
-                               fit_nugget=fit_nugget)
-        return _criterion_terms(*_prepared, params, scores=layout)[1]
+        return _criterion_terms(*prepared, coords.unpack(vec), scores=coords)[1]
 
     # scores per frequency: exact, but for the smoothness row's central difference
+    vec0 = coords.pack(params_hat)
     scores = scores_at(vec0)
     centered = scores - scores.mean(axis=1, keepdims=True)
     middle = centered @ centered.T
 
     # Hessian: central differences of the criterion's gradient
-    steps = _HESSIAN_STEP * np.eye(k)
+    steps = _HESSIAN_STEP * np.eye(vec0.size)
     hess = np.array([scores_at(vec0 + e).sum(axis=1) - scores_at(vec0 - e).sum(axis=1)
                      for e in steps]) / (2.0 * _HESSIAN_STEP)
     hess = (hess + hess.T) / 2.0
@@ -698,12 +760,7 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     cov_unc = (cov_unc + cov_unc.T) / 2.0
 
     # delta method to the natural scale
-    jac = np.ones(k)
-    jac[0] = params_hat.sigma_e2
-    if nu_fixed is None:
-        jac[1] = params_hat.nu - d / 4.0
-    if fit_nugget:
-        jac[-1] = params_hat.nugget
+    jac = coords.jacobian(params_hat)
     # an overflow is reported below, without a numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
         cov_nat = cov_unc * np.outer(jac, jac)

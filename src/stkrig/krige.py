@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _slinalg
 
-from .covmodel import ModelParams, _covariance_system, _site_pair_distances
+from .covmodel import ModelParams, _check_dimension, _covariance_system, _site_pair_distances
 from .numerics import SingularMatrixError, dft_forward, dft_inverse, hpd_solve
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
@@ -54,19 +54,21 @@ def assemble_system(locations, target, omega: float, params: ModelParams,
     """
     if not np.isfinite(omega):
         raise ValueError("omega contains non-finite values")
-    distances, lower = _site_distances(locations, target)
+    distances, lower = _site_distances(locations, target, params)
     return _frequency_system(distances, lower, omega, params, include_target_noise)
 
 
-def _site_distances(locations, target):
+def _site_distances(locations, target, params: ModelParams):
     """The site-pair distances under the strict lower triangle mask, followed
-    by the target-to-site distances, and the mask, after the checks."""
+    by the target-to-site distances, and the mask, after the checks (the
+    sites' dimension among them, against the model's)."""
     loc = np.atleast_2d(np.asarray(locations, dtype=float))
     tgt = np.asarray(target, dtype=float).reshape(-1)
     if tgt.size != loc.shape[1]:
         raise ValueError(
             "target has dimension %d but sites have dimension %d" % (tgt.size, loc.shape[1])
         )
+    _check_dimension(loc.shape[1], params)
     pairs, lower = _site_pair_distances(loc)
     # a target near the top of the double range overflows the norms; that
     # is reported below, without a numpy warning first
@@ -287,7 +289,7 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
         raise ValueError("threads must be at least 1, got %r" % threads)
     spectral = dft_panel(panel)
     tgt = np.asarray(target, dtype=float).reshape(-1)
-    distances, lower = _site_distances(panel.locations, tgt)
+    distances, lower = _site_distances(panel.locations, tgt, params)
     systems = (
         _frequency_system(distances, lower, w, params, include_target_noise)
         for w in spectral.frequencies

@@ -105,7 +105,7 @@ def bessel_k(order, x):
     if np.any(np.isinf(out)):
         raise OverflowError(
             "bessel_k overflowed for order %r at argument %r"
-            % (order, float(xs[np.isinf(out)].min()))
+            % (float(order), float(xs[np.isinf(out)].min()))
         )
     if np.isscalar(x) or arr.ndim == 0:
         return float(out[0])

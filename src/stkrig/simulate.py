@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmodel import ModelParams, _covariance_system, _site_pair_distances
+from .covmodel import ModelParams, _check_dimension, _covariance_system, _site_pair_distances
 from .numerics import _synthesize_rows, cholesky_with_jitter
 from .spectral import TimeSeriesPanel, fourier_frequencies
 
@@ -55,11 +55,7 @@ class SimulationSpec:
             raise ValueError("locations contain non-finite values")
         if self.n < 8:
             raise ValueError("simulation length must be at least 8, got %d" % self.n)
-        if loc.shape[1] != self.params.d:
-            raise ValueError(
-                "locations have dimension %d but the model has d=%d"
-                % (loc.shape[1], self.params.d)
-            )
+        _check_dimension(loc.shape[1], self.params)
         loc = loc.copy()
         loc.flags.writeable = False
         object.__setattr__(self, "locations", loc)

@@ -341,8 +341,7 @@ def fit_by_simplex(panel, config):
     minima."""
     from dataclasses import replace
 
-    from stkrig.covmodel import unpack_params
-    from stkrig.estimate import (_MAX_ITERATIONS, _TOLERANCE_F, _TOLERANCE_X,
+    from stkrig.estimate import (_MAX_ITERATIONS, _TOLERANCE_F, _TOLERANCE_X, _Coordinates,
                                  _criterion_terms, _prepare, build_distance_bins)
     from stkrig.spectral import dft_panel
 
@@ -351,9 +350,10 @@ def fit_by_simplex(panel, config):
                                n_bins=config.n_bins, tolerance=config.bin_tolerance)
     prepared = _prepare(dft_panel(panel), bins, config.n_frequencies)
 
+    coords = _Coordinates(p, d, nu_fixed, config.fit_nugget)
+
     def scale_free(vec):
-        return unpack_params(np.concatenate(([0.0], vec)), p, d=d, nu_fixed=nu_fixed,
-                             fit_nugget=config.fit_nugget)
+        return coords.unpack(np.concatenate(([0.0], vec)))
 
     def objective(vec):
         try:

@@ -254,7 +254,7 @@ def _huge_values(shape, seed):
     "large-series-spectra", "large-series-estimate", "large-series-krige",
     "overflowing-coordinates", "overflowing-coordinates-simulate",
     "overflowing-coordinates-krige", "infinite-forecast-cell", "overflowing-forecast",
-    "absurd-horizons", "absurd-length",
+    "absurd-horizons", "absurd-length", "model-of-another-dimension",
 ])
 def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path, capsys):
     # every exit-1 path: stderr parses as one JSON object, and no warning
@@ -295,6 +295,12 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
         else:
             argv += ["--out", str(tmp_path / ("fit.json" if command == "estimate" else "out"))]
         expected = (command, "ValueError")
+    elif case == "model-of-another-dimension":
+        model_path = str(tmp_path / "model.json")
+        with open(model_path, "w") as handle:
+            json.dump(dict(MODEL, d=3), handle)
+        argv = krige + ["--model", model_path, "--target", "1.4,0.9"]
+        expected = ("krige", "ValueError")
     elif case.startswith("absurd"):
         # each first allocation is petabytes, so it fails before anything is
         # allocated
@@ -341,6 +347,8 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
     assert [str(w.message) for w in caught] == []
     report = json.loads(capsys.readouterr().err)
     assert (report["error"]["command"], report["error"]["type"]) == expected
+    if case == "model-of-another-dimension":
+        assert "locations have dimension 2 but the model has d=3" in report["error"]["message"]
     if case == "infinite-forecast-cell":
         assert "row 7, column 'zhat' is not finite" in report["error"]["message"]
     if case.startswith("overflowing-coordinates"):

@@ -11,7 +11,6 @@ from scipy.integrate import trapezoid
 from oracles import cov_matrix_full
 from stkrig import (ModelParams, c_mod_sq, corr_freq, cov_freq, cov_matrix,
                     cov_zero, st_spectral_density, variogram_model)
-from stkrig.covmodel import natural_names, pack_params, unpack_params
 from stkrig.numerics import bessel_k, log_gamma
 
 K1_AT_1 = 0.6019072301972346
@@ -328,28 +327,3 @@ def test_alternative_zero_distance_constant():
     assert_allclose(cov_zero(om, alt), 2.0 * np.pi * cov_zero(om, base),
                     rtol=1e-12)
     assert_allclose(cov_freq(0.7, om, alt), cov_freq(0.7, om, base), rtol=1e-14)
-
-
-def test_pack_unpack_round_trips():
-    p = ModelParams(sigma_e2=2.0, nu=1.5, c_coeffs=(0.1, -0.2), nugget=0.3, d=2)
-    vec = pack_params(p, nu_fixed=False, fit_nugget=True)
-    q = unpack_params(vec, n_coeffs=1, d=2, nu_fixed=None, fit_nugget=True)
-    assert_allclose([q.sigma_e2, q.nu, q.nugget], [2.0, 1.5, 0.3], rtol=1e-12)
-    assert_allclose(q.c_coeffs, p.c_coeffs, rtol=1e-12)
-
-    vec2 = pack_params(p, nu_fixed=True, fit_nugget=False)
-    q2 = unpack_params(vec2, n_coeffs=1, d=2, nu_fixed=1.5, fit_nugget=False)
-    assert q2.nu == 1.5 and q2.nugget == 0.0
-    assert_allclose(q2.c_coeffs, p.c_coeffs, rtol=1e-12)
-
-    names = natural_names(1, nu_fixed=False, fit_nugget=True)
-    assert names == ["sigma_e2", "nu", "b0", "b1", "nugget"]
-    assert natural_names(0, nu_fixed=True) == ["sigma_e2", "b0"]
-
-    with pytest.raises(ValueError):
-        pack_params(p.from_dict({**p.to_dict(), "nugget": 0.0}), fit_nugget=True)
-
-
-def test_unpack_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        unpack_params(np.zeros(2), n_coeffs=2, d=2, nu_fixed=1.0)

@@ -16,10 +16,10 @@ from stkrig import (DistanceBins, FitConfig, ModelParams, SimulationSpec,
                     simulate_panel, variogram_model, whittle_criterion)
 from oracles import (binned_difference_periodograms_by_loop, distance_bins_by_scan,
                      fit_by_simplex, tolerance_group_starts_by_loop)
-from stkrig.covmodel import pack_params, unpack_params
 from stkrig.estimate import (EstimationError, EvaluationError,
                              SingularHessianError, _binned_difference_periodograms,
-                             _criterion_terms, _prepare, _quasi_newton, _tolerance_groups)
+                             _Coordinates, _criterion_terms, _prepare, _quasi_newton,
+                             _tolerance_groups)
 from stkrig.spectral import _MAX_ORDINATE
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -408,6 +408,21 @@ def test_fit_free_smoothness_reproduces_covariance_function():
         assert np.all((ratio > 0.6) & (ratio < 1.6))
 
 
+@pytest.mark.parametrize("make", [
+    lambda panel, params: FitConfig(n_frequencies=2.5),
+    lambda panel, params: FitConfig(bins_mode="quantile", n_bins=2.5),
+    lambda panel, params: FitConfig(n_coeffs=1.5),
+    lambda panel, params: FitConfig(multistart=2.5),
+    lambda panel, params: whittle_criterion(dft_panel(panel), build_distance_bins(
+        panel.locations), params, n_frequencies=2.5),
+    lambda panel, params: build_distance_bins(panel.locations, mode="quantile", n_bins=2.5),
+])
+def test_counts_must_be_whole_numbers(make):
+    panel, params = _toy_panel(seed=3)
+    with pytest.raises(ValueError, match="must be a whole number, got (2|1).5$"):
+        make(panel, params)
+
+
 def test_fit_checks_nu_fixed_before_any_work():
     # one site forms no pair: binning would fail, but the nu_fixed check
     # comes first
@@ -540,24 +555,21 @@ def test_criterion_gradient_matches_central_differences(nu, nugget, p):
     prepared = _gradient_panel()
     params = ModelParams(sigma_e2=1.3, nu=nu, c_coeffs=(0.2, -0.3, 0.1)[:p + 1], nugget=nugget)
     fit_nugget = nugget > 0.0
-    for nu_free in (True, False):
-        def unpack(vec):
-            return unpack_params(vec, p, nu_fixed=None if nu_free else nu,
-                                 fit_nugget=fit_nugget)
+    for nu_fixed in (None, nu):
+        coords = _Coordinates(p, 2, nu_fixed, fit_nugget)
 
         def full(vec):
-            return _criterion_terms(*prepared, unpack(vec)).sum(axis=1).mean()
+            return _criterion_terms(*prepared, coords.unpack(vec)).sum(axis=1).mean()
 
         def profiled(vec):
-            terms, _ = _criterion_terms(*prepared, unpack(np.concatenate(([0.0], vec))),
+            terms, _ = _criterion_terms(*prepared, coords.unpack(np.concatenate(([0.0], vec))),
                                         profile=True)
             return terms.sum(axis=1).mean()
 
-        vec = pack_params(params, nu_fixed=not nu_free, fit_nugget=fit_nugget)
-        _, scores = _criterion_terms(*prepared, params, scores=(nu_free, fit_nugget))
-        unit = unpack(np.concatenate(([0.0], vec[1:])))
-        _, _, unit_scores = _criterion_terms(*prepared, unit, profile=True,
-                                             scores=(nu_free, fit_nugget))
+        vec = coords.pack(params)
+        _, scores = _criterion_terms(*prepared, params, scores=coords)
+        unit = coords.unpack(np.concatenate(([0.0], vec[1:])))
+        _, _, unit_scores = _criterion_terms(*prepared, unit, profile=True, scores=coords)
         for value, point, gradient in ((full, vec, scores.sum(axis=1)),
                                        (profiled, vec[1:], unit_scores[1:].sum(axis=1))):
             step = 1e-5
@@ -632,6 +644,21 @@ def test_asymptotic_covariance_properties():
     assert np.all(np.diag(cov) > 0.0)
 
 
+def test_asymptotic_covariance_holds_nu_only_at_the_fit():
+    panel, params = _toy_panel(seed=8, m=6, n=64)
+    bins = build_distance_bins(panel.locations)
+    with pytest.raises(ValueError, match="nu_fixed = 3.0, but the sandwich holds nu at "
+                                         "the fitted 1.0"):
+        asymptotic_covariance(panel, bins, params, nu_fixed=3.0)
+
+
+def test_asymptotic_covariance_rejects_a_model_of_another_dimension():
+    panel, params = _toy_panel(seed=8, m=6, n=64)
+    with pytest.raises(ValueError, match="locations have dimension 2 but the model has d=3"):
+        asymptotic_covariance(panel, build_distance_bins(panel.locations),
+                              replace(params, d=3), nu_fixed=1.0)
+
+
 def test_wald_intervals_cover_sigma():
     fx = FIXTURES["wald_coverage"]
     truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.4,), d=2)
@@ -658,3 +685,29 @@ def test_singular_hessian_error_type():
     assert issubclass(SingularHessianError, RuntimeError)
     err = SingularHessianError("x", np.array([0.0, 1.0]))
     assert err.eigenvalues[0] == 0.0
+
+
+def test_coordinates_pack_unpack_round_trips():
+    p = ModelParams(sigma_e2=2.0, nu=1.5, c_coeffs=(0.1, -0.2), nugget=0.3, d=2)
+    coords = _Coordinates(1, 2, None, True)
+    q = coords.unpack(coords.pack(p))
+    assert_allclose([q.sigma_e2, q.nu, q.nugget], [2.0, 1.5, 0.3], rtol=1e-12)
+    assert_allclose(q.c_coeffs, p.c_coeffs, rtol=1e-12)
+    # d natural / d coordinate: the natural value at each log, nu less d/4
+    assert_allclose(coords.jacobian(p), [2.0, 1.0, 1.0, 1.0, 0.3], rtol=1e-15)
+
+    fixed = _Coordinates(1, 2, 1.5, False)
+    q2 = fixed.unpack(fixed.pack(p))
+    assert q2.nu == 1.5 and q2.nugget == 0.0
+    assert_allclose(q2.c_coeffs, p.c_coeffs, rtol=1e-12)
+
+    assert coords.names() == ["sigma_e2", "nu", "b0", "b1", "nugget"]
+    assert _Coordinates(0, 2, 1.0, False).names() == ["sigma_e2", "b0"]
+
+    with pytest.raises(ValueError):
+        coords.pack(p.from_dict({**p.to_dict(), "nugget": 0.0}))
+
+
+def test_coordinates_unpack_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        _Coordinates(2, 2, 1.0, False).unpack(np.zeros(2))

@@ -159,6 +159,11 @@ def test_load_model_bare_and_wrapped(tmp_path):
     with pytest.raises(PanelFormatError, match="missing required key"):
         load_model(str(incomplete))
 
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps(dict(params.to_dict(), d=2.5)))
+    with pytest.raises(PanelFormatError, match="d must be a positive integer, got 2.5"):
+        load_model(str(fractional))
+
 
 def test_load_single_series(tmp_path):
     path = tmp_path / "series.csv"

@@ -292,6 +292,16 @@ def test_overflowing_target_distance_is_rejected_without_a_warning():
                 call()
 
 
+def test_model_of_another_dimension_is_rejected():
+    locs, target, params = _setup(seed=19)
+    panel = TimeSeriesPanel(locs, np.random.default_rng(20).normal(size=(locs.shape[0], 33)))
+    cubic = replace(params, d=3)
+    for call in (lambda: assemble_system(locs, target, 1.1, cubic),
+                 lambda: krige_series(panel, target, cubic)):
+        with pytest.raises(ValueError, match="locations have dimension 2 but the model has d=3"):
+            call()
+
+
 def test_enforce_stationarity_reflection():
     repaired, changed = _enforce_stationarity(np.array([1.2]))
     assert changed

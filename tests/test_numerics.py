@@ -71,6 +71,9 @@ def test_bessel_k_overflow_raises():
                          (1.3, 1e-306), (0.999, 5e-324)):
             with pytest.raises(OverflowError):
                 bessel_k(order, x)
+        # a numpy order reads as a number, not as numpy's repr
+        with pytest.raises(OverflowError, match=r"order 0\.999999 at argument 5e-324$"):
+            bessel_k(np.float64(0.999999), 5e-324)
 
 
 def test_bessel_k_keeps_kv_values_where_kve_gives_up():
