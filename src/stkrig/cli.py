@@ -12,7 +12,6 @@ reported as a JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -30,7 +29,7 @@ from .io import (
     load_single_series,
     save_panel,
     write_json,
-    _fmt,
+    write_table,
 )
 from .krige import forecast as ar_forecast
 from .krige import krige_series
@@ -239,23 +238,15 @@ def _cmd_spectra(resolved: dict) -> None:
     panel = load_panel(resolved["locations"], resolved["series"])
     spectral = dft_panel(panel)
     out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "periodograms.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["omega"] + list(panel.site_ids))
-        table = np.column_stack([periodogram(spectral, i) for i in range(panel.m)])
-        for k in range(spectral.n_frequencies):
-            writer.writerow([_fmt(spectral.frequencies[k])] + [_fmt(v) for v in table[k]])
+    write_table(os.path.join(out_dir, "periodograms.csv"), ["omega"] + list(panel.site_ids),
+                spectral.frequencies, [periodogram(spectral, i) for i in range(panel.m)])
+    # |J_i - J_j|^2 for every pair i < j, as difference_periodogram
     rows, cols = np.triu_indices(panel.m, 1)
-    with open(os.path.join(out_dir, "difference_periodograms.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["omega"] + ["%s|%s" % (panel.site_ids[i], panel.site_ids[j])
-                                     for i, j in zip(rows, cols)])
-        # |J_i - J_j|^2 for every pair i < j, as difference_periodogram
-        diff = spectral.dft[rows] - spectral.dft[cols]
-        table = (diff * np.conj(diff)).real.T
-        for k in range(spectral.n_frequencies):
-            writer.writerow([_fmt(spectral.frequencies[k])] + [_fmt(v) for v in table[k]])
+    diff = spectral.dft[rows] - spectral.dft[cols]
+    write_table(os.path.join(out_dir, "difference_periodograms.csv"),
+                ["omega"] + ["%s|%s" % (panel.site_ids[i], panel.site_ids[j])
+                             for i, j in zip(rows, cols)],
+                spectral.frequencies, (diff * np.conj(diff)).real)
     payload = _provenance("spectra", resolved)
     payload["m"] = panel.m
     payload["n"] = panel.n
@@ -320,17 +311,12 @@ def _cmd_krige(resolved: dict) -> None:
         include_target_noise=resolved["include_target_noise"],
         threads=resolved["threads"],
     )
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
     payload = _provenance("krige", resolved)
     payload["model"] = params.to_dict()
     payload.update(output.to_dict())
-    write_json(os.path.join(out_dir, "kriging.json"), payload)
-    with open(os.path.join(out_dir, "target_series.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "zhat"])
-        for t, value in enumerate(output.reconstructed, start=1):
-            writer.writerow([str(t), _fmt(value)])
+    write_json(os.path.join(resolved["out"], "kriging.json"), payload)
+    write_table(os.path.join(resolved["out"], "target_series.csv"), ["t", "zhat"],
+                range(1, output.n + 1), [output.reconstructed])
 
 
 def _cmd_forecast(resolved: dict) -> None:
@@ -341,11 +327,8 @@ def _cmd_forecast(resolved: dict) -> None:
     out_path = resolved["out"]
     write_json(out_path, payload)
     stem, _ = os.path.splitext(out_path)
-    with open(stem + ".csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["horizon", "forecast", "mse"])
-        for v in range(output.forecasts.size):
-            writer.writerow([str(v + 1), _fmt(output.forecasts[v]), _fmt(output.forecast_mse[v])])
+    write_table(stem + ".csv", ["horizon", "forecast", "mse"],
+                range(1, output.forecasts.size + 1), [output.forecasts, output.forecast_mse])
 
 
 def _cmd_test_indep(resolved: dict) -> None:

@@ -174,11 +174,12 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     their difference must not turn negative. A value outside the double
     range raises FloatingPointError, without a numpy warning first.
 
-    With gradient set, also returns dC(h, w) / d log|c(w)|^2
+    With gradient set, h must be positive everywhere (the criterion's bin
+    distances are), and the kernel also returns dC(h, w) / d log|c(w)|^2
     = -mu C - (x / 2) C K_{mu-1}(x) / K_mu(x), from the same Bessel call
-    (d/dx [x^mu K_mu(x)] = -x^mu K_{mu-1}(x), DLMF 10.29.4); that of C(0, w)
-    is -mu C(0, w). Where the Bessel factors are not finite, x K_{mu-1} /
-    K_mu takes its limit 0 at small x; C is 0 at large x.
+    (d/dx [x^mu K_mu(x)] = -x^mu K_{mu-1}(x), DLMF 10.29.4). Where the
+    Bessel factors are not finite, x K_{mu-1} / K_mu takes its limit 0 at
+    small x; C is 0 at large x.
     """
     nu, d = params.nu, params.d
     mu = 2.0 * nu - d / 2.0
@@ -241,12 +242,9 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     else:
         h_b, c_abs_b, zero_b = np.broadcast_arrays(h, c_abs, zero)
         cov = np.array(zero_b, order="C")
-        slope = np.full(cov.shape, mu) if gradient else None
         pos = h_b > 0.0
         if pos.any():
-            cov[pos], slope_pos = closed_form(h_b[pos], c_abs_b[pos], zero_b[pos])
-            if gradient:
-                slope[pos] = slope_pos
+            cov[pos], _ = closed_form(h_b[pos], c_abs_b[pos], zero_b[pos])
     if not np.isfinite(cov).all():
         raise FloatingPointError("covariance evaluation produced non-finite values")
     np.minimum(cov, zero, out=cov)

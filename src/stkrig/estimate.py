@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize as _sopt
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .covmodel import ModelParams, _check_dimension, _variogram
+from .io import json_data
+from .numerics import _count
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
 
 _TWO_PI = 2.0 * np.pi
@@ -112,13 +112,6 @@ def _check_pairs(pairs: np.ndarray, bad: np.ndarray, what: str):
         raise ValueError("pair %r %s" % (tuple(pairs[np.argmax(bad)].tolist()), what))
 
 
-def _count(value, name: str) -> int:
-    """value as an int; ValueError unless it is a whole number."""
-    if not float(value).is_integer():
-        raise ValueError("%s must be a whole number, got %r" % (name, value))
-    return int(value)
-
-
 def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = None,
                         tolerance: float | None = None) -> DistanceBins:
     """Group all site pairs by spatial separation.
@@ -197,18 +190,19 @@ def _tolerance_groups(ranked: np.ndarray, tol: float) -> np.ndarray:
     value v with v - first <= tol, first being the value that opened it.
     """
     n = ranked.size
-    k = np.arange(n)
     # nxt[k]: the first index a group opened at k does not take, bisected on
     # the test v - first <= tol itself (ranked + tol rounds differently)
-    nxt, hi = k + 1, np.full(n, n)
+    nxt, hi = np.arange(1, n + 1), np.full(n, n)
     while np.any(nxt < hi):
         mid = (nxt + hi) // 2
         taken = ranked[np.minimum(mid, n - 1)] - ranked <= tol
         nxt, hi = np.where(taken & (nxt < hi), mid + 1, nxt), np.where(taken, hi, mid)
     # the groups open at the indices reachable from 0 along k -> nxt[k]
-    path = csr_matrix((np.ones(n), (k, nxt)), shape=(n + 1, n + 1))
-    starts = breadth_first_order(path, 0, return_predecessors=False)
-    return starts[starts < n]
+    starts, k, step = [], 0, nxt.tolist()
+    while k < n:
+        starts.append(k)
+        k = step[k]
+    return np.array(starts)
 
 
 def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -501,13 +495,10 @@ class FitConfig:
     compute_covariance: bool = True
 
     def __post_init__(self):
-        for name in ("n_coeffs", "n_frequencies", "n_bins", "multistart"):
+        for name, least in (("n_coeffs", 0), ("n_frequencies", None), ("n_bins", None),
+                            ("multistart", 1), ("seed", 0)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.n_coeffs < 0:
-            raise ValueError("n_coeffs must be nonnegative, got %d" % self.n_coeffs)
-        if self.multistart < 1:
-            raise ValueError("multistart must be at least 1, got %d" % self.multistart)
+                object.__setattr__(self, name, _count(getattr(self, name), name, least))
         if self.nu_fixed is not None and not np.isfinite(self.nu_fixed):
             raise ValueError("nu_fixed must be finite, got %r" % self.nu_fixed)
 
@@ -555,18 +546,7 @@ class FitResult:
     restarts: list
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "criterion": float(self.criterion),
-            "covariance": None if self.covariance is None else
-                [[float(v) for v in row] for row in np.asarray(self.covariance)],
-            "param_names": list(self.param_names),
-            "converged": bool(self.converged),
-            "n_frequencies": int(self.n_frequencies),
-            "bins": self.bins,
-            "n_restarts": int(self.n_restarts),
-            "restarts": [dict(r) for r in self.restarts],
-        }
+        return json_data(self)
 
 
 def _quasi_newton(objective, start: np.ndarray):

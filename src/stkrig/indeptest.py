@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .numerics import SingularMatrixError, cholesky_with_jitter
+from .io import json_data
+from .numerics import SingularMatrixError, _count, cholesky_with_jitter
 from .spectral import TimeSeriesPanel, block_widths, dft_panel, partition_frequencies
 
 
@@ -109,19 +110,7 @@ class IndependenceTestResult:
     pd_repairs: int
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_bar": float(self.lambda_bar),
-            "z_score": float(self.z_score),
-            "p_value": float(self.p_value),
-            "mean_null": float(self.mean_null),
-            "var_null": float(self.var_null),
-            "per_frequency_lambdas": [float(v) for v in self.per_frequency_lambdas],
-            "half_window": int(self.half_window),
-            "window_size": int(self.window_size),
-            "n_blocks": int(self.n_blocks),
-            "n_used": int(self.n_used),
-            "pd_repairs": int(self.pd_repairs),
-        }
+        return json_data(self)
 
 
 def independence_test(panel: TimeSeriesPanel, half_window: int | None = None) -> IndependenceTestResult:
@@ -151,7 +140,7 @@ def independence_test(panel: TimeSeriesPanel, half_window: int | None = None) ->
         )
     n = working.n
     m = working.m
-    k = default_half_window(n, m) if half_window is None else int(half_window)
+    k = default_half_window(n, m) if half_window is None else _count(half_window, "half_window")
     width = 2 * k + 1
     if width <= m:
         raise ValueError(

@@ -4,12 +4,15 @@ Locations travel as CSV with header ``site_id,x1,...,xd``; panel data as CSV
 with header ``t,<site_id>,...`` and one row per time point. Model parameters
 travel as JSON with keys sigma_e2, nu, c_coeffs, nugget and d; files written
 by the estimation command wrap the same object under a "params" key and both
-shapes are accepted wherever a model is read.
+shapes are accepted wherever a model is read. Every CSV table the package
+writes goes through write_table; result records take their JSON form from
+json_data.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -21,10 +24,6 @@ from .spectral import TimeSeriesPanel
 
 class PanelFormatError(ValueError):
     """An input file does not follow the documented layout."""
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def _number(path: str, r: int, column: str, cell: str) -> float:
@@ -125,20 +124,13 @@ def load_panel(locations_path: str, series_path: str) -> TimeSeriesPanel:
 
 def save_panel(panel: TimeSeriesPanel, out_dir: str) -> tuple[str, str]:
     """Write locations.csv and series.csv into out_dir; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    loc_path = os.path.join(out_dir, "locations.csv")
-    series_path = os.path.join(out_dir, "series.csv")
-    with open(loc_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["site_id"] + ["x%d" % (k + 1) for k in range(panel.d)])
-        for i, site in enumerate(panel.site_ids):
-            writer.writerow([site] + [_fmt(v) for v in panel.locations[i]])
-    with open(series_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + list(panel.site_ids))
-        for t in range(panel.n):
-            writer.writerow([str(t + 1)] + [_fmt(v) for v in panel.observations[:, t]])
-    return loc_path, series_path
+    return (
+        write_table(os.path.join(out_dir, "locations.csv"),
+                    ["site_id"] + ["x%d" % (k + 1) for k in range(panel.d)],
+                    panel.site_ids, panel.locations.T),
+        write_table(os.path.join(out_dir, "series.csv"), ["t"] + list(panel.site_ids),
+                    range(1, panel.n + 1), panel.observations),
+    )
 
 
 def load_model(path: str) -> ModelParams:
@@ -174,10 +166,59 @@ def load_single_series(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def write_json(path: str, payload: dict) -> str:
+def _make_parent(path: str) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+
+
+def _label(value) -> str:
+    """A row label's CSV cell: a string as it is, an integer in decimal, any
+    other number as the repr of a Python float."""
+    return str(value) if isinstance(value, (str, int, np.integer)) else repr(float(value))
+
+
+def write_table(path: str, header, labels, columns) -> str:
+    """Write a CSV table and return its path, creating its directory.
+
+    The header row comes first, then one row per label: the label, then
+    that row's value from each column. Values are written as the repr of a
+    Python float, so they read back exactly.
+    """
+    rows = np.asarray(columns, dtype=float).T.tolist()
+    if len(rows) != len(labels):
+        raise ValueError("got %d labels for columns of length %d" % (len(labels), len(rows)))
+    _make_parent(path)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_label(label)] + [repr(v) for v in row]
+                         for label, row in zip(labels, rows))
+    return path
+
+
+def json_data(record) -> dict:
+    """A result record as JSON data: its dataclass fields in order, arrays,
+    lists and tuples as lists, dicts as new dicts, numpy scalars as Python
+    numbers, and an object with to_dict (ModelParams) as that dict."""
+    return {field.name: _json_value(getattr(record, field.name))
+            for field in dataclasses.fields(record)}
+
+
+def _json_value(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
+
+
+def write_json(path: str, payload: dict) -> str:
+    _make_parent(path)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -18,7 +18,8 @@ import numpy as np
 from scipy import linalg as _slinalg
 
 from .covmodel import ModelParams, _check_dimension, _covariance_system, _site_pair_distances
-from .numerics import SingularMatrixError, dft_forward, dft_inverse, hpd_solve
+from .io import json_data
+from .numerics import SingularMatrixError, _count, dft_forward, dft_inverse, hpd_solve
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
 _TWO_PI = 2.0 * np.pi
@@ -200,6 +201,7 @@ def reconstruct_series(predicted_dft, n: int, site_mean: float = 0.0) -> np.ndar
     conjugate symmetry.
     """
     pred = np.asarray(predicted_dft, dtype=complex)
+    n = _count(n, "series length n")
     m_int = (n - 1) // 2
     if pred.ndim != 1 or pred.size != m_int:
         raise ValueError(
@@ -285,8 +287,8 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
         Accepted and checked to be at least 1; the systems are solved on
         the calling thread, so the output is the same for any count.
     """
-    if threads is not None and int(threads) < 1:
-        raise ValueError("threads must be at least 1, got %r" % threads)
+    if threads is not None:
+        _count(threads, "threads", 1)
     spectral = dft_panel(panel)
     tgt = np.asarray(target, dtype=float).reshape(-1)
     distances, lower = _site_distances(panel.locations, tgt, params)
@@ -347,13 +349,7 @@ class ForecastOutput:
     forecast_mse: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "ar_order": int(self.ar_order),
-            "ar_coefficients": [float(v) for v in self.ar_coefficients],
-            "innovation_variance": float(self.innovation_variance),
-            "forecasts": [float(v) for v in self.forecasts],
-            "forecast_mse": [float(v) for v in self.forecast_mse],
-        }
+        return json_data(self)
 
 
 def _ar_transfer(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -474,15 +470,12 @@ def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:
     max_order : int
         Largest autoregressive order tried.
     """
+    horizons, max_order = _count(horizons, "horizons", 0), _count(max_order, "max_order", 0)
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one dimensional, got shape %s" % (x.shape,))
     if not np.isfinite(x).all():
         raise ValueError("series contains non-finite values")
-    if horizons < 0:
-        raise ValueError("horizons must be nonnegative, got %r" % horizons)
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative, got %r" % max_order)
     if x.size < max(4 * max_order, 3):
         raise ValueError(
             "series of length %d is too short for max_order=%d; need at least %d points"

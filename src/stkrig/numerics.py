@@ -43,6 +43,17 @@ class HpdSolution(NamedTuple):
     jitter: float
 
 
+def _count(value, name: str, least: int | None = None) -> int:
+    """value as an int; ValueError unless it is a whole number, at least
+    least when that is given."""
+    if not float(value).is_integer():
+        raise ValueError("%s must be a whole number, got %r" % (name, value))
+    count = int(value)
+    if least is not None and count < least:
+        raise ValueError("%s must be at least %d, got %r" % (name, least, value))
+    return count
+
+
 def log_gamma(x):
     """Natural log of the gamma function for positive real arguments.
 
@@ -384,10 +395,9 @@ def dft_inverse(coeffs, n: int) -> np.ndarray:
         Real series of length n indexed by t = 1, ..., n.
     """
     c = np.asarray(coeffs, dtype=complex)
+    n = _count(n, "n", 2)
     if c.ndim != 1 or c.size != n:
         raise ValueError("coeffs must be a vector of length n=%d, got shape %s" % (n, (c.shape,)))
-    if n < 2:
-        raise ValueError("n must be at least 2, got %d" % n)
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs contain non-finite values")
     scale = max(1.0, float(np.abs(c).max()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmodel import ModelParams, _check_dimension, _covariance_system, _site_pair_distances
-from .numerics import _synthesize_rows, cholesky_with_jitter
+from .numerics import _count, _synthesize_rows, cholesky_with_jitter
 from .spectral import TimeSeriesPanel, fourier_frequencies
 
 
@@ -53,8 +53,8 @@ class SimulationSpec:
             raise ValueError("locations must have shape (m, d), got %s" % (loc.shape,))
         if not np.all(np.isfinite(loc)):
             raise ValueError("locations contain non-finite values")
-        if self.n < 8:
-            raise ValueError("simulation length must be at least 8, got %d" % self.n)
+        object.__setattr__(self, "n", _count(self.n, "simulation length", 8))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
         _check_dimension(loc.shape[1], self.params)
         loc = loc.copy()
         loc.flags.writeable = False
@@ -128,10 +128,8 @@ def simulate_white_panel(m: int, n: int, variance: float = 1.0, seed: int = 0,
     Useful as the null case of the independence test. Locations default to
     unit-spaced points on a line in the plane.
     """
-    if m < 1:
-        raise ValueError("need at least one site, got %d" % m)
-    if n < 2:
-        raise ValueError("series length must be at least 2, got %d" % n)
+    m, n = _count(m, "site count m", 1), _count(n, "series length", 2)
+    seed = _count(seed, "seed", 0)
     if not (variance > 0 and np.isfinite(variance)):
         raise ValueError("variance must be positive, got %r" % variance)
     if locations is None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _dft_rows
+from .numerics import _count, _dft_rows
 
 # Largest Fourier ordinate modulus dft_panel accepts: |J_i - J_j|^2 is then
 # at most 4 * _MAX_ORDINATE^2, the largest double
@@ -21,8 +21,7 @@ _MAX_ORDINATE = np.sqrt(np.finfo(float).max) / 2.0
 
 def fourier_frequencies(n: int) -> np.ndarray:
     """Interior canonical frequencies 2 pi k / n, k = 1, ..., floor((n-1)/2)."""
-    if n < 2:
-        raise ValueError("series length must be at least 2, got %d" % n)
+    n = _count(n, "series length", 2)
     m = (n - 1) // 2
     return 2.0 * np.pi * np.arange(1, m + 1) / n
 
@@ -215,6 +214,7 @@ def difference_periodogram(spectral: SpectralPanel, site_i: int, site_j: int) ->
 def block_widths(n: int) -> list:
     """Admissible block widths 2K + 1 >= 3 for a series of odd length n:
     the odd divisors of its (n - 1) / 2 interior frequencies, ascending."""
+    n = _count(n, "series length")
     if n % 2 == 0:
         raise ValueError(
             "frequency blocks need an odd series length; drop the last "
@@ -233,8 +233,7 @@ def partition_frequencies(n: int, half_window: int) -> tuple[int, np.ndarray]:
     for an indivisible width lists the admissible half-window values.
     """
     widths = block_widths(n)
-    if half_window < 1:
-        raise ValueError("half_window must be at least 1, got %d" % half_window)
+    half_window = _count(half_window, "half_window", 1)
     half = (n - 1) // 2
     width = 2 * half_window + 1
     if half % width != 0:

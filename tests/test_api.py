@@ -4,6 +4,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import stkrig
 import stkrig.indeptest
 import stkrig.spectral
@@ -43,13 +46,68 @@ def test_partition_frequencies_is_defined_once():
     assert stkrig.indeptest.partition_frequencies is stkrig.spectral.partition_frequencies
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about 20 MB and 0.4 s to import; the package needs
-    # only its normal tail, which scipy.special has
+def _loaded_by_import(module: str) -> bool:
+    """Whether importing stkrig and its CLI in a fresh interpreter loads module."""
     src = os.path.dirname(os.path.dirname(stkrig.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, stkrig, stkrig.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, stkrig, stkrig.cli; print(%r in sys.modules)" % module],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 20 MB and 0.4 s to import; the package needs
+    # only its normal tail, which scipy.special has
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_leaves_scipy_sparse_csgraph_out():
+    # exact distance bins walk their chain of groups without a graph library
+    assert not _loaded_by_import("scipy.sparse.csgraph")
+
+
+def _white(m=3, n=133):
+    return stkrig.simulate_white_panel(m, n, seed=1)
+
+
+_PARAMS = stkrig.ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.2,), d=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: stkrig.FitConfig(seed=2.5), "seed must be a whole number, got 2.5"),
+    (lambda: stkrig.FitConfig(seed=-1), "seed must be at least 0, got -1"),
+    (lambda: stkrig.SimulationSpec(np.eye(2), n=64.5, params=_PARAMS),
+     "simulation length must be a whole number, got 64.5"),
+    (lambda: stkrig.SimulationSpec(np.eye(2), n=64, params=_PARAMS, seed=1.5),
+     "seed must be a whole number, got 1.5"),
+    (lambda: stkrig.SimulationSpec(np.eye(2), n=64, params=_PARAMS, seed=-2),
+     "seed must be at least 0, got -2"),
+    (lambda: stkrig.simulate_white_panel(2.5, 10), "site count m must be a whole number"),
+    (lambda: stkrig.simulate_white_panel(2, 10.5), "series length must be a whole number"),
+    (lambda: stkrig.simulate_white_panel(2, 10, seed=0.5), "seed must be a whole number"),
+    (lambda: stkrig.forecast(np.arange(40.0), 2.5), "horizons must be a whole number"),
+    (lambda: stkrig.forecast(np.arange(40.0), 3, max_order=2.5),
+     "max_order must be a whole number, got 2.5"),
+    (lambda: stkrig.independence_test(_white(), half_window=5.7),
+     "half_window must be a whole number, got 5.7"),
+    (lambda: stkrig.krige_series(_white(), (0.5, 0.5), _PARAMS, threads=1.5),
+     "threads must be a whole number, got 1.5"),
+    (lambda: stkrig.fourier_frequencies(7.5), "series length must be a whole number, got 7.5"),
+    (lambda: stkrig.partition_frequencies(19, 1.5), "half_window must be a whole number"),
+    (lambda: stkrig.default_half_window(19.5, 2), "series length must be a whole number"),
+    (lambda: stkrig.dft_inverse(np.ones(7), 7.5), "n must be a whole number, got 7.5"),
+    (lambda: stkrig.reconstruct_series([1j] * 3, 7.5), "series length n must be a whole number"),
+])
+def test_counts_and_seeds_must_be_whole_numbers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_whole_float_counts_are_accepted():
+    series = np.random.default_rng(2).normal(size=40)
+    assert (stkrig.forecast(series, 3.0, max_order=2.0).to_dict()
+            == stkrig.forecast(series, 3, max_order=2).to_dict())
+    spec = stkrig.SimulationSpec(np.eye(2), n=16.0, params=_PARAMS, seed=3.0)
+    assert type(spec.n) is int and type(spec.seed) is int

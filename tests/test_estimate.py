@@ -4,7 +4,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from stkrig import (DistanceBins, FitConfig, ModelParams, SimulationSpec,
                     simulate_panel, variogram_model, whittle_criterion)
 from oracles import (binned_difference_periodograms_by_loop, distance_bins_by_scan,
                      fit_by_simplex, tolerance_group_starts_by_loop)
-from stkrig.estimate import (EstimationError, EvaluationError,
+from stkrig.estimate import (EstimationError, EvaluationError, FitResult,
                              SingularHessianError, _binned_difference_periodograms,
                              _Coordinates, _criterion_terms, _prepare, _quasi_newton,
                              _tolerance_groups)
@@ -440,6 +440,22 @@ def test_fit_result_serializes():
     assert back["params"]["sigma_e2"] == pytest.approx(res.params.sigma_e2)
     assert back["criterion"] == pytest.approx(res.criterion)
     assert back["covariance"] is None
+
+
+def test_fit_result_with_covariance_serializes_field_by_field():
+    panel, _ = _toy_panel(seed=6)
+    res = fit(panel, FitConfig(nu_fixed=1.0, multistart=1))
+    blob = res.to_dict()
+    assert list(blob) == [field.name for field in fields(FitResult)]
+    k = len(res.param_names)
+    assert len(blob["covariance"]) == k
+    assert all(len(row) == k and all(type(v) is float for v in row)
+               for row in blob["covariance"])
+    by_hand = {"params": res.params.to_dict(), "criterion": res.criterion,
+               "covariance": res.covariance.tolist(), "param_names": res.param_names,
+               "converged": res.converged, "n_frequencies": res.n_frequencies,
+               "bins": res.bins, "n_restarts": res.n_restarts, "restarts": res.restarts}
+    assert json.dumps(blob) == json.dumps(by_hand)
 
 
 @pytest.mark.parametrize("fit_nugget", [False, True])

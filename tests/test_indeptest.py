@@ -70,6 +70,16 @@ def test_statistic_structure():
     assert res.pd_repairs == 0
 
 
+def test_identical_series_need_a_repair_in_every_block():
+    # two sites carry one series: every block spectral matrix is singular
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=133)
+    locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    res = independence_test(TimeSeriesPanel(locs, np.vstack([base, base, rng.normal(size=133)])))
+    assert res.n_blocks == 2 and res.pd_repairs == 2
+    assert np.isfinite(res.lambda_bar)
+
+
 def test_even_length_dropped_with_warning():
     panel = simulate_white_panel(2, 20, seed=3)
     with pytest.warns(UserWarning, match="dropping the last"):

@@ -1,6 +1,7 @@
 """File format round trips and validation for the CSV/JSON loaders."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.testing as npt
@@ -14,8 +15,10 @@ from stkrig.io import (
     load_panel,
     load_series,
     load_single_series,
+    json_data,
     save_panel,
     write_json,
+    write_table,
 )
 
 
@@ -194,6 +197,41 @@ def test_write_json_creates_parents_and_ends_with_newline(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == {"alpha": 1}
+
+
+def test_write_table_rows_and_number_format(tmp_path):
+    path = tmp_path / "nested" / "table.csv"
+    returned = write_table(str(path), ["label", "a", "b"], ["s1", 2, np.float64(0.1)],
+                           [np.array([1.0, 1 / 3, -2.5e-300]), [np.float32(0.5), 7, 1e300]])
+    assert returned == str(path)
+    assert path.read_text().splitlines() == [
+        "label,a,b", "s1,1.0,0.5", "2,0.3333333333333333,7.0", "0.1,-2.5e-300,1e+300"]
+    write_table(str(path), ["t", "x"], range(1, 1), [np.empty(0)])
+    assert path.read_text().splitlines() == ["t,x"]
+    with pytest.raises(ValueError, match="got 2 labels for columns of length 3"):
+        write_table(str(path), ["t", "x"], [1, 2], [[1.0, 2.0, 3.0]])
+
+
+def test_json_data_of_a_record():
+    @dataclass
+    class Record:
+        model: ModelParams
+        count: np.int64
+        value: np.float64
+        flag: np.bool_
+        pair: tuple
+        table: np.ndarray
+        runs: list
+
+    params = ModelParams(sigma_e2=2.0, nu=1.0, c_coeffs=(0.1,))
+    record = Record(params, np.int64(3), np.float64(0.25), np.bool_(True),
+                    (np.float64(1.5), None), np.eye(2), [{"start": np.zeros(1)}])
+    data = json_data(record)
+    assert json.dumps(data) == json.dumps({
+        "model": params.to_dict(), "count": 3, "value": 0.25, "flag": True,
+        "pair": [1.5, None], "table": [[1.0, 0.0], [0.0, 1.0]], "runs": [{"start": [0.0]}]})
+    assert type(data["count"]) is int and type(data["pair"][0]) is float
+    assert data["runs"][0] is not record.runs[0]
 
 
 def test_panel_format_error_is_value_error():

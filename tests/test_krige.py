@@ -17,7 +17,9 @@ from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel,
                     assemble_system, cov_freq, cov_matrix, cov_zero, dft_panel, forecast,
                     fourier_frequencies, krige_series, predict_dft,
                     reconstruct_series, simulate_panel)
+import stkrig.krige
 from stkrig.krige import (_ar_transfer, _enforce_stationarity, estimate_target_mean)
+from stkrig.numerics import SingularMatrixError
 
 with open(os.path.join(os.path.dirname(__file__), "fixtures",
                        "pilot_thresholds.json")) as _handle:
@@ -125,6 +127,34 @@ def test_singular_system_marks_frequency_failed():
     assert len(pred.failed) > 0 or np.any(pred.jitter > 0.0)
     for k in pred.failed:
         assert np.isnan(pred.predicted[k])
+
+
+def test_predict_dft_marks_a_system_no_jitter_repairs_failed():
+    locs, target, params = _setup(seed=2)
+    spectral = dft_panel(TimeSeriesPanel(locs, np.random.default_rng(3).normal(size=(5, 17))))
+    _, g0, c0 = assemble_system(locs, target, 1.0, params)
+    pred = predict_dft(spectral, [(-np.eye(5), g0, c0)] * spectral.n_frequencies)
+    assert pred.failed == tuple(range(spectral.n_frequencies))
+    assert np.isnan(pred.predicted).all() and np.isnan(pred.mse).all()
+
+
+def test_krige_series_reports_a_failed_frequency(monkeypatch):
+    locs, target, params = _setup(seed=4)
+    panel = TimeSeriesPanel(locs, np.random.default_rng(5).normal(size=(5, 33)))
+    calls, solve = [], stkrig.krige.hpd_solve
+
+    def failing_at_the_fourth(matrix, rhs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise SingularMatrixError("singular", 0.0)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(stkrig.krige, "hpd_solve", failing_at_the_fourth)
+    with pytest.warns(UserWarning, match="^1 of 16 frequencies failed to solve"):
+        out = krige_series(panel, target, params)
+    assert out.jitter_report["failed_frequencies"] == [3]
+    assert out.to_dict()["mse"][3] is None
+    assert np.isfinite(out.reconstructed).all()
 
 
 def test_predict_dft_counts_the_systems():
