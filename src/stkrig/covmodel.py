@@ -24,7 +24,7 @@ distinct sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -51,10 +51,6 @@ class ModelParams:
         Measurement error variance sigma_n^2 >= 0.
     d : int
         Spatial dimension of the site coordinates.
-    eq310_constant : bool
-        Compatibility switch for an alternative zero-distance constant that
-        is 2 pi times the default one (d = 2 only). Leave off unless
-        reproducing output of software that used that convention.
     """
 
     sigma_e2: float
@@ -62,7 +58,6 @@ class ModelParams:
     c_coeffs: tuple
     nugget: float = 0.0
     d: int = 2
-    eq310_constant: bool = False
 
     def __post_init__(self):
         coeffs = tuple(float(b) for b in np.atleast_1d(self.c_coeffs))
@@ -87,8 +82,6 @@ class ModelParams:
                              "the double range" % self.nu)
         if not (np.isfinite(self.nugget) and self.nugget >= 0):
             raise ValueError("nugget must be nonnegative, got %r" % self.nugget)
-        if self.eq310_constant and self.d != 2:
-            raise ValueError("eq310_constant is defined only for d = 2")
 
     @property
     def n_coeffs(self) -> int:
@@ -96,30 +89,41 @@ class ModelParams:
         return len(self.c_coeffs) - 1
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "sigma_e2": float(self.sigma_e2),
             "nu": float(self.nu),
             "c_coeffs": [float(b) for b in self.c_coeffs],
             "nugget": float(self.nugget),
             "d": int(self.d),
         }
-        if self.eq310_constant:
-            out["eq310_constant"] = True
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
+        """The model from the keys of to_dict (nugget and d optional), each a
+        JSON number and c_coeffs an array of them; anything else is a ValueError."""
+        unknown = sorted(set(data) - {"sigma_e2", "nu", "c_coeffs", "nugget", "d"})
+        if unknown:
+            raise ValueError("unknown model parameter key %s" % ", ".join(map(repr, unknown)))
         try:
+            coeffs = data["c_coeffs"]
+            if not isinstance(coeffs, list):
+                raise ValueError("c_coeffs must be an array of numbers, got %r" % (coeffs,))
             return cls(
-                sigma_e2=float(data["sigma_e2"]),
-                nu=float(data["nu"]),
-                c_coeffs=tuple(float(b) for b in data["c_coeffs"]),
-                nugget=float(data.get("nugget", 0.0)),
-                d=data.get("d", 2),
-                eq310_constant=bool(data.get("eq310_constant", False)),
+                sigma_e2=float(_number(data["sigma_e2"], "sigma_e2")),
+                nu=float(_number(data["nu"], "nu")),
+                c_coeffs=tuple(float(_number(b, "c_coeffs entry")) for b in coeffs),
+                nugget=float(_number(data.get("nugget", 0.0), "nugget")),
+                d=_number(data.get("d", 2), "d"),
             )
         except KeyError as missing:
             raise ValueError("model parameters missing required key %s" % missing) from None
+
+
+def _number(value, name: str):
+    # float() would read a bool as 0 or 1 and parse a string; JSON numbers are neither
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return value
 
 
 def _check_dimension(d: int, params: ModelParams):
@@ -186,11 +190,8 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     log_scale = np.log(params.sigma_e2) - (d / 2.0) * np.log(_TWO_PI)
     log_gamma_2nu = float(gammaln(2.0 * nu))
     c2 = _c_mod_sq(om, params)
-    if params.eq310_constant:
-        zero = params.sigma_e2 / (2.0 * (2.0 * nu - 1.0) * c2 ** (2.0 * nu - 1.0))
-    else:
-        log_const = log_scale - (d / 2.0) * np.log(2.0) + float(gammaln(mu)) - log_gamma_2nu
-        zero = np.exp(log_const - mu * np.log(c2))
+    log_const = log_scale - (d / 2.0) * np.log(2.0) + float(gammaln(mu)) - log_gamma_2nu
+    zero = np.exp(log_const - mu * np.log(c2))
     c_abs = np.sqrt(c2)
     log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
 
@@ -298,15 +299,9 @@ def corr_freq(h, omega, params: ModelParams):
     """Spatial correlation at frequency w,
     rho(h, w) = (h |c(w)|)^mu K_mu(h |c(w)|) / (2^(mu - 1) Gamma(mu)).
 
-    Equals cov_freq / cov_zero (with eq310_constant off) and does not depend
-    on sigma_e2 or the nugget.
+    Equals cov_freq / cov_zero and does not depend on sigma_e2 or the nugget.
     """
-    hv = _distances(h)
-    om = _as_float_array(omega, "omega")
-    if params.eq310_constant:
-        # the switch rescales C(0, w) alone; rho is the Matern correlation
-        params = replace(params, eq310_constant=False)
-    cov, zero = _kernel(hv, om, params)
+    cov, zero = _kernel(_distances(h), _as_float_array(omega, "omega"), params)
     if not np.all((zero > 0) & np.isfinite(zero)):
         raise FloatingPointError("C(0, w) is out of the double range, so rho is undefined")
     return _scalar_like(cov / zero, h, omega)

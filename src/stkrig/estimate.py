@@ -125,7 +125,8 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
         designs get one bin per multiplicity class. "quantile" partitions the
         sorted pair distances into n_bins groups of near-equal pair count.
     n_bins : int, optional
-        Number of groups for quantile mode.
+        Number of groups for quantile mode; a count above the number of
+        pairs gives one group per pair.
     tolerance : float, optional
         Merge tolerance for exact mode, nonnegative. Defaults to 1e-9 times
         the largest pair distance.
@@ -171,7 +172,8 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
     elif mode == "quantile":
         if n_bins is None or _count(n_bins, "n_bins") < 1:
             raise ValueError("quantile mode needs n_bins >= 1, got %r" % n_bins)
-        sizes = [c.size for c in np.array_split(order, n_bins) if c.size > 0]
+        # at most one section per pair: array_split makes every further one empty
+        sizes = [c.size for c in np.array_split(order, min(int(n_bins), order.size))]
         starts = np.cumsum([0] + sizes[:-1])
     else:
         raise ValueError("mode must be 'exact' or 'quantile', got %r" % mode)

@@ -138,9 +138,9 @@ def load_model(path: str) -> ModelParams:
     result that wraps them under the "params" key."""
     with open(path) as handle:
         data = json.load(handle)
-    if not isinstance(data, dict):
+    payload = data.get("params", data) if isinstance(data, dict) else data
+    if not isinstance(payload, dict):
         raise PanelFormatError("%s: expected a JSON object" % path)
-    payload = data.get("params", data)
     try:
         return ModelParams.from_dict(payload)
     except (ValueError, TypeError) as err:

@@ -178,6 +178,7 @@ def dft_panel(panel: TimeSeriesPanel) -> SpectralPanel:
 
 
 def _check_site(spectral: SpectralPanel, site: int) -> int:
+    site = _count(site, "site index")
     if not -spectral.m <= site < spectral.m:
         raise IndexError("site index %d out of range for %d sites" % (site, spectral.m))
     return site % spectral.m

@@ -255,6 +255,7 @@ def _huge_values(shape, seed):
     "overflowing-coordinates", "overflowing-coordinates-simulate",
     "overflowing-coordinates-krige", "infinite-forecast-cell", "overflowing-forecast",
     "absurd-horizons", "absurd-length", "model-of-another-dimension",
+    "model-with-an-unknown-key", "model-with-a-boolean-dimension",
 ])
 def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path, capsys):
     # every exit-1 path: stderr parses as one JSON object, and no warning
@@ -301,6 +302,14 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
             json.dump(dict(MODEL, d=3), handle)
         argv = krige + ["--model", model_path, "--target", "1.4,0.9"]
         expected = ("krige", "ValueError")
+    elif case.startswith("model-with"):
+        # a key the model does not have is not ignored, and true is not d = 1
+        model_path = str(tmp_path / "model.json")
+        with open(model_path, "w") as handle:
+            json.dump(dict(MODEL, range=1.0) if case.endswith("key") else dict(MODEL, d=True),
+                      handle)
+        argv = krige + ["--model", model_path, "--target", "1.4,0.9"]
+        expected = ("krige", "PanelFormatError")
     elif case.startswith("absurd"):
         # each first allocation is petabytes, so it fails before anything is
         # allocated
@@ -349,6 +358,10 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
     assert (report["error"]["command"], report["error"]["type"]) == expected
     if case == "model-of-another-dimension":
         assert "locations have dimension 2 but the model has d=3" in report["error"]["message"]
+    if case == "model-with-an-unknown-key":
+        assert "unknown model parameter key 'range'" in report["error"]["message"]
+    if case == "model-with-a-boolean-dimension":
+        assert "d must be a number, got True" in report["error"]["message"]
     if case == "infinite-forecast-cell":
         assert "row 7, column 'zhat' is not finite" in report["error"]["message"]
     if case.startswith("overflowing-coordinates"):

@@ -41,8 +41,6 @@ def test_params_validation():
         _params(d=0)
     with pytest.raises(ValueError):
         _params(d=1.5)
-    with pytest.raises(ValueError):
-        _params(d=3, eq310_constant=True)
 
 
 def test_nu_whose_log_gamma_constant_overflows_is_rejected():
@@ -316,14 +314,3 @@ def test_range_and_spectral_density_edges_fail_loudly_or_reach_their_limit():
             1.0 / ((2.0 * np.pi) ** 2 * 1.25 ** 2), rel=1e-15)
         with pytest.raises(FloatingPointError, match="spectral density overflows"):
             st_spectral_density(np.zeros(2), 1.0, down)
-
-
-def test_alternative_zero_distance_constant():
-    # the switch rescales C(0, w) by exactly 2 pi and leaves C(h > 0, w) alone
-    base = _params(sigma_e2=1.3, nu=1.2, c_coeffs=(0.1, 0.2))
-    alt = ModelParams(sigma_e2=1.3, nu=1.2, c_coeffs=(0.1, 0.2),
-                      eq310_constant=True)
-    om = np.linspace(0.2, 3.0, 5)
-    assert_allclose(cov_zero(om, alt), 2.0 * np.pi * cov_zero(om, base),
-                    rtol=1e-12)
-    assert_allclose(cov_freq(0.7, om, alt), cov_freq(0.7, om, base), rtol=1e-14)

@@ -137,6 +137,15 @@ def test_bins_match_pair_scan(layout, kwargs):
         assert _as_list(bins) == distance_bins_by_scan(locs, **kwargs)
 
 
+def test_quantile_bins_past_the_pair_count_are_one_pair_each():
+    # 20 sites, 190 pairs; 10^12 sections, mostly empty, would not fit in memory
+    locs = np.random.default_rng(29).uniform(0.0, 3.0, (20, 2))
+    huge = build_distance_bins(locs, mode="quantile", n_bins=10**12)
+    assert list(huge.counts) == [1] * 190
+    assert _as_list(huge) == _as_list(build_distance_bins(locs, mode="quantile", n_bins=190))
+    assert _as_list(huge) == distance_bins_by_scan(locs, mode="quantile", n_bins=190)
+
+
 def test_quantile_bins_keep_distance_order_when_a_mean_rounds_up():
     # 3x3x3 unit grid, 24 quantile bins: one bin is seven pairs at sqrt(2),
     # whose np.mean rounds one ulp above sqrt(2), and the next bin's mean is

@@ -1,6 +1,7 @@
 """File format round trips and validation for the CSV/JSON loaders."""
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +154,16 @@ def test_load_model_bare_and_wrapped(tmp_path):
         assert loaded.nugget == params.nugget
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(PanelFormatError, match="JSON object"):
-        load_model(str(bad))
+    for payload in ([1, 2, 3], {"params": [1, 2]}, {"params": 3.0}):
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(PanelFormatError, match="expected a JSON object"):
+            load_model(str(bad))
+
+    # whole numbers may be written as JSON integers
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps({"sigma_e2": 2, "nu": 1, "c_coeffs": [0, 1], "nugget": 0,
+                                 "d": 2.0}))
+    assert load_model(str(whole)) == ModelParams(2.0, 1.0, (0.0, 1.0), 0.0, 2)
 
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"sigma_e2": 1.0}))
@@ -166,6 +174,31 @@ def test_load_model_bare_and_wrapped(tmp_path):
     fractional.write_text(json.dumps(dict(params.to_dict(), d=2.5)))
     with pytest.raises(PanelFormatError, match="d must be a positive integer, got 2.5"):
         load_model(str(fractional))
+
+
+_MODEL = {"sigma_e2": 1.5, "nu": 1.0, "c_coeffs": [0.2, 0.4], "nugget": 0.1, "d": 2}
+
+
+@pytest.mark.parametrize("change, message", [
+    # float() would read these as d = 1, sigma_e2 = 1, b = (1, 2) and nu = 1.5
+    ({"d": True}, "d must be a number, got True"),
+    ({"sigma_e2": True}, "sigma_e2 must be a number, got True"),
+    ({"c_coeffs": "12"}, "c_coeffs must be an array of numbers, got '12'"),
+    ({"nu": "1.5"}, "nu must be a number, got '1.5'"),
+    ({"nugget": None}, "nugget must be a number, got None"),
+    ({"c_coeffs": [0.2, False]}, "c_coeffs entry must be a number, got False"),
+    ({"c_coeffs": {"b0": 0.2}}, "c_coeffs must be an array of numbers"),
+    ({"range": 2.0}, "unknown model parameter key 'range'"),
+    ({"Nu": 1.0, "extra": None}, "unknown model parameter key 'Nu', 'extra'"),
+])
+def test_load_model_rejects_values_that_are_not_numbers_and_unknown_keys(
+        change, message, tmp_path):
+    for wrap in (False, True):
+        path = tmp_path / "model.json"
+        body = dict(_MODEL, **change)
+        path.write_text(json.dumps({"params": body} if wrap else body))
+        with pytest.raises(PanelFormatError, match="^%s: %s" % (re.escape(str(path)), message)):
+            load_model(str(path))
 
 
 def test_load_single_series(tmp_path):

@@ -208,3 +208,23 @@ def test_site_index_validation():
     with pytest.raises(IndexError):
         periodogram(spectral, 3)
     assert_allclose(periodogram(spectral, -1), periodogram(spectral, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda spectral, k: periodogram(spectral, k),
+    lambda spectral, k: cross_periodogram(spectral, k, 0),
+    lambda spectral, k: difference_periodogram(spectral, 0, k),
+    lambda spectral, k: smoothed_cross_spectrum(spectral, k, 0, 1),
+], ids=["periodogram", "cross_periodogram", "difference_periodogram",
+        "smoothed_cross_spectrum"])
+def test_site_indices_are_whole_numbers_in_range(call):
+    # n = 19: nine interior ordinates, three blocks of width 3
+    spectral = dft_panel(_panel(n=19))
+    with pytest.raises(ValueError, match="site index must be a whole number, got 1.5"):
+        call(spectral, 1.5)
+    with pytest.raises(IndexError, match="site index 3 out of range for 3 sites"):
+        call(spectral, 3)
+    with pytest.raises(IndexError, match="site index -4 out of range for 3 sites"):
+        call(spectral, -4)
+    assert np.array_equal(call(spectral, 2.0), call(spectral, 2))
+    assert np.array_equal(call(spectral, -1), call(spectral, 2))
