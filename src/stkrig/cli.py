@@ -12,6 +12,7 @@ reported as a JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -349,9 +350,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process. Every flag but
+    --config defaults to SUPPRESS and parse_args fills a fresh namespace,
+    so one parser parses each call as a new one would."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
+    namespace = _parser().parse_args(argv)
     command = namespace.command
     try:
         resolved = _resolve(command, namespace)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .numerics import _scaled_bessel_k
 
@@ -167,7 +167,8 @@ def _c_mod_sq(om: np.ndarray, params: ModelParams) -> np.ndarray:
 # |c(w)|^2, C(0, w) and the prefactor may leave the double range; each then
 # either reaches its limit in double (0) or fails the finite check below
 @np.errstate(over="ignore", divide="ignore")
-def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False):
+def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
+            smoothness: bool = False):
     """C(h, w) on the broadcast of validated h and om, and C(0, w) on om.
 
     |c(w)|^2 and the log-gamma constants are computed once, on om's own
@@ -184,6 +185,18 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     (d/dx [x^mu K_mu(x)] = -x^mu K_{mu-1}(x), DLMF 10.29.4). Where the
     Bessel factors are not finite, x K_{mu-1} / K_mu takes its limit 0 at
     small x; C is 0 at large x.
+
+    With smoothness set as well, it also returns dC(h, w) / d nu = C a and
+    dC(0, w) / d nu = C(0, w) a_0, with dmu / dnu = 2 and psi the digamma
+    function:
+
+        a   = -2 log 2 - 2 psi(2 nu) + 2 log(h / |c(w)|) + 2 d log K_mu(x) / d mu
+        a_0 = 2 psi(mu) - 2 psi(2 nu) - 2 log|c(w)|^2,
+
+    d log K / d mu from the same Bessel call. a tends to a_0 as x -> 0, so
+    where d log K / d mu is not finite (K overflowing at a stencil order
+    near tiny x, where C is C(0, w), or kve's NaN, where C is 0) a takes a_0.
+    Where C(0, w) is 0 both derivatives are 0.
     """
     nu, d = params.nu, params.d
     mu = 2.0 * nu - d / 2.0
@@ -197,8 +210,15 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
 
     def closed_form(hv, cv, zv):
         x = hv * cv
-        cov = np.exp(log_pref + mu * (np.log(hv) - np.log(cv)) - x)
-        if gradient:
+        log_ratio = np.log(hv) - np.log(cv)
+        cov = np.exp(log_pref + mu * log_ratio - x)
+        if smoothness:
+            previous, bessel, order_slope = _scaled_bessel_k(mu, x, with_previous=True,
+                                                             order_slope=True)
+            # a less its constant -2 log 2 - 2 psi(2 nu), in place
+            order_slope += log_ratio
+            order_slope *= 2.0
+        elif gradient:
             previous, bessel = _scaled_bessel_k(mu, x, with_previous=True)
         else:
             bessel = _scaled_bessel_k(mu, x)
@@ -233,12 +253,12 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
         slope[~np.isfinite(slope)] = 0.0
         slope *= 0.5
         slope += mu
-        return cov, slope
+        return cov, (slope, order_slope) if smoothness else (slope,)
 
     # C order, as the callers' grids are, so sums over the result keep their order
     if (h > 0.0).all():
         # the criterion's case: evaluated on the broadcast, no mask and no copies
-        cov, slope = closed_form(h, c_abs, zero)
+        cov, slopes = closed_form(h, c_abs, zero)
         cov = np.asarray(cov, order="C")
     else:
         h_b, c_abs_b, zero_b = np.broadcast_arrays(h, c_abs, zero)
@@ -251,8 +271,20 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     np.minimum(cov, zero, out=cov)
     if not gradient:
         return cov, zero
+    slope = slopes[0]
     slope *= cov
-    return cov, zero, np.negative(slope, out=slope)
+    np.negative(slope, out=slope)
+    if not smoothness:
+        return cov, zero, slope
+    digamma_2nu = float(digamma(2.0 * nu))
+    a_zero = 2.0 * (float(digamma(mu)) - digamma_2nu - np.log(c2))
+    # where C(0, w) is 0, so is C(h, w): |c(w)|^2 may be inf there
+    np.copyto(a_zero, 0.0, where=zero == 0.0)
+    a = slopes[1]
+    a -= 2.0 * (np.log(2.0) + digamma_2nu)
+    np.copyto(a, a_zero, where=~np.isfinite(a))
+    a *= cov
+    return cov, zero, slope, a, a_zero * zero
 
 
 def c_mod_sq(omega, params: ModelParams):
@@ -350,17 +382,26 @@ def variogram_model(h, omega, params: ModelParams):
     return _scalar_like(value, h, omega)
 
 
-def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False):
+def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
+               smoothness: bool = False):
     """variogram_model on validated h > 0 and om. With gradient set, returns
-    (g, dg / d log|c(w)|^2) from one kernel pass."""
+    (g, dg / d log|c(w)|^2) from one kernel pass, and with smoothness set as
+    well (g, dg / d log|c(w)|^2, dg / d nu) from that same pass."""
     if not gradient:
         cov, zero = _kernel(h, om, params)
         return 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
-    cov, zero, d_cov = _kernel(h, om, params, gradient=True)
+    cov, zero, d_cov, *d_nu = _kernel(h, om, params, gradient=True, smoothness=smoothness)
     mu = 2.0 * params.nu - params.d / 2.0
     d_cov += mu * zero
     d_cov *= -2.0
-    return 2.0 * ((zero + params.nugget / _TWO_PI) - cov), d_cov
+    g = 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
+    if not smoothness:
+        return g, d_cov
+    # dg / d nu = 2 (dC(0, w) / d nu - dC(h, w) / d nu), in place
+    d_cov_nu, d_zero_nu = d_nu
+    d_cov_nu -= d_zero_nu
+    d_cov_nu *= -2.0
+    return g, d_cov, d_cov_nu
 
 
 def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = True) -> np.ndarray:

@@ -269,10 +269,6 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     return _Prepared(binned, bins.representatives, spectral.frequencies[:m_use])
 
 
-# Step in log(nu - d/4) of the central difference that gives the terms'
-# derivative in the smoothness: K has no closed-form derivative in its order
-_NU_STEP = 1e-5
-
 # Termination of each restart's gradient search: after _MAX_ITERATIONS
 # iterations, once an iteration lowers the criterion by at most about
 # _TOLERANCE_F (absolute), or once no gradient component exceeds
@@ -373,9 +369,9 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     With scores set to _Coordinates, the per-frequency scores are returned
     last, shape (K, M): the derivatives of the terms' mean over bins in the
     K coordinates at scores.pack(params), each mean_bins (1 - binned / g)
-    d log g. They come from the
-    same kernel pass as the terms, except the smoothness row, a central
-    difference. With profile set they are taken at the scaled parameters,
+    d log g. They all come from the same kernel pass as the terms, the
+    smoothness row (nu - d/4) mean_bins (1 - binned / g) (dg / d nu) / g
+    included. With profile set they are taken at the scaled parameters,
     where d log g is what it is at unit scale, so by the envelope theorem
     their row sums after the leading log sigma_e2 row are the gradient of
     the profiled criterion in fit's coordinates.
@@ -384,7 +380,8 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     if scores is None:
         g = _variogram(*grid, params)
     else:
-        g, dg_dlogc2 = _variogram(*grid, params, gradient=True)
+        g, dg_dlogc2, *dg_dnu = _variogram(*grid, params, gradient=True,
+                                           smoothness=scores.nu_fixed is None)
     g = np.maximum(g, _VARIOGRAM_FLOOR)
     scaled = g
     if profile:
@@ -409,12 +406,12 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     nugget_row = (params.nugget / np.pi) * per_g
     # log sigma_e2 moves g - nugget / pi in proportion
     rows = [np.mean(weight, axis=0) - nugget_row]
-    if scores.nu_fixed is None:
-        excess = params.nu - params.d / 4.0
-        up, down = (np.log(np.maximum(_variogram(*grid, replace(
-            params, nu=params.d / 4.0 + excess * np.exp(step))), _VARIOGRAM_FLOOR))
-            for step in (_NU_STEP, -_NU_STEP))
-        rows.append(np.mean(weight * (up - down), axis=0) / (2.0 * _NU_STEP))
+    if dg_dnu:
+        # log(nu - d/4) moves nu by nu - d/4
+        per_nu = dg_dnu[0]
+        per_nu *= weight
+        per_nu /= g
+        rows.append((params.nu - params.d / 4.0) * np.mean(per_nu, axis=0))
     # b_k moves log|c(w)|^2 by cos(k w)
     dg_dlogc2 *= weight
     dg_dlogc2 /= g
@@ -598,12 +595,13 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     over _Coordinates without the leading log sigma_e2 and with log tau in
     place of the log nugget, from several randomized starting points, and
     keeps the best finisher. Each evaluation returns the criterion and its
-    exact gradient from one kernel pass (the smoothness coordinate by a
-    central difference), since by the envelope theorem the profiled
-    gradient is (1 / L) sum (1 - I / g) d log g / d theta at the profiled
-    scale. A restart whose start value is not finite is skipped. The starts
-    are _Coordinates.start's seeded draws. The reported parameters and
-    criterion are one full evaluation at the unpacked winner.
+    gradient from one kernel pass (the smoothness coordinate through the
+    kernel's table of d log K_mu / d mu), since by the envelope theorem
+    the profiled gradient is (1 / L) sum (1 - I / g) d log g / d theta at
+    the profiled scale. A restart whose start value is not finite is
+    skipped. The starts are _Coordinates.start's seeded draws. The reported
+    parameters and criterion are one full evaluation at the unpacked
+    winner.
 
     Raises
     ------
@@ -685,13 +683,14 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     Works in _Coordinates: with nu_fixed set, which must equal
     params_hat.nu, the smoothness is held there; with fit_nugget set, the
     nugget is a coordinate. The per-frequency scores, the derivatives of
-    each frequency's mean term over bins, are exact (the smoothness row a
-    central difference); the middle term aggregates them (frequencies are
-    asymptotically uncorrelated, so scores are clustered by frequency). The
-    criterion Hessian is the central difference, with step _HESSIAN_STEP,
-    of the summed scores, the criterion's gradient: 2k gradient evaluations
-    for k coordinates. The result is mapped to the natural scale by the
-    delta method. Rows and columns are in FitResult.param_names' order.
+    each frequency's mean term over bins, come from one kernel pass (the
+    smoothness row through its table of d log K_mu / d mu); the middle
+    term aggregates them (frequencies are asymptotically uncorrelated, so
+    scores are clustered by frequency). The criterion Hessian is the
+    central difference, with step _HESSIAN_STEP, of the summed scores, the
+    criterion's gradient: 2k gradient evaluations for k coordinates. The
+    result is mapped to the natural scale by the delta method. Rows and
+    columns are in FitResult.param_names' order.
 
     Raises
     ------
@@ -719,7 +718,7 @@ def _sandwich(prepared: _Prepared, coords: _Coordinates, params_hat: ModelParams
     def scores_at(vec: np.ndarray) -> np.ndarray:
         return _criterion_terms(*prepared, coords.unpack(vec), scores=coords)[1]
 
-    # scores per frequency: exact, but for the smoothness row's central difference
+    # scores per frequency, every row from one kernel pass
     vec0 = coords.pack(params_hat)
     scores = scores_at(vec0)
     centered = scores - scores.mean(axis=1, keepdims=True)

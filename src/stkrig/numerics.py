@@ -10,6 +10,7 @@ at times t = 1, ..., n.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -44,9 +45,11 @@ class HpdSolution(NamedTuple):
 
 
 def _count(value, name: str, least: int | None = None) -> int:
-    """value as an int; ValueError unless it is a whole number, at least
-    least when that is given."""
-    if not float(value).is_integer():
+    """value as an int; ValueError unless it is a whole number (a Python or
+    numpy integer or float, never a bool or a string), at least least when
+    that is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
         raise ValueError("%s must be a whole number, got %r" % (name, value))
     count = int(value)
     if least is not None and count < least:
@@ -165,7 +168,8 @@ _HALF_INTEGER_COEFFS = tuple(
 )
 
 
-def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False):
+def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False,
+                     order_slope: bool = False):
     """e^x K_order(x) for order >= 0 on an array of x > 0, without checks.
 
     The method follows the order. An exact integer runs the upward
@@ -184,28 +188,42 @@ def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False):
     order, so K_{order-1} is K_{|order-1|}: the recurrence's previous term
     for an integer order (k1e at order 0), the closed form at n - 1/2 for a
     half-integer one, and one more table or kve call otherwise.
+
+    With order_slope set, d log K_order(x) / d order follows last in the
+    returned tuple. It always comes from _order_slope's table, whichever
+    method gave the values; a value table shares that table's grid.
     """
+    grid = _locate(x) if order_slope else None
     n = int(order)
     if order > _CLOSED_FORM_MAX_ORDER or order - n not in (0.0, 0.5):
-        if with_previous:
-            return tuple(_kve_by_table((abs(order - 1.0), order), x))
-        return _kve_by_table((order,), x)[0]
-    with np.errstate(over="ignore", divide="ignore"):
-        if order == n:
-            if n < 2 and not with_previous:
-                return _sspec.k1e(x) if n else _sspec.k0e(x)
-            prev, cur = _sspec.k0e(x), _sspec.k1e(x)
-            if n == 0:
-                prev, cur = cur, prev
-            for j in range(1, n):
-                prev, cur = cur, prev + (2.0 * j / x) * cur
-            return (prev, cur) if with_previous else cur
-        t = 0.5 / x
-        root = np.sqrt(np.pi / (2.0 * x))
-        cur = root * _half_integer_poly(n, t)
-        if not with_previous:
-            return cur
-        return (root * _half_integer_poly(n - 1, t) if n else cur), cur
+        values = _kve_by_table((abs(order - 1.0), order) if with_previous else (order,),
+                               x, grid)
+    else:
+        values = _exact_order(order, n, x, with_previous)
+    if order_slope:
+        values.append(_order_slope(order, x, grid))
+    return tuple(values) if len(values) > 1 else values[0]
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _exact_order(order: float, n: int, x: np.ndarray, with_previous: bool) -> list:
+    """_scaled_bessel_k's values at an integer or half-integer order n or
+    n + 1/2, by the recurrence or the closed form."""
+    if order == n:
+        if n < 2 and not with_previous:
+            return [_sspec.k1e(x) if n else _sspec.k0e(x)]
+        prev, cur = _sspec.k0e(x), _sspec.k1e(x)
+        if n == 0:
+            prev, cur = cur, prev
+        for j in range(1, n):
+            prev, cur = cur, prev + (2.0 * j / x) * cur
+        return [prev, cur] if with_previous else [cur]
+    t = 0.5 / x
+    root = np.sqrt(np.pi / (2.0 * x))
+    cur = root * _half_integer_poly(n, t)
+    if not with_previous:
+        return [cur]
+    return [root * _half_integer_poly(n - 1, t) if n else cur, cur]
 
 
 def _half_integer_poly(n: int, t: np.ndarray) -> np.ndarray:
@@ -242,9 +260,68 @@ _CHEB_MATRIX = (2.0 / (_TABLE_DEGREE + 1)) * np.cos(
     np.outer(_CHEB_ANGLES, np.arange(_TABLE_DEGREE + 1)))
 _CHEB_MATRIX[:, 0] *= 0.5
 
+# The table of _order_slope holds d log K / d mu at its nodes from the
+# fourth-order central difference (4 D(step) - D(2 step)) / 3, where D(s) is
+# log(K_{mu + s} / K_{mu - s}) over the difference of the two orders as
+# they round (that rounding, 7e-15 at mu ~ 40, is 1e-11 of 2 step, and
+# d log K / d mu reaches 30). Against mpmath, for orders 1e-4 to 40 (below
+# 2 step, K's evenness gives K_{mu - s}) on x in [1e-6, 700], it is within
+# 1.4e-10 of max(1, |value|). kve's rounding below x = 2, up to about 1e-13
+# and not smooth in the order, sets that floor and grows as the step
+# shrinks; the truncation, step^4 times the fifth derivative (about 1e5 at
+# small x and small orders), grows with the step. The two-point D alone is
+# at best 3.7e-9 (step 1e-5).
+_ORDER_STEP = 3e-4
+
+
+class _Grid(NamedTuple):
+    """Where a call's points fall on the tables' fixed grid: the pieces are
+    [first + k, first + k + 1) in log(x / 2) over _TABLE_WIDTH, k < count;
+    piece holds each point's k, and u its local variable in [-1, 1]."""
+
+    first: float
+    count: int
+    piece: np.ndarray
+    u: np.ndarray
+
+    def points(self) -> np.ndarray:
+        """The nodes of every piece, then the pieces' ends."""
+        centres = 2.0 * np.exp(_TABLE_WIDTH * (self.first + 0.5 + np.arange(self.count)))
+        return np.concatenate([np.ravel(centres[:, None] * _NODE_FACTORS),
+                               2.0 * np.exp(_TABLE_WIDTH * (self.first
+                                                            + np.arange(self.count + 1)))])
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _locate(x: np.ndarray, most: float = np.inf) -> _Grid | None:
+    """The grid of a table over [min x, max x], or None when it would have
+    more than most pieces or x is empty or holds 0, inf or NaN."""
+    flat = np.ravel(x)
+    if flat.size == 0:
+        return None
+    t = np.multiply(flat, 0.5)
+    np.log(t, out=t)
+    t *= 1.0 / _TABLE_WIDTH  # log(x / 2) in piece widths
+    first = np.floor(t.min())
+    count = np.floor(t.max()) - first + 1.0
+    # inf or NaN when x holds 0, inf or NaN
+    if not (count <= most and np.isfinite(count)):
+        return None
+    np.floor(t, out=t)
+    t -= first
+    piece = t.astype(np.intp)
+    centres = 2.0 * np.exp(_TABLE_WIDTH * (first + 0.5 + np.arange(count)))
+    # the local variable log(x / centre) in [-1, 1], from the centre rather
+    # than from t, whose rounding grows with |log x|
+    u = np.take(1.0 / centres, piece, out=t)
+    u *= flat
+    np.log(u, out=u)
+    u *= 2.0 / _TABLE_WIDTH
+    return _Grid(first, int(count), piece, u)
+
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _kve_by_table(orders, x: np.ndarray) -> list:
+def _kve_by_table(orders, x: np.ndarray, grid: _Grid | None = None) -> list:
     """scipy's kve(order, x) for each of the orders, within about 1e-13.
 
     With more points than _TABLE_CROSSOVER plus twice the table's nodes
@@ -252,10 +329,10 @@ def _kve_by_table(orders, x: np.ndarray) -> list:
     cover the call's own [min x, max x]: one kve call on their nodes, then
     per point a piece lookup and a Clenshaw sum. The pieces lie on a fixed
     grid in log x, so a point's value does not depend on the call's other
-    points. One of the grid's ends is x = 2, where kve (AMOS's CBKNU)
-    switches from its series to its large-x method and its values jump by
-    up to 2.5e-13: no piece straddles the jump, so each follows kve's values
-    on its side of it. A piece stores its centre value as a scale and
+    points; grid, when given, is x's place on it. One of the grid's ends
+    is x = 2, where kve (AMOS's CBKNU) switches from its series to its
+    large-x method and its values jump by up to 2.5e-13: no piece straddles
+    the jump, so each follows kve's values on its side of it. A piece stores its centre value as a scale and
     interpolates log(K / K_centre), which is small, so the rounding of
     log K itself (an ulp of 6e-14 where log K ~ 300) does not enter. Points
     of a piece where kve is not finite at a node or an end (K overflowing at
@@ -266,57 +343,82 @@ def _kve_by_table(orders, x: np.ndarray) -> list:
     # the most pieces a table of this call may have
     affordable = (np.size(x) - _TABLE_CROSSOVER - 1) // (2 * (_TABLE_DEGREE + 1))
     if affordable > 0:
-        t = np.multiply(np.ravel(x), 0.5)
-        np.log(t, out=t)
-        t *= 1.0 / _TABLE_WIDTH  # log(x / 2) in piece widths
-        first = np.floor(t.min())
-        pieces = np.floor(t.max()) - first + 1.0
-        # false also when x holds 0, inf or NaN
-        if pieces <= affordable:
-            return _tabulated(orders, x, t, first, int(pieces))
+        if grid is None:
+            grid = _locate(x, affordable)
+        if grid is not None and grid.count <= affordable:
+            return _tabulated(orders, x, grid)
     return [_sspec.kve(order, x) for order in orders]
 
 
-def _tabulated(orders, x: np.ndarray, t: np.ndarray, first: float, pieces: int) -> list:
-    """The table path of _kve_by_table: t is log(x / 2) over the width, and
-    the pieces are [first + k, first + k + 1) in t, k < pieces. Overwrites
-    t."""
+def _tabulated(orders, x: np.ndarray, grid: _Grid) -> list:
+    """The table path of _kve_by_table."""
     flat = np.ravel(x)
-    np.floor(t, out=t)
-    t -= first
-    piece = t.astype(np.intp)
-    centres = 2.0 * np.exp(_TABLE_WIDTH * (first + 0.5 + np.arange(pieces)))
-    # the local variable log(x / centre) in [-1, 1], from the centre rather
-    # than from t, whose rounding grows with |log x|
-    u = np.take(1.0 / centres, piece, out=t)
-    u *= flat
-    np.log(u, out=u)
-    u *= 2.0 / _TABLE_WIDTH
-    # the nodes, then the pieces' ends
-    points = np.concatenate([np.ravel(centres[:, None] * _NODE_FACTORS),
-                             2.0 * np.exp(_TABLE_WIDTH * (first + np.arange(pieces + 1)))])
+    points = grid.points()
+    pieces = grid.count
     out = []
     for order in orders:
         values = _sspec.kve(order, points)
-        finite_ends = np.isfinite(values[-pieces - 1:])
-        values = values[:-pieces - 1].reshape(pieces, -1)
-        scale = values[:, _CHEB_CENTRE]
-        log_ratio = np.log(values / scale[:, None])
-        # kve is inf only below some x and NaN only from x = 2^30 on, so it
-        # is finite on a piece where it is at both ends
-        bad = ~(np.isfinite(log_ratio).all(axis=1) & finite_ends[:-1] & finite_ends[1:])
-        log_ratio[bad] = 0.0
-        # einsum rather than BLAS, so the bits do not depend on the thread
-        # count; rows are coefficients, so each Clenshaw step reads one row
-        coeffs = np.einsum("pj,jk->kp", log_ratio, _CHEB_MATRIX, order="C")
-        value = _clenshaw(coeffs, piece, u)
+        nodes = values[:-pieces - 1].reshape(pieces, -1)
+        scale = nodes[:, _CHEB_CENTRE]
+        value, bad = _interpolate(np.log(nodes / scale[:, None]), values[-pieces - 1:], grid)
         np.exp(value, out=value)
-        value *= np.take(scale, piece)
+        value *= np.take(scale, grid.piece)
         if bad.any():
-            fallback = bad[piece]
+            fallback = bad[grid.piece]
             value[fallback] = _sspec.kve(order, flat[fallback])
         out.append(value.reshape(np.shape(x)))
     return out
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _order_slope(order: float, x: np.ndarray, grid: _Grid | None) -> np.ndarray:
+    """d log K_order(x) / d order on an array of x > 0, without checks,
+    from a table on grid, x's place on the fixed grid, of _order_difference
+    at the nodes. A point of a piece where the difference is not finite at
+    a node or an end takes the difference at the point itself, which is
+    inf or NaN where kve is at a stencil order. grid None (x holds 0, inf
+    or NaN) gives NaN at those points and the table of the others
+    elsewhere."""
+    flat = np.ravel(x)
+    if grid is None:
+        out = np.full(flat.shape, np.nan)
+        usable = (flat > 0.0) & (flat < np.inf)
+        if usable.any():
+            out[usable] = _order_slope(order, flat[usable], _locate(flat[usable]))
+        return out.reshape(np.shape(x))
+    pieces = grid.count
+    slopes = _order_difference(order, grid.points())
+    value, bad = _interpolate(slopes[:-pieces - 1].reshape(pieces, -1), slopes[-pieces - 1:],
+                              grid)
+    if bad.any():
+        fallback = bad[grid.piece]
+        value[fallback] = _order_difference(order, flat[fallback])
+    return value.reshape(np.shape(x))
+
+
+def _order_difference(order: float, x: np.ndarray) -> np.ndarray:
+    """The central difference of log K in the order behind _order_slope."""
+    estimates = []
+    for step in (_ORDER_STEP, 2.0 * _ORDER_STEP):
+        up, down = order + step, order - step
+        estimates.append(np.log(_sspec.kve(up, x) / _sspec.kve(abs(down), x)) / (up - down))
+    return (4.0 * estimates[0] - estimates[1]) / 3.0
+
+
+def _interpolate(node_values: np.ndarray, ends: np.ndarray, grid: _Grid):
+    """The Chebyshev interpolant of each piece's node values (pieces,
+    nodes) at the grid's points, and which pieces are bad, where the
+    values are not finite at a node or at either end (ends, pieces + 1).
+    kve is inf only below some x and NaN only from x = 2^30 on, so it is
+    finite on a piece where it is at both ends. A bad piece interpolates 0;
+    overwrites its node values."""
+    finite_ends = np.isfinite(ends)
+    bad = ~(np.isfinite(node_values).all(axis=1) & finite_ends[:-1] & finite_ends[1:])
+    node_values[bad] = 0.0
+    # einsum rather than BLAS, so the bits do not depend on the thread
+    # count; rows are coefficients, so each Clenshaw step reads one row
+    coeffs = np.einsum("pj,jk->kp", node_values, _CHEB_MATRIX, order="C")
+    return _clenshaw(coeffs, grid.piece, grid.u), bad
 
 
 def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -111,3 +111,35 @@ def test_whole_float_counts_are_accepted():
             == stkrig.forecast(series, 3, max_order=2).to_dict())
     spec = stkrig.SimulationSpec(np.eye(2), n=16.0, params=_PARAMS, seed=3.0)
     assert type(spec.n) is int and type(spec.seed) is int
+
+
+_SERIES = np.random.default_rng(2).normal(size=40)
+
+# one public count each, as a function of the value given for it
+_PUBLIC_COUNTS = {
+    "FitConfig.multistart": lambda v: stkrig.FitConfig(multistart=v).multistart,
+    "FitConfig.seed": lambda v: stkrig.FitConfig(seed=v).seed,
+    "SimulationSpec.seed": lambda v: stkrig.SimulationSpec(
+        np.eye(2), n=16, params=_PARAMS, seed=v).seed,
+    "forecast.horizons": lambda v: stkrig.forecast(_SERIES, v).to_dict(),
+    "forecast.max_order": lambda v: stkrig.forecast(_SERIES, 2, max_order=v).to_dict(),
+    "build_distance_bins.n_bins": lambda v: stkrig.build_distance_bins(
+        np.arange(8.0).reshape(4, 2) ** 2, "quantile", n_bins=v).summary(),
+    "simulate_white_panel.m": lambda v: stkrig.simulate_white_panel(v, 8).observations.tolist(),
+    "fourier_frequencies.n": lambda v: stkrig.fourier_frequencies(v).tolist(),
+    "dft_inverse.n": lambda v: stkrig.dft_inverse(np.ones(3), v).tolist(),
+}
+
+
+@pytest.mark.parametrize("count", sorted(_PUBLIC_COUNTS))
+@pytest.mark.parametrize("value, accepted", [
+    ("3", False), (True, False), (np.int64(3), True), (3.0, True), (2.5, False)])
+def test_public_counts_take_whole_numbers_only(count, value, accepted):
+    # a numpy integer or a whole float is the count 3; a string or a bool
+    # is not read as a number
+    call = _PUBLIC_COUNTS[count]
+    if accepted:
+        assert call(value) == call(3)
+    else:
+        with pytest.raises(ValueError, match="must be a whole number, got"):
+            call(value)

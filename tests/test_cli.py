@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stkrig import cli
 from stkrig.cli import _COMMANDS, _MANDATORY, _flags, main
 
 
@@ -404,6 +405,31 @@ def test_thread_count_validation(pipeline, tmp_path, capsys):
     assert main(argv + ["--threads", "2"]) == 0
     with open(str(tmp_path / "kr" / "kriging.json")) as handle:
         assert "threads" not in json.load(handle)["config"]
+
+
+def test_one_parser_resolves_each_call_as_a_fresh_one(tmp_path, monkeypatch):
+    # main builds its parser once per process; a call with --config or a
+    # flag, then one without it, resolves as two fresh parsers would
+    config_path = str(tmp_path / "config.json")
+    with open(config_path, "w") as handle:
+        json.dump({"horizons": 2, "pmax": 3}, handle)
+    seen, built = [], []
+    for command in ("forecast", "estimate"):
+        monkeypatch.setitem(cli._HANDLERS, command, seen.append)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    forecast = ["forecast", "--reconstructed", "r.csv", "--out", "f.json"]
+    estimate = ["estimate", "--locations", "l.csv", "--series", "s.csv", "--out", "e.json"]
+    calls = [forecast + ["--config", config_path], forecast + ["--horizons", "5"],
+             forecast + ["--horizons", "1", "--pmax", "4"], forecast + ["--horizons", "5"],
+             estimate + ["--nugget", "--p", "2", "--threads", "2"], estimate]
+    for argv in calls:
+        assert main(argv) == 0
+    assert len(built) == 1
+    assert seen == [cli._resolve(argv[0], build().parse_args(argv)) for argv in calls]
+    assert seen[1] == seen[3] and (seen[1]["pmax"], seen[1]["horizons"]) == (8, 5)
+    assert (seen[5]["nugget"], seen[5]["p"], seen[5]["threads"]) == (False, 1, 1)
 
 
 def test_version_flag(capsys):

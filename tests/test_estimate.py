@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from stkrig import (DistanceBins, FitConfig, ModelParams, SimulationSpec,
                     TimeSeriesPanel, asymptotic_covariance, build_distance_bins,
@@ -601,6 +602,101 @@ def test_criterion_gradient_matches_central_differences(nu, nugget, p):
             numeric = [(value(point + step * e) - value(point - step * e)) / (2.0 * step)
                        for e in np.eye(point.size)]
             assert_allclose(gradient, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max())
+
+
+def _nu_row_case(n_bins, n_frequencies, smallest=0.3, seed=5):
+    """Data drawn about the variogram of a fixed truth on n_bins bin
+    distances from smallest to 3 and the first n_frequencies ordinates of
+    a series of length 2 n_frequencies + 1."""
+    rng = np.random.default_rng(seed)
+    distances = np.geomspace(smallest, 3.0, n_bins)
+    freqs = fourier_frequencies(2 * n_frequencies + 1)
+    truth = ModelParams(sigma_e2=1.0, nu=1.1, c_coeffs=(0.3, 0.4), nugget=0.3, d=2)
+    g = variogram_model(distances[:, None], freqs[None, :], truth)
+    return g * rng.exponential(size=g.shape), distances, freqs
+
+
+def _nu_row_against_differences(prepared, params):
+    """The nu row of the scores summed over frequencies, and the central
+    difference of the criterion in log(nu - d/4)."""
+    coords = _Coordinates(params.n_coeffs, params.d, None, params.nugget > 0.0)
+    _, scores = _criterion_terms(*prepared, params, scores=coords)
+    vec, step = coords.pack(params), 1e-5
+    shift = step * np.eye(vec.size)[1]
+
+    def value(point):
+        return _criterion_terms(*prepared, coords.unpack(point)).sum(axis=1).mean()
+
+    return scores[1].sum(), (value(vec + shift) - value(vec - shift)) / (2.0 * step)
+
+
+# the Bessel paths of mu = 2 nu - 1 as in the test above, on a grid of 80
+# kernel points (kve or a closed form for the values) and one of 1,440
+# (past the crossover plus twice the nodes of its 6 pieces: the value
+# table); the nu row comes from the order-derivative table on both
+@pytest.mark.parametrize("nu", [0.8, 1.0, 1.25, 1.37])
+@pytest.mark.parametrize("shape, table", [((4, 20), False), ((24, 60), True)])
+def test_nu_row_matches_central_differences_on_both_sides_of_the_crossover(
+        nu, shape, table, monkeypatch):
+    import stkrig.numerics as numerics
+
+    tables = []
+    tabulated = numerics._tabulated
+    monkeypatch.setattr(numerics, "_tabulated",
+                        lambda *args: tables.append(1) or tabulated(*args))
+    prepared = _nu_row_case(*shape)
+    for nugget in (0.0, 0.4):
+        params = ModelParams(sigma_e2=1.3, nu=nu, c_coeffs=(0.2, 0.3), nugget=nugget)
+        tables.clear()
+        _criterion_terms(*prepared, params, scores=_Coordinates(1, 2, None, nugget > 0.0))
+        # the values of an integer or half-integer order need no table
+        assert bool(tables) == (table and 2.0 * nu - 1.0 not in (1.0, 1.5))
+        row, numeric = _nu_row_against_differences(prepared, params)
+        assert abs(numeric) > 1e-2
+        assert row == pytest.approx(numeric, rel=1e-6)
+
+
+def test_nu_row_matches_central_differences_where_the_bessel_factor_overflows():
+    # mu = 39.6: e^x K_mu(x) overflows below x ~ 4e-7, so the smallest
+    # distances take C(h, w) = C(0, w) and the order derivative's limit
+    prepared = _nu_row_case(30, 40, smallest=1e-10)
+    params = ModelParams(sigma_e2=1.3, nu=20.3, c_coeffs=(-0.1, 0.1), nugget=0.4)
+    assert np.isinf(special.kve(2.0 * params.nu - 1.0, 1e-10))
+    row, numeric = _nu_row_against_differences(prepared, params)
+    assert abs(numeric) > 1e-2
+    assert row == pytest.approx(numeric, rel=1e-6)
+
+
+def test_nu_row_is_zero_where_the_range_leaves_the_double_range():
+    # |c(w)|^2 = e^800 is inf: C(h, w) and C(0, w) are 0 and g is the nugget
+    # alone, so no score moves
+    prepared = _nu_row_case(4, 20)
+    params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(800.0, 0.0), nugget=0.4)
+    _, scores = _criterion_terms(*prepared, params, scores=_Coordinates(1, 2, None, True))
+    assert_allclose(scores[:-1], 0.0, atol=1e-15)
+    assert np.isfinite(scores).all()
+
+
+def test_nu_free_scores_take_one_kernel_pass(monkeypatch):
+    import stkrig.covmodel as covmodel
+    import stkrig.numerics as numerics
+
+    passes, tables = [], []
+    kernel, order_slope = covmodel._kernel, numerics._order_slope
+    monkeypatch.setattr(covmodel, "_kernel",
+                        lambda *args, **kwargs: passes.append(1) or kernel(*args, **kwargs))
+    monkeypatch.setattr(numerics, "_order_slope",
+                        lambda *args: tables.append(1) or order_slope(*args))
+    prepared = _gradient_panel()
+    params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(0.2, -0.3), nugget=0.2)
+    for nu_fixed, table in ((None, 1), (params.nu, 0)):
+        coords = _Coordinates(1, 2, nu_fixed, True)
+        for profile in (False, True):
+            passes.clear()
+            tables.clear()
+            _criterion_terms(*prepared, params, profile=profile, scores=coords)
+            # with nu held, no order-derivative table is built
+            assert (len(passes), len(tables)) == (1, table)
 
 
 def test_quasi_newton_backs_off_where_the_objective_fails():

@@ -9,7 +9,7 @@ from scipy import special
 
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
-from stkrig.numerics import (_TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
+from stkrig.numerics import (_ORDER_STEP, _TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
                              SingularMatrixError, _scaled_bessel_k, _small_x_bessel_k,
                              bessel_k, cholesky_with_jitter, dft_forward, dft_inverse,
                              hpd_solve, log_gamma)
@@ -224,6 +224,67 @@ def test_table_takes_over_above_the_crossover(kve_points):
         # the nodes and the piece's two ends, or every point
         assert kve_points == [_TABLE_DEGREE + 3 if table else n]
         _assert_matches_kve(values, 0.6, x)
+
+
+# orders of the d log K / d mu table: one below _ORDER_STEP, where the
+# stencil's lower orders come from K's evenness, an integer, a half-integer
+# and the table's own orders
+SLOPE_ORDERS = [1e-4, 1e-3, 0.07, 0.3, 1.0, 1.274, 2.5, 7.3, 20.3, 40.0]
+
+
+@pytest.mark.parametrize("order", SLOPE_ORDERS)
+def test_order_slope_table_matches_mpmath(order):
+    mpmath = pytest.importorskip("mpmath")
+    assert SLOPE_ORDERS[0] < _ORDER_STEP
+    x = np.geomspace(1e-6, 700.0, 600)
+    values, slope = _scaled_bessel_k(order, x, order_slope=True)
+    assert_array_equal(values, _scaled_bessel_k(order, x))
+    # every 23rd point, and the last one below x = 2 and the first above it,
+    # which lie on pieces either side of the grid's end there
+    above = int(np.searchsorted(x, 2.0))
+    picked = list(range(0, x.size, 23)) + [above - 1, above, x.size - 1]
+    with mpmath.workdps(40):
+        for i in picked:
+            exact = float(mpmath.diff(lambda mu: mpmath.log(mpmath.besselk(mu, float(x[i]))),
+                                      order))
+            assert abs(slope[i] - exact) <= 1e-8 * max(1.0, abs(exact)), (x[i], exact)
+
+
+@pytest.mark.parametrize("order", [0.6, 1.0, 2.5, 27.1])
+def test_order_slope_of_a_point_does_not_depend_on_the_call(order):
+    # a table on the fixed grid whatever method gives the values: few points
+    # (kve or a closed form) and many (a value table sharing the grid)
+    rng = np.random.default_rng(9)
+    x = np.exp(rng.uniform(-5.0, 3.0, 40))
+    wider = np.concatenate([np.exp(rng.uniform(-9.0, 6.0, 7000)), x])
+    few = _scaled_bessel_k(order, x, with_previous=True, order_slope=True)
+    many = _scaled_bessel_k(order, wider, with_previous=True, order_slope=True)
+    assert_array_equal(many[2][-40:], few[2])
+    assert_array_equal(few[:2], _scaled_bessel_k(order, x, with_previous=True))
+    # a point at inf is NaN and leaves the others as they were
+    edge = _scaled_bessel_k(order, np.append(x, np.inf), order_slope=True)[1]
+    assert np.isnan(edge[-1])
+    assert_array_equal(edge[:-1], few[2])
+
+
+def test_order_slope_takes_the_difference_on_pieces_where_kve_overflows():
+    # K_25.7 overflows below x ~ 2.7e-11 (a little higher at the stencil's
+    # upper orders) and kve is NaN from x = 2^30 on: the points of those
+    # pieces take the difference itself, finite wherever kve is at every
+    # stencil order
+    x = np.geomspace(1e-14, 1e10, 5000)
+    for order in (25.7, 0.6):
+        _, slope = _scaled_bessel_k(order, x, order_slope=True)
+        stencil = [special.kve(abs(order + k * _ORDER_STEP), x) for k in (-2, -1, 1, 2)]
+        finite = np.isfinite(stencil).all(axis=0)
+        assert not finite.all()
+        assert np.isfinite(slope[finite]).all() and not np.isfinite(slope[~finite]).any()
+        near = finite & (x < 1e3)
+        step = 1e-6
+        numeric = (np.log(special.kve(order + step, x[near]))
+                   - np.log(special.kve(order - step, x[near]))) / (2.0 * step)
+        assert_allclose(slope[near], numeric, rtol=0.0,
+                        atol=1e-6 * np.maximum(1.0, np.abs(numeric)).max())
 
 
 def test_bessel_k_dispatched_orders_match_quadrature_oracle():
