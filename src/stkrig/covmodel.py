@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .numerics import _scaled_bessel_k
+from .numerics import _real, _scaled_bessel_k
 
 _TWO_PI = 2.0 * np.pi
 _TINY = np.finfo(float).tiny
@@ -60,7 +60,11 @@ class ModelParams:
     d: int = 2
 
     def __post_init__(self):
-        coeffs = tuple(float(b) for b in np.atleast_1d(self.c_coeffs))
+        for name in ("sigma_e2", "nu", "nugget"):
+            _real(getattr(self, name), name)
+        # as objects, a bool or a string entry reaches the check unconverted
+        entries = np.atleast_1d(np.asarray(self.c_coeffs, dtype=object))
+        coeffs = tuple(float(_real(b, "c_coeffs entry")) for b in entries)
         object.__setattr__(self, "c_coeffs", coeffs)
         if len(coeffs) < 1:
             raise ValueError("c_coeffs needs at least the constant term b_0")
@@ -109,21 +113,14 @@ class ModelParams:
             if not isinstance(coeffs, list):
                 raise ValueError("c_coeffs must be an array of numbers, got %r" % (coeffs,))
             return cls(
-                sigma_e2=float(_number(data["sigma_e2"], "sigma_e2")),
-                nu=float(_number(data["nu"], "nu")),
-                c_coeffs=tuple(float(_number(b, "c_coeffs entry")) for b in coeffs),
-                nugget=float(_number(data.get("nugget", 0.0), "nugget")),
-                d=_number(data.get("d", 2), "d"),
+                sigma_e2=float(_real(data["sigma_e2"], "sigma_e2")),
+                nu=float(_real(data["nu"], "nu")),
+                c_coeffs=coeffs,
+                nugget=float(_real(data.get("nugget", 0.0), "nugget")),
+                d=_real(data.get("d", 2), "d"),
             )
         except KeyError as missing:
             raise ValueError("model parameters missing required key %s" % missing) from None
-
-
-def _number(value, name: str):
-    # float() would read a bool as 0 or 1 and parse a string; JSON numbers are neither
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("%s must be a number, got %r" % (name, value))
-    return value
 
 
 def _check_dimension(d: int, params: ModelParams):

@@ -26,7 +26,7 @@ from scipy import optimize as _sopt
 
 from .covmodel import ModelParams, _check_dimension, _variogram
 from .io import json_data
-from .numerics import _count
+from .numerics import _count, _real
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
 
 _TWO_PI = 2.0 * np.pi
@@ -42,12 +42,13 @@ class EstimationError(RuntimeError):
 
 
 class SingularHessianError(RuntimeError):
-    """Criterion Hessian at the fit is numerically singular.
+    """The expected criterion Hessian at the fit, the sandwich's bread, is
+    numerically singular: some coordinates move log g collinearly.
 
     Attributes
     ----------
     eigenvalues : numpy.ndarray
-        Eigenvalues of the criterion Hessian, for diagnosis.
+        Eigenvalues of the expected Hessian, for diagnosis.
     """
 
     def __init__(self, message: str, eigenvalues: np.ndarray):
@@ -161,7 +162,8 @@ def build_distance_bins(locations, mode: str = "exact", n_bins: int | None = Non
     ranked = dists[order]
 
     if mode == "exact":
-        tol = float(tolerance) if tolerance is not None else 1e-9 * float(dists.max())
+        tol = (float(_real(tolerance, "tolerance")) if tolerance is not None
+               else 1e-9 * float(dists.max()))
         if not tol >= 0.0:
             raise ValueError("tolerance must be nonnegative, got %r" % tolerance)
         reps = _segment_means(ranked, _tolerance_groups(ranked, tol))
@@ -277,10 +279,6 @@ _MAX_ITERATIONS = 4000
 _TOLERANCE_F = 1e-9
 _TOLERANCE_X = 1e-6
 
-# Step in _Coordinates of the central difference of the criterion's
-# gradient that gives asymptotic_covariance its Hessian
-_HESSIAN_STEP = 1e-4
-
 
 @dataclass(frozen=True)
 class _Coordinates:
@@ -352,12 +350,25 @@ class _Coordinates:
         delta method: the natural value at a log, else 1."""
         return np.where(self._logged(), self._natural(params), 1.0)
 
+    def spread(self, frequencies: np.ndarray):
+        """How d log g in each coordinate is built from its distinct (bin,
+        frequency) arrays, those in log sigma_e2, log(nu - d/4) unless nu
+        is fixed, log|c(w)|^2, and log nugget when fitted: each coordinate's
+        index into them, and its weight over frequencies, cos(k w) for b_k
+        and 1 for the rest."""
+        c2, n_b = 1 + (self.nu_fixed is None), self.n_coeffs + 1
+        which = list(range(c2)) + [c2] * n_b + [c2 + 1] * self.fit_nugget
+        weights = np.ones((len(which), frequencies.size))
+        weights[c2:c2 + n_b] = np.cos(np.arange(n_b)[:, None] * frequencies)
+        return which, weights
+
 
 # g or binned / g may leave the double range; the terms are then not finite
 # and the check below raises, without a numpy warning first
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams, profile: bool = False, scores=None):
+                     params: ModelParams, profile: bool = False, scores=None,
+                     information: bool = False):
     """Per (bin, frequency) criterion terms; shape matches binned.
 
     g is proportional to sigma_e2 once the nugget is held as a ratio to it,
@@ -375,6 +386,9 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     where d log g is what it is at unit scale, so by the envelope theorem
     their row sums after the leading log sigma_e2 row are the gradient of
     the profiled criterion in fit's coordinates.
+
+    With information set as well, _expected_information from the same
+    kernel pass follows the scores.
     """
     grid = (distances[:, None], frequencies[None, :])
     if scores is None:
@@ -401,25 +415,40 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
         )
     if scores is None:
         return (terms, scale) if profile else terms
+    # before the scores below overwrite the kernel's derivatives
+    info = ((_expected_information(g, dg_dlogc2, dg_dnu, params, frequencies, scores),)
+            if information else ())
     weight = 1.0 - ratio
-    per_g = np.mean(weight / g, axis=0)
-    nugget_row = (params.nugget / np.pi) * per_g
-    # log sigma_e2 moves g - nugget / pi in proportion
+    nugget_row = (params.nugget / np.pi) * np.mean(weight / g, axis=0)
+    # one row per distinct array of scores.spread: log sigma_e2 moves
+    # g - nugget / pi in proportion, and log(nu - d/4) moves nu by nu - d/4
     rows = [np.mean(weight, axis=0) - nugget_row]
-    if dg_dnu:
-        # log(nu - d/4) moves nu by nu - d/4
-        per_nu = dg_dnu[0]
+    for per_nu in dg_dnu:
         per_nu *= weight
         per_nu /= g
         rows.append((params.nu - params.d / 4.0) * np.mean(per_nu, axis=0))
-    # b_k moves log|c(w)|^2 by cos(k w)
     dg_dlogc2 *= weight
     dg_dlogc2 /= g
-    per_c2 = np.mean(dg_dlogc2, axis=0)
-    rows.extend(per_c2 * np.cos(k * frequencies) for k in range(params.n_coeffs + 1))
-    if scores.fit_nugget:
-        rows.append(nugget_row)
-    return ((terms, scale) if profile else (terms,)) + (np.array(rows),)
+    rows += [np.mean(dg_dlogc2, axis=0)] + [nugget_row] * scores.fit_nugget
+    which, weights = scores.spread(frequencies)
+    return ((terms, scale) if profile else (terms,)) + (np.array(rows)[which] * weights,) + info
+
+
+def _expected_information(g: np.ndarray, dg_dlogc2: np.ndarray, dg_dnu: list,
+                          params: ModelParams, frequencies: np.ndarray,
+                          coords: _Coordinates) -> np.ndarray:
+    """sum_w mean_bins d log g d log g^T in coords, (K, K): the criterion's
+    Hessian less mean_bins (1 - binned / g) d^2 log g, whose expectation is
+    0. coords.spread's arrays are 1 - B, with B = (nugget / pi) / g;
+    (nu - d/4) (dg / d nu) / g; (dg / d log|c(w)|^2) / g; and B. The bin
+    means of their products take no (K, L, M) stack.
+    """
+    share = (params.nugget / np.pi) / g
+    bases = ([1.0 - share] + [a * ((params.nu - params.d / 4.0) / g) for a in dg_dnu]
+             + [dg_dlogc2 / g] + [share] * coords.fit_nugget)
+    products = np.array([[np.mean(a * b, axis=0) for b in bases] for a in bases])
+    which, weights = coords.spread(frequencies)
+    return np.einsum("iw,jw,ijw->ij", weights, weights, products[np.ix_(which, which)])
 
 
 def _criterion_value(terms: np.ndarray) -> float:
@@ -498,7 +527,9 @@ class FitConfig:
                             ("multistart", 1), ("seed", 0)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _count(getattr(self, name), name, least))
-        if self.nu_fixed is not None and not np.isfinite(self.nu_fixed):
+        if self.bin_tolerance is not None:
+            _real(self.bin_tolerance, "bin_tolerance")
+        if self.nu_fixed is not None and not np.isfinite(_real(self.nu_fixed, "nu_fixed")):
             raise ValueError("nu_fixed must be finite, got %r" % self.nu_fixed)
 
 
@@ -682,15 +713,15 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
 
     Works in _Coordinates: with nu_fixed set, which must equal
     params_hat.nu, the smoothness is held there; with fit_nugget set, the
-    nugget is a coordinate. The per-frequency scores, the derivatives of
-    each frequency's mean term over bins, come from one kernel pass (the
-    smoothness row through its table of d log K_mu / d mu); the middle
-    term aggregates them (frequencies are asymptotically uncorrelated, so
-    scores are clustered by frequency). The criterion Hessian is the
-    central difference, with step _HESSIAN_STEP, of the summed scores, the
-    criterion's gradient: 2k gradient evaluations for k coordinates. The
-    result is mapped to the natural scale by the delta method. Rows and
-    columns are in FitResult.param_names' order.
+    nugget is a coordinate. One kernel pass gives the per-frequency scores,
+    the derivatives of each frequency's mean term over bins, and the bread:
+    the expected criterion Hessian sum_w mean_bins d log g d log g^T, the
+    Hessian with its (1 - I / g) d^2 log g term at its expectation 0, as
+    E[I] = g (the Godambe form of composite likelihood). The middle term
+    aggregates the scores (frequencies are asymptotically uncorrelated, so
+    scores are clustered by frequency). The result is mapped to the
+    natural scale by the delta method. Rows and columns are in
+    FitResult.param_names' order.
 
     Raises
     ------
@@ -698,7 +729,7 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
         When nu_fixed differs from params_hat.nu, or the panel's dimension
         from the model's.
     SingularHessianError
-        When the Hessian cannot be inverted; the error carries its
+        When the expected Hessian cannot be inverted; the error carries its
         eigenvalues.
     EvaluationError
         When the covariance leaves the double range, as the delta method's
@@ -714,38 +745,22 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
 
 def _sandwich(prepared: _Prepared, coords: _Coordinates, params_hat: ModelParams) -> np.ndarray:
     """asymptotic_covariance from the prepared data, in coords."""
-
-    def scores_at(vec: np.ndarray) -> np.ndarray:
-        return _criterion_terms(*prepared, coords.unpack(vec), scores=coords)[1]
-
-    # scores per frequency, every row from one kernel pass
-    vec0 = coords.pack(params_hat)
-    scores = scores_at(vec0)
-    centered = scores - scores.mean(axis=1, keepdims=True)
-    middle = centered @ centered.T
-
-    # Hessian: central differences of the criterion's gradient
-    steps = _HESSIAN_STEP * np.eye(vec0.size)
-    hess = np.array([scores_at(vec0 + e).sum(axis=1) - scores_at(vec0 - e).sum(axis=1)
-                     for e in steps]) / (2.0 * _HESSIAN_STEP)
-    hess = (hess + hess.T) / 2.0
-
-    eigvals = np.linalg.eigvalsh(hess)
+    # scores per frequency and the expected Hessian H, from one kernel pass
+    _, scores, info = _criterion_terms(*prepared, params_hat, scores=coords, information=True)
+    eigvals = np.linalg.eigvalsh(info)
     if np.min(np.abs(eigvals)) <= 1e-12 * max(1.0, np.max(np.abs(eigvals))):
-        raise SingularHessianError(
-            "criterion Hessian is numerically singular; eigenvalues %s" % eigvals,
-            eigvals,
-        )
-    hinv = np.linalg.inv(hess)
-    cov_unc = hinv @ middle @ hinv
-    cov_unc = (cov_unc + cov_unc.T) / 2.0
+        raise SingularHessianError("expected criterion Hessian is numerically singular; "
+                                   "eigenvalues %s" % eigvals, eigvals)
+    # H^-1 S S^T H^-1, S the scores less their mean over frequencies; numpy
+    # multiplies a matrix by its own transpose symmetrically
+    half = np.linalg.solve(info, scores - scores.mean(axis=1, keepdims=True))
+    cov_unc = half @ half.T
 
     # delta method to the natural scale
     jac = coords.jacobian(params_hat)
     # an overflow is reported below, without a numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
         cov_nat = cov_unc * np.outer(jac, jac)
-        cov_nat = (cov_nat + cov_nat.T) / 2.0
     if not np.isfinite(cov_nat).all():
         raise EvaluationError("the natural-scale covariance at sigma_e2=%r overflows the double range"
                               % params_hat.sigma_e2)

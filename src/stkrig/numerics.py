@@ -57,6 +57,14 @@ def _count(value, name: str, least: int | None = None) -> int:
     return count
 
 
+def _real(value, name: str):
+    """value itself; ValueError unless it is a real number (a Python or
+    numpy integer or float, never a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return value
+
+
 def log_gamma(x):
     """Natural log of the gamma function for positive real arguments.
 

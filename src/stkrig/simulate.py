@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmodel import ModelParams, _check_dimension, _covariance_system, _site_pair_distances
-from .numerics import _count, _synthesize_rows, cholesky_with_jitter
+from .numerics import _count, _real, _synthesize_rows, cholesky_with_jitter
 from .spectral import TimeSeriesPanel, fourier_frequencies
 
 
@@ -130,7 +130,7 @@ def simulate_white_panel(m: int, n: int, variance: float = 1.0, seed: int = 0,
     """
     m, n = _count(m, "site count m", 1), _count(n, "series length", 2)
     seed = _count(seed, "seed", 0)
-    if not (variance > 0 and np.isfinite(variance)):
+    if not (_real(variance, "variance") > 0 and np.isfinite(variance)):
         raise ValueError("variance must be positive, got %r" % variance)
     if locations is None:
         loc = np.column_stack([np.arange(m, dtype=float), np.zeros(m)])

@@ -381,3 +381,23 @@ def fit_by_simplex(panel, config):
     _, scale = _criterion_terms(*prepared, theta, profile=True)
     params = replace(theta, sigma_e2=scale, nugget=scale * theta.nugget)
     return params, float(_criterion_terms(*prepared, params).sum(axis=1).mean()), nfev
+
+
+def criterion_hessian_by_central_differences(binned, distances, frequencies, params, coords,
+                                             step=1e-4):
+    """The criterion's Hessian in coords at params as the sandwich took it
+    before it used the expected information: central differences, with
+    step 1e-4, of the gradient (the summed scores), 2k gradient evaluations
+    for k coordinates, then symmetrized. Not independent of stkrig (it
+    shares the scores); it pins the expected information to the full
+    Hessian where the data equal the model variogram."""
+    from stkrig.estimate import _criterion_terms
+
+    def gradient(vec):
+        return _criterion_terms(binned, distances, frequencies, coords.unpack(vec),
+                                scores=coords)[1].sum(axis=1)
+
+    vec = coords.pack(params)
+    hess = np.array([gradient(vec + e) - gradient(vec - e)
+                     for e in step * np.eye(vec.size)]) / (2.0 * step)
+    return (hess + hess.T) / 2.0

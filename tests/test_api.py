@@ -143,3 +143,32 @@ def test_public_counts_take_whole_numbers_only(count, value, accepted):
     else:
         with pytest.raises(ValueError, match="must be a whole number, got"):
             call(value)
+
+
+# one public real each, as a function of the value given for it
+_PUBLIC_REALS = {
+    "ModelParams.sigma_e2": lambda v: stkrig.ModelParams(v, 1.0, (0.2,)).to_dict(),
+    "ModelParams.nu": lambda v: stkrig.ModelParams(1.0, v, (0.2,)).to_dict(),
+    "ModelParams.nugget": lambda v: stkrig.ModelParams(1.0, 1.0, (0.2,), nugget=v).to_dict(),
+    "ModelParams.c_coeffs": lambda v: stkrig.ModelParams(1.0, 1.0, (0.2, v)).to_dict(),
+    "FitConfig.nu_fixed": lambda v: stkrig.FitConfig(nu_fixed=v).nu_fixed,
+    "FitConfig.bin_tolerance": lambda v: stkrig.FitConfig(bin_tolerance=v).bin_tolerance,
+    "build_distance_bins.tolerance": lambda v: stkrig.build_distance_bins(
+        np.arange(8.0).reshape(4, 2) ** 2, tolerance=v).summary(),
+    "simulate_white_panel.variance": lambda v: stkrig.simulate_white_panel(
+        3, 8, variance=v).observations.tolist(),
+}
+
+
+@pytest.mark.parametrize("real", sorted(_PUBLIC_REALS))
+@pytest.mark.parametrize("value, accepted", [
+    (True, False), ("1.5", False), (np.float64(1.5), True), (1.5, True)])
+def test_public_reals_take_numbers_only(real, value, accepted):
+    # a numpy float is the number it holds, stored as given; a bool or a
+    # string is not read as a number
+    call = _PUBLIC_REALS[real]
+    if accepted:
+        assert call(value) == call(1.5)
+    else:
+        with pytest.raises(ValueError, match="must be a number, got"):
+            call(value)

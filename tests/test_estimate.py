@@ -15,7 +15,8 @@ from stkrig import (DistanceBins, FitConfig, ModelParams, SimulationSpec,
                     TimeSeriesPanel, asymptotic_covariance, build_distance_bins,
                     cov_freq, dft_panel, fit, fourier_frequencies,
                     simulate_panel, variogram_model, whittle_criterion)
-from oracles import (binned_difference_periodograms_by_loop, distance_bins_by_scan,
+from oracles import (binned_difference_periodograms_by_loop,
+                     criterion_hessian_by_central_differences, distance_bins_by_scan,
                      fit_by_simplex, tolerance_group_starts_by_loop)
 from stkrig.estimate import (EstimationError, EvaluationError, FitResult,
                              SingularHessianError, _binned_difference_periodograms,
@@ -697,6 +698,62 @@ def test_nu_free_scores_take_one_kernel_pass(monkeypatch):
             _criterion_terms(*prepared, params, profile=profile, scores=coords)
             # with nu held, no order-derivative table is built
             assert (len(passes), len(tables)) == (1, table)
+
+
+# a grid of 80 kernel points (kve or a closed form for the values) and one
+# of 1,440 (the value table), as in the nu row's tests above
+@pytest.mark.parametrize("shape", [(4, 20), (24, 60)])
+@pytest.mark.parametrize("nugget", [0.0, 0.4])
+@pytest.mark.parametrize("nu_free", [True, False])
+def test_expected_information_is_the_hessian_where_the_data_are_the_variogram(
+        shape, nugget, nu_free):
+    # binned = g removes the Hessian's (1 - binned / g) d^2 log g term
+    distances = np.geomspace(0.3, 3.0, shape[0])
+    freqs = fourier_frequencies(2 * shape[1] + 1)
+    params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(0.2, 0.3), nugget=nugget)
+    binned = variogram_model(distances[:, None], freqs[None, :], params)
+    coords = _Coordinates(1, 2, None if nu_free else params.nu, nugget > 0.0)
+    _, _, info = _criterion_terms(binned, distances, freqs, params, scores=coords,
+                                  information=True)
+    reference = criterion_hessian_by_central_differences(binned, distances, freqs, params,
+                                                         coords)
+    assert info.shape == (len(coords.names()),) * 2
+    assert np.array_equal(info, info.T) and np.linalg.eigvalsh(info).min() > 0.0
+    assert np.abs(info - reference).max() <= 1e-6 * np.abs(reference).max()
+
+
+def test_sandwich_takes_one_kernel_pass(monkeypatch):
+    import stkrig.covmodel as covmodel
+
+    passes = []
+    kernel = covmodel._kernel
+    monkeypatch.setattr(covmodel, "_kernel",
+                        lambda *args, **kwargs: passes.append(1) or kernel(*args, **kwargs))
+    panel, params = _toy_panel(seed=8, m=6, n=64)
+    bins = build_distance_bins(panel.locations)
+    for nu_fixed in (None, params.nu):
+        for fitted in (params, replace(params, nugget=0.2)):
+            passes.clear()
+            cov = asymptotic_covariance(panel, bins, fitted, nu_fixed=nu_fixed,
+                                        fit_nugget=fitted.nugget > 0.0)
+            assert len(passes) == 1 and np.isfinite(cov).all()
+
+
+def test_collinear_coordinates_make_the_sandwich_singular():
+    # at one frequency b_0 and b_1 move log g by 1 and cos(w_1): in proportion
+    panel, _ = _toy_panel(seed=8, m=6, n=64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit(panel, FitConfig(n_coeffs=1, nu_fixed=1.0, n_frequencies=1,
+                                      multistart=1))
+    assert result.covariance is None and np.isfinite(result.criterion)
+    assert [(w.category, str(w.message).split(":")[0]) for w in caught] == [
+        (UserWarning, "asymptotic covariance unavailable")]
+    with pytest.raises(SingularHessianError, match="numerically singular") as raised:
+        asymptotic_covariance(panel, build_distance_bins(panel.locations), result.params,
+                              n_frequencies=1, nu_fixed=1.0)
+    eigenvalues = np.abs(raised.value.eigenvalues)
+    assert eigenvalues.shape == (3,) and eigenvalues.min() <= 1e-12 * eigenvalues.max()
 
 
 def test_quasi_newton_backs_off_where_the_objective_fails():
