@@ -171,13 +171,13 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     |c(w)|^2 and the log-gamma constants are computed once, on om's own
     shape, and x^mu K_mu(x) with x = h |c(w)| in one exponentially scaled
     Bessel call, so large distances underflow to zero instead of 0 * inf.
-    Entries with h = 0 are C(0, w). Elsewhere the closed form is clamped to
-    at most C(0, w): the two formulas round differently, and at small h
-    their difference must not turn negative. A value outside the double
-    range raises FloatingPointError, without a numpy warning first.
+    h = 0 takes the same closed form: its Bessel factor is inf there, and
+    the product's limit is C(0, w). The result is clamped to at most
+    C(0, w): the two formulas round differently, and at small h their
+    difference must not turn negative. A value outside the double range
+    raises FloatingPointError, without a numpy warning first.
 
-    With gradient set, h must be positive everywhere (the criterion's bin
-    distances are), and the kernel also returns dC(h, w) / d log|c(w)|^2
+    With gradient set, the kernel also returns dC(h, w) / d log|c(w)|^2
     = -mu C - (x / 2) C K_{mu-1}(x) / K_mu(x), from the same Bessel call
     (d/dx [x^mu K_mu(x)] = -x^mu K_{mu-1}(x), DLMF 10.29.4). Where the
     Bessel factors are not finite, x K_{mu-1} / K_mu takes its limit 0 at
@@ -204,71 +204,57 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     zero = np.exp(log_const - mu * np.log(c2))
     c_abs = np.sqrt(c2)
     log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
-
-    def closed_form(hv, cv, zv):
-        x = hv * cv
-        log_ratio = np.log(hv) - np.log(cv)
-        cov = np.exp(log_pref + mu * log_ratio - x)
-        if smoothness:
-            previous, bessel, order_slope = _scaled_bessel_k(mu, x, with_previous=True,
-                                                             order_slope=True)
-            # a less its constant -2 log 2 - 2 psi(2 nu), in place
-            order_slope += log_ratio
-            order_slope *= 2.0
-        elif gradient:
-            previous, bessel = _scaled_bessel_k(mu, x, with_previous=True)
-        else:
-            bessel = _scaled_bessel_k(mu, x)
-        # a subnormal prefactor has lost bits that a large Bessel factor
-        # would carry into the product; those entries are taken in log space
-        subnormal = cov < _TINY
-        if np.isfinite(bessel).all():
-            # in place, as numpy multiplies into an unnamed temporary: a
-            # second array this size slows every criterion evaluation
-            cov *= bessel
-        else:
-            # Where the Bessel factor is not finite the product is its limit.
-            # kve is NaN past x ~ 1.08e9, where the prefactor has underflowed
-            # and C(h, w) is 0. e^x K_mu(x) overflows only at tiny x, where
-            # 1 - C(h, w) / C(0, w) = O(x^2) is below double resolution, so
-            # C(h, w) is C(0, w) there.
-            small_x = np.isinf(bessel)
-            lost = small_x | (np.isnan(bessel) & (cov == 0.0))
-            cov = np.where(lost, np.where(small_x, zv, 0.0), cov * np.where(lost, 1.0, bessel))
-            subnormal &= ~lost
-        if subnormal.any():
-            cov = np.array(cov, copy=None)  # an array also for scalar input
-            hs, cs, xs, ks = (np.broadcast_to(a, cov.shape)[subnormal]
-                              for a in (hv, cv, x, bessel))
-            cov[subnormal] = np.exp(log_pref + mu * (np.log(hs) - np.log(cs)) - xs + np.log(ks))
-        if not gradient:
-            return cov, None
-        # the log-derivative -dC / C = mu + (x / 2) K_{mu-1} / K_mu, in place
-        with np.errstate(invalid="ignore"):
-            slope = np.divide(previous, bessel, out=np.empty(np.shape(bessel)))
-            slope *= x
-        slope[~np.isfinite(slope)] = 0.0
-        slope *= 0.5
-        slope += mu
-        return cov, (slope, order_slope) if smoothness else (slope,)
-
-    # C order, as the callers' grids are, so sums over the result keep their order
-    if (h > 0.0).all():
-        # the criterion's case: evaluated on the broadcast, no mask and no copies
-        cov, slopes = closed_form(h, c_abs, zero)
-        cov = np.asarray(cov, order="C")
+    # at h = 0, x is 0 * inf where |c(w)|^2 overflows and the log ratio
+    # -inf + inf where it underflows: NaN, which the limits below resolve
+    with np.errstate(invalid="ignore"):
+        x = h * c_abs
+        log_ratio = np.log(h) - np.log(c_abs)
+    cov = np.exp(log_pref + mu * log_ratio - x)
+    if smoothness:
+        previous, bessel, a = _scaled_bessel_k(mu, x, with_previous=True, order_slope=True)
+        # a less its constant -2 log 2 - 2 psi(2 nu), in place
+        a += log_ratio
+        a *= 2.0
+    elif gradient:
+        previous, bessel = _scaled_bessel_k(mu, x, with_previous=True)
     else:
-        h_b, c_abs_b, zero_b = np.broadcast_arrays(h, c_abs, zero)
-        cov = np.array(zero_b, order="C")
-        pos = h_b > 0.0
-        if pos.any():
-            cov[pos], _ = closed_form(h_b[pos], c_abs_b[pos], zero_b[pos])
+        bessel = _scaled_bessel_k(mu, x)
+    # a subnormal prefactor has lost bits that a large Bessel factor
+    # would carry into the product; those entries are taken in log space
+    subnormal = cov < _TINY
+    if np.isfinite(bessel).all():
+        # in place, as numpy multiplies into an unnamed temporary: a
+        # second array this size slows every criterion evaluation
+        cov *= bessel
+    else:
+        # Where the Bessel factor is not finite the product is its limit.
+        # kve is NaN past x ~ 1.08e9 and at x = 0 * inf, where the prefactor
+        # is 0 or NaN and C(h, w) is 0. e^x K_mu(x) is inf at x = 0 and
+        # overflows only at tiny x, where 1 - C(h, w) / C(0, w) = O(x^2) is
+        # below double resolution, so C(h, w) is C(0, w) there.
+        small_x = np.isinf(bessel)
+        lost = small_x | (np.isnan(bessel) & ~(cov > 0.0))
+        cov = np.where(lost, np.where(small_x, zero, 0.0), cov * np.where(lost, 1.0, bessel))
+        subnormal &= ~lost
+    # an array also for scalar input, in C order, as the callers' grids are,
+    # so sums over the result keep their order
+    cov = np.asarray(cov, order="C")
+    if subnormal.any():
+        hs, cs, xs, ks = (np.broadcast_to(arr, cov.shape)[subnormal]
+                          for arr in (h, c_abs, x, bessel))
+        cov[subnormal] = np.exp(log_pref + mu * (np.log(hs) - np.log(cs)) - xs + np.log(ks))
     if not np.isfinite(cov).all():
         raise FloatingPointError("covariance evaluation produced non-finite values")
     np.minimum(cov, zero, out=cov)
     if not gradient:
         return cov, zero
-    slope = slopes[0]
+    # the log-derivative -dC / C = mu + (x / 2) K_{mu-1} / K_mu, in place
+    with np.errstate(invalid="ignore"):
+        slope = np.divide(previous, bessel, out=np.empty(np.shape(bessel)))
+        slope *= x
+    slope[~np.isfinite(slope)] = 0.0
+    slope *= 0.5
+    slope += mu
     slope *= cov
     np.negative(slope, out=slope)
     if not smoothness:
@@ -277,7 +263,6 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     a_zero = 2.0 * (float(digamma(mu)) - digamma_2nu - np.log(c2))
     # where C(0, w) is 0, so is C(h, w): |c(w)|^2 may be inf there
     np.copyto(a_zero, 0.0, where=zero == 0.0)
-    a = slopes[1]
     a -= 2.0 * (np.log(2.0) + digamma_2nu)
     np.copyto(a, a_zero, where=~np.isfinite(a))
     a *= cov
@@ -384,18 +369,18 @@ def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: boo
     """variogram_model on validated h > 0 and om. With gradient set, returns
     (g, dg / d log|c(w)|^2) from one kernel pass, and with smoothness set as
     well (g, dg / d log|c(w)|^2, dg / d nu) from that same pass."""
+    cov, zero, *derivatives = _kernel(h, om, params, gradient=gradient, smoothness=smoothness)
+    g = 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
     if not gradient:
-        cov, zero = _kernel(h, om, params)
-        return 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
-    cov, zero, d_cov, *d_nu = _kernel(h, om, params, gradient=True, smoothness=smoothness)
+        return g
+    d_cov = derivatives[0]
     mu = 2.0 * params.nu - params.d / 2.0
     d_cov += mu * zero
     d_cov *= -2.0
-    g = 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
     if not smoothness:
         return g, d_cov
     # dg / d nu = 2 (dC(0, w) / d nu - dC(h, w) / d nu), in place
-    d_cov_nu, d_zero_nu = d_nu
+    d_cov_nu, d_zero_nu = derivatives[1:]
     d_cov_nu -= d_zero_nu
     d_cov_nu *= -2.0
     return g, d_cov, d_cov_nu

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -34,7 +35,7 @@ def _number(path: str, r: int, column: str, cell: str) -> float:
         raise PanelFormatError(
             "%s: row %d, column %r: cannot parse %r as a number" % (path, r, column, cell)
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise PanelFormatError("%s: row %d, column %r is not finite" % (path, r, column))
     return value
 
@@ -57,7 +58,7 @@ def load_locations(path: str) -> tuple[list, np.ndarray]:
             "%s: locations header must be 'site_id,x1,...,xd', got %r" % (path, rows[0])
         )
     d = len(header) - 1
-    ids = []
+    site_rows = {}
     coords = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != d + 1:
@@ -67,13 +68,12 @@ def load_locations(path: str) -> tuple[list, np.ndarray]:
         site = row[0].strip()
         if not site:
             raise PanelFormatError("%s: row %d, column 'site_id' is blank" % (path, r))
-        if site in ids:
+        if site_rows.setdefault(site, r) != r:
             raise PanelFormatError("%s: duplicate site id %r at row %d" % (path, site, r))
-        ids.append(site)
         coords.append([_number(path, r, header[c], row[c]) for c in range(1, d + 1)])
-    if not ids:
+    if not site_rows:
         raise PanelFormatError("%s: no sites found" % path)
-    return ids, np.asarray(coords, dtype=float)
+    return list(site_rows), np.asarray(coords, dtype=float)
 
 
 def load_series(path: str, site_ids: list) -> np.ndarray:
@@ -89,16 +89,18 @@ def load_series(path: str, site_ids: list) -> np.ndarray:
             "%s: series header must start with 't', got %r" % (path, rows[0])
         )
     columns = header[1:]
-    missing = [s for s in site_ids if s not in columns]
-    extra = [s for s in columns if s not in site_ids]
+    fields = {s: c for c, s in enumerate(columns, start=1)}
+    missing = [s for s in site_ids if s not in fields]
+    wanted = set(site_ids)
+    extra = [s for s in columns if s not in wanted]
     if missing or extra:
         raise PanelFormatError(
             "%s: series columns do not match the locations file; missing %r, "
             "unexpected %r" % (path, missing, extra)
         )
-    if len(set(columns)) != len(columns):
+    if len(fields) != len(columns):
         raise PanelFormatError("%s: duplicate series column" % path)
-    order = [columns.index(s) + 1 for s in site_ids]
+    order = [fields[s] for s in site_ids]
     data = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):

@@ -12,6 +12,7 @@ inverted back to the time domain.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,6 +453,26 @@ def _enforce_stationarity(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.concatenate([repaired, np.zeros(coeffs.size - p)]), True
 
 
+def _ar_paths(centered: np.ndarray, coeffs: np.ndarray, horizons: int) -> np.ndarray:
+    """The AR recursion v_k = sum_j coeffs[j - 1] v_{k - j} over the horizons
+    from the end of the centred series (the point forecasts) and from a unit
+    impulse (the psi weights), into rows allocated before either runs."""
+    p = coeffs.size
+    paths = np.zeros((2, p + horizons))
+    paths[0, :p] = centered[centered.size - p:]
+    paths[1, p:p + 1] = 1.0
+    phis = coeffs.tolist()
+    for path, start in zip(paths, (p, p + 1)):
+        recent = deque(path[start - p:start].tolist(), maxlen=p)
+        for k in range(start, path.size):
+            value = 0.0
+            for phi, past in zip(phis, reversed(recent)):
+                value += phi * past
+            recent.append(value)
+            path[k] = value
+    return paths[:, p:]
+
+
 def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:
     """Forecast a reconstructed series with a spectrally fitted AR model.
 
@@ -459,7 +480,7 @@ def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:
     grid approximation of the integral spectral likelihood, and the order is
     chosen by AIC = 2 * criterion + 2 p. Forecasts come from the AR recursion
     on the mean-centered series; their mean squared errors accumulate the
-    moving-average weights of the fitted model.
+    squares of the psi weights, that recursion's response to a unit impulse.
 
     Parameters
     ----------
@@ -522,27 +543,11 @@ def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:
 
     _, order, coeffs, s2 = best
 
-    fc = np.empty(horizons)
-    extended = list(centered)
-    for _ in range(horizons):
-        upcoming = 0.0
-        for j, phi in enumerate(coeffs, start=1):
-            upcoming += phi * extended[-j]
-        extended.append(upcoming)
-        fc[len(extended) - n - 1] = upcoming + mu
-
-    psi = np.ones(max(horizons, 1))
-    for j in range(1, horizons):
-        acc = 0.0
-        for i in range(1, min(j, order) + 1):
-            acc += coeffs[i - 1] * psi[j - i]
-        psi[j] = acc
-    mse = s2 * np.cumsum(psi[:horizons] ** 2) if horizons else np.empty(0)
-
+    paths = _ar_paths(centered, coeffs, horizons)
     return ForecastOutput(
         ar_order=order,
         ar_coefficients=np.asarray(coeffs, dtype=float),
         innovation_variance=float(s2),
-        forecasts=fc,
-        forecast_mse=np.asarray(mse, dtype=float),
+        forecasts=paths[0] + mu,
+        forecast_mse=s2 * np.cumsum(paths[1] ** 2),
     )

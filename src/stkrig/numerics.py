@@ -178,7 +178,7 @@ _HALF_INTEGER_COEFFS = tuple(
 
 def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False,
                      order_slope: bool = False):
-    """e^x K_order(x) for order >= 0 on an array of x > 0, without checks.
+    """e^x K_order(x) for order >= 0 on an array of x, without checks.
 
     The method follows the order. An exact integer runs the upward
     recurrence K_{j+1} = K_{j-1} + (2 j / x) K_j from k0e and k1e, which is
@@ -187,8 +187,8 @@ def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False,
     1 / (2x). Any other order, or one above _CLOSED_FORM_MAX_ORDER, goes
     through _kve_by_table: a Chebyshev table of the call's own x-range
     when the call has enough points for one to pay, scipy's kve otherwise.
-    Where K overflows the result is inf, and from x = 2^30 on it is NaN, as
-    kve's are.
+    Where K overflows, x = 0 included, the result is inf, and from x = 2^30
+    on and at NaN it is NaN, as kve's are.
 
     With with_previous set, returns the pair (e^x K_{order-1}(x),
     e^x K_order(x)), which gives the derivative
@@ -285,12 +285,16 @@ _ORDER_STEP = 3e-4
 class _Grid(NamedTuple):
     """Where a call's points fall on the tables' fixed grid: the pieces are
     [first + k, first + k + 1) in log(x / 2) over _TABLE_WIDTH, k < count;
-    piece holds each point's k, and u its local variable in [-1, 1]."""
+    piece holds each point's k, and u its local variable in [-1, 1]. off
+    marks the points off the grid (0, inf, NaN), None if none; placed
+    counts the others."""
 
     first: float
     count: int
     piece: np.ndarray
     u: np.ndarray
+    off: np.ndarray | None
+    placed: int
 
     def points(self) -> np.ndarray:
         """The nodes of every piece, then the pieces' ends."""
@@ -301,20 +305,25 @@ class _Grid(NamedTuple):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _locate(x: np.ndarray, most: float = np.inf) -> _Grid | None:
-    """The grid of a table over [min x, max x], or None when it would have
-    more than most pieces or x is empty or holds 0, inf or NaN."""
+def _locate(x: np.ndarray) -> _Grid | None:
+    """The grid of a table over x's finite positive points, or None when
+    there are none; the others sit on a placed point's piece at u = 0."""
     flat = np.ravel(x)
-    if flat.size == 0:
-        return None
     t = np.multiply(flat, 0.5)
     np.log(t, out=t)
     t *= 1.0 / _TABLE_WIDTH  # log(x / 2) in piece widths
-    first = np.floor(t.min())
-    count = np.floor(t.max()) - first + 1.0
-    # inf or NaN when x holds 0, inf or NaN
-    if not (count <= most and np.isfinite(count)):
-        return None
+    low, high = t.min(initial=np.inf), t.max(initial=-np.inf)
+    off, placed = None, flat.size
+    # not finite if x is empty or holds 0, inf or NaN; no extra pass otherwise
+    if not np.isfinite(high - low):
+        off = ~np.isfinite(t)
+        placed -= int(np.count_nonzero(off))
+        if not placed:
+            return None
+        t[off] = t[np.argmin(off)]
+        low, high = t.min(), t.max()
+    first = np.floor(low)
+    count = int(np.floor(high) - first) + 1
     np.floor(t, out=t)
     t -= first
     piece = t.astype(np.intp)
@@ -325,35 +334,36 @@ def _locate(x: np.ndarray, most: float = np.inf) -> _Grid | None:
     u *= flat
     np.log(u, out=u)
     u *= 2.0 / _TABLE_WIDTH
-    return _Grid(first, int(count), piece, u)
+    if off is not None:
+        u[off] = 0.0
+    return _Grid(first, count, piece, u, off, placed)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _kve_by_table(orders, x: np.ndarray, grid: _Grid | None = None) -> list:
     """scipy's kve(order, x) for each of the orders, within about 1e-13.
 
-    With more points than _TABLE_CROSSOVER plus twice the table's nodes
-    (13 per half unit of log x), each order gets a table of the pieces that
-    cover the call's own [min x, max x]: one kve call on their nodes, then
-    per point a piece lookup and a Clenshaw sum. The pieces lie on a fixed
-    grid in log x, so a point's value does not depend on the call's other
-    points; grid, when given, is x's place on it. One of the grid's ends
-    is x = 2, where kve (AMOS's CBKNU) switches from its series to its
-    large-x method and its values jump by up to 2.5e-13: no piece straddles
-    the jump, so each follows kve's values on its side of it. A piece stores its centre value as a scale and
-    interpolates log(K / K_centre), which is small, so the rounding of
-    log K itself (an ulp of 6e-14 where log K ~ 300) does not enter. Points
-    of a piece where kve is not finite at a node or an end (K overflowing at
-    tiny x and high order, kve's NaN from x = 2^30 on) take kve itself, so
-    the result is inf or NaN exactly where kve's is. Otherwise each order is
-    one kve call.
+    With more points on the grid than _TABLE_CROSSOVER plus twice the
+    table's nodes (13 per half unit of log x), each order gets a table of
+    the pieces that cover the call's own [min x, max x]: one kve call on
+    their nodes, then per point a piece lookup and a Clenshaw sum. The
+    pieces lie on a fixed grid in log x, so a point's value does not depend
+    on the call's other points; grid, when given, is x's place on it. One
+    of the grid's ends is x = 2, where kve (AMOS's CBKNU) switches from its
+    series to its large-x method and its values jump by up to 2.5e-13: no
+    piece straddles the jump, so each follows kve's values on its side of
+    it. A piece stores its centre value as a scale and interpolates
+    log(K / K_centre), which is small, so the rounding of log K itself (an
+    ulp of 6e-14 where log K ~ 300) does not enter. Points off the grid,
+    and those of a piece where kve is not finite at a node or an end (K
+    overflowing at tiny x and high order, kve's NaN from x = 2^30 on), take
+    kve itself, so the result is inf or NaN exactly where kve's is.
+    Otherwise each order is one kve call.
     """
-    # the most pieces a table of this call may have
-    affordable = (np.size(x) - _TABLE_CROSSOVER - 1) // (2 * (_TABLE_DEGREE + 1))
-    if affordable > 0:
-        if grid is None:
-            grid = _locate(x, affordable)
-        if grid is not None and grid.count <= affordable:
+    twice_nodes = 2 * (_TABLE_DEGREE + 1)
+    if np.size(x) > _TABLE_CROSSOVER + twice_nodes:
+        grid = _locate(x) if grid is None else grid
+        if grid is not None and grid.placed > _TABLE_CROSSOVER + twice_nodes * grid.count:
             return _tabulated(orders, x, grid)
     return [_sspec.kve(order, x) for order in orders]
 
@@ -368,11 +378,10 @@ def _tabulated(orders, x: np.ndarray, grid: _Grid) -> list:
         values = _sspec.kve(order, points)
         nodes = values[:-pieces - 1].reshape(pieces, -1)
         scale = nodes[:, _CHEB_CENTRE]
-        value, bad = _interpolate(np.log(nodes / scale[:, None]), values[-pieces - 1:], grid)
+        value, fallback = _interpolate(np.log(nodes / scale[:, None]), values[-pieces - 1:], grid)
         np.exp(value, out=value)
         value *= np.take(scale, grid.piece)
-        if bad.any():
-            fallback = bad[grid.piece]
+        if fallback is not None:
             value[fallback] = _sspec.kve(order, flat[fallback])
         out.append(value.reshape(np.shape(x)))
     return out
@@ -380,26 +389,20 @@ def _tabulated(orders, x: np.ndarray, grid: _Grid) -> list:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _order_slope(order: float, x: np.ndarray, grid: _Grid | None) -> np.ndarray:
-    """d log K_order(x) / d order on an array of x > 0, without checks,
-    from a table on grid, x's place on the fixed grid, of _order_difference
-    at the nodes. A point of a piece where the difference is not finite at
-    a node or an end takes the difference at the point itself, which is
-    inf or NaN where kve is at a stencil order. grid None (x holds 0, inf
-    or NaN) gives NaN at those points and the table of the others
-    elsewhere."""
+    """d log K_order(x) / d order on an array of x, without checks, from a
+    table on grid, x's place on the fixed grid, of _order_difference at the
+    nodes. A point off the grid, or of a piece where the difference is not
+    finite at a node or an end, takes the difference at the point itself,
+    which is inf or NaN where kve is at a stencil order; with no grid,
+    every point does."""
     flat = np.ravel(x)
     if grid is None:
-        out = np.full(flat.shape, np.nan)
-        usable = (flat > 0.0) & (flat < np.inf)
-        if usable.any():
-            out[usable] = _order_slope(order, flat[usable], _locate(flat[usable]))
-        return out.reshape(np.shape(x))
+        return _order_difference(order, flat).reshape(np.shape(x))
     pieces = grid.count
     slopes = _order_difference(order, grid.points())
-    value, bad = _interpolate(slopes[:-pieces - 1].reshape(pieces, -1), slopes[-pieces - 1:],
-                              grid)
-    if bad.any():
-        fallback = bad[grid.piece]
+    value, fallback = _interpolate(slopes[:-pieces - 1].reshape(pieces, -1),
+                                   slopes[-pieces - 1:], grid)
+    if fallback is not None:
         value[fallback] = _order_difference(order, flat[fallback])
     return value.reshape(np.shape(x))
 
@@ -415,18 +418,22 @@ def _order_difference(order: float, x: np.ndarray) -> np.ndarray:
 
 def _interpolate(node_values: np.ndarray, ends: np.ndarray, grid: _Grid):
     """The Chebyshev interpolant of each piece's node values (pieces,
-    nodes) at the grid's points, and which pieces are bad, where the
-    values are not finite at a node or at either end (ends, pieces + 1).
-    kve is inf only below some x and NaN only from x = 2^30 on, so it is
-    finite on a piece where it is at both ends. A bad piece interpolates 0;
-    overwrites its node values."""
+    nodes) at the grid's points, and a mask of the points that take the
+    function itself (None if none): those off the grid and those of bad
+    pieces, where the values are not finite at a node or at either end
+    (ends, pieces + 1). kve is inf only below some x and NaN only from
+    x = 2^30 on, so it is finite on a piece where it is at both ends. A bad
+    piece interpolates 0; overwrites its node values."""
     finite_ends = np.isfinite(ends)
     bad = ~(np.isfinite(node_values).all(axis=1) & finite_ends[:-1] & finite_ends[1:])
     node_values[bad] = 0.0
     # einsum rather than BLAS, so the bits do not depend on the thread
     # count; rows are coefficients, so each Clenshaw step reads one row
     coeffs = np.einsum("pj,jk->kp", node_values, _CHEB_MATRIX, order="C")
-    return _clenshaw(coeffs, grid.piece, grid.u), bad
+    fallback = grid.off
+    if bad.any():
+        fallback = bad[grid.piece] if fallback is None else bad[grid.piece] | fallback
+    return _clenshaw(coeffs, grid.piece, grid.u), fallback
 
 
 def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -261,6 +261,31 @@ def simulate_panel_by_frequency(spec):
     return observations
 
 
+def ar_forecasts_by_loops(centered, mu, coeffs, s2, horizons):
+    """Point forecasts and their mean squared errors for an AR model with
+    coefficients coeffs and innovation variance s2, from a series centred at
+    mu, by the two loops forecast used to run: one extends a list of every
+    value, the other sums only the psi weights that exist."""
+    order = len(coeffs)
+    n = len(centered)
+    fc = np.empty(horizons)
+    extended = list(centered)
+    for _ in range(horizons):
+        upcoming = 0.0
+        for j, phi in enumerate(coeffs, start=1):
+            upcoming += phi * extended[-j]
+        extended.append(upcoming)
+        fc[len(extended) - n - 1] = upcoming + mu
+    psi = np.ones(max(horizons, 1))
+    for j in range(1, horizons):
+        acc = 0.0
+        for i in range(1, min(j, order) + 1):
+            acc += coeffs[i - 1] * psi[j - i]
+        psi[j] = acc
+    mse = s2 * np.cumsum(psi[:horizons] ** 2) if horizons else np.empty(0)
+    return fc, mse
+
+
 def _yule_walker_start(x, p):
     n = x.size
     r = np.array([float(np.dot(x[: n - k], x[k:])) / n for k in range(p + 1)])

@@ -10,7 +10,8 @@ from scipy.integrate import trapezoid
 
 from oracles import cov_matrix_full
 from stkrig import (ModelParams, c_mod_sq, corr_freq, cov_freq, cov_matrix,
-                    cov_zero, st_spectral_density, variogram_model)
+                    cov_zero, numerics, st_spectral_density, variogram_model)
+from stkrig.covmodel import _kernel
 from stkrig.numerics import bessel_k, log_gamma
 
 K1_AT_1 = 0.6019072301972346
@@ -259,6 +260,91 @@ def test_overflowing_zero_distance_value_fails_loudly():
         assert 0.0 < cov_freq(1e155, 1.0, p) < 1e-100
         with pytest.raises(FloatingPointError):
             cov_matrix([[0.0, 1e155], [1e155, 0.0]], 1.0, p)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """List that receives the number of points of every Bessel table."""
+    points = []
+    inner = numerics._tabulated
+
+    def counted(orders, x, grid):
+        points.append(grid.placed)
+        return inner(orders, x, grid)
+
+    monkeypatch.setattr(numerics, "_tabulated", counted)
+    return points
+
+
+# mu = 2 nu - 1 at d = 2: k1e, the recurrence from mu = 2, the half-integer
+# closed form, and kve or a table at a general order
+ZERO_DISTANCE_ORDERS = {1.0: 1.0, 2.0: 1.5, 1.5: 1.25, 0.6: 0.8}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", sorted(ZERO_DISTANCE_ORDERS))
+def test_zero_distance_is_the_closed_form_limit_on_every_bessel_method(mu, tables):
+    p = _params(sigma_e2=1.3, nu=ZERO_DISTANCE_ORDERS[mu], c_coeffs=(0.3, 0.5), nugget=0.2)
+    om = np.linspace(0.1, 3.0, 50)
+    zero = cov_zero(om, p)
+    assert np.array_equal(cov_freq(0.0, om, p), zero)
+    assert cov_freq(0.0, 0.7, p) == cov_zero(0.7, p)
+    # h = 0 beside enough positive distances for a table at a general order
+    h = np.concatenate([[0.0], np.linspace(0.5, 1.0, 9)])[:, None]
+    tables.clear()
+    values = cov_freq(h, om, p)
+    assert tables == ([h.size * om.size - om.size] if mu == 0.6 else [])
+    assert np.array_equal(values[0], zero)
+    # |c(w)|^2 overflowing: C(0, w) is 0; underflowing: C(0, w) overflows
+    up = _params(nu=ZERO_DISTANCE_ORDERS[mu], c_coeffs=(800.0,))
+    assert np.array_equal(cov_freq(np.zeros(3), om[:3], up), np.zeros(3))
+    assert cov_freq(0.0, 0.7, up) == cov_zero(0.7, up) == 0.0
+    down = _params(nu=ZERO_DISTANCE_ORDERS[mu], c_coeffs=(-800.0,))
+    for call in (lambda: cov_freq(0.0, 0.7, down), lambda: cov_zero(om, down)):
+        with pytest.raises(FloatingPointError):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_grid_from_zero_keeps_the_values_of_its_positive_points(tables, kernel_points):
+    # above the crossover, the zeros sit off the table's grid: the other
+    # points keep the table and their bits, in one Bessel call
+    p = _params(sigma_e2=1.3, nu=0.8, c_coeffs=(0.3, 0.5))
+    h = np.linspace(0.0, 5.0, 1000)[:, None]
+    om = np.linspace(0.01, np.pi, 64)
+    with_zero = cov_freq(h, om, p)
+    assert kernel_points == [h.size * om.size] and tables == [(h.size - 1) * om.size]
+    assert np.array_equal(with_zero[1:], cov_freq(h[1:], om, p))
+    assert np.array_equal(with_zero[0], cov_zero(om, p))
+    # nor do they count toward the crossover: one piece's worth of points
+    # at the crossover stays on kve, with or without zeros beside it
+    near = np.linspace(1.0, 1.05, numerics._TABLE_CROSSOVER + 2 * (numerics._TABLE_DEGREE + 1))
+    tables.clear()
+    assert np.array_equal(cov_freq(np.append(np.zeros(3), near), 0.5, p)[3:],
+                          cov_freq(near, 0.5, p))
+    assert tables == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nu", [1.0, 1.25, 1.5, 0.8])
+def test_a_mixed_distance_kernel_call_is_one_bessel_call(nu, kernel_points):
+    p = _params(nu=nu, c_coeffs=(0.3, 0.5), nugget=0.1)
+    h = np.array([[0.0], [0.4], [0.0], [2.5]])
+    om = np.linspace(0.1, 3.0, 7)
+    for kwargs in ({}, {"gradient": True}, {"gradient": True, "smoothness": True}):
+        kernel_points.clear()
+        cov, zero, *derivatives = _kernel(h, om, p, **kwargs)
+        assert kernel_points == [h.size * om.size]
+        assert np.array_equal(cov[[0, 2]], np.broadcast_to(zero, (2, om.size)))
+        # at h = 0 the derivatives are those of C(0, w): -mu C(0, w) in
+        # log|c(w)|^2, and the a_0 term in nu
+        if derivatives:
+            mu = 2.0 * nu - 1.0
+            assert np.array_equal(derivatives[0][[0, 2]],
+                                  np.broadcast_to(-mu * zero, (2, om.size)))
+        if len(derivatives) > 1:
+            assert np.array_equal(derivatives[1][[0, 2]],
+                                  np.broadcast_to(derivatives[2], (2, om.size)))
 
 
 def test_variogram_model_formula_and_limits():

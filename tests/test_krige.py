@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (ar1_series, ar_fits_by_simplex, arma_series, invert_gauss,
-                     synthesize_brute_force)
+from oracles import (ar1_series, ar_fits_by_simplex, ar_forecasts_by_loops, arma_series,
+                     invert_gauss, synthesize_brute_force)
 from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel,
                     assemble_system, cov_freq, cov_matrix, cov_zero, dft_panel, forecast,
                     fourier_frequencies, krige_series, predict_dft,
                     reconstruct_series, simulate_panel)
 import stkrig.krige
-from stkrig.krige import (_ar_transfer, _enforce_stationarity, estimate_target_mean)
+from stkrig.krige import (_ar_paths, _ar_transfer, _enforce_stationarity,
+                          estimate_target_mean)
 from stkrig.numerics import SingularMatrixError
 
 with open(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -391,6 +392,34 @@ def test_forecast_mse_accumulates_moving_average_weights():
     expected = out.innovation_variance * np.cumsum(psi ** 2)
     assert_allclose(out.forecast_mse, expected, rtol=1e-10)
     assert np.all(np.diff(out.forecast_mse) >= 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_forecast_recursion_matches_the_loops_bit_for_bit():
+    # the point forecasts and the psi weights come from one recursion; the
+    # loops it replaced are the oracle, over orders 0..8 and horizons up
+    # to past 3p
+    rng = np.random.default_rng(41)
+    centered = rng.normal(size=64)
+    mu, s2 = 1.75, 0.6
+    for p in range(9):
+        # stationary: roots of the characteristic polynomial outside the unit circle
+        coeffs, _ = _enforce_stationarity(rng.uniform(-0.6, 0.6, p))
+        for horizons in sorted({0, 1, 2, p, 3 * p + 1, 50}):
+            expected = ar_forecasts_by_loops(centered, mu, coeffs, s2, horizons)
+            paths = _ar_paths(centered, coeffs, horizons)
+            got = (paths[0] + mu, s2 * np.cumsum(paths[1] ** 2))
+            for a, b in zip(got, expected):
+                assert a.shape == (horizons,) and a.tobytes() == b.tobytes(), (p, horizons)
+    # and through forecast itself, at the order it chooses
+    z = arma_series([0.5, -0.3], 0.4, 200, seed=3)
+    for horizons in (0, 1, 7, 40):
+        out = forecast(z, horizons=horizons)
+        mu = float(z.mean())
+        expected = ar_forecasts_by_loops(z - mu, mu, out.ar_coefficients,
+                                         out.innovation_variance, horizons)
+        assert out.forecasts.tobytes() == expected[0].tobytes()
+        assert out.forecast_mse.tobytes() == expected[1].tobytes()
 
 
 def test_forecast_repairs_nonstationary_fit():

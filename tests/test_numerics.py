@@ -196,6 +196,34 @@ def test_table_value_of_a_point_does_not_depend_on_the_call():
                            _scaled_bessel_k(order, x, with_previous=True)[0][:100])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [0.6, 1.0, 2.0, 2.5, 27.1])
+def test_points_off_the_grid_leave_the_others_as_they_were(order, kve_points):
+    # 0, inf and NaN take the function itself, as in a call of their own
+    # (e^x K at 0 is inf); the finite points keep their table, or their
+    # closed form, and every bit they had without the others
+    rng = np.random.default_rng(12)
+    x = np.exp(rng.uniform(-5.0, 3.0, 2000))
+    edges = np.array([0.0, np.inf, np.nan])
+    mixed = np.concatenate([edges[:2], x[:1000], edges[2:], x[1000:], edges])
+    placed = (mixed > 0.0) & (mixed < np.inf)
+    for kwargs in ({}, {"with_previous": True}, {"with_previous": True, "order_slope": True}):
+        alone = np.atleast_2d(_scaled_bessel_k(order, x, **kwargs))
+        kve_points.clear()
+        both = np.atleast_2d(_scaled_bessel_k(order, mixed, **kwargs))
+        if order in (0.6, 27.1):
+            # the tables ran: kve on their nodes and ends, and the edges
+            assert max(kve_points) < 300
+        for got, expected in zip(both, alone):
+            assert got[placed].tobytes() == expected.tobytes()
+        values = both[:2] if kwargs.get("with_previous") else both[:1]
+        own = np.atleast_2d(_scaled_bessel_k(order, np.tile(edges, 2), **kwargs))
+        assert_array_equal(values[:, ~placed], own[:values.shape[0]])
+        assert np.isinf(values[:, mixed == 0.0]).all()
+        if kwargs.get("order_slope"):
+            assert np.isnan(both[2][~placed]).all()
+
+
 def test_table_follows_kve_on_both_sides_of_x_2():
     # kve changes method at x = 2 and jumps there by 2.5e-13 at this order;
     # a piece ends at 2, so none interpolates across the jump
