@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .covmodel import ModelParams, _check_dimension, _variogram
 from .io import json_data
@@ -608,7 +607,11 @@ def _quasi_newton(objective, start: np.ndarray):
     def evaluate(vec):
         return done.pop(vec.tobytes(), None) or guarded(vec) or failed
 
-    return _sopt.minimize(evaluate, start, jac=True, method="L-BFGS-B", options={
+    # imported here: scipy.optimize adds about 17 MB of memory to any
+    # process that loads it, and only fits search
+    from scipy.optimize import minimize
+
+    return minimize(evaluate, start, jac=True, method="L-BFGS-B", options={
         "maxiter": _MAX_ITERATIONS,
         # scipy's ftol is relative to max(|Q|, 1); _TOLERANCE_F is absolute
         "ftol": _TOLERANCE_F / max(1.0, abs(first[0])),

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _slinalg
 
-from .covmodel import ModelParams, _check_dimension, _covariance_system, _site_pair_distances
+from .covmodel import (ModelParams, _check_dimension, _covariance_blocks, _covariance_system,
+                       _mirrored, _site_pair_distances)
 from .io import json_data
-from .numerics import SingularMatrixError, _count, dft_forward, dft_inverse, hpd_solve
+from .numerics import (SingularMatrixError, _count, _hpd_solve, dft_forward, dft_inverse,
+                       hpd_solve)
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
 _TWO_PI = 2.0 * np.pi
@@ -57,7 +59,10 @@ def assemble_system(locations, target, omega: float, params: ModelParams,
     if not np.isfinite(omega):
         raise ValueError("omega contains non-finite values")
     distances, lower = _site_distances(locations, target, params)
-    return _frequency_system(distances, lower, omega, params, include_target_noise)
+    om = np.array([omega], dtype=float)
+    f, g0, zero = _covariance_system(distances, lower, om, params)
+    c0 = _target_variances(zero, om, params, include_target_noise)
+    return _mirrored(f[0], lower), g0[0], float(c0[0])
 
 
 def _site_distances(locations, target, params: ModelParams):
@@ -82,17 +87,16 @@ def _site_distances(locations, target, params: ModelParams):
     return np.concatenate((pairs, h0)), lower
 
 
-def _frequency_system(distances, lower, omega, params: ModelParams, include_target_noise: bool):
-    """assemble_system's (F, g0, c0) from the distances of _site_distances,
-    in one kernel call."""
-    f, g0, c0 = _covariance_system(distances, lower, omega, params)
-    if not c0 >= _TINY:
+def _target_variances(zero, omegas, params: ModelParams, include_target_noise: bool):
+    """The target variance c0 at each frequency from its C(0, w), after the
+    check that each C(0, w) is a normal double."""
+    bad = ~(zero >= _TINY)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise FloatingPointError(
             "C(0, w) = %r at w = %r is not a normal double; the model's covariance "
-            "scale is out of range" % (c0, float(omega)))
-    if include_target_noise:
-        c0 += params.nugget / _TWO_PI
-    return f, g0, c0
+            "scale is out of range" % (float(zero[k]), float(omegas[k])))
+    return zero + params.nugget / _TWO_PI if include_target_noise else zero
 
 
 @dataclass
@@ -138,38 +142,42 @@ def predict_dft(spectral: SpectralPanel, systems) -> DftPrediction:
         loading is marked failed and left as NaN; the others proceed.
     """
     m_freq = spectral.n_frequencies
-    predicted = np.full(m_freq, np.nan, dtype=complex)
-    mse = np.full(m_freq, np.nan)
-    jitter = np.zeros(m_freq)
-    n_clamped = 0
-    failed = []
+    prediction = _empty_prediction(m_freq)
     n_systems = 0
     for k, (f, g0, c0) in enumerate(systems):
         n_systems += 1
-        if k >= m_freq:
-            continue
-        try:
-            sol = hpd_solve(f, g0)
-        except SingularMatrixError:
-            failed.append(k)
-            continue
-        w = sol.x
-        predicted[k] = w @ spectral.dft[:, k]
-        raw = float(c0 - w @ g0)
-        if raw < 0.0:
-            n_clamped += 1
-            raw = 0.0
-        mse[k] = raw
-        jitter[k] = sol.jitter
+        if k < m_freq:
+            _predict_frequency(prediction, k, hpd_solve, f, g0, c0, spectral.dft[:, k])
     if n_systems != m_freq:
         raise ValueError("got %d systems for %d frequencies" % (n_systems, m_freq))
-    return DftPrediction(
-        predicted=predicted,
-        mse=mse,
-        jitter=jitter,
-        n_clamped=n_clamped,
-        failed=tuple(failed),
-    )
+    return prediction
+
+
+def _empty_prediction(m_freq: int) -> DftPrediction:
+    """A DftPrediction of m_freq frequencies for _predict_frequency to fill."""
+    return DftPrediction(predicted=np.full(m_freq, np.nan, dtype=complex),
+                         mse=np.full(m_freq, np.nan), jitter=np.zeros(m_freq),
+                         n_clamped=0, failed=())
+
+
+def _predict_frequency(prediction: DftPrediction, k: int, solve, f, g0, c0, ordinates):
+    """Frequency k of prediction from its system (F, g0, c0) and the sites'
+    ordinates: the weights w = solve(F, g0), the predicted ordinate w . J,
+    the prediction variance c0 - w . g0 clamped at zero, and the jitter
+    used; or k marked failed when solve raises SingularMatrixError."""
+    try:
+        sol = solve(f, g0)
+    except SingularMatrixError:
+        prediction.failed += (k,)
+        return
+    w = sol.x
+    prediction.predicted[k] = w @ ordinates
+    raw = float(c0 - w @ g0)
+    if raw < 0.0:
+        prediction.n_clamped += 1
+        raw = 0.0
+    prediction.mse[k] = raw
+    prediction.jitter[k] = sol.jitter
 
 
 def estimate_target_mean(locations, target, site_means) -> float:
@@ -276,11 +284,14 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
                  threads: int | None = 1) -> KrigingOutput:
     """Predict the full series at an unobserved location.
 
-    Assembles and solves one kriging system per interior frequency from the
-    ordinates of the centred site series (dft_panel), then inverts the
-    predicted ordinates and adds an inverse-distance estimate of the local
-    mean. Frequencies whose system cannot be solved contribute zero
-    to the reconstruction and are listed in the jitter report.
+    Solves one kriging system per interior frequency from the ordinates of
+    the centred site series (dft_panel), then inverts the predicted
+    ordinates and adds an inverse-distance estimate of the local mean. The
+    systems are built in blocks of frequencies, one kernel call per block
+    (covmodel._covariance_blocks), and each is factored and solved on its
+    own with the jitter ladder, without hpd_solve's checks on a matrix the
+    package built. Frequencies whose system cannot be solved contribute
+    zero to the reconstruction and are listed in the jitter report.
 
     Parameters
     ----------
@@ -293,11 +304,12 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
     spectral = dft_panel(panel)
     tgt = np.asarray(target, dtype=float).reshape(-1)
     distances, lower = _site_distances(panel.locations, tgt, params)
-    systems = (
-        _frequency_system(distances, lower, w, params, include_target_noise)
-        for w in spectral.frequencies
-    )
-    prediction = predict_dft(spectral, systems)
+    freqs = spectral.frequencies
+    prediction = _empty_prediction(freqs.size)
+    for start, f, g0, zero in _covariance_blocks(distances, lower, freqs, params):
+        c0 = _target_variances(zero, freqs[start:], params, include_target_noise)
+        for k, system in enumerate(zip(f, g0, c0), start):
+            _predict_frequency(prediction, k, _hpd_solve, *system, spectral.dft[:, k])
     if prediction.failed:
         warnings.warn(
             "%d of %d frequencies failed to solve and contribute zero to the "

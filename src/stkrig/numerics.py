@@ -537,30 +537,72 @@ def _synthesize_rows(coeffs: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * np.pi / n) * np.roll(y, -1, axis=-1)
 
 
-def cholesky_with_jitter(matrix) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of a Hermitian matrix, adding diagonal jitter
-    from a fixed ladder when the plain factorization fails.
-
-    Returns the factor and the absolute jitter that was added (0.0 when none
-    was needed). Raises SingularMatrixError when the whole ladder fails.
-    """
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square, got shape %s" % (a.shape,))
+def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The factor half of the jitter ladder, without checks: the lower
+    Cholesky factor of a finite square matrix, reading only its lower
+    triangle and diagonal, from LAPACK's potrf as scipy.linalg.cholesky
+    calls it, and the absolute diagonal jitter that was added (0.0 when
+    none was needed). Raises SingularMatrixError when the whole ladder
+    fails."""
     dim = a.shape[0]
     scale = float(np.abs(np.trace(a)).real) / dim
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
     for level in JITTER_LADDER:
         jitter = level * scale
-        loaded = a if jitter == 0.0 else a + jitter * np.eye(dim)
-        try:
-            return _slinalg.cholesky(loaded, lower=True), jitter
-        except np.linalg.LinAlgError:
-            continue
+        if jitter == 0.0:
+            loaded = a
+        else:
+            # on the diagonal only: the upper triangle may be unset
+            loaded = np.array(a, dtype=np.result_type(a.dtype, np.float64))
+            loaded.flat[:: dim + 1] += jitter
+        potrf, = _slinalg.get_lapack_funcs(("potrf",), (loaded,))
+        factor, info = potrf(loaded, lower=1, clean=1)
+        if info == 0:
+            return factor, jitter
     raise SingularMatrixError(
         "matrix is not positive definite even with diagonal jitter %.3e" % jitter, jitter
     )
+
+
+def _cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solve half: x with L L^H x = b for the lower factor L of
+    _jittered_cholesky, from LAPACK's potrs as scipy.linalg.cho_solve calls
+    it, without checks."""
+    potrs, = _slinalg.get_lapack_funcs(("potrs",), (factor, b))
+    x, _ = potrs(factor, b, lower=1)
+    return x
+
+
+def _hpd_solve(a: np.ndarray, b: np.ndarray) -> HpdSolution:
+    """hpd_solve without its checks: the factor half, then the solve half."""
+    factor, jitter = _jittered_cholesky(a)
+    return HpdSolution(x=_cholesky_solve(factor, b), jitter=jitter)
+
+
+def _square_finite(matrix) -> np.ndarray:
+    """matrix as an array, after the checks that it is square, not empty
+    and finite."""
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square, got shape %s" % (a.shape,))
+    if not a.size:
+        raise ValueError("matrix must not be empty")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite values")
+    return a
+
+
+def cholesky_with_jitter(matrix) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a Hermitian matrix, adding diagonal jitter
+    from a fixed ladder when the plain factorization fails.
+
+    Returns the factor and the absolute jitter that was added (0.0 when none
+    was needed). Raises SingularMatrixError when the whole ladder fails, and
+    ValueError for a matrix that is not square, is empty or holds a value
+    that is not finite.
+    """
+    return _jittered_cholesky(_square_finite(matrix))
 
 
 def hpd_solve(matrix, rhs) -> HpdSolution:
@@ -570,23 +612,25 @@ def hpd_solve(matrix, rhs) -> HpdSolution:
     Parameters
     ----------
     matrix : array_like
-        Hermitian positive definite matrix. Hermitian symmetry is checked to
-        a tolerance of 1e-10 relative to the largest entry.
+        Hermitian positive definite matrix, square, not empty and finite.
+        Hermitian symmetry is checked to a tolerance of 1e-10 relative to
+        the largest entry.
     rhs : array_like
-        Right hand side vector or matrix.
+        Finite right hand side vector or matrix.
 
     Returns
     -------
     HpdSolution
-        Solution and the diagonal jitter that was used (0.0 normally).
+        Solution and the diagonal jitter that was used (0.0 normally), from
+        the factor of cholesky_with_jitter.
     """
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square, got shape %s" % (a.shape,))
+    a = _square_finite(matrix)
     b = np.asarray(rhs)
     if b.ndim == 0 or b.shape[0] != a.shape[0]:
         raise ValueError("rhs must have %d rows to match the matrix, got shape %s"
                          % (a.shape[0], b.shape))
+    if not np.isfinite(b).all():
+        raise ValueError("rhs contains non-finite values")
     scale = max(1.0, float(np.abs(a).max()))
     asym = float(np.abs(a - a.conj().T).max())
     if asym > 1e-10 * scale:
@@ -594,5 +638,4 @@ def hpd_solve(matrix, rhs) -> HpdSolution:
             "matrix is not Hermitian: max asymmetry %.3e exceeds tolerance %.3e"
             % (asym, 1e-10 * scale)
         )
-    factor, jitter = cholesky_with_jitter(a)
-    return HpdSolution(x=_slinalg.cho_solve((factor, True), b), jitter=jitter)
+    return _hpd_solve(a, b)

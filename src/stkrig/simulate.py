@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmodel import ModelParams, _check_dimension, _covariance_system, _site_pair_distances
-from .numerics import _count, _real, _synthesize_rows, cholesky_with_jitter
+from .covmodel import ModelParams, _check_dimension, _covariance_blocks, _site_pair_distances
+from .numerics import _count, _jittered_cholesky, _real, _synthesize_rows
 from .spectral import TimeSeriesPanel, fourier_frequencies
 
 
@@ -71,7 +71,10 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
     The realization is exact for the model's per-frequency structure: the
     Fourier vectors at distinct grid frequencies are independent and the
     vector at frequency w has covariance matrix C(h_ij, w) (no nugget; the
-    nugget is optional time-domain noise on top).
+    nugget is optional time-domain noise on top). The matrices come in
+    blocks of grid frequencies, one kernel call per block
+    (covmodel._covariance_blocks), and each is factored on its own with
+    the jitter ladder.
     """
     params = spec.params
     m = spec.m
@@ -93,15 +96,15 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
 
     # the grid is 0, the interior and, for even n, pi; the two edge
     # ordinates are real draws, which their own conjugates leave in place
-    grid = [0.0, *freqs] + [np.pi] * len(z_fold)
+    grid = np.array([0.0, *freqs] + [np.pi] * len(z_fold))
     draws = [z_zero, *((z_re + 1j * z_im) / np.sqrt(2.0)), *z_fold]
     coeffs = np.zeros((m, n), dtype=complex)
-    for k, (w, zeta) in enumerate(zip(grid, draws)):
-        f, _, _ = _covariance_system(pairs, lower, w, params, include_nugget=False)
-        factor, _ = cholesky_with_jitter(f)
-        ordinate = factor @ zeta
-        coeffs[:, k] = ordinate
-        coeffs[:, -k] = np.conj(ordinate)
+    for start, f, _, _ in _covariance_blocks(pairs, lower, grid, params, include_nugget=False):
+        for k, fk in enumerate(f, start):
+            factor, _ = _jittered_cholesky(fk)
+            ordinate = factor @ draws[k]
+            coeffs[:, k] = ordinate
+            coeffs[:, -k] = np.conj(ordinate)
 
     # synthesis of every site at once; symmetry is exact by construction
     observations = _synthesize_rows(coeffs)

@@ -261,6 +261,34 @@ def simulate_panel_by_frequency(spec):
     return observations
 
 
+def krige_series_by_frequency(panel, target, params, include_target_noise=False):
+    """krige_series' per-frequency prediction as it took it before it built
+    the systems in blocks of frequencies: per interior frequency one
+    assemble_system call (its own kernel call, the full mirrored matrix)
+    and hpd_solve. Returns (predicted ordinates, mse, jitter, failed
+    indices); a frequency hpd_solve gives up on is NaN and listed. Not
+    independent of stkrig (it shares the kernel and the jitter ladder); it
+    pins the blocked path to the per-frequency one, bit for bit."""
+    from stkrig import assemble_system, dft_panel, hpd_solve
+    from stkrig.numerics import SingularMatrixError
+
+    spectral = dft_panel(panel)
+    m_freq = spectral.n_frequencies
+    predicted = np.full(m_freq, np.nan, dtype=complex)
+    mse, jitter, failed = np.full(m_freq, np.nan), np.zeros(m_freq), []
+    for k, w in enumerate(spectral.frequencies):
+        f, g0, c0 = assemble_system(panel.locations, target, w, params, include_target_noise)
+        try:
+            sol = hpd_solve(f, g0)
+        except SingularMatrixError:
+            failed.append(k)
+            continue
+        predicted[k] = sol.x @ spectral.dft[:, k]
+        mse[k] = max(0.0, float(c0 - sol.x @ g0))
+        jitter[k] = sol.jitter
+    return predicted, mse, jitter, failed
+
+
 def ar_forecasts_by_loops(centered, mu, coeffs, s2, horizons):
     """Point forecasts and their mean squared errors for an AR model with
     coefficients coeffs and innovation variance s2, from a series centred at

@@ -63,6 +63,12 @@ def test_import_leaves_scipy_stats_out():
     assert not _loaded_by_import("scipy.stats")
 
 
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about 17 MB; only fit's search needs it, and
+    # loads it there
+    assert not _loaded_by_import("scipy.optimize")
+
+
 def test_import_leaves_scipy_sparse_csgraph_out():
     # exact distance bins walk their chain of groups without a graph library
     assert not _loaded_by_import("scipy.sparse.csgraph")

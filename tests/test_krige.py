@@ -12,12 +12,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (ar1_series, ar_fits_by_simplex, ar_forecasts_by_loops, arma_series,
-                     invert_gauss, synthesize_brute_force)
+                     invert_gauss, krige_series_by_frequency, synthesize_brute_force)
 from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel,
                     assemble_system, cov_freq, cov_matrix, cov_zero, dft_panel, forecast,
                     fourier_frequencies, krige_series, predict_dft,
                     reconstruct_series, simulate_panel)
 import stkrig.krige
+import stkrig.numerics
+from stkrig.covmodel import _BLOCK_POINTS
 from stkrig.krige import (_ar_paths, _ar_transfer, _enforce_stationarity,
                           estimate_target_mean)
 from stkrig.numerics import SingularMatrixError
@@ -142,20 +144,94 @@ def test_predict_dft_marks_a_system_no_jitter_repairs_failed():
 def test_krige_series_reports_a_failed_frequency(monkeypatch):
     locs, target, params = _setup(seed=4)
     panel = TimeSeriesPanel(locs, np.random.default_rng(5).normal(size=(5, 33)))
-    calls, solve = [], stkrig.krige.hpd_solve
+    calls, factor = [], stkrig.numerics._jittered_cholesky
 
-    def failing_at_the_fourth(matrix, rhs):
+    def failing_at_the_fourth(matrix):
         calls.append(None)
         if len(calls) == 4:
             raise SingularMatrixError("singular", 0.0)
-        return solve(matrix, rhs)
+        return factor(matrix)
 
-    monkeypatch.setattr(stkrig.krige, "hpd_solve", failing_at_the_fourth)
+    monkeypatch.setattr(stkrig.numerics, "_jittered_cholesky", failing_at_the_fourth)
     with pytest.warns(UserWarning, match="^1 of 16 frequencies failed to solve"):
         out = krige_series(panel, target, params)
     assert out.jitter_report["failed_frequencies"] == [3]
     assert out.to_dict()["mse"][3] is None
     assert np.isfinite(out.reconstructed).all()
+
+
+def _blocked_case(m, n, nu, seed):
+    locs, target, params = _setup(seed=seed, m=m, box=6.0)
+    panel = TimeSeriesPanel(locs, np.random.default_rng(seed + 1).normal(size=(m, n)))
+    return panel, target, replace(params, nu=nu)
+
+
+def _frequencies_per_block(m):
+    return _BLOCK_POINTS // (m * (m - 1) // 2 + m)
+
+
+# exact orders; m = 40, where one frequency alone already takes the Bessel
+# table; and n = 161 and 162, whose 80 frequencies leave the last of the
+# blocks of 19 partial
+@pytest.mark.parametrize("m, n, nu", [(6, 65, 1.0), (40, 162, 1.25), (40, 65, 0.8),
+                                      (40, 161, 0.8)])
+@pytest.mark.parametrize("noise", [False, True])
+def test_krige_series_in_blocks_is_the_per_frequency_loop(m, n, nu, noise):
+    panel, target, params = _blocked_case(m, n, nu, seed=m + n)
+    out = krige_series(panel, target, params, include_target_noise=noise)
+    predicted, mse, jitter, failed = krige_series_by_frequency(panel, target, params, noise)
+    assert np.array_equal(out.predicted_dft, predicted)
+    assert np.array_equal(out.mse, mse)
+    assert out.jitter_report["n_jittered"] == np.count_nonzero(jitter) and not failed
+    if n > 100:
+        per_block = _frequencies_per_block(m)
+        assert per_block < out.frequencies.size and out.frequencies.size % per_block
+
+
+def test_krige_series_in_blocks_moves_where_a_block_takes_the_table():
+    # at m = 8 one frequency's 36 kernel points take kve, a block of them
+    # the Bessel table, which is within about 1e-13 of kve; an ordinate
+    # w . J is a sum that can cancel, so its bound is relative to the
+    # largest ordinate
+    panel, target, params = _blocked_case(8, 265, 1.37, seed=3)
+    out = krige_series(panel, target, params)
+    predicted, mse, _, _ = krige_series_by_frequency(panel, target, params)
+    assert not np.array_equal(out.predicted_dft, predicted)
+    assert_allclose(out.predicted_dft, predicted, rtol=0.0,
+                    atol=1e-13 * np.abs(predicted).max())
+    assert_allclose(out.mse, mse, rtol=1e-13, atol=0.0)
+
+
+def test_krige_series_reports_a_jittered_and_a_failed_frequency_inside_a_block(monkeypatch):
+    # frequencies 40 and 52 lie inside the third block of 19; the factor
+    # half loads the first one's diagonal and gives up on the second
+    panel, target, params = _blocked_case(40, 161, 0.8, seed=21)
+    assert 19 == _frequencies_per_block(40)
+    plain = krige_series(panel, target, params)
+    calls, factor = [], stkrig.numerics._jittered_cholesky
+
+    def jittering_the_41st_failing_the_53rd(matrix):
+        calls.append(None)
+        if len(calls) == 53:
+            raise SingularMatrixError("singular", 0.0)
+        if len(calls) != 41:
+            return factor(matrix)
+        loaded = np.array(matrix)
+        loaded.flat[:: matrix.shape[0] + 1] += 1e-3
+        return factor(loaded)[0], 1e-3
+
+    monkeypatch.setattr(stkrig.numerics, "_jittered_cholesky", jittering_the_41st_failing_the_53rd)
+    with pytest.warns(UserWarning, match="^1 of 80 frequencies failed to solve"):
+        out = krige_series(panel, target, params)
+    calls.clear()
+    predicted, mse, jitter, failed = krige_series_by_frequency(panel, target, params)
+    report = out.jitter_report
+    assert report["failed_frequencies"] == failed == [52]
+    assert (report["n_jittered"], report["max_jitter"]) == (1, 1e-3)
+    assert np.flatnonzero(jitter).tolist() == [40]
+    assert np.flatnonzero(out.predicted_dft != plain.predicted_dft).tolist() == [40, 52]
+    assert np.array_equal(out.predicted_dft, predicted, equal_nan=True)
+    assert np.array_equal(out.mse, mse, equal_nan=True)
 
 
 def test_predict_dft_counts_the_systems():
@@ -169,8 +245,8 @@ def test_predict_dft_counts_the_systems():
 
 
 def test_krige_series_streams_the_same_prediction():
-    # krige_series hands predict_dft a generator; the result is the one a
-    # list of the same systems gives
+    # krige_series' blocks and predict_dft on a list of assemble_system's
+    # systems share one per-frequency body and give the same bits
     locs, target, params = _setup(seed=9, m=7)
     rng = np.random.default_rng(10)
     panel = TimeSeriesPanel(locs, rng.normal(size=(7, 65)))
@@ -183,13 +259,18 @@ def test_krige_series_streams_the_same_prediction():
 
 
 def test_krige_series_evaluates_one_triangle_per_frequency(kernel_points):
-    # per frequency one kernel call: the m(m-1)/2 strict triangle of F and
-    # the m entries of g0; C(0, w) comes with it
+    # per block of frequencies one kernel call, per frequency the m(m-1)/2
+    # strict triangle of F and the m entries of g0; C(0, w) comes with it
     m = 30
     locs, target, params = _setup(seed=15, m=m, box=6.0)
-    panel = TimeSeriesPanel(locs, np.random.default_rng(16).normal(size=(m, 33)))
-    out = krige_series(panel, target, replace(params, nu=0.8))
-    assert kernel_points == [m * (m - 1) // 2 + m] * out.frequencies.size
+    for n in (33, 161):
+        panel = TimeSeriesPanel(locs, np.random.default_rng(16).normal(size=(m, n)))
+        out = krige_series(panel, target, replace(params, nu=0.8))
+        per_frequency = m * (m - 1) // 2 + m
+        assert all(points % per_frequency == 0 for points in kernel_points)
+        assert sum(kernel_points) == per_frequency * out.frequencies.size
+        assert len(kernel_points) == -(-out.frequencies.size // _frequencies_per_block(m))
+        kernel_points.clear()
 
 
 def test_krige_series_holds_one_system_at_a_time():

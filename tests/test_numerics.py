@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import special
+from scipy import linalg, special
 
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
 from stkrig.numerics import (_ORDER_STEP, _TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
-                             SingularMatrixError, _scaled_bessel_k, _small_x_bessel_k,
-                             bessel_k, cholesky_with_jitter, dft_forward, dft_inverse,
-                             hpd_solve, log_gamma)
+                             SingularMatrixError, _jittered_cholesky, _scaled_bessel_k,
+                             _small_x_bessel_k, bessel_k, cholesky_with_jitter, dft_forward,
+                             dft_inverse, hpd_solve, log_gamma)
 
 # value of the integral representation at (order, x) = (1, 1), computed by
 # adaptive quadrature before the implementation existed
@@ -477,3 +477,51 @@ def test_hpd_solve_singular_raises():
     a = np.diag([1.0, -1.0])
     with pytest.raises(SingularMatrixError):
         hpd_solve(a, np.ones(2))
+
+
+def test_an_empty_matrix_is_rejected_at_the_boundary():
+    with pytest.raises(ValueError, match="matrix must not be empty"):
+        cholesky_with_jitter(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="matrix must not be empty"):
+        hpd_solve(np.zeros((0, 0)), np.zeros(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_matrix_or_rhs_that_is_not_finite_is_rejected_at_the_boundary(bad):
+    a = np.eye(3)
+    a[2, 1] = a[1, 2] = bad
+    for call in (lambda: cholesky_with_jitter(a), lambda: hpd_solve(a, np.ones(3))):
+        with pytest.raises(ValueError, match="^matrix contains non-finite values$"):
+            call()
+    with pytest.raises(ValueError, match="^rhs contains non-finite values$"):
+        hpd_solve(np.eye(3), np.array([1.0, bad, 0.0]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_ladder_halves_give_scipys_bits(dtype):
+    # potrf and potrs as scipy.linalg.cholesky and cho_solve call them
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=(40, 40)).astype(dtype)
+    if dtype is complex:
+        v += 1j * rng.normal(size=(40, 40))
+    a = v @ v.conj().T + 0.1 * np.eye(40)
+    b = rng.normal(size=(40, 3))
+    factor, jitter = cholesky_with_jitter(a)
+    assert jitter == 0.0
+    assert np.array_equal(factor, linalg.cholesky(a, lower=True))
+    for rhs in (b, b[:, 0], b[:, 0] + 1j * b[:, 1]):
+        assert np.array_equal(hpd_solve(a, rhs).x, linalg.cho_solve((factor, True), rhs))
+
+
+@pytest.mark.parametrize("rank", [2, 5])
+def test_the_factor_half_reads_only_the_lower_triangle(rank):
+    # rank 2 takes a jittered rung, rank 5 none; an upper triangle of NaN
+    # changes neither the factor nor the jitter
+    v = np.random.default_rng(rank).normal(size=(5, rank))
+    a = v @ v.T
+    half = np.tril(a)
+    half[np.triu_indices(5, 1)] = np.nan
+    factor, jitter = cholesky_with_jitter(a)
+    assert (jitter > 0.0) == (rank < 5)
+    got = _jittered_cholesky(half)
+    assert np.array_equal(got[0], factor) and got[1] == jitter

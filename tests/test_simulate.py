@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from oracles import simulate_panel_by_frequency
 from stkrig import (ModelParams, SimulationSpec, cov_freq, cov_zero,
                     simulate_panel, simulate_white_panel)
+from stkrig.covmodel import _BLOCK_POINTS
 
 
 def _spec(seed=0, nugget=0.0, include_noise=False, n=128):
@@ -28,12 +29,15 @@ def test_simulation_is_deterministic_in_the_seed():
     assert not np.array_equal(a.observations, c.observations)
 
 
-@pytest.mark.parametrize("n", [33, 34])
+@pytest.mark.parametrize("m, n", [(1, 33), (1, 34), (6, 33), (6, 34), (40, 161), (40, 162)])
 @pytest.mark.parametrize("noise", [False, True])
-@pytest.mark.parametrize("m", [1, 6])
-def test_one_loop_over_the_grid_draws_the_old_panel(n, noise, m):
-    # w = 0 and w = pi share the interior's loop; the panel is bit for bit
-    # the one the separate edge blocks drew
+def test_one_loop_over_the_grid_draws_the_old_panel(m, n, noise):
+    # w = 0 and w = pi share the interior's blocks; the panel is bit for bit
+    # the one the separate edge blocks drew, one frequency at a time. At
+    # m = 40 one frequency alone already takes the Bessel table at nu = 0.8,
+    # and the 81 or 82 grid frequencies of n = 161 or 162 leave the last of
+    # the blocks of 21 partial
+    assert _BLOCK_POINTS // (40 * 39 // 2) == 21
     rng = np.random.default_rng(n + m)
     for nu in (1.0, 1.25, 0.8):
         params = ModelParams(sigma_e2=1.3, nu=nu, c_coeffs=(0.1, 0.4), nugget=0.2, d=2)
@@ -44,10 +48,26 @@ def test_one_loop_over_the_grid_draws_the_old_panel(n, noise, m):
 
 
 def test_simulation_evaluates_one_triangle_per_grid_frequency(kernel_points):
+    # per block of grid frequencies one kernel call, per frequency the
+    # m(m-1)/2 strict triangle
     for n in (33, 34):
         simulate_panel(_spec(n=n))
-        assert kernel_points == [4 * 3 // 2] * (n // 2 + 1)
+        assert all(points % (4 * 3 // 2) == 0 for points in kernel_points)
+        assert sum(kernel_points) == 4 * 3 // 2 * (n // 2 + 1)
         kernel_points.clear()
+
+
+def test_simulation_in_blocks_moves_where_a_block_takes_the_table():
+    # at m = 8 one frequency's 28 kernel points take kve, a block of them
+    # the Bessel table, which is within about 1e-13 of kve; each value is
+    # a sum over every frequency, so the bound is relative to the panel's
+    # scale, not to values that sum to near zero
+    rng = np.random.default_rng(8)
+    params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(0.1, 0.4), d=2)
+    spec = SimulationSpec(locations=rng.uniform(0.0, 6.0, (8, 2)), n=265, params=params, seed=4)
+    blocked, looped = simulate_panel(spec).observations, simulate_panel_by_frequency(spec)
+    assert not np.array_equal(blocked, looped)
+    assert_allclose(blocked, looped, rtol=0.0, atol=1e-13 * np.abs(looped).max())
 
 
 def test_overflowing_site_distances_are_rejected_without_a_warning():
