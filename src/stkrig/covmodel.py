@@ -60,7 +60,7 @@ class ModelParams:
     d: int = 2
 
     def __post_init__(self):
-        for name in ("sigma_e2", "nu", "nugget"):
+        for name in ("sigma_e2", "nu", "nugget", "d"):
             _real(getattr(self, name), name)
         # as objects, a bool or a string entry reaches the check unconverted
         entries = np.atleast_1d(np.asarray(self.c_coeffs, dtype=object))
@@ -117,7 +117,7 @@ class ModelParams:
                 nu=float(_real(data["nu"], "nu")),
                 c_coeffs=coeffs,
                 nugget=float(_real(data.get("nugget", 0.0), "nugget")),
-                d=_real(data.get("d", 2), "d"),
+                d=data.get("d", 2),
             )
         except KeyError as missing:
             raise ValueError("model parameters missing required key %s" % missing) from None

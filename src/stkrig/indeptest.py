@@ -150,18 +150,19 @@ def independence_test(panel: TimeSeriesPanel, half_window: int | None = None) ->
     n_blocks, centers = partition_frequencies(n, k)
 
     spectral = dft_panel(working)
-    lambdas = np.empty(n_blocks)
+    log_dets = np.empty(n_blocks)
     repairs = 0
     for l, center in enumerate(centers):
         block = spectral.dft[:, center - k - 1 : center + k]
         f_hat = block @ block.conj().T / width
         f_hat = (f_hat + f_hat.conj().T) / 2.0
-        log_det, jitter = _normalized_log_det(f_hat)
+        log_dets[l], jitter = _normalized_log_det(f_hat)
         if jitter > 0:
             repairs += 1
-        lambdas[l] = np.exp(log_det)
 
-    lambda_bar = -float(np.log(lambdas).mean())
+    # from the log-determinants themselves: a block's lambda_l underflows
+    # to zero below ln lambda_l ~ -745, its log does not
+    lambda_bar = -float(log_dets.mean())
     j = np.arange(1, m)
     mean_null = float(np.sum((m - j) / (width - j)))
     var_null = float(np.sum((m - j) / (width - j) ** 2) / n_blocks)
@@ -173,7 +174,7 @@ def independence_test(panel: TimeSeriesPanel, half_window: int | None = None) ->
         p_value=p_value,
         mean_null=mean_null,
         var_null=var_null,
-        per_frequency_lambdas=lambdas,
+        per_frequency_lambdas=np.exp(log_dets),
         half_window=k,
         window_size=width,
         n_blocks=n_blocks,

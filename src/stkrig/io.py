@@ -4,9 +4,9 @@ Locations travel as CSV with header ``site_id,x1,...,xd``; panel data as CSV
 with header ``t,<site_id>,...`` and one row per time point. Model parameters
 travel as JSON with keys sigma_e2, nu, c_coeffs, nugget and d; files written
 by the estimation command wrap the same object under a "params" key and both
-shapes are accepted wherever a model is read. Every CSV table the package
-writes goes through write_table; result records take their JSON form from
-json_data.
+shapes are accepted wherever a model is read. Every CSV input is read by
+_read_csv, every CSV table the package writes goes through write_table, and
+result records take their JSON form from json_data.
 """
 
 from __future__ import annotations
@@ -40,6 +40,32 @@ def _number(path: str, r: int, column: str, cell: str) -> float:
     return value
 
 
+def _read_csv(path: str, first: str) -> tuple[list, list]:
+    """The stripped header and the (row number, fields) pairs of a CSV file
+    whose header starts with the column first and names at least one more,
+    and whose rows all have the header's field count; anything else is a
+    PanelFormatError that starts with the path."""
+    try:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise PanelFormatError("%s: cannot read as CSV text: %s" % (path, err)) from None
+    if not rows:
+        raise PanelFormatError("%s: empty file" % path)
+    header = [c.strip() for c in rows[0]]
+    if header[:1] != [first] or len(header) < 2:
+        raise PanelFormatError(
+            "%s: header must start with %r (the first column) and name at least one "
+            "more column, got %r" % (path, first, rows[0])
+        )
+    numbered = list(enumerate(rows[1:], start=2))
+    for r, row in numbered:
+        if len(row) != len(header):
+            raise PanelFormatError("%s: row %d has %d fields, expected %d"
+                                   % (path, r, len(row), len(header)))
+    return header, numbered
+
+
 def load_locations(path: str) -> tuple[list, np.ndarray]:
     """Read site identifiers and coordinates.
 
@@ -48,29 +74,16 @@ def load_locations(path: str) -> tuple[list, np.ndarray]:
     tuple
         (site_ids, coordinates) with coordinates of shape (m, d).
     """
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise PanelFormatError("%s: empty locations file" % path)
-    header = [c.strip() for c in rows[0]]
-    if not header or header[0] != "site_id" or len(header) < 2:
-        raise PanelFormatError(
-            "%s: locations header must be 'site_id,x1,...,xd', got %r" % (path, rows[0])
-        )
-    d = len(header) - 1
+    header, rows = _read_csv(path, "site_id")
     site_rows = {}
     coords = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != d + 1:
-            raise PanelFormatError(
-                "%s: row %d has %d fields, expected %d" % (path, r, len(row), d + 1)
-            )
+    for r, row in rows:
         site = row[0].strip()
         if not site:
             raise PanelFormatError("%s: row %d, column 'site_id' is blank" % (path, r))
         if site_rows.setdefault(site, r) != r:
             raise PanelFormatError("%s: duplicate site id %r at row %d" % (path, site, r))
-        coords.append([_number(path, r, header[c], row[c]) for c in range(1, d + 1)])
+        coords.append([_number(path, r, header[c], row[c]) for c in range(1, len(header))])
     if not site_rows:
         raise PanelFormatError("%s: no sites found" % path)
     return list(site_rows), np.asarray(coords, dtype=float)
@@ -79,15 +92,7 @@ def load_locations(path: str) -> tuple[list, np.ndarray]:
 def load_series(path: str, site_ids: list) -> np.ndarray:
     """Read the observation matrix for the given sites, reordering columns
     to match site_ids. Every site must appear exactly once."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise PanelFormatError("%s: empty series file" % path)
-    header = [c.strip() for c in rows[0]]
-    if not header or header[0] != "t":
-        raise PanelFormatError(
-            "%s: series header must start with 't', got %r" % (path, rows[0])
-        )
+    header, rows = _read_csv(path, "t")
     columns = header[1:]
     fields = {s: c for c, s in enumerate(columns, start=1)}
     missing = [s for s in site_ids if s not in fields]
@@ -101,13 +106,7 @@ def load_series(path: str, site_ids: list) -> np.ndarray:
     if len(fields) != len(columns):
         raise PanelFormatError("%s: duplicate series column" % path)
     order = [fields[s] for s in site_ids]
-    data = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise PanelFormatError(
-                "%s: row %d has %d fields, expected %d" % (path, r, len(row), len(header))
-            )
-        data.append([_number(path, r, header[c], row[c]) for c in order])
+    data = [[_number(path, r, header[c], row[c]) for c in order] for r, row in rows]
     if len(data) < 2:
         raise PanelFormatError("%s: need at least two time points, got %d" % (path, len(data)))
     return np.asarray(data, dtype=float).T
@@ -138,8 +137,11 @@ def save_panel(panel: TimeSeriesPanel, out_dir: str) -> tuple[str, str]:
 def load_model(path: str) -> ModelParams:
     """Read model parameters from a bare JSON object or from an estimation
     result that wraps them under the "params" key."""
-    with open(path) as handle:
-        data = json.load(handle)
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except ValueError as err:  # malformed JSON or text that does not decode
+        raise PanelFormatError("%s: not valid JSON: %s" % (path, err)) from None
     payload = data.get("params", data) if isinstance(data, dict) else data
     if not isinstance(payload, dict):
         raise PanelFormatError("%s: expected a JSON object" % path)
@@ -150,19 +152,9 @@ def load_model(path: str) -> ModelParams:
 
 
 def load_single_series(path: str) -> np.ndarray:
-    """Read a two-column CSV (t, value) into a single series."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or len(rows[0]) < 2:
-        raise PanelFormatError("%s: expected a header row 't,<name>'" % path)
-    if rows[0][0].strip() != "t":
-        raise PanelFormatError("%s: first column must be 't', got %r" % (path, rows[0][0]))
-    column = rows[0][1].strip()
-    values = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) < 2:
-            raise PanelFormatError("%s: row %d has no value column: %r" % (path, r, row))
-        values.append(_number(path, r, column, row[1]))
+    """Read the second column of a CSV with header 't,<name>' as one series."""
+    header, rows = _read_csv(path, "t")
+    values = [_number(path, r, header[1], row[1]) for r, row in rows]
     if len(values) < 2:
         raise PanelFormatError("%s: need at least two values" % path)
     return np.asarray(values, dtype=float)
@@ -220,8 +212,11 @@ def _json_value(value):
 
 
 def write_json(path: str, payload: dict) -> str:
+    """Write payload as strict JSON and return the path, creating its
+    directory. A NaN or infinite number is a ValueError, raised before the
+    file is opened."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     _make_parent(path)
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
     return path

@@ -490,9 +490,11 @@ def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:
 
     Each order p = 0, ..., max_order is solved exactly for the minimum of the
     grid approximation of the integral spectral likelihood, and the order is
-    chosen by AIC = 2 * criterion + 2 p. Forecasts come from the AR recursion
-    on the mean-centered series; their mean squared errors accumulate the
-    squares of the psi weights, that recursion's response to a unit impulse.
+    chosen by BIC on that likelihood's scale, (n / 2 pi) * criterion + p ln n
+    (the criterion is 2 pi / n times -2 log-likelihood). Forecasts come from
+    the AR recursion on the mean-centered series; their mean squared errors
+    accumulate the squares of the psi weights, that recursion's response to
+    a unit impulse.
 
     Parameters
     ----------
@@ -549,9 +551,9 @@ def forecast(series, horizons: int, max_order: int = 8) -> ForecastOutput:
                 "reflected outside the unit circle" % p
             )
         value, s2 = _ar_whittle_value(coeffs, pgram, phases, n)
-        aic = 2.0 * value + 2.0 * p
-        if best is None or aic < best[0]:
-            best = (aic, p, coeffs, s2)
+        bic = n / _TWO_PI * value + p * np.log(n)
+        if best is None or bic < best[0]:
+            best = (bic, p, coeffs, s2)
 
     _, order, coeffs, s2 = best
 

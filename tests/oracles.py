@@ -354,7 +354,7 @@ def ar_fits_by_simplex(series, max_order=8):
     """Whittle AR fits of orders 0..max_order by the original simplex search:
     a time-domain Yule-Walker start made stationary, Nelder-Mead on the
     package's grid criterion, the result made stationary. Returns the list
-    of (coefficients, criterion) per order, the order AIC selects and the
+    of (coefficients, criterion) per order, the order BIC selects and the
     criterion as a function of the coefficients. Not independent of stkrig
     (it shares the criterion and the root reflection); it pins the exact
     per-order solve to the old search."""
@@ -380,7 +380,8 @@ def ar_fits_by_simplex(series, max_order=8):
                                      tolerance_f=1e-10, tolerance_x=1e-8)
         coeffs, _ = _enforce_stationarity(found)
         fits.append((coeffs, objective(coeffs)))
-    order = int(np.argmin([2.0 * value + 2.0 * p for p, (_, value) in enumerate(fits)]))
+    order = int(np.argmin([n / (2.0 * np.pi) * value + p * np.log(n)
+                           for p, (_, value) in enumerate(fits)]))
     return fits, order, objective
 
 

@@ -413,3 +413,16 @@ def test_criterion_09_determinism(tmp_path):
     assert third == first
     print("PASS criterion 9: %d pipeline outputs bit-identical across a rerun "
           "and across threads {1, 4}" % len(first))
+
+
+def test_criterion_09_outputs_are_strict_json(tmp_path):
+    # no NaN or Infinity token, which strict JSON parsers reject
+    def refuse(constant):
+        raise ValueError("non-finite number %s" % constant)
+
+    root = str(tmp_path)
+    outputs = _run_pipeline(root, *_write_pipeline_inputs(root), threads=1)
+    written = [path for path in outputs if path.endswith(".json")]
+    assert len(written) == 6
+    for path in written:
+        assert isinstance(json.loads(outputs[path], parse_constant=refuse), dict)

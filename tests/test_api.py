@@ -105,6 +105,11 @@ _PARAMS = stkrig.ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.2,), d=2)
     (lambda: stkrig.default_half_window(19.5, 2), "series length must be a whole number"),
     (lambda: stkrig.dft_inverse(np.ones(7), 7.5), "n must be a whole number, got 7.5"),
     (lambda: stkrig.reconstruct_series([1j] * 3, 7.5), "series length n must be a whole number"),
+    # as ModelParams.from_dict says, a bool is not the dimension 1
+    (lambda: stkrig.ModelParams(1.0, 1.0, (0.0,), d=True), "d must be a number, got True"),
+    (lambda: stkrig.ModelParams(1.0, 1.0, (0.0,), d="2"), "d must be a number, got '2'"),
+    (lambda: stkrig.ModelParams(1.0, 1.0, (0.0,), d=1.5),
+     "spatial dimension d must be a positive integer, got 1.5"),
 ])
 def test_counts_and_seeds_must_be_whole_numbers(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """End-to-end runs of the batch interface, exercised in process."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -9,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from stkrig import cli
+from stkrig import ModelParams, SimulationSpec, cli, independence_test, simulate_panel
 from stkrig.cli import _COMMANDS, _MANDATORY, _flags, main
+from stkrig.io import save_panel
 
 
 MODEL = {"sigma_e2": 1.0, "nu": 1.0, "c_coeffs": [0.2, 0.4], "nugget": 0.0, "d": 2}
@@ -367,6 +369,65 @@ def test_runtime_errors_leave_one_json_object_on_stderr(case, pipeline, tmp_path
         assert "row 7, column 'zhat' is not finite" in report["error"]["message"]
     if case.startswith("overflowing-coordinates"):
         assert "the distance between sites 0 and 1 is not finite" in report["error"]["message"]
+
+
+def test_forecast_input_row_longer_than_its_header_names_the_file(tmp_path, capsys):
+    rows = [[t + 1, repr(0.1 * t)] for t in range(40)]
+    rows[2].append("9")
+    path = _write_csv(tmp_path / "rec.csv", ["t", "zhat"], rows)
+    out = tmp_path / "fc.json"
+    assert main(["forecast", "--reconstructed", path, "--horizons", "2",
+                 "--out", str(out)]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert (report["error"]["command"], report["error"]["type"]) == ("forecast",
+                                                                      "PanelFormatError")
+    assert report["error"]["message"] == "%s: row 4 has 3 fields, expected 2" % path
+    assert not out.exists()
+
+
+def test_truncated_model_json_names_the_file(pipeline, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MODEL)[:20])
+    assert main(["krige", "--locations", pipeline["locations"], "--series", pipeline["series"],
+                 "--model", str(model), "--target", "1.4,0.9",
+                 "--out", str(tmp_path / "kr")]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["type"] == "PanelFormatError"
+    assert report["error"]["message"].startswith("%s: not valid JSON" % model)
+
+
+def test_non_finite_output_is_an_error_and_no_file(pipeline, tmp_path, capsys, monkeypatch):
+    def infinite(panel, half_window):
+        result = independence_test(panel, half_window)
+        return dataclasses.replace(result, lambda_bar=float("inf"))
+
+    monkeypatch.setattr(cli, "independence_test", infinite)
+    out = tmp_path / "indep.json"
+    assert main(["test-indep", "--locations", pipeline["locations"],
+                 "--series", pipeline["series"], "--out", str(out)]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert (report["error"]["command"], report["error"]["type"]) == ("test-indep",
+                                                                      "ValueError")
+    assert not out.exists()
+
+
+def test_test_indep_on_strongly_correlated_sites_writes_a_finite_statistic(tmp_path):
+    # 60 sites on [0, 0.3]^2, one block whose ln lambda is about -831
+    locations = np.random.default_rng(0).uniform(0.0, 0.3, size=(60, 2))
+    panel = simulate_panel(SimulationSpec(locations, n=1211, seed=1,
+                                          params=ModelParams(1.0, 1.5, (0.0,))))
+    loc_path, series_path = save_panel(panel, str(tmp_path))
+    out = tmp_path / "indep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["test-indep", "--locations", loc_path, "--series", series_path,
+                     "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError("non-finite number %s" % constant)
+    result = json.loads(out.read_text(), parse_constant=refuse)
+    assert abs(result["lambda_bar"] - 831.12) < 0.01
+    assert result["p_value"] == 0.0
 
 
 def test_bad_bins_and_target_values(pipeline, tmp_path, capsys):

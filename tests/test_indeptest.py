@@ -1,13 +1,15 @@
 """Block-determinant test of spatial independence."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stkrig import (TimeSeriesPanel, default_half_window, independence_test,
-                    partition_frequencies, simulate_white_panel)
+from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel, default_half_window,
+                    independence_test, partition_frequencies, simulate_panel,
+                    simulate_white_panel)
 from stkrig.indeptest import _normalized_log_det
 
 
@@ -121,6 +123,22 @@ def test_detects_duplicated_site():
     res = independence_test(panel, half_window=16)
     assert res.z_score > 3.0
     assert res.p_value < 1e-3
+
+
+def test_statistic_from_log_determinants_below_the_exp_underflow():
+    # 60 strongly correlated sites in one block of width 605: ln lambda is
+    # about -831, so lambda itself is 0.0 and its log would be -inf
+    locations = np.random.default_rng(0).uniform(0.0, 0.3, size=(60, 2))
+    panel = simulate_panel(SimulationSpec(locations, n=1211, seed=1,
+                                          params=ModelParams(1.0, 1.5, (0.0,))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = independence_test(panel)
+    assert (res.half_window, res.n_blocks) == (302, 1)
+    assert_allclose(res.lambda_bar, 831.12, atol=0.01)
+    assert np.isfinite(res.z_score) and res.z_score > 1e4
+    assert res.p_value == 0.0
+    assert res.per_frequency_lambdas.tolist() == [0.0]
 
 
 def test_result_serializes():

@@ -223,6 +223,60 @@ def test_load_single_series(tmp_path):
         load_single_series(str(path))
 
 
+# each loader with a first column its layout accepts, as a function of the path
+_CSV_LOADERS = {
+    "locations": ("site_id", load_locations),
+    "series": ("t", lambda path: load_series(path, ["a", "b"])),
+    "single series": ("t", load_single_series),
+}
+_ROWS = "1,0.5,2.0\n2,1.5,0.25\n3,-1.0,4.0\n"
+
+# (header and rows given the first column, the message after the path)
+_MALFORMED_CSV = {
+    "empty file": (lambda first: "", "empty file"),
+    "wrong first header column": (lambda first: "x,a,b\n" + _ROWS,
+                                  "header must start with"),
+    "header with no second column": (lambda first: first + "\n1\n2\n3\n",
+                                     "header must start with"),
+    "row one field short": (lambda first: first + ",a,b\n1,0.5,2.0\n2,1.5\n3,1,4\n",
+                            "row 3 has 2 fields, expected 3"),
+    "row one field long": (lambda first: first + ",a,b\n1,0.5,2.0\n2,1.5,0.25,9\n3,1,4\n",
+                           "row 3 has 4 fields, expected 3"),
+    "unparsable cell": (lambda first: first + ",a,b\n1,0.5,2.0\n2,x,0.25\n3,1,4\n",
+                        "row 3, column 'a': cannot parse 'x'"),
+    "non-finite cell": (lambda first: first + ",a,b\n1,0.5,2.0\n2,inf,0.25\n3,1,4\n",
+                        "row 3, column 'a' is not finite"),
+    "undecodable bytes": (lambda first: (first + ",a,b\n1,0.5,2.0\n").encode() + b"\xff\xfe,1,2\n",
+                          "cannot read as CSV text"),
+    "cell over the csv module's field limit": (
+        lambda first: first + ",a,b\n1,0.5," + "1" * 200000 + "\n", "cannot read as CSV text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CSV))
+@pytest.mark.parametrize("loader", sorted(_CSV_LOADERS))
+def test_every_csv_loader_rejects_the_same_malformed_inputs(loader, case, tmp_path):
+    first, load = _CSV_LOADERS[loader]
+    content, message = _MALFORMED_CSV[case]
+    path = tmp_path / "input.csv"
+    body = content(first)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
+    # the layout's own first column reads: only the malformed part is refused
+    (tmp_path / "valid.csv").write_text(first + ",a,b\n" + _ROWS)
+    load(str(tmp_path / "valid.csv"))
+    with pytest.raises(PanelFormatError, match="^%s: %s" % (re.escape(str(path)),
+                                                            re.escape(message))):
+        load(str(path))
+
+
+@pytest.mark.parametrize("body", [b'{"sigma_e2": 1.0, "nu": ', b'{"nu": "\xff"}'])
+def test_load_model_names_the_file_it_cannot_decode(body, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(body)
+    with pytest.raises(PanelFormatError, match="^%s: not valid JSON" % re.escape(str(path))):
+        load_model(str(path))
+
+
 def test_write_json_creates_parents_and_ends_with_newline(tmp_path):
     path = tmp_path / "nested" / "deeper" / "out.json"
     returned = write_json(str(path), {"alpha": 1})
@@ -230,6 +284,14 @@ def test_write_json_creates_parents_and_ends_with_newline(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == {"alpha": 1}
+
+
+def test_write_json_refuses_non_finite_numbers_and_writes_nothing(tmp_path):
+    path = tmp_path / "nested" / "out.json"
+    for value in (float("inf"), float("nan"), [1.0, -float("inf")]):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(path), {"x": value})
+    assert not (tmp_path / "nested").exists()
 
 
 def test_write_table_rows_and_number_format(tmp_path):

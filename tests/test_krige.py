@@ -448,6 +448,21 @@ def test_forecast_white_noise_selects_order_zero():
     assert hits >= 45
 
 
+def test_forecast_order_is_bic_on_the_likelihood_scale():
+    # AR(8) with phi_8 = 0.8 at n = 1000: n / (2 pi) * criterion + p ln n
+    # keeps the order; 2 * criterion + 2 p, which charges each coefficient
+    # n / (2 pi) times too much, chose order 0
+    rng = np.random.default_rng(3)
+    noise = rng.normal(size=1500)
+    x = np.zeros(1500)
+    for t in range(8, 1500):
+        x[t] = 0.8 * x[t - 8] + noise[t]
+    out = forecast(x[500:], horizons=1)
+    assert out.ar_order == 8
+    assert abs(out.ar_coefficients[-1] - 0.8) < 0.05
+    assert np.abs(out.ar_coefficients[:-1]).max() < 0.1
+
+
 def test_forecast_ar1_recovers_coefficient():
     psis = []
     for rep in range(50):
