@@ -87,6 +87,18 @@ class ModelParams:
         if not (np.isfinite(self.nugget) and self.nugget >= 0):
             raise ValueError("nugget must be nonnegative, got %r" % self.nugget)
 
+    @classmethod
+    def _unchecked(cls, sigma_e2: float, nu: float, c_coeffs: tuple, nugget: float,
+                   d: int) -> "ModelParams":
+        """The model from Python floats, a tuple of them and an int, as
+        they are: none of __post_init__'s checks run, so the caller vouches
+        for the types and the ranges (fit's search, at every evaluation)."""
+        params = object.__new__(cls)
+        for name, value in (("sigma_e2", sigma_e2), ("nu", nu), ("c_coeffs", c_coeffs),
+                            ("nugget", nugget), ("d", d)):
+            object.__setattr__(params, name, value)
+        return params
+
     @property
     def n_coeffs(self) -> int:
         """Number of cosine terms p (excludes the constant b_0)."""

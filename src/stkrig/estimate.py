@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from .covmodel import ModelParams, _check_dimension, _variogram
 from .io import json_data
@@ -270,10 +272,11 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     return _Prepared(binned, bins.representatives, spectral.frequencies[:m_use])
 
 
-# Termination of each restart's gradient search: after _MAX_ITERATIONS
-# iterations, once an iteration lowers the criterion by at most about
-# _TOLERANCE_F (absolute), or once no gradient component exceeds
-# _TOLERANCE_X (scipy's gtol), which near the minimum bounds the next step
+# Termination of each restart's search, its scoring phase and L-BFGS-B
+# alike (see _quasi_newton): after _MAX_ITERATIONS iterations, once an
+# iteration lowers the criterion by at most about _TOLERANCE_F (absolute),
+# or once no gradient component exceeds _TOLERANCE_X (scipy's gtol), which
+# near the minimum bounds the next step
 _MAX_ITERATIONS = 4000
 _TOLERANCE_F = 1e-9
 _TOLERANCE_X = 1e-6
@@ -301,9 +304,11 @@ class _Coordinates:
                 + ["b%d" % k for k in range(self.n_coeffs + 1)]
                 + (["nugget"] if self.fit_nugget else []))
 
+    @cached_property
     def _logged(self) -> np.ndarray:
         """Which coordinates are logs: all but the b_k, which are searched
-        as they are."""
+        as they are. Kept after the first use, as unpack runs at every
+        evaluation of the search."""
         return np.array([not name.startswith("b") for name in self.names()])
 
     def _natural(self, params: ModelParams) -> np.ndarray:
@@ -315,25 +320,30 @@ class _Coordinates:
     def pack(self, params: ModelParams) -> np.ndarray:
         if self.fit_nugget and params.nugget <= 0:
             raise ValueError("cannot place a zero nugget on the log scale")
-        vec, logged = self._natural(params), self._logged()
+        vec, logged = self._natural(params), self._logged
         vec[logged] = np.log(vec[logged])
         return vec
 
     def unpack(self, vector) -> ModelParams:
-        """The parameters at vector; ModelParams rejects a point outside the
-        model, such as one where an exponential overflows."""
-        natural, logged = np.array(vector, dtype=float), self._logged()
+        """The parameters at vector, built without ModelParams' checks of
+        the types, as the search's points are. A point outside the model is
+        a ValueError: one where a coordinate or an exponential is not finite
+        or sigma_e2 underflows, where nu reaches d/4, or where log Gamma(2 nu)
+        overflows."""
+        natural, logged = np.array(vector, dtype=float), self._logged
         if natural.ndim != 1 or natural.size != logged.size:
             raise ValueError("expected %d unconstrained coordinates, got shape %s"
                              % (logged.size, (natural.shape,)))
         natural[logged] = np.exp(natural[logged])
         nu_free = self.nu_fixed is None
-        return ModelParams(
-            sigma_e2=float(natural[0]),
-            nu=self.d / 4.0 + float(natural[1]) if nu_free else float(self.nu_fixed),
-            c_coeffs=natural[1 + nu_free:2 + nu_free + self.n_coeffs],
-            nugget=float(natural[-1]) if self.fit_nugget else 0.0,
-            d=self.d,
+        nu = self.d / 4.0 + float(natural[1]) if nu_free else float(self.nu_fixed)
+        if not (np.isfinite(natural).all() and natural[0] > 0.0 and nu > self.d / 4.0
+                and np.isfinite(gammaln(2.0 * nu))):
+            raise ValueError("coordinates %r lie outside the model" % (vector,))
+        return ModelParams._unchecked(
+            sigma_e2=float(natural[0]), nu=nu,
+            c_coeffs=tuple(natural[1 + nu_free:2 + nu_free + self.n_coeffs].tolist()),
+            nugget=float(natural[-1]) if self.fit_nugget else 0.0, d=self.d,
         )
 
     def start(self, rng: np.random.Generator) -> np.ndarray:
@@ -347,7 +357,7 @@ class _Coordinates:
     def jacobian(self, params: ModelParams) -> np.ndarray:
         """The diagonal of d natural / d coordinate at params, for the
         delta method: the natural value at a log, else 1."""
-        return np.where(self._logged(), self._natural(params), 1.0)
+        return np.where(self._logged, self._natural(params), 1.0)
 
     def spread(self, frequencies: np.ndarray):
         """How d log g in each coordinate is built from its distinct (bin,
@@ -414,8 +424,9 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
         )
     if scores is None:
         return (terms, scale) if profile else terms
+    spread = scores.spread(frequencies)
     # before the scores below overwrite the kernel's derivatives
-    info = ((_expected_information(g, dg_dlogc2, dg_dnu, params, frequencies, scores),)
+    info = ((_expected_information(g, dg_dlogc2, dg_dnu, params, scores, spread),)
             if information else ())
     weight = 1.0 - ratio
     nugget_row = (params.nugget / np.pi) * np.mean(weight / g, axis=0)
@@ -429,24 +440,28 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     dg_dlogc2 *= weight
     dg_dlogc2 /= g
     rows += [np.mean(dg_dlogc2, axis=0)] + [nugget_row] * scores.fit_nugget
-    which, weights = scores.spread(frequencies)
+    which, weights = spread
     return ((terms, scale) if profile else (terms,)) + (np.array(rows)[which] * weights,) + info
 
 
 def _expected_information(g: np.ndarray, dg_dlogc2: np.ndarray, dg_dnu: list,
-                          params: ModelParams, frequencies: np.ndarray,
-                          coords: _Coordinates) -> np.ndarray:
+                          params: ModelParams, coords: _Coordinates, spread) -> np.ndarray:
     """sum_w mean_bins d log g d log g^T in coords, (K, K): the criterion's
     Hessian less mean_bins (1 - binned / g) d^2 log g, whose expectation is
-    0. coords.spread's arrays are 1 - B, with B = (nugget / pi) / g;
-    (nu - d/4) (dg / d nu) / g; (dg / d log|c(w)|^2) / g; and B. The bin
-    means of their products take no (K, L, M) stack.
+    0. spread is coords.spread at the frequencies. Its arrays are 1 - B,
+    with B = (nugget / pi) / g; (nu - d/4) (dg / d nu) / g;
+    (dg / d log|c(w)|^2) / g; and B. The bin means of their products take
+    no (K, L, M) stack, and each pair's is formed once and mirrored
+    (a * b and b * a round alike).
     """
     share = (params.nugget / np.pi) / g
     bases = ([1.0 - share] + [a * ((params.nu - params.d / 4.0) / g) for a in dg_dnu]
              + [dg_dlogc2 / g] + [share] * coords.fit_nugget)
-    products = np.array([[np.mean(a * b, axis=0) for b in bases] for a in bases])
-    which, weights = coords.spread(frequencies)
+    products = np.empty((len(bases), len(bases), g.shape[1]))
+    for i, a in enumerate(bases):
+        for j in range(i, len(bases)):
+            products[i, j] = products[j, i] = np.mean(a * bases[j], axis=0)
+    which, weights = spread
     return np.einsum("iw,jw,ijw->ij", weights, weights, products[np.ix_(which, which)])
 
 
@@ -559,9 +574,10 @@ class FitResult:
         One entry per restart, in order: "start", its start point in the
         searched coordinates (see fit); "criterion", the profiled criterion
         it finished at, or None when the start was not finite and the restart
-        was skipped; "nfev", the gradient search's value-and-gradient
-        evaluations, the start's included; and "converged", whether the
-        search met the optimizer tolerances.
+        was skipped; "nfev", the search's evaluations of the value, the
+        gradient and the information, over its scoring and L-BFGS-B phases,
+        the start's included; and "converged", whether L-BFGS-B met the
+        optimizer tolerances.
     """
 
     params: ModelParams
@@ -579,44 +595,79 @@ class FitResult:
 
 
 def _quasi_newton(objective, start: np.ndarray):
-    """Minimize objective(vec) -> (value, gradient) by scipy's L-BFGS-B from
-    start, under _MAX_ITERATIONS, _TOLERANCE_F and _TOLERANCE_X; scipy's
-    result, or None when the objective fails or is not finite at the start.
+    """Minimize objective(vec) -> (value, gradient, information) from start
+    by Fisher scoring, then scipy's L-BFGS-B; L-BFGS-B's result, or None
+    when the objective fails or is not finite at the start.
 
-    The start's evaluation is the search's first, and nfev counts it. A
-    point where the objective fails or is not finite reads as the start
-    value plus max(1, |start value|), above every iterate, with a zero
-    gradient, so the line search backs off from it (an infinite value would
-    end the search where it stands).
+    Scoring is scipy's trust-exact with the information as the Hessian. It
+    stops once an accepted step lowers the value by more than half of what
+    the previous one did (it has stopped converging fast, as along a
+    ridge), by at most _TOLERANCE_F in L-BFGS-B's relative form, or to a
+    point where no gradient component exceeds _TOLERANCE_X. L-BFGS-B then
+    finishes from there under _MAX_ITERATIONS, _TOLERANCE_F and
+    _TOLERANCE_X, and its verdict is the result's success. Both phases
+    share one evaluation per point, so L-BFGS-B's start costs none and, at
+    a point that meets its gradient test, neither does the rest; nfev
+    counts the evaluations of both phases, the start's included. A point
+    where the value or the gradient fails or is not finite reads as the
+    start value plus max(1, |start value|), above every iterate, with a
+    zero gradient and information, so both phases back off from it (an
+    infinite value would end the search where it stands). Information that
+    is not finite reads as zero: scoring then steps down the gradient.
     """
 
     def guarded(vec):
         try:
-            value, grad = objective(vec)
+            value, grad, info = objective(vec)
         except (EvaluationError, ValueError, OverflowError, FloatingPointError):
             return None
-        return (value, grad) if np.isfinite(value) and np.isfinite(grad).all() else None
+        if not (np.isfinite(value) and np.isfinite(grad).all()):
+            return None
+        return value, grad, (info if np.isfinite(info).all() else np.zeros_like(info))
 
     first = guarded(start)
     if first is None:
         return None
-    failed = (first[0] + max(1.0, abs(first[0])), np.zeros_like(start))
-    # scipy evaluates the start first; that evaluation is the one above
+    failed = (first[0] + max(1.0, abs(first[0])), np.zeros_like(start),
+              np.zeros((start.size, start.size)))
     done = {start.tobytes(): first}
 
     def evaluate(vec):
-        return done.pop(vec.tobytes(), None) or guarded(vec) or failed
+        key = vec.tobytes()
+        if key not in done:
+            done[key] = guarded(vec) or failed
+        return done[key]
+
+    # scipy's ftol is relative to max(|Q|, 1); _TOLERANCE_F is absolute
+    ftol = _TOLERANCE_F / max(1.0, abs(first[0]))
+    last_value, last_drop = first[0], np.inf
+
+    def stop_scoring(vec):
+        # called after each iteration; a rejected step leaves the value
+        nonlocal last_value, last_drop
+        value, grad, _ = evaluate(vec)
+        drop = last_value - value
+        if drop <= 0.0:
+            return
+        slowed = drop > 0.5 * last_drop
+        last_value, last_drop = value, drop
+        if (slowed or drop <= ftol * max(abs(value), abs(value + drop), 1.0)
+                or np.abs(grad).max() <= _TOLERANCE_X):
+            raise StopIteration
 
     # imported here: scipy.optimize adds about 17 MB of memory to any
     # process that loads it, and only fits search
     from scipy.optimize import minimize
 
-    return minimize(evaluate, start, jac=True, method="L-BFGS-B", options={
-        "maxiter": _MAX_ITERATIONS,
-        # scipy's ftol is relative to max(|Q|, 1); _TOLERANCE_F is absolute
-        "ftol": _TOLERANCE_F / max(1.0, abs(first[0])),
-        "gtol": _TOLERANCE_X,
-    })
+    scored = minimize(lambda vec: evaluate(vec)[:2], start, jac=True,
+                      hess=lambda vec: evaluate(vec)[2], method="trust-exact",
+                      callback=stop_scoring,
+                      options={"maxiter": _MAX_ITERATIONS, "gtol": _TOLERANCE_X})
+    result = minimize(lambda vec: evaluate(vec)[:2], scored.x, jac=True, method="L-BFGS-B",
+                      options={"maxiter": _MAX_ITERATIONS, "ftol": ftol,
+                               "gtol": _TOLERANCE_X})
+    result.nfev = len(done)
+    return result
 
 
 def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
@@ -625,14 +676,18 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     The variogram is sigma_e2 times a function of the other parameters once
     the nugget is written as the ratio tau = nugget / sigma_e2, so for given
     (nu, b, tau) the criterion's minimizing sigma_e2 has a closed form. A
-    quasi-Newton search (scipy's L-BFGS-B) minimizes this profiled criterion
-    over _Coordinates without the leading log sigma_e2 and with log tau in
-    place of the log nugget, from several randomized starting points, and
-    keeps the best finisher. Each evaluation returns the criterion and its
-    gradient from one kernel pass (the smoothness coordinate through the
-    kernel's table of d log K_mu / d mu), since by the envelope theorem
-    the profiled gradient is (1 / L) sum (1 - I / g) d log g / d theta at
-    the profiled scale. A restart whose start value is not finite is
+    search minimizes this profiled criterion over _Coordinates without the
+    leading log sigma_e2 and with log tau in place of the log nugget, from
+    several randomized starting points, and keeps the best finisher. Each
+    evaluation returns the criterion, its gradient and its expected
+    information from one kernel pass (the smoothness coordinate through the
+    kernel's table of d log K_mu / d mu): by the envelope theorem the
+    profiled gradient is (1 / L) sum (1 - I / g) d log g / d theta at the
+    profiled scale, and the profiled information is the Schur complement of
+    the log sigma_e2 row and column of sum_w mean_bins d log g d log g^T.
+    _quasi_newton runs Fisher scoring with that information as the
+    curvature while it converges fast, then scipy's L-BFGS-B to the
+    optimizer tolerances. A restart whose start value is not finite is
     skipped. The starts are _Coordinates.start's seeded draws. The reported
     parameters and criterion are one full evaluation at the unpacked
     winner.
@@ -660,10 +715,13 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         return coords.unpack(np.concatenate(([0.0], vec)))
 
     def objective(vec: np.ndarray):
-        terms, _, scores = _criterion_terms(*prepared, scale_free(vec), profile=True,
-                                            scores=coords)
-        # the log sigma_e2 row is not searched
-        return _criterion_value(terms), scores[1:].sum(axis=1)
+        terms, _, scores, info = _criterion_terms(*prepared, scale_free(vec), profile=True,
+                                                  scores=coords, information=True)
+        # the log sigma_e2 row is not searched; the profiled criterion's
+        # curvature is the information's Schur complement of it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            profiled = info[1:, 1:] - np.outer(info[1:, 0], info[0, 1:]) / info[0, 0]
+        return _criterion_value(terms), scores[1:].sum(axis=1), profiled
 
     rng = np.random.default_rng(config.seed)
     best = None

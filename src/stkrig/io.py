@@ -152,8 +152,12 @@ def load_model(path: str) -> ModelParams:
 
 
 def load_single_series(path: str) -> np.ndarray:
-    """Read the second column of a CSV with header 't,<name>' as one series."""
+    """Read the second column of a CSV with header 't,<name>' as one series;
+    a header that names more columns is a PanelFormatError."""
     header, rows = _read_csv(path, "t")
+    if len(header) > 2:
+        raise PanelFormatError("%s: header must name one series after 't', got %r"
+                               % (path, header))
     values = [_number(path, r, header[1], row[1]) for r, row in rows]
     if len(values) < 2:
         raise PanelFormatError("%s: need at least two values" % path)

@@ -385,6 +385,20 @@ def test_forecast_input_row_longer_than_its_header_names_the_file(tmp_path, caps
     assert not out.exists()
 
 
+def test_forecast_input_with_two_series_names_the_file(tmp_path, capsys):
+    rows = [[t + 1, repr(0.1 * t), repr(-0.2 * t)] for t in range(40)]
+    path = _write_csv(tmp_path / "rec.csv", ["t", "a", "b"], rows)
+    out = tmp_path / "fc.json"
+    assert main(["forecast", "--reconstructed", path, "--horizons", "2",
+                 "--out", str(out)]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert (report["error"]["command"], report["error"]["type"]) == ("forecast",
+                                                                      "PanelFormatError")
+    assert report["error"]["message"] == ("%s: header must name one series after 't', "
+                                          "got ['t', 'a', 'b']" % path)
+    assert not out.exists()
+
+
 def test_truncated_model_json_names_the_file(pipeline, tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(MODEL)[:20])

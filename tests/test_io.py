@@ -222,34 +222,41 @@ def test_load_single_series(tmp_path):
     with pytest.raises(PanelFormatError, match="at least two"):
         load_single_series(str(path))
 
+    # a second series would be dropped unread
+    path.write_text("t,a,b\n1,1.5,2.0\n2,-0.5,3.0\n")
+    with pytest.raises(PanelFormatError, match="^%s: header must name one series after 't', "
+                       r"got \['t', 'a', 'b'\]$" % re.escape(str(path))):
+        load_single_series(str(path))
 
-# each loader with a first column its layout accepts, as a function of the path
+
+# each loader with a first column its layout accepts, as a function of the
+# path; every layout takes one column after it, the single series no more
 _CSV_LOADERS = {
     "locations": ("site_id", load_locations),
-    "series": ("t", lambda path: load_series(path, ["a", "b"])),
+    "series": ("t", lambda path: load_series(path, ["a"])),
     "single series": ("t", load_single_series),
 }
-_ROWS = "1,0.5,2.0\n2,1.5,0.25\n3,-1.0,4.0\n"
+_ROWS = "1,0.5\n2,1.5\n3,-1.0\n"
 
 # (header and rows given the first column, the message after the path)
 _MALFORMED_CSV = {
     "empty file": (lambda first: "", "empty file"),
-    "wrong first header column": (lambda first: "x,a,b\n" + _ROWS,
+    "wrong first header column": (lambda first: "x,a\n" + _ROWS,
                                   "header must start with"),
     "header with no second column": (lambda first: first + "\n1\n2\n3\n",
                                      "header must start with"),
-    "row one field short": (lambda first: first + ",a,b\n1,0.5,2.0\n2,1.5\n3,1,4\n",
-                            "row 3 has 2 fields, expected 3"),
-    "row one field long": (lambda first: first + ",a,b\n1,0.5,2.0\n2,1.5,0.25,9\n3,1,4\n",
-                           "row 3 has 4 fields, expected 3"),
-    "unparsable cell": (lambda first: first + ",a,b\n1,0.5,2.0\n2,x,0.25\n3,1,4\n",
+    "row one field short": (lambda first: first + ",a\n1,0.5\n2\n3,1\n",
+                            "row 3 has 1 fields, expected 2"),
+    "row one field long": (lambda first: first + ",a\n1,0.5\n2,1.5,9\n3,1\n",
+                           "row 3 has 3 fields, expected 2"),
+    "unparsable cell": (lambda first: first + ",a\n1,0.5\n2,x\n3,1\n",
                         "row 3, column 'a': cannot parse 'x'"),
-    "non-finite cell": (lambda first: first + ",a,b\n1,0.5,2.0\n2,inf,0.25\n3,1,4\n",
+    "non-finite cell": (lambda first: first + ",a\n1,0.5\n2,inf\n3,1\n",
                         "row 3, column 'a' is not finite"),
-    "undecodable bytes": (lambda first: (first + ",a,b\n1,0.5,2.0\n").encode() + b"\xff\xfe,1,2\n",
+    "undecodable bytes": (lambda first: (first + ",a\n1,0.5\n").encode() + b"\xff\xfe,1\n",
                           "cannot read as CSV text"),
     "cell over the csv module's field limit": (
-        lambda first: first + ",a,b\n1,0.5," + "1" * 200000 + "\n", "cannot read as CSV text"),
+        lambda first: first + ",a\n1," + "1" * 200000 + "\n", "cannot read as CSV text"),
 }
 
 
@@ -262,7 +269,7 @@ def test_every_csv_loader_rejects_the_same_malformed_inputs(loader, case, tmp_pa
     body = content(first)
     path.write_bytes(body if isinstance(body, bytes) else body.encode())
     # the layout's own first column reads: only the malformed part is refused
-    (tmp_path / "valid.csv").write_text(first + ",a,b\n" + _ROWS)
+    (tmp_path / "valid.csv").write_text(first + ",a\n" + _ROWS)
     load(str(tmp_path / "valid.csv"))
     with pytest.raises(PanelFormatError, match="^%s: %s" % (re.escape(str(path)),
                                                             re.escape(message))):
