@@ -319,7 +319,7 @@ class _Coordinates:
 
     def pack(self, params: ModelParams) -> np.ndarray:
         if self.fit_nugget and params.nugget <= 0:
-            raise ValueError("cannot place a zero nugget on the log scale")
+            raise ValueError("the log nugget is undefined at nugget = 0")
         vec, logged = self._natural(params), self._logged
         vec[logged] = np.log(vec[logged])
         return vec
@@ -376,8 +376,7 @@ class _Coordinates:
 # and the check below raises, without a numpy warning first
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams, profile: bool = False, scores=None,
-                     information: bool = False):
+                     params: ModelParams, profile: bool = False, scores=None):
     """Per (bin, frequency) criterion terms; shape matches binned.
 
     g is proportional to sigma_e2 once the nugget is held as a ratio to it,
@@ -386,18 +385,19 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     (terms at the scaled parameters, k): the criterion with sigma_e2
     concentrated out.
 
-    With scores set to _Coordinates, the per-frequency scores are returned
-    last, shape (K, M): the derivatives of the terms' mean over bins in the
-    K coordinates at scores.pack(params), each mean_bins (1 - binned / g)
-    d log g. They all come from the same kernel pass as the terms, the
-    smoothness row (nu - d/4) mean_bins (1 - binned / g) (dg / d nu) / g
-    included. With profile set they are taken at the scaled parameters,
-    where d log g is what it is at unit scale, so by the envelope theorem
-    their row sums after the leading log sigma_e2 row are the gradient of
-    the profiled criterion in fit's coordinates.
-
-    With information set as well, _expected_information from the same
-    kernel pass follows the scores.
+    With scores set to _Coordinates, two more follow, from the same kernel
+    pass as the terms. First the per-frequency scores, shape (K, M): the
+    derivatives of the terms' mean over bins in the K coordinates at
+    scores.pack(params), each mean_bins (1 - binned / g) d log g. Then the
+    expected information sum_w mean_bins d log g d log g^T, (K, K): the
+    criterion's Hessian less mean_bins (1 - binned / g) d^2 log g, whose
+    expectation is 0. Both are built from the distinct arrays of
+    scores.spread: 1 - B, with B = (nugget / pi) / g; (nu - d/4)
+    (dg / d nu) / g; (dg / d log|c(w)|^2) / g; and B. d log g is the same
+    at every scale, so with profile set both are those at the scaled
+    parameters, and by the envelope theorem the scores' row sums after the
+    leading log sigma_e2 row are the gradient of the profiled criterion in
+    fit's coordinates.
     """
     grid = (distances[:, None], frequencies[None, :])
     if scores is None:
@@ -424,45 +424,20 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
         )
     if scores is None:
         return (terms, scale) if profile else terms
-    spread = scores.spread(frequencies)
-    # before the scores below overwrite the kernel's derivatives
-    info = ((_expected_information(g, dg_dlogc2, dg_dnu, params, scores, spread),)
-            if information else ())
-    weight = 1.0 - ratio
-    nugget_row = (params.nugget / np.pi) * np.mean(weight / g, axis=0)
-    # one row per distinct array of scores.spread: log sigma_e2 moves
-    # g - nugget / pi in proportion, and log(nu - d/4) moves nu by nu - d/4
-    rows = [np.mean(weight, axis=0) - nugget_row]
-    for per_nu in dg_dnu:
-        per_nu *= weight
-        per_nu /= g
-        rows.append((params.nu - params.d / 4.0) * np.mean(per_nu, axis=0))
-    dg_dlogc2 *= weight
-    dg_dlogc2 /= g
-    rows += [np.mean(dg_dlogc2, axis=0)] + [nugget_row] * scores.fit_nugget
-    which, weights = spread
-    return ((terms, scale) if profile else (terms,)) + (np.array(rows)[which] * weights,) + info
-
-
-def _expected_information(g: np.ndarray, dg_dlogc2: np.ndarray, dg_dnu: list,
-                          params: ModelParams, coords: _Coordinates, spread) -> np.ndarray:
-    """sum_w mean_bins d log g d log g^T in coords, (K, K): the criterion's
-    Hessian less mean_bins (1 - binned / g) d^2 log g, whose expectation is
-    0. spread is coords.spread at the frequencies. Its arrays are 1 - B,
-    with B = (nugget / pi) / g; (nu - d/4) (dg / d nu) / g;
-    (dg / d log|c(w)|^2) / g; and B. The bin means of their products take
-    no (K, L, M) stack, and each pair's is formed once and mirrored
-    (a * b and b * a round alike).
-    """
     share = (params.nugget / np.pi) / g
     bases = ([1.0 - share] + [a * ((params.nu - params.d / 4.0) / g) for a in dg_dnu]
-             + [dg_dlogc2 / g] + [share] * coords.fit_nugget)
-    products = np.empty((len(bases), len(bases), g.shape[1]))
+             + [dg_dlogc2 / g] + [share] * scores.fit_nugget)
+    weight = 1.0 - ratio
+    rows = np.array([np.mean(weight * a, axis=0) for a in bases])
+    # the bin means of the bases' products take no (K, L, M) stack, and
+    # each pair's is formed once and mirrored (a * b and b * a round alike)
+    products = np.empty((len(bases), len(bases), frequencies.size))
     for i, a in enumerate(bases):
         for j in range(i, len(bases)):
             products[i, j] = products[j, i] = np.mean(a * bases[j], axis=0)
-    which, weights = spread
-    return np.einsum("iw,jw,ijw->ij", weights, weights, products[np.ix_(which, which)])
+    which, weights = scores.spread(frequencies)
+    info = np.einsum("iw,jw,ijw->ij", weights, weights, products[np.ix_(which, which)])
+    return ((terms, scale) if profile else (terms,)) + (rows[which] * weights, info)
 
 
 def _criterion_value(terms: np.ndarray) -> float:
@@ -508,6 +483,7 @@ class FitConfig:
         Hold the smoothness at this value instead of estimating it.
     fit_nugget : bool
         Estimate a measurement-error variance alongside the field parameters.
+        A Python or numpy bool, stored as bool.
     n_frequencies : int or None
         Truncate the frequency grid; None uses every interior ordinate.
     bins_mode : str
@@ -523,6 +499,7 @@ class FitConfig:
     compute_covariance : bool
         Attach the asymptotic covariance of the estimates to the result.
         Failures there degrade to a warning rather than failing the fit.
+        A Python or numpy bool, stored as bool.
     """
 
     n_coeffs: int = 1
@@ -545,6 +522,13 @@ class FitConfig:
             _real(self.bin_tolerance, "bin_tolerance")
         if self.nu_fixed is not None and not np.isfinite(_real(self.nu_fixed, "nu_fixed")):
             raise ValueError("nu_fixed must be finite, got %r" % self.nu_fixed)
+        for name in ("fit_nugget", "compute_covariance"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError("%s must be True or False, got %r" % (name, value))
+            object.__setattr__(self, name, bool(value))
+        if not (isinstance(self.bins_mode, str) and self.bins_mode in ("exact", "quantile")):
+            raise ValueError("bins_mode must be 'exact' or 'quantile', got %r" % (self.bins_mode,))
 
 
 @dataclass
@@ -556,7 +540,8 @@ class FitResult:
     params : ModelParams
         Estimated parameters.
     criterion : float
-        Criterion value at the estimate.
+        Criterion value at the estimate: the winning restart's own
+        "criterion", from the search's evaluation at its winner.
     covariance : numpy.ndarray or None
         Asymptotic covariance of the natural-scale estimates, ordered as in
         param_names, or None when unavailable.
@@ -605,7 +590,8 @@ def _quasi_newton(objective, start: np.ndarray):
     ridge), by at most _TOLERANCE_F in L-BFGS-B's relative form, or to a
     point where no gradient component exceeds _TOLERANCE_X. L-BFGS-B then
     finishes from there under _MAX_ITERATIONS, _TOLERANCE_F and
-    _TOLERANCE_X, and its verdict is the result's success. Both phases
+    _TOLERANCE_X; its x and verdict are the result's, and the result's fun
+    is the objective's value at that x. Both phases
     share one evaluation per point, so L-BFGS-B's start costs none and, at
     a point that meets its gradient test, neither does the rest; nfev
     counts the evaluations of both phases, the start's included. A point
@@ -666,6 +652,8 @@ def _quasi_newton(objective, start: np.ndarray):
     result = minimize(lambda vec: evaluate(vec)[:2], scored.x, jac=True, method="L-BFGS-B",
                       options={"maxiter": _MAX_ITERATIONS, "ftol": ftol,
                                "gtol": _TOLERANCE_X})
+    # after a failed line search L-BFGS-B reports its last trial's value
+    result.fun = evaluate(result.x)[0]
     result.nfev = len(done)
     return result
 
@@ -689,8 +677,11 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     curvature while it converges fast, then scipy's L-BFGS-B to the
     optimizer tolerances. A restart whose start value is not finite is
     skipped. The starts are _Coordinates.start's seeded draws. The reported
-    parameters and criterion are one full evaluation at the unpacked
-    winner.
+    parameters and criterion come from the search's own evaluation at its
+    winner, repeated once: its profiled scale gives sigma_e2 and the
+    nugget, and its value is the criterion. With compute_covariance set,
+    that evaluation's scores and information are the sandwich's (see
+    asymptotic_covariance), so the fit makes no other kernel pass.
 
     Raises
     ------
@@ -716,7 +707,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
 
     def objective(vec: np.ndarray):
         terms, _, scores, info = _criterion_terms(*prepared, scale_free(vec), profile=True,
-                                                  scores=coords, information=True)
+                                                  scores=coords)
         # the log sigma_e2 row is not searched; the profiled criterion's
         # curvature is the information's Schur complement of it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -744,19 +735,21 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             "all %d restarts failed to reach a finite criterion" % config.multistart
         )
 
+    # the objective's own evaluation at the winner: the bits of best.fun
     theta_hat = scale_free(best.x)
-    _, scale = _criterion_terms(*prepared, theta_hat, profile=True)
+    terms, scale, *derivatives = _criterion_terms(
+        *prepared, theta_hat, profile=True,
+        scores=coords if config.compute_covariance else None)
     params_hat = replace(theta_hat, sigma_e2=scale, nugget=scale * theta_hat.nugget)
-    criterion = _criterion_value(_criterion_terms(*prepared, params_hat))
     cov = None
-    if config.compute_covariance:
+    if derivatives:
         try:
-            cov = _sandwich(prepared, coords, params_hat)
+            cov = _sandwich(*derivatives, coords, params_hat)
         except (SingularHessianError, EvaluationError, np.linalg.LinAlgError) as err:
             warnings.warn("asymptotic covariance unavailable: %s" % err)
     return FitResult(
         params=params_hat,
-        criterion=criterion,
+        criterion=_criterion_value(terms),
         covariance=cov,
         param_names=coords.names(),
         converged=bool(best.success),
@@ -774,21 +767,24 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
 
     Works in _Coordinates: with nu_fixed set, which must equal
     params_hat.nu, the smoothness is held there; with fit_nugget set, the
-    nugget is a coordinate. One kernel pass gives the per-frequency scores,
-    the derivatives of each frequency's mean term over bins, and the bread:
-    the expected criterion Hessian sum_w mean_bins d log g d log g^T, the
-    Hessian with its (1 - I / g) d^2 log g term at its expectation 0, as
-    E[I] = g (the Godambe form of composite likelihood). The middle term
-    aggregates the scores (frequencies are asymptotically uncorrelated, so
-    scores are clustered by frequency). The result is mapped to the
-    natural scale by the delta method. Rows and columns are in
-    FitResult.param_names' order.
+    nugget is a coordinate. One unprofiled kernel pass at params_hat gives
+    the per-frequency scores, the derivatives of each frequency's mean term
+    over bins, and the bread: the expected criterion Hessian
+    sum_w mean_bins d log g d log g^T, the Hessian with its
+    (1 - I / g) d^2 log g term at its expectation 0, as E[I] = g (the
+    Godambe form of composite likelihood). The middle term aggregates the
+    scores (frequencies are asymptotically uncorrelated, so scores are
+    clustered by frequency). The result is mapped to the natural scale by
+    the delta method. Rows and columns are in FitResult.param_names'
+    order. fit takes the scores and the bread from its search's profiled
+    evaluation at the winner instead, which agree with these to rounding.
 
     Raises
     ------
     ValueError
         When nu_fixed differs from params_hat.nu, or the panel's dimension
-        from the model's.
+        from the model's, or when fit_nugget is set at a zero nugget, whose
+        log is undefined.
     SingularHessianError
         When the expected Hessian cannot be inverted; the error carries its
         eigenvalues.
@@ -799,15 +795,19 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
     if nu_fixed is not None and nu_fixed != params_hat.nu:
         raise ValueError("nu_fixed = %r, but the sandwich holds nu at the fitted %r"
                          % (nu_fixed, params_hat.nu))
+    if fit_nugget and params_hat.nugget <= 0.0:
+        raise ValueError("fit_nugget is set, but the log nugget is undefined at nugget = 0")
     _check_dimension(panel.d, params_hat)
     coords = _Coordinates(params_hat.n_coeffs, params_hat.d, nu_fixed, fit_nugget)
-    return _sandwich(_prepare(dft_panel(panel), bins, n_frequencies), coords, params_hat)
+    _, scores, info = _criterion_terms(*_prepare(dft_panel(panel), bins, n_frequencies),
+                                       params_hat, scores=coords)
+    return _sandwich(scores, info, coords, params_hat)
 
 
-def _sandwich(prepared: _Prepared, coords: _Coordinates, params_hat: ModelParams) -> np.ndarray:
-    """asymptotic_covariance from the prepared data, in coords."""
-    # scores per frequency and the expected Hessian H, from one kernel pass
-    _, scores, info = _criterion_terms(*prepared, params_hat, scores=coords, information=True)
+def _sandwich(scores: np.ndarray, info: np.ndarray, coords: _Coordinates,
+              params_hat: ModelParams) -> np.ndarray:
+    """The sandwich from the per-frequency scores and the expected
+    information H in coords at params_hat, mapped to the natural scale."""
     eigvals = np.linalg.eigvalsh(info)
     if np.min(np.abs(eigvals)) <= 1e-12 * max(1.0, np.max(np.abs(eigvals))):
         raise SingularHessianError("expected criterion Hessian is numerically singular; "

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import time
 import warnings
 from dataclasses import fields, replace
@@ -434,6 +435,29 @@ def test_counts_must_be_whole_numbers(make):
         make(panel, params)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("fit_nugget", "false", "fit_nugget must be True or False, got 'false'"),
+    ("fit_nugget", 1, "fit_nugget must be True or False, got 1"),
+    ("compute_covariance", "no", "compute_covariance must be True or False, got 'no'"),
+    ("compute_covariance", None, "compute_covariance must be True or False, got None"),
+    ("bins_mode", "quantiles", "bins_mode must be 'exact' or 'quantile', got 'quantiles'"),
+    ("bins_mode", None, "bins_mode must be 'exact' or 'quantile', got None"),
+])
+def test_fit_config_checks_its_switches(field, value, message):
+    # at construction, before a fit takes the panel's DFT
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        FitConfig(**{field: value})
+
+
+def test_fit_config_stores_numpy_bools_as_bools():
+    config = FitConfig(fit_nugget=np.True_, compute_covariance=np.False_)
+    assert (config.fit_nugget, config.compute_covariance) == (True, False)
+    assert type(config.fit_nugget) is bool and type(config.compute_covariance) is bool
+    panel, _ = _toy_panel(seed=7)
+    res = fit(panel, replace(config, n_coeffs=0, nu_fixed=1.0, multistart=1))
+    assert res.param_names == ["sigma_e2", "b0", "nugget"] and res.covariance is None
+
+
 def test_fit_checks_nu_fixed_before_any_work():
     # one site forms no pair: binning would fail, but the nu_fixed check
     # comes first
@@ -492,19 +516,22 @@ def test_fit_profiles_the_scale_and_reports_the_full_criterion(fit_nugget):
 
 
 def test_fit_reports_each_restart():
-    panel, _ = _toy_panel(seed=6)
     config = FitConfig(n_coeffs=1, multistart=3, seed=5, compute_covariance=False)
-    res = fit(panel, config)
-    assert len(res.restarts) == 3
     coeffs = np.random.default_rng(5).normal(0.0, 0.5, size=(3, 2))
-    for record, drawn in zip(res.restarts, coeffs):
-        # the searched coordinates: log(nu - d/4), b0, b1; no log sigma_e2
-        assert record["start"] == [0.0] + drawn.tolist()
-        assert record["nfev"] > 0 and isinstance(record["converged"], bool)
-    assert min(r["criterion"] for r in res.restarts) == pytest.approx(res.criterion, rel=1e-12)
-    blob = res.to_dict()
-    assert blob["restarts"] == res.restarts
-    assert json.dumps(blob) == json.dumps(fit(panel, config).to_dict())
+    for seed in (6, 8):
+        panel, _ = _toy_panel(seed=seed)
+        res = fit(panel, config)
+        assert len(res.restarts) == 3
+        for record, drawn in zip(res.restarts, coeffs):
+            # the searched coordinates: log(nu - d/4), b0, b1; no log sigma_e2
+            assert record["start"] == [0.0] + drawn.tolist()
+            assert record["nfev"] > 0 and isinstance(record["converged"], bool)
+        # the winning restart's own value, to the bit (on panel 8 a second,
+        # unprofiled evaluation at the estimate rounds 7e-15 away from it)
+        assert min(r["criterion"] for r in res.restarts) == res.criterion
+        blob = res.to_dict()
+        assert blob["restarts"] == res.restarts
+        assert json.dumps(blob) == json.dumps(fit(panel, config).to_dict())
 
 
 def _recovery_panel():
@@ -532,15 +559,19 @@ def test_fit_evaluation_count_on_the_recovery_design(monkeypatch):
 
     monkeypatch.setattr(est, "_criterion_terms", counted)
     multistart = FIXTURES["whittle_recovery"]["multistart"]
-    res = fit(_recovery_panel(), FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=multistart,
-                                           seed=0, compute_covariance=False))
-    assert len(res.restarts) == multistart
-    assert all(r["converged"] for r in res.restarts)
-    nfev = sum(r["nfev"] for r in res.restarts)
-    assert nfev <= 14
-    # the searches' evaluations (the first of each is its start check) and
-    # the two that unpack the winner
-    assert len(calls) == nfev + 2
+    panel = _recovery_panel()
+    for covariance in (False, True):
+        calls.clear()
+        res = fit(panel, FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=multistart,
+                                   seed=0, compute_covariance=covariance))
+        assert len(res.restarts) == multistart
+        assert all(r["converged"] for r in res.restarts)
+        assert (res.covariance is not None) == covariance
+        nfev = sum(r["nfev"] for r in res.restarts)
+        assert nfev <= 14
+        # the searches' evaluations (the first of each is its start check)
+        # and the one at the winner, which also gives the sandwich its terms
+        assert len(calls) == nfev + 1
 
 
 @pytest.mark.parametrize("case", ["criterion4", "nu-free-nugget"])
@@ -595,9 +626,9 @@ def test_criterion_gradient_matches_central_differences(nu, nugget, p):
             return terms.sum(axis=1).mean()
 
         vec = coords.pack(params)
-        _, scores = _criterion_terms(*prepared, params, scores=coords)
+        _, scores, _ = _criterion_terms(*prepared, params, scores=coords)
         unit = coords.unpack(np.concatenate(([0.0], vec[1:])))
-        _, _, unit_scores = _criterion_terms(*prepared, unit, profile=True, scores=coords)
+        _, _, unit_scores, _ = _criterion_terms(*prepared, unit, profile=True, scores=coords)
         for value, point, gradient in ((full, vec, scores.sum(axis=1)),
                                        (profiled, vec[1:], unit_scores[1:].sum(axis=1))):
             step = 1e-5
@@ -622,7 +653,7 @@ def _nu_row_against_differences(prepared, params):
     """The nu row of the scores summed over frequencies, and the central
     difference of the criterion in log(nu - d/4)."""
     coords = _Coordinates(params.n_coeffs, params.d, None, params.nugget > 0.0)
-    _, scores = _criterion_terms(*prepared, params, scores=coords)
+    _, scores, _ = _criterion_terms(*prepared, params, scores=coords)
     vec, step = coords.pack(params), 1e-5
     shift = step * np.eye(vec.size)[1]
 
@@ -674,7 +705,7 @@ def test_nu_row_is_zero_where_the_range_leaves_the_double_range():
     # alone, so no score moves
     prepared = _nu_row_case(4, 20)
     params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(800.0, 0.0), nugget=0.4)
-    _, scores = _criterion_terms(*prepared, params, scores=_Coordinates(1, 2, None, True))
+    _, scores, _ = _criterion_terms(*prepared, params, scores=_Coordinates(1, 2, None, True))
     assert_allclose(scores[:-1], 0.0, atol=1e-15)
     assert np.isfinite(scores).all()
 
@@ -714,8 +745,7 @@ def test_expected_information_is_the_hessian_where_the_data_are_the_variogram(
     params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(0.2, 0.3), nugget=nugget)
     binned = variogram_model(distances[:, None], freqs[None, :], params)
     coords = _Coordinates(1, 2, None if nu_free else params.nu, nugget > 0.0)
-    _, _, info = _criterion_terms(binned, distances, freqs, params, scores=coords,
-                                  information=True)
+    _, _, info = _criterion_terms(binned, distances, freqs, params, scores=coords)
     reference = criterion_hessian_by_central_differences(binned, distances, freqs, params,
                                                          coords)
     assert info.shape == (len(coords.names()),) * 2
@@ -795,6 +825,18 @@ def test_quasi_newton_takes_a_bowl_in_one_scoring_step():
     assert_allclose(res.x, [1.0, -0.5], atol=1e-12)
 
 
+def test_quasi_newton_reports_the_value_at_its_point():
+    # the gradient points uphill, so L-BFGS-B's line search fails and it
+    # returns its start; scipy then reports its last trial's value, not
+    # the start's
+    def objective(vec):
+        return float(np.sum((vec - 1.0) ** 2)), -2.0 * (vec - 1.0), 2.0 * np.eye(2)
+
+    res = _quasi_newton(objective, np.array([3.0, -2.0]))
+    assert not res.success
+    assert res.fun == objective(res.x)[0]
+
+
 def test_quasi_newton_reads_information_that_is_not_finite_as_zero():
     # as where the nugget's share of g rounds to 1 and the profiled
     # information divides 0 by 0; scipy's trust-exact refuses a NaN Hessian
@@ -861,6 +903,37 @@ def test_asymptotic_covariance_holds_nu_only_at_the_fit():
     with pytest.raises(ValueError, match="nu_fixed = 3.0, but the sandwich holds nu at "
                                          "the fitted 1.0"):
         asymptotic_covariance(panel, bins, params, nu_fixed=3.0)
+
+
+def test_asymptotic_covariance_rejects_a_fitted_nugget_of_zero():
+    panel, params = _toy_panel(seed=8, m=6, n=64)
+    with pytest.raises(ValueError, match="the log nugget is undefined at nugget = 0"):
+        asymptotic_covariance(panel, build_distance_bins(panel.locations), params,
+                              nu_fixed=1.0, fit_nugget=True)
+
+
+@pytest.mark.parametrize("nu_fixed", [None, 1.0])
+@pytest.mark.parametrize("fit_nugget", [False, True])
+def test_fit_covariance_is_the_sandwich_at_its_estimate(nu_fixed, fit_nugget):
+    # fit takes the scores and the information from its search's profiled
+    # evaluation at the winner; asymptotic_covariance makes its own
+    # unprofiled pass at the estimate. They differ only in rounding
+    panel, _ = _toy_panel(seed=8, m=8, n=128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = fit(panel, FitConfig(n_coeffs=1, nu_fixed=nu_fixed, fit_nugget=fit_nugget,
+                                   multistart=2))
+    bins = build_distance_bins(panel.locations)
+    if res.covariance is None:
+        # the nugget fitted with nu held ends at its boundary, where its
+        # coordinate moves log g by nothing
+        with pytest.raises(SingularHessianError):
+            asymptotic_covariance(panel, bins, res.params, nu_fixed=nu_fixed,
+                                  fit_nugget=fit_nugget)
+        return
+    cov = asymptotic_covariance(panel, bins, res.params, nu_fixed=nu_fixed,
+                                fit_nugget=fit_nugget)
+    assert_allclose(res.covariance, cov, rtol=1e-9, atol=0.0)
 
 
 def test_asymptotic_covariance_rejects_a_model_of_another_dimension():
