@@ -272,11 +272,14 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     return _Prepared(binned, bins.representatives, spectral.frequencies[:m_use])
 
 
-# Termination of each restart's search, its scoring phase and L-BFGS-B
-# alike (see _quasi_newton): after _MAX_ITERATIONS iterations, once an
-# iteration lowers the criterion by at most about _TOLERANCE_F (absolute),
-# or once no gradient component exceeds _TOLERANCE_X (scipy's gtol), which
-# near the minimum bounds the next step
+# Termination of each restart's search (see _quasi_newton): after
+# _MAX_ITERATIONS iterations of either phase, or once an iteration lowers
+# the criterion by at most about _TOLERANCE_F (absolute) or reaches a point
+# where no gradient component exceeds _TOLERANCE_X (scipy's gtol), which
+# near the minimum bounds the next step. Scoring meeting either tolerance,
+# or predicting by its Newton decrement a next decrease within
+# _TOLERANCE_F, ends the search; L-BFGS-B runs, under the same three
+# tests, only where scoring slows
 _MAX_ITERATIONS = 4000
 _TOLERANCE_F = 1e-9
 _TOLERANCE_X = 1e-6
@@ -372,18 +375,29 @@ class _Coordinates:
         return which, weights
 
 
+def _reduce(binned: np.ndarray):
+    """(e, binned / 2^e), 2^e the power of two above binned's largest value.
+
+    The profiled scale is 2^e mean(binned / 2^e / g): binned / g stays
+    finite where the scale itself is, and the scaling is exact, so the scale
+    has the bits of mean(binned / g) wherever that is finite."""
+    _, exponent = np.frexp(binned.max())
+    return exponent, np.ldexp(binned, -exponent)
+
+
 # g or binned / g may leave the double range; the terms are then not finite
 # and the check below raises, without a numpy warning first
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams, profile: bool = False, scores=None):
+                     params: ModelParams, profile: bool = False, scores=None, reduced=None):
     """Per (bin, frequency) criterion terms; shape matches binned.
 
     g is proportional to sigma_e2 once the nugget is held as a ratio to it,
     so scaling sigma_e2 and the nugget by k scales g by k, and the sum of the
     terms is least at k = mean(binned / g). With profile set, returns
     (terms at the scaled parameters, k): the criterion with sigma_e2
-    concentrated out.
+    concentrated out. reduced, when given, is _reduce(binned), so a search
+    takes it once rather than at every evaluation.
 
     With scores set to _Coordinates, two more follow, from the same kernel
     pass as the terms. First the per-frequency scores, shape (K, M): the
@@ -408,11 +422,8 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     g = np.maximum(g, _VARIOGRAM_FLOOR)
     scaled = g
     if profile:
-        # binned over the power of two above its largest value first, so
-        # binned / g stays finite where the scale itself is; exact, so the
-        # scale has the bits of mean(binned / g) wherever that is finite
-        _, exponent = np.frexp(binned.max())
-        scale = float(np.ldexp(np.mean(np.ldexp(binned, -exponent) / g), exponent))
+        exponent, unit = _reduce(binned) if reduced is None else reduced
+        scale = float(np.ldexp(np.mean(unit / g), exponent))
         scaled = np.maximum(scale * g, _VARIOGRAM_FLOOR)
     ratio = binned / scaled
     terms = np.log(scaled) + ratio
@@ -561,8 +572,10 @@ class FitResult:
         it finished at, or None when the start was not finite and the restart
         was skipped; "nfev", the search's evaluations of the value, the
         gradient and the information, over its scoring and L-BFGS-B phases,
-        the start's included; and "converged", whether L-BFGS-B met the
-        optimizer tolerances.
+        the start's included; "converged", whether the search met the
+        optimizer tolerances; and "finished_by", "scoring" where scoring's
+        own tests ended the search, "L-BFGS-B" where that finished it, or
+        None for a skipped restart.
     """
 
     params: ModelParams
@@ -580,23 +593,33 @@ class FitResult:
 
 
 def _quasi_newton(objective, start: np.ndarray):
-    """Minimize objective(vec) -> (value, gradient, information) from start
-    by Fisher scoring, then scipy's L-BFGS-B; L-BFGS-B's result, or None
-    when the objective fails or is not finite at the start.
+    """Minimize objective(vec) -> (value, gradient, information, *kept)
+    from start by Fisher scoring, then, where scoring slows, scipy's
+    L-BFGS-B. Returns the finishing phase's result, or None when the
+    objective fails or is not finite at the start. Its fun is the
+    objective's value at its x, its kept the tuple of the rest there, and
+    its finished_by "scoring" or "L-BFGS-B".
 
-    Scoring is scipy's trust-exact with the information as the Hessian. It
-    stops once an accepted step lowers the value by more than half of what
-    the previous one did (it has stopped converging fast, as along a
-    ridge), by at most _TOLERANCE_F in L-BFGS-B's relative form, or to a
-    point where no gradient component exceeds _TOLERANCE_X. L-BFGS-B then
-    finishes from there under _MAX_ITERATIONS, _TOLERANCE_F and
-    _TOLERANCE_X; its x and verdict are the result's, and the result's fun
-    is the objective's value at that x. Both phases
-    share one evaluation per point, so L-BFGS-B's start costs none and, at
-    a point that meets its gradient test, neither does the rest; nfev
-    counts the evaluations of both phases, the start's included. A point
-    where the value or the gradient fails or is not finite reads as the
-    start value plus max(1, |start value|), above every iterate, with a
+    Scoring is scipy's trust-exact with the information as the Hessian.
+    After each accepted step it applies three tests, in this order. Its own
+    tolerances end the search, converged: the step lowered the value by at
+    most _TOLERANCE_F in L-BFGS-B's relative form, or no gradient component
+    exceeds _TOLERANCE_X. A step that lowered the value by more than half
+    of what the previous one did (scoring has stopped converging fast, as
+    along a ridge) hands the search to L-BFGS-B. Otherwise the Newton
+    decrement ends it, converged, once 1/2 g^T I^-1 g, the decrease the
+    next scoring step predicts, is at most that tolerance; a singular I or
+    a decrement that is not a finite number >= 0 does not. L-BFGS-B runs
+    under _MAX_ITERATIONS, _TOLERANCE_F and _TOLERANCE_X, and its x and
+    verdict are the result's; so they are where scipy ends trust-exact
+    before any of the tests does. Both phases share one evaluation per
+    point, so L-BFGS-B's start costs none and, at a point that meets its
+    gradient test, neither does the rest; nfev counts the evaluations of
+    both phases, the start's included. kept is held only for the current
+    iterate and the points tried since it, at most a failed L-BFGS-B line
+    search and its retry, so its memory does not grow with the search. A
+    point where the value or the gradient fails or is not finite reads as
+    the start value plus max(1, |start value|), above every iterate, with a
     zero gradient and information, so both phases back off from it (an
     infinite value would end the search where it stands). Information that
     is not finite reads as zero: scoring then steps down the gradient.
@@ -604,58 +627,88 @@ def _quasi_newton(objective, start: np.ndarray):
 
     def guarded(vec):
         try:
-            value, grad, info = objective(vec)
+            value, grad, info, *rest = objective(vec)
         except (EvaluationError, ValueError, OverflowError, FloatingPointError):
             return None
         if not (np.isfinite(value) and np.isfinite(grad).all()):
             return None
-        return value, grad, (info if np.isfinite(info).all() else np.zeros_like(info))
+        return value, grad, (info if np.isfinite(info).all() else np.zeros_like(info)), tuple(rest)
 
     first = guarded(start)
     if first is None:
         return None
     failed = (first[0] + max(1.0, abs(first[0])), np.zeros_like(start),
-              np.zeros((start.size, start.size)))
-    done = {start.tobytes(): first}
+              np.zeros((start.size, start.size)), None)
+    iterate = start.tobytes()
+    done, kept = {iterate: first[:3]}, {iterate: first[3]}
 
     def evaluate(vec):
         key = vec.tobytes()
         if key not in done:
-            done[key] = guarded(vec) or failed
+            outcome = guarded(vec) or failed
+            done[key], kept[key] = outcome[:3], outcome[3]
         return done[key]
+
+    def advance(vec):
+        # each phase's callback, at its iterate: one of the points tried
+        # since the last (L-BFGS-B's line search can come back to an
+        # earlier trial), the only ones whose kept is still held
+        nonlocal iterate
+        iterate = vec.tobytes()
+        for old in kept.keys() - {iterate}:
+            del kept[old]
 
     # scipy's ftol is relative to max(|Q|, 1); _TOLERANCE_F is absolute
     ftol = _TOLERANCE_F / max(1.0, abs(first[0]))
-    last_value, last_drop = first[0], np.inf
+    last_value, last_drop, converged = first[0], np.inf, False
 
     def stop_scoring(vec):
         # called after each iteration; a rejected step leaves the value
-        nonlocal last_value, last_drop
-        value, grad, _ = evaluate(vec)
+        nonlocal last_value, last_drop, converged
+        advance(vec)
+        value, grad, info = evaluate(vec)
         drop = last_value - value
         if drop <= 0.0:
             return
         slowed = drop > 0.5 * last_drop
         last_value, last_drop = value, drop
-        if (slowed or drop <= ftol * max(abs(value), abs(value + drop), 1.0)
-                or np.abs(grad).max() <= _TOLERANCE_X):
+        converged = (drop <= ftol * max(abs(value), abs(value + drop), 1.0)
+                     or np.abs(grad).max() <= _TOLERANCE_X
+                     or (not slowed and 0.0 <= _newton_decrement(grad, info)
+                         <= ftol * max(abs(value), 1.0)))
+        if converged or slowed:
             raise StopIteration
 
     # imported here: scipy.optimize adds about 17 MB of memory to any
     # process that loads it, and only fits search
     from scipy.optimize import minimize
 
-    scored = minimize(lambda vec: evaluate(vec)[:2], start, jac=True,
+    result = minimize(lambda vec: evaluate(vec)[:2], start, jac=True,
                       hess=lambda vec: evaluate(vec)[2], method="trust-exact",
                       callback=stop_scoring,
                       options={"maxiter": _MAX_ITERATIONS, "gtol": _TOLERANCE_X})
-    result = minimize(lambda vec: evaluate(vec)[:2], scored.x, jac=True, method="L-BFGS-B",
-                      options={"maxiter": _MAX_ITERATIONS, "ftol": ftol,
-                               "gtol": _TOLERANCE_X})
+    if converged:
+        result.success, result.finished_by = True, "scoring"
+    else:
+        result = minimize(lambda vec: evaluate(vec)[:2], result.x, jac=True,
+                          method="L-BFGS-B", callback=advance,
+                          options={"maxiter": _MAX_ITERATIONS, "ftol": ftol,
+                                   "gtol": _TOLERANCE_X})
+        result.finished_by = "L-BFGS-B"
     # after a failed line search L-BFGS-B reports its last trial's value
     result.fun = evaluate(result.x)[0]
+    result.kept = kept[result.x.tobytes()]
     result.nfev = len(done)
     return result
+
+
+def _newton_decrement(grad: np.ndarray, info: np.ndarray) -> float:
+    """1/2 g^T I^-1 g, the decrease a Newton step with curvature I predicts;
+    NaN where I is singular."""
+    try:
+        return 0.5 * float(grad @ np.linalg.solve(info, grad))
+    except np.linalg.LinAlgError:
+        return np.nan
 
 
 def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
@@ -674,14 +727,16 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     profiled scale, and the profiled information is the Schur complement of
     the log sigma_e2 row and column of sum_w mean_bins d log g d log g^T.
     _quasi_newton runs Fisher scoring with that information as the
-    curvature while it converges fast, then scipy's L-BFGS-B to the
-    optimizer tolerances. A restart whose start value is not finite is
-    skipped. The starts are _Coordinates.start's seeded draws. The reported
-    parameters and criterion come from the search's own evaluation at its
-    winner, repeated once: its profiled scale gives sigma_e2 and the
-    nugget, and its value is the criterion. With compute_covariance set,
-    that evaluation's scores and information are the sandwich's (see
-    asymptotic_covariance), so the fit makes no other kernel pass.
+    curvature; its own tolerance and Newton-decrement tests end the search,
+    and only where it stops converging fast (as along the nu-nugget ridge)
+    does scipy's L-BFGS-B finish it to the optimizer tolerances. A restart
+    whose start value is not finite is skipped. The starts are
+    _Coordinates.start's seeded draws. The reported parameters and
+    criterion come from the search's own evaluation at its winner, which is
+    not repeated: its profiled scale gives sigma_e2 and the nugget, and its
+    value is the criterion. With compute_covariance set, that evaluation's
+    scores and information are the sandwich's (see asymptotic_covariance).
+    So the fit makes no kernel pass after the search, nfev in all.
 
     Raises
     ------
@@ -699,6 +754,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         tolerance=config.bin_tolerance,
     )
     prepared = _prepare(spectral, bins, config.n_frequencies)
+    reduced = _reduce(prepared.binned)
     coords = _Coordinates(config.n_coeffs, d, nu_fixed, config.fit_nugget)
 
     def scale_free(vec: np.ndarray) -> ModelParams:
@@ -706,13 +762,15 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         return coords.unpack(np.concatenate(([0.0], vec)))
 
     def objective(vec: np.ndarray):
-        terms, _, scores, info = _criterion_terms(*prepared, scale_free(vec), profile=True,
-                                                  scores=coords)
+        terms, scale, scores, info = _criterion_terms(*prepared, scale_free(vec), profile=True,
+                                                      scores=coords, reduced=reduced)
         # the log sigma_e2 row is not searched; the profiled criterion's
         # curvature is the information's Schur complement of it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             profiled = info[1:, 1:] - np.outer(info[1:, 0], info[0, 1:]) / info[0, 0]
-        return _criterion_value(terms), scores[1:].sum(axis=1), profiled
+        # kept at the search's iterate: the scale, and the sandwich's terms
+        kept = (scale, scores, info) if config.compute_covariance else (scale,)
+        return (_criterion_value(terms), scores[1:].sum(axis=1), profiled) + kept
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -720,14 +778,14 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     for _ in range(config.multistart):
         start_vec = coords.start(rng)
         record = {"start": start_vec.tolist(), "criterion": None, "nfev": 0,
-                  "converged": False}
+                  "converged": False, "finished_by": None}
         restarts.append(record)
         result = _quasi_newton(objective, start_vec)
         if result is None:
             # the criterion is not finite at this start
             continue
         record.update(criterion=float(result.fun), nfev=int(result.nfev),
-                      converged=bool(result.success))
+                      converged=bool(result.success), finished_by=result.finished_by)
         if best is None or result.fun < best.fun:
             best = result
     if best is None:
@@ -735,11 +793,9 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             "all %d restarts failed to reach a finite criterion" % config.multistart
         )
 
-    # the objective's own evaluation at the winner: the bits of best.fun
+    # the search's own evaluation at its winner
     theta_hat = scale_free(best.x)
-    terms, scale, *derivatives = _criterion_terms(
-        *prepared, theta_hat, profile=True,
-        scores=coords if config.compute_covariance else None)
+    scale, *derivatives = best.kept
     params_hat = replace(theta_hat, sigma_e2=scale, nugget=scale * theta_hat.nugget)
     cov = None
     if derivatives:
@@ -749,7 +805,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             warnings.warn("asymptotic covariance unavailable: %s" % err)
     return FitResult(
         params=params_hat,
-        criterion=_criterion_value(terms),
+        criterion=best.fun,
         covariance=cov,
         param_names=coords.names(),
         converged=bool(best.success),

@@ -437,20 +437,24 @@ def _interpolate(node_values: np.ndarray, ends: np.ndarray, grid: _Grid):
 
 
 def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k, piece] T_k(u), elementwise, by Clenshaw's recurrence."""
+    """sum_k coeffs[k, piece] T_k(u), elementwise, by Clenshaw's recurrence.
+
+    piece indexes coeffs' columns by construction, so the gathers take
+    mode="clip": numpy buffers out= in its default mode="raise", and clip
+    gives the same values without that copy."""
     two_u = u + u
-    b1 = np.take(coeffs[-1], piece)
+    b1 = np.take(coeffs[-1], piece, mode="clip")
     b2 = np.zeros_like(u)
     step = np.empty_like(u)
     for row in coeffs[-2:0:-1]:
         np.multiply(two_u, b1, out=step)
         step -= b2
-        np.take(row, piece, out=b2)
+        np.take(row, piece, out=b2, mode="clip")
         b2 += step
         b1, b2 = b2, b1
     np.multiply(u, b1, out=step)
     step -= b2
-    step += np.take(coeffs[0], piece)
+    step += np.take(coeffs[0], piece, mode="clip")
     return step
 
 

@@ -22,7 +22,7 @@ from oracles import (binned_difference_periodograms_by_loop,
 from stkrig.estimate import (EstimationError, EvaluationError, FitResult,
                              SingularHessianError, _binned_difference_periodograms,
                              _Coordinates, _criterion_terms, _prepare, _quasi_newton,
-                             _tolerance_groups)
+                             _sandwich, _tolerance_groups)
 from stkrig.spectral import _MAX_ORDINATE
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -544,10 +544,10 @@ def _recovery_panel():
 
 
 def test_fit_evaluation_count_on_the_recovery_design(monkeypatch):
-    # criterion-4 replicate 0 with the frozen configuration: 12 value-,
-    # gradient- and information evaluations over the two restarts (22 by
-    # L-BFGS-B alone), against about 205 simplex evaluations of the profiled
-    # criterion
+    # criterion-4 replicate 0 with the frozen configuration: 10 value-,
+    # gradient- and information evaluations over the two restarts, each
+    # ended by scoring's own tests (22 by L-BFGS-B alone), against about 205
+    # simplex evaluations of the profiled criterion
     import stkrig.estimate as est
 
     calls = []
@@ -566,12 +566,13 @@ def test_fit_evaluation_count_on_the_recovery_design(monkeypatch):
                                    seed=0, compute_covariance=covariance))
         assert len(res.restarts) == multistart
         assert all(r["converged"] for r in res.restarts)
+        assert [r["finished_by"] for r in res.restarts] == ["scoring"] * multistart
         assert (res.covariance is not None) == covariance
         nfev = sum(r["nfev"] for r in res.restarts)
-        assert nfev <= 14
-        # the searches' evaluations (the first of each is its start check)
-        # and the one at the winner, which also gives the sandwich its terms
-        assert len(calls) == nfev + 1
+        assert nfev <= 10
+        # the searches' evaluations only (the first of each is its start
+        # check): the winner's also gives the estimate and the sandwich
+        assert len(calls) == nfev
 
 
 @pytest.mark.parametrize("case", ["criterion4", "nu-free-nugget"])
@@ -593,6 +594,45 @@ def test_fit_reaches_the_simplex_minimum(case):
     assert sum(r["nfev"] for r in res.restarts) < sum(nfev) / 4
     assert res.params.nu == pytest.approx(params.nu, rel=1e-3)
     assert_allclose(res.params.c_coeffs, params.c_coeffs, rtol=1e-3, atol=1e-4)
+
+
+@pytest.mark.parametrize("nu_fixed,fit_nugget", [(1.0, False), (None, False), (None, True)])
+@pytest.mark.parametrize("covariance", [False, True])
+def test_fit_reports_its_search_evaluation_at_the_winner(monkeypatch, nu_fixed, fit_nugget,
+                                                         covariance):
+    # the criterion, sigma_e2, the nugget and the covariance are those of
+    # the one _criterion_terms call at the winning point, the search's, to
+    # the bit, with the covariance on or off
+    import stkrig.estimate as est
+
+    finishes, calls = [], []
+    quasi_newton, criterion_terms = est._quasi_newton, est._criterion_terms
+
+    def recorded_search(objective, start):
+        finishes.append(quasi_newton(objective, start))
+        return finishes[-1]
+
+    def recorded_call(*args, **kwargs):
+        calls.append((args[3], criterion_terms(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(est, "_quasi_newton", recorded_search)
+    monkeypatch.setattr(est, "_criterion_terms", recorded_call)
+    panel, _ = _toy_panel(seed=8, m=8, n=128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = fit(panel, FitConfig(n_coeffs=1, nu_fixed=nu_fixed, fit_nugget=fit_nugget,
+                                   multistart=2, compute_covariance=covariance))
+    winner = min((r for r in finishes if r is not None), key=lambda r: r.fun)
+    coords = _Coordinates(1, 2, nu_fixed, fit_nugget)
+    theta = coords.unpack(np.concatenate(([0.0], winner.x)))
+    (terms, scale, scores, info), = [out for params, out in calls if params == theta]
+    assert res.criterion == float(terms.sum(axis=1).mean())
+    assert (res.params.sigma_e2, res.params.nugget) == (scale, scale * theta.nugget)
+    if covariance and res.covariance is not None:
+        assert np.array_equal(res.covariance, _sandwich(scores, info, coords, res.params))
+    else:
+        assert res.covariance is None
 
 
 def _gradient_panel():
@@ -823,6 +863,26 @@ def test_quasi_newton_takes_a_bowl_in_one_scoring_step():
     res = _quasi_newton(objective, np.array([0.4, -0.1]))
     assert res.success and res.nfev == len(calls) <= 3
     assert_allclose(res.x, [1.0, -0.5], atol=1e-12)
+
+
+def test_quasi_newton_ends_on_scoring_tests_in_a_bowl():
+    # the information is 0.9 times the Hessian, so each scoring step
+    # overshoots the minimum by a ninth of the step; the steps' drops keep
+    # shrinking fast, so scoring's own tests end the search and L-BFGS-B
+    # never runs (it took 10 evaluations when it always ran)
+    calls = []
+
+    def objective(vec):
+        calls.append(vec.copy())
+        offset = vec - [1.0, -0.5]
+        return (offset[0] ** 2 + 50.0 * offset[1] ** 2, np.array([2.0, 100.0]) * offset,
+                0.9 * np.diag([2.0, 100.0]))
+
+    res = _quasi_newton(objective, np.array([0.4, -0.1]))
+    assert res.success and res.finished_by == "scoring"
+    assert res.nfev == len(calls) <= 8
+    assert res.fun == objective(res.x)[0] <= 1e-9
+    assert_allclose(res.x, [1.0, -0.5], atol=1e-5)
 
 
 def test_quasi_newton_reports_the_value_at_its_point():
