@@ -375,29 +375,18 @@ class _Coordinates:
         return which, weights
 
 
-def _reduce(binned: np.ndarray):
-    """(e, binned / 2^e), 2^e the power of two above binned's largest value.
-
-    The profiled scale is 2^e mean(binned / 2^e / g): binned / g stays
-    finite where the scale itself is, and the scaling is exact, so the scale
-    has the bits of mean(binned / g) wherever that is finite."""
-    _, exponent = np.frexp(binned.max())
-    return exponent, np.ldexp(binned, -exponent)
-
-
 # g or binned / g may leave the double range; the terms are then not finite
 # and the check below raises, without a numpy warning first
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams, profile: bool = False, scores=None, reduced=None):
+                     params: ModelParams, profile: bool = False, scores=None):
     """Per (bin, frequency) criterion terms; shape matches binned.
 
     g is proportional to sigma_e2 once the nugget is held as a ratio to it,
     so scaling sigma_e2 and the nugget by k scales g by k, and the sum of the
     terms is least at k = mean(binned / g). With profile set, returns
     (terms at the scaled parameters, k): the criterion with sigma_e2
-    concentrated out. reduced, when given, is _reduce(binned), so a search
-    takes it once rather than at every evaluation.
+    concentrated out.
 
     With scores set to _Coordinates, two more follow, from the same kernel
     pass as the terms. First the per-frequency scores, shape (K, M): the
@@ -422,8 +411,11 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     g = np.maximum(g, _VARIOGRAM_FLOOR)
     scaled = g
     if profile:
-        exponent, unit = _reduce(binned) if reduced is None else reduced
-        scale = float(np.ldexp(np.mean(unit / g), exponent))
+        # binned over the power of two above its largest value first, so
+        # binned / g stays finite where the scale itself is; exact, so the
+        # scale has the bits of mean(binned / g) wherever that is finite
+        _, exponent = np.frexp(binned.max())
+        scale = float(np.ldexp(np.mean(np.ldexp(binned, -exponent) / g), exponent))
         scaled = np.maximum(scale * g, _VARIOGRAM_FLOOR)
     ratio = binned / scaled
     terms = np.log(scaled) + ratio
@@ -593,12 +585,14 @@ class FitResult:
 
 
 def _quasi_newton(objective, start: np.ndarray):
-    """Minimize objective(vec) -> (value, gradient, information, *kept)
+    """Minimize objective(vec) -> (value, gradient, information, *extra)
     from start by Fisher scoring, then, where scoring slows, scipy's
     L-BFGS-B. Returns the finishing phase's result, or None when the
     objective fails or is not finite at the start. Its fun is the
-    objective's value at its x, its kept the tuple of the rest there, and
-    its finished_by "scoring" or "L-BFGS-B".
+    objective's value at its x, and its finished_by "scoring" or
+    "L-BFGS-B". Its extra is the tuple of the rest of the objective's
+    return at its x when x is the point of least value evaluated, as it is
+    unless a trial the search rejected had a lower value; None otherwise.
 
     Scoring is scipy's trust-exact with the information as the Hessian.
     After each accepted step it applies three tests, in this order. Its own
@@ -615,48 +609,42 @@ def _quasi_newton(objective, start: np.ndarray):
     before any of the tests does. Both phases share one evaluation per
     point, so L-BFGS-B's start costs none and, at a point that meets its
     gradient test, neither does the rest; nfev counts the evaluations of
-    both phases, the start's included. kept is held only for the current
-    iterate and the points tried since it, at most a failed L-BFGS-B line
-    search and its retry, so its memory does not grow with the search. A
-    point where the value or the gradient fails or is not finite reads as
-    the start value plus max(1, |start value|), above every iterate, with a
-    zero gradient and information, so both phases back off from it (an
-    infinite value would end the search where it stands). Information that
-    is not finite reads as zero: scoring then steps down the gradient.
+    both phases, the start's included. Only the least point's extra is
+    held, so its memory does not grow with the search. A point where the
+    value or the gradient fails or is not finite reads as the start value
+    plus max(1, |start value|), above every iterate, with a zero gradient
+    and information, so both phases back off from it (an infinite value
+    would end the search where it stands). Information that is not finite
+    reads as zero: scoring then steps down the gradient.
     """
 
     def guarded(vec):
         try:
-            value, grad, info, *rest = objective(vec)
+            value, grad, info, *extra = objective(vec)
         except (EvaluationError, ValueError, OverflowError, FloatingPointError):
             return None
         if not (np.isfinite(value) and np.isfinite(grad).all()):
             return None
-        return value, grad, (info if np.isfinite(info).all() else np.zeros_like(info)), tuple(rest)
+        return value, grad, (info if np.isfinite(info).all() else np.zeros_like(info)), tuple(extra)
 
     first = guarded(start)
     if first is None:
         return None
     failed = (first[0] + max(1.0, abs(first[0])), np.zeros_like(start),
               np.zeros((start.size, start.size)), None)
-    iterate = start.tobytes()
-    done, kept = {iterate: first[:3]}, {iterate: first[3]}
+    done = {start.tobytes(): first[:3]}
+    # (value, point, extra) at the least value evaluated so far
+    least = (first[0], start.tobytes(), first[3])
 
     def evaluate(vec):
+        nonlocal least
         key = vec.tobytes()
         if key not in done:
-            outcome = guarded(vec) or failed
-            done[key], kept[key] = outcome[:3], outcome[3]
+            value, grad, info, extra = guarded(vec) or failed
+            done[key] = value, grad, info
+            if value < least[0]:
+                least = value, key, extra
         return done[key]
-
-    def advance(vec):
-        # each phase's callback, at its iterate: one of the points tried
-        # since the last (L-BFGS-B's line search can come back to an
-        # earlier trial), the only ones whose kept is still held
-        nonlocal iterate
-        iterate = vec.tobytes()
-        for old in kept.keys() - {iterate}:
-            del kept[old]
 
     # scipy's ftol is relative to max(|Q|, 1); _TOLERANCE_F is absolute
     ftol = _TOLERANCE_F / max(1.0, abs(first[0]))
@@ -665,7 +653,6 @@ def _quasi_newton(objective, start: np.ndarray):
     def stop_scoring(vec):
         # called after each iteration; a rejected step leaves the value
         nonlocal last_value, last_drop, converged
-        advance(vec)
         value, grad, info = evaluate(vec)
         drop = last_value - value
         if drop <= 0.0:
@@ -691,13 +678,13 @@ def _quasi_newton(objective, start: np.ndarray):
         result.success, result.finished_by = True, "scoring"
     else:
         result = minimize(lambda vec: evaluate(vec)[:2], result.x, jac=True,
-                          method="L-BFGS-B", callback=advance,
+                          method="L-BFGS-B",
                           options={"maxiter": _MAX_ITERATIONS, "ftol": ftol,
                                    "gtol": _TOLERANCE_X})
         result.finished_by = "L-BFGS-B"
     # after a failed line search L-BFGS-B reports its last trial's value
     result.fun = evaluate(result.x)[0]
-    result.kept = kept[result.x.tobytes()]
+    result.extra = least[2] if least[1] == result.x.tobytes() else None
     result.nfev = len(done)
     return result
 
@@ -736,7 +723,9 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     not repeated: its profiled scale gives sigma_e2 and the nugget, and its
     value is the criterion. With compute_covariance set, that evaluation's
     scores and information are the sandwich's (see asymptotic_covariance).
-    So the fit makes no kernel pass after the search, nfev in all.
+    So the fit makes no kernel pass after the search, nfev in all, unless
+    the search rejected a trial of lower value than its winner; it then
+    evaluates the winner once more.
 
     Raises
     ------
@@ -754,7 +743,6 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         tolerance=config.bin_tolerance,
     )
     prepared = _prepare(spectral, bins, config.n_frequencies)
-    reduced = _reduce(prepared.binned)
     coords = _Coordinates(config.n_coeffs, d, nu_fixed, config.fit_nugget)
 
     def scale_free(vec: np.ndarray) -> ModelParams:
@@ -763,14 +751,14 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
 
     def objective(vec: np.ndarray):
         terms, scale, scores, info = _criterion_terms(*prepared, scale_free(vec), profile=True,
-                                                      scores=coords, reduced=reduced)
+                                                      scores=coords)
         # the log sigma_e2 row is not searched; the profiled criterion's
         # curvature is the information's Schur complement of it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             profiled = info[1:, 1:] - np.outer(info[1:, 0], info[0, 1:]) / info[0, 0]
-        # kept at the search's iterate: the scale, and the sandwich's terms
-        kept = (scale, scores, info) if config.compute_covariance else (scale,)
-        return (_criterion_value(terms), scores[1:].sum(axis=1), profiled) + kept
+        # what fit reports from the winner: the scale, and the sandwich's terms
+        extra = (scale, scores, info) if config.compute_covariance else (scale,)
+        return (_criterion_value(terms), scores[1:].sum(axis=1), profiled) + extra
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -793,9 +781,10 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
             "all %d restarts failed to reach a finite criterion" % config.multistart
         )
 
-    # the search's own evaluation at its winner
+    # the search's own evaluation at its winner, or, where the search
+    # rejected a trial of lower value, one more there
     theta_hat = scale_free(best.x)
-    scale, *derivatives = best.kept
+    scale, *derivatives = best.extra if best.extra is not None else objective(best.x)[3:]
     params_hat = replace(theta_hat, sigma_e2=scale, nugget=scale * theta_hat.nugget)
     cov = None
     if derivatives:

@@ -635,6 +635,41 @@ def test_fit_reports_its_search_evaluation_at_the_winner(monkeypatch, nu_fixed, 
         assert res.covariance is None
 
 
+@pytest.mark.parametrize("covariance", [False, True])
+def test_fit_evaluates_its_winner_once_more_where_the_search_holds_no_extra(monkeypatch,
+                                                                           covariance):
+    # _quasi_newton returns no extra where a rejected trial had a lower
+    # value than its point; fit then evaluates the winner once more, with
+    # the same bits as the search's own evaluation there
+    import stkrig.estimate as est
+
+    panel, _ = _toy_panel(seed=8, m=8, n=128)
+    config = FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=2, compute_covariance=covariance)
+    held = fit(panel, config)
+    calls = []
+    quasi_newton, criterion_terms = est._quasi_newton, est._criterion_terms
+
+    def without_extra(objective, start):
+        result = quasi_newton(objective, start)
+        if result is not None:
+            result.extra = None
+        return result
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return criterion_terms(*args, **kwargs)
+
+    monkeypatch.setattr(est, "_quasi_newton", without_extra)
+    monkeypatch.setattr(est, "_criterion_terms", counted)
+    res = fit(panel, config)
+    assert len(calls) == sum(r["nfev"] for r in res.restarts) + 1
+    assert (res.criterion, res.params) == (held.criterion, held.params)
+    if covariance:
+        assert np.array_equal(res.covariance, held.covariance)
+    else:
+        assert res.covariance is held.covariance is None
+
+
 def _gradient_panel():
     rng = np.random.default_rng(3)
     locs = rng.uniform(0.0, 3.0, (6, 2))
@@ -883,6 +918,26 @@ def test_quasi_newton_ends_on_scoring_tests_in_a_bowl():
     assert res.nfev == len(calls) <= 8
     assert res.fun == objective(res.x)[0] <= 1e-9
     assert_allclose(res.x, [1.0, -0.5], atol=1e-5)
+
+
+@pytest.mark.parametrize("steep", [1.0, 1000.0])
+def test_quasi_newton_returns_the_extra_of_its_point_where_that_is_least(steep):
+    # the extra is the point itself. With steep at 1000 the gradient is
+    # 1000 times the value's, so every step lowers the value far less than
+    # predicted and is rejected; the search ends near its start, above a
+    # point it rejected, and holds no extra for its point
+    values = []
+
+    def objective(vec):
+        values.append(float(np.sum((vec - 1.0) ** 2)) / steep)
+        return values[-1], 2.0 * (vec - 1.0), 2.0 * np.eye(2), vec.copy()
+
+    res = _quasi_newton(objective, np.array([0.4, -0.1]))
+    assert res.nfev == len(values)
+    if steep == 1.0:
+        assert res.fun == min(values) and np.array_equal(res.extra[0], res.x)
+    else:
+        assert res.fun > min(values) and res.extra is None
 
 
 def test_quasi_newton_reports_the_value_at_its_point():
