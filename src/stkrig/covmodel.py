@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .numerics import _real, _scaled_bessel_k
+from .numerics import _real, _scaled_bessel_k, _Workspace
 
 _TWO_PI = 2.0 * np.pi
 _TINY = np.finfo(float).tiny
@@ -177,7 +177,7 @@ def _c_mod_sq(om: np.ndarray, params: ModelParams) -> np.ndarray:
 # either reaches its limit in double (0) or fails the finite check below
 @np.errstate(over="ignore", divide="ignore")
 def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
-            smoothness: bool = False):
+            smoothness: bool = False, work: _Workspace | None = None):
     """C(h, w) on the broadcast of validated h and om, and C(0, w) on om.
 
     |c(w)|^2 and the log-gamma constants are computed once, on om's own
@@ -206,8 +206,13 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     where d log K / d mu is not finite (K overflowing at a stencil order
     near tiny x, where C is C(0, w), or kve's NaN, where C is 0) a takes a_0.
     Where C(0, w) is 0 both derivatives are 0.
+
+    Every array on the grid is work's (a new _Workspace when work is
+    None), the Bessel call's included, and each result is written in place
+    over one of them, so the results hold until work's next use.
     """
     nu, d = params.nu, params.d
+    work = work or _Workspace()
     mu = 2.0 * nu - d / 2.0
     log_scale = np.log(params.sigma_e2) - (d / 2.0) * np.log(_TWO_PI)
     log_gamma_2nu = float(gammaln(2.0 * nu))
@@ -216,27 +221,34 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     zero = np.exp(log_const - mu * np.log(c2))
     c_abs = np.sqrt(c2)
     log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
+    # the grid's arrays, each in C order, so sums over the result keep
+    # their order; cov first holds the log ratio log(h / |c(w)|)
+    shape = np.broadcast_shapes(np.shape(h), np.shape(c_abs))
+    x, cov = work("kernel.x", shape), work("kernel.cov", shape)
     # at h = 0, x is 0 * inf where |c(w)|^2 overflows and the log ratio
     # -inf + inf where it underflows: NaN, which the limits below resolve
     with np.errstate(invalid="ignore"):
-        x = h * c_abs
-        log_ratio = np.log(h) - np.log(c_abs)
-    cov = np.exp(log_pref + mu * log_ratio - x)
+        np.multiply(h, c_abs, out=x)
+        log_ratio = np.subtract(np.log(h), np.log(c_abs), out=cov)
     if smoothness:
-        previous, bessel, a = _scaled_bessel_k(mu, x, with_previous=True, order_slope=True)
+        previous, bessel, a = _scaled_bessel_k(mu, x, with_previous=True, order_slope=True,
+                                               work=work)
         # a less its constant -2 log 2 - 2 psi(2 nu), in place
         a += log_ratio
         a *= 2.0
     elif gradient:
-        previous, bessel = _scaled_bessel_k(mu, x, with_previous=True)
+        previous, bessel = _scaled_bessel_k(mu, x, with_previous=True, work=work)
     else:
-        bessel = _scaled_bessel_k(mu, x)
+        bessel = _scaled_bessel_k(mu, x, work=work)
+    # exp(log_pref + mu log_ratio - x), in place
+    cov *= mu
+    cov += log_pref
+    cov -= x
+    np.exp(cov, out=cov)
     # a subnormal prefactor has lost bits that a large Bessel factor
     # would carry into the product; those entries are taken in log space
-    subnormal = cov < _TINY
+    subnormal = np.less(cov, _TINY, out=work("kernel.subnormal", shape, bool))
     if np.isfinite(bessel).all():
-        # in place, as numpy multiplies into an unnamed temporary: a
-        # second array this size slows every criterion evaluation
         cov *= bessel
     else:
         # Where the Bessel factor is not finite the product is its limit.
@@ -246,13 +258,12 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
         # below double resolution, so C(h, w) is C(0, w) there.
         small_x = np.isinf(bessel)
         lost = small_x | (np.isnan(bessel) & ~(cov > 0.0))
-        cov = np.where(lost, np.where(small_x, zero, 0.0), cov * np.where(lost, 1.0, bessel))
+        np.multiply(cov, bessel, out=cov, where=~lost)
+        np.copyto(cov, 0.0, where=lost)
+        np.copyto(cov, zero, where=small_x)
         subnormal &= ~lost
-    # an array also for scalar input, in C order, as the callers' grids are,
-    # so sums over the result keep their order
-    cov = np.asarray(cov, order="C")
     if subnormal.any():
-        hs, cs, xs, ks = (np.broadcast_to(arr, cov.shape)[subnormal]
+        hs, cs, xs, ks = (np.broadcast_to(arr, shape)[subnormal]
                           for arr in (h, c_abs, x, bessel))
         cov[subnormal] = np.exp(log_pref + mu * (np.log(hs) - np.log(cs)) - xs + np.log(ks))
     if not np.isfinite(cov).all():
@@ -261,8 +272,10 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     if not gradient:
         return cov, zero
     # the log-derivative -dC / C = mu + (x / 2) K_{mu-1} / K_mu, in place
+    # of K_{mu-1}; the Bessel factors are not read after this (at mu = 1/2
+    # the two are one array)
     with np.errstate(invalid="ignore"):
-        slope = np.divide(previous, bessel, out=np.empty(np.shape(bessel)))
+        slope = np.divide(previous, bessel, out=previous)
         slope *= x
     slope[~np.isfinite(slope)] = 0.0
     slope *= 0.5
@@ -377,12 +390,15 @@ def variogram_model(h, omega, params: ModelParams):
 
 
 def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
-               smoothness: bool = False):
+               smoothness: bool = False, work: _Workspace | None = None):
     """variogram_model on validated h > 0 and om. With gradient set, returns
     (g, dg / d log|c(w)|^2) from one kernel pass, and with smoothness set as
-    well (g, dg / d log|c(w)|^2, dg / d nu) from that same pass."""
-    cov, zero, *derivatives = _kernel(h, om, params, gradient=gradient, smoothness=smoothness)
-    g = 2.0 * ((zero + params.nugget / _TWO_PI) - cov)
+    well (g, dg / d log|c(w)|^2, dg / d nu) from that same pass. Each is
+    written in place over one of _kernel's arrays in work."""
+    cov, zero, *derivatives = _kernel(h, om, params, gradient=gradient, smoothness=smoothness,
+                                      work=work)
+    g = np.subtract(zero + params.nugget / _TWO_PI, cov, out=cov)
+    g *= 2.0
     if not gradient:
         return g
     d_cov = derivatives[0]

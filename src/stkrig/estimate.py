@@ -20,14 +20,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
 from .covmodel import ModelParams, _check_dimension, _variogram
 from .io import json_data
-from .numerics import _count, _real
+from .numerics import _count, _real, _Workspace
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
 
 _TWO_PI = 2.0 * np.pi
@@ -229,35 +228,52 @@ def _binned_difference_periodograms(spectral: SpectralPanel, bins: DistanceBins,
 
     np.add.at adds the pairs' rows into their bins one at a time, in bin
     order, so each sum rounds as a loop over the bin's pairs does
-    (np.add.reduceat does not), in chunks of about 2^18 values.
+    (np.add.reduceat does not), in chunks of about 2^18 values. A chunk's
+    differences and their products with their conjugates are written into
+    the same two arrays, chunk after chunk. The pairs must be in range.
     """
     owner = np.repeat(np.arange(len(bins)), bins.counts)
     acc = np.zeros((len(bins), n_frequencies))
     dft = spectral.dft[:, :n_frequencies]
     step = max(1, (1 << 18) // n_frequencies)
+    chunks = np.empty((2, min(step, owner.size), n_frequencies), dtype=dft.dtype)
     # dft_panel bounds each difference periodogram, but a bin's sum of them
     # can still overflow; that is reported below, without a numpy warning
     with np.errstate(over="ignore"):
         for lo in range(0, owner.size, step):
             i, j = bins.pairs[lo:lo + step].T
-            diff = dft[i] - dft[j]
-            np.add.at(acc, owner[lo:lo + step], (diff * np.conj(diff)).real)
+            diff, product = chunks[:, :i.size]
+            # the pairs are in range, so the gathers need no bounds check
+            np.take(dft, i, axis=0, out=diff, mode="clip")
+            diff -= np.take(dft, j, axis=0, out=product, mode="clip")
+            np.multiply(diff, np.conjugate(diff, out=product), out=product)
+            np.add.at(acc, owner[lo:lo + step], product.real)
     if not np.isfinite(acc).all():
         raise ValueError("a bin's sum of difference periodograms overflows the double range")
     acc /= bins.counts[:, None]
     return acc
 
 
-class _Prepared(NamedTuple):
-    """Everything the criterion reads from the data."""
+class _Prepared:
+    """Everything the criterion reads from the data, and what one fit's
+    evaluations share: the per-bin mean difference periodograms binned
+    (L, M), the bin distances and the frequencies; the exponent of the
+    power of two above binned's largest value; coords, the _Coordinates of
+    the scores, when there are any, and their spread over the frequencies;
+    and work, the _Workspace every evaluation writes its (L, M) arrays
+    into."""
 
-    binned: np.ndarray
-    distances: np.ndarray
-    frequencies: np.ndarray
+    def __init__(self, binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
+                 coords: _Coordinates | None = None):
+        self.binned, self.distances, self.frequencies = binned, distances, frequencies
+        self.exponent = int(np.frexp(binned.max())[1])
+        self.coords = coords
+        self.spread = None if coords is None else coords.spread(frequencies)
+        self.work = _Workspace()
 
 
-def _prepare(spectral: SpectralPanel, bins: DistanceBins,
-             n_frequencies: int | None) -> _Prepared:
+def _prepare(spectral: SpectralPanel, bins: DistanceBins, n_frequencies: int | None,
+             coords: _Coordinates | None = None) -> _Prepared:
     """Check the frequency count and the pair range, and bin the difference
     periodograms."""
     m_total = spectral.n_frequencies
@@ -269,7 +285,7 @@ def _prepare(spectral: SpectralPanel, bins: DistanceBins,
     _check_pairs(bins.pairs, np.any(bins.pairs >= spectral.m, axis=1),
                  "is out of range for %d sites" % spectral.m)
     binned = _binned_difference_periodograms(spectral, bins, m_use)
-    return _Prepared(binned, bins.representatives, spectral.frequencies[:m_use])
+    return _Prepared(binned, bins.representatives, spectral.frequencies[:m_use], coords)
 
 
 # Termination of each restart's search (see _quasi_newton): after
@@ -378,9 +394,10 @@ class _Coordinates:
 # g or binned / g may leave the double range; the terms are then not finite
 # and the check below raises, without a numpy warning first
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
-                     params: ModelParams, profile: bool = False, scores=None):
-    """Per (bin, frequency) criterion terms; shape matches binned.
+def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = False,
+                     scores: bool = False):
+    """Per (bin, frequency) criterion terms of the prepared data; shape
+    matches prepared.binned.
 
     g is proportional to sigma_e2 once the nugget is held as a ratio to it,
     so scaling sigma_e2 and the nugget by k scales g by k, and the sum of the
@@ -388,57 +405,79 @@ def _criterion_terms(binned: np.ndarray, distances: np.ndarray, frequencies: np.
     (terms at the scaled parameters, k): the criterion with sigma_e2
     concentrated out.
 
-    With scores set to _Coordinates, two more follow, from the same kernel
-    pass as the terms. First the per-frequency scores, shape (K, M): the
-    derivatives of the terms' mean over bins in the K coordinates at
-    scores.pack(params), each mean_bins (1 - binned / g) d log g. Then the
+    With scores set, two more follow, from the same kernel pass as the
+    terms. First the per-frequency scores, shape (K, M): the derivatives of
+    the terms' mean over bins in the K coordinates of prepared.coords at
+    coords.pack(params), each mean_bins (1 - binned / g) d log g. Then the
     expected information sum_w mean_bins d log g d log g^T, (K, K): the
     criterion's Hessian less mean_bins (1 - binned / g) d^2 log g, whose
     expectation is 0. Both are built from the distinct arrays of
-    scores.spread: 1 - B, with B = (nugget / pi) / g; (nu - d/4)
+    prepared.spread: 1 - B, with B = (nugget / pi) / g; (nu - d/4)
     (dg / d nu) / g; (dg / d log|c(w)|^2) / g; and B. d log g is the same
     at every scale, so with profile set both are those at the scaled
     parameters, and by the envelope theorem the scores' row sums after the
     leading log sigma_e2 row are the gradient of the profiled criterion in
     fit's coordinates.
+
+    Every (L, M) array, the kernel's included, is written in place, into
+    prepared.work, with the operations of the formulas above in their
+    order, so the values have the bits of fresh arrays. The terms are one
+    of those arrays: they hold until the next evaluation of the prepared
+    data. The scores and the information are new arrays.
     """
-    grid = (distances[:, None], frequencies[None, :])
-    if scores is None:
-        g = _variogram(*grid, params)
-    else:
+    binned, frequencies, work = prepared.binned, prepared.frequencies, prepared.work
+    grid = (prepared.distances[:, None], frequencies[None, :])
+    if scores:
+        coords = prepared.coords
         g, dg_dlogc2, *dg_dnu = _variogram(*grid, params, gradient=True,
-                                           smoothness=scores.nu_fixed is None)
-    g = np.maximum(g, _VARIOGRAM_FLOOR)
+                                           smoothness=coords.nu_fixed is None, work=work)
+    else:
+        g = _variogram(*grid, params, work=work)
+    np.maximum(g, _VARIOGRAM_FLOOR, out=g)
+    ratio = work("scratch.0", binned.shape)
+    terms = work("scratch.1", binned.shape)
     scaled = g
     if profile:
         # binned over the power of two above its largest value first, so
         # binned / g stays finite where the scale itself is; exact, so the
         # scale has the bits of mean(binned / g) wherever that is finite
-        _, exponent = np.frexp(binned.max())
-        scale = float(np.ldexp(np.mean(np.ldexp(binned, -exponent) / g), exponent))
-        scaled = np.maximum(scale * g, _VARIOGRAM_FLOOR)
-    ratio = binned / scaled
-    terms = np.log(scaled) + ratio
+        reduced = np.ldexp(binned, -prepared.exponent, out=ratio)
+        reduced /= g
+        scale = float(np.ldexp(np.mean(reduced), prepared.exponent))
+        scaled = np.multiply(scale, g, out=terms)
+        np.maximum(scaled, _VARIOGRAM_FLOOR, out=scaled)
+    np.divide(binned, scaled, out=ratio)
+    # log(scaled) + ratio; with profile set, scaled is terms' own array
+    np.log(scaled, out=terms)
+    terms += ratio
     if not np.all(np.isfinite(terms)):
         raise EvaluationError(
             "criterion is not finite at sigma_e2=%r, nu=%r, c_coeffs=%r, nugget=%r%s"
             % (params.sigma_e2, params.nu, params.c_coeffs, params.nugget,
                " scaled by %r" % scale if profile else "")
         )
-    if scores is None:
+    if not scores:
         return (terms, scale) if profile else terms
-    share = (params.nugget / np.pi) / g
-    bases = ([1.0 - share] + [a * ((params.nu - params.d / 4.0) / g) for a in dg_dnu]
-             + [dg_dlogc2 / g] + [share] * scores.fit_nugget)
-    weight = 1.0 - ratio
-    rows = np.array([np.mean(weight * a, axis=0) for a in bases])
+    # the bases, each over an array it is the last use of; B over g, and
+    # 1 - B over B unless B is a basis too
+    product = work("scratch.2", binned.shape)
+    for a in dg_dnu:
+        a *= np.divide(params.nu - params.d / 4.0, g, out=product)
+    dg_dlogc2 /= g
+    share = np.divide(params.nugget / np.pi, g, out=g)
+    complement = np.subtract(1.0, share, out=work("criterion.complement", binned.shape)
+                             if coords.fit_nugget else share)
+    bases = [complement] + dg_dnu + [dg_dlogc2] + [share] * coords.fit_nugget
+    weight = np.subtract(1.0, ratio, out=ratio)
+    rows = np.array([np.mean(np.multiply(weight, a, out=product), axis=0) for a in bases])
     # the bin means of the bases' products take no (K, L, M) stack, and
     # each pair's is formed once and mirrored (a * b and b * a round alike)
     products = np.empty((len(bases), len(bases), frequencies.size))
     for i, a in enumerate(bases):
         for j in range(i, len(bases)):
-            products[i, j] = products[j, i] = np.mean(a * bases[j], axis=0)
-    which, weights = scores.spread(frequencies)
+            products[i, j] = products[j, i] = np.mean(np.multiply(a, bases[j], out=product),
+                                                      axis=0)
+    which, weights = prepared.spread
     info = np.einsum("iw,jw,ijw->ij", weights, weights, products[np.ix_(which, which)])
     return ((terms, scale) if profile else (terms,)) + (rows[which] * weights, info)
 
@@ -470,7 +509,7 @@ def whittle_criterion(spectral: SpectralPanel, bins: DistanceBins, params: Model
         Use only the first n_frequencies interior ordinates. Defaults to the
         full grid.
     """
-    return _criterion_value(_criterion_terms(*_prepare(spectral, bins, n_frequencies), params))
+    return _criterion_value(_criterion_terms(_prepare(spectral, bins, n_frequencies), params))
 
 
 @dataclass(frozen=True)
@@ -742,16 +781,16 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
         panel.locations, mode=config.bins_mode, n_bins=config.n_bins,
         tolerance=config.bin_tolerance,
     )
-    prepared = _prepare(spectral, bins, config.n_frequencies)
     coords = _Coordinates(config.n_coeffs, d, nu_fixed, config.fit_nugget)
+    prepared = _prepare(spectral, bins, config.n_frequencies, coords)
 
     def scale_free(vec: np.ndarray) -> ModelParams:
         # sigma_e2 = exp(0) = 1, so the nugget coordinate reads as log tau
         return coords.unpack(np.concatenate(([0.0], vec)))
 
     def objective(vec: np.ndarray):
-        terms, scale, scores, info = _criterion_terms(*prepared, scale_free(vec), profile=True,
-                                                      scores=coords)
+        terms, scale, scores, info = _criterion_terms(prepared, scale_free(vec), profile=True,
+                                                      scores=True)
         # the log sigma_e2 row is not searched; the profiled criterion's
         # curvature is the information's Schur complement of it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -844,8 +883,8 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
         raise ValueError("fit_nugget is set, but the log nugget is undefined at nugget = 0")
     _check_dimension(panel.d, params_hat)
     coords = _Coordinates(params_hat.n_coeffs, params_hat.d, nu_fixed, fit_nugget)
-    _, scores, info = _criterion_terms(*_prepare(dft_panel(panel), bins, n_frequencies),
-                                       params_hat, scores=coords)
+    _, scores, info = _criterion_terms(_prepare(dft_panel(panel), bins, n_frequencies, coords),
+                                       params_hat, scores=True)
     return _sandwich(scores, info, coords, params_hat)
 
 

@@ -44,6 +44,30 @@ class HpdSolution(NamedTuple):
     jitter: float
 
 
+class _Workspace:
+    """Named scratch arrays that outlive a call: work(name, shape) makes the
+    array on the name's first use, or when it needs more or other elements,
+    and hands back the same memory after that, in the shape asked for, its
+    contents as the last user left them. A fit keeps one for all its
+    criterion evaluations, whose grid-sized arrays are above the
+    allocator's threshold for returning memory to the system, so each new
+    one would be faulted in again; any other caller makes a new one per
+    call, so its arrays are fresh.
+
+    Each function names its own arrays, except the "scratch." ones, which
+    belong to whichever function runs: a caller reads its scratch arrays
+    only until it calls another function that takes the workspace."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None or array.dtype != dtype or array.size != math.prod(shape):
+            array = self._arrays[name] = np.empty(shape, dtype)
+        return array.reshape(shape)
+
+
 def _count(value, name: str, least: int | None = None) -> int:
     """value as an int; ValueError unless it is a whole number (a Python or
     numpy integer or float, never a bool or a string), at least least when
@@ -177,7 +201,7 @@ _HALF_INTEGER_COEFFS = tuple(
 
 
 def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False,
-                     order_slope: bool = False):
+                     order_slope: bool = False, work: _Workspace | None = None):
     """e^x K_order(x) for order >= 0 on an array of x, without checks.
 
     The method follows the order. An exact integer runs the upward
@@ -200,47 +224,68 @@ def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False,
     With order_slope set, d log K_order(x) / d order follows last in the
     returned tuple. It always comes from _order_slope's table, whichever
     method gave the values; a value table shares that table's grid.
+
+    The results, and every array the size of x the call makes, are work's
+    (a new _Workspace when work is None), but where a call below the
+    table's crossover takes kve itself.
     """
-    grid = _locate(x) if order_slope else None
+    work = work or _Workspace()
+    grid = _locate(x, work) if order_slope else None
     n = int(order)
     if order > _CLOSED_FORM_MAX_ORDER or order - n not in (0.0, 0.5):
         values = _kve_by_table((abs(order - 1.0), order) if with_previous else (order,),
-                               x, grid)
+                               x, grid, work)
     else:
-        values = _exact_order(order, n, x, with_previous)
+        values = _exact_order(order, n, x, with_previous, work)
     if order_slope:
-        values.append(_order_slope(order, x, grid))
+        values.append(_order_slope(order, x, grid, work))
     return tuple(values) if len(values) > 1 else values[0]
 
 
 @np.errstate(over="ignore", divide="ignore")
-def _exact_order(order: float, n: int, x: np.ndarray, with_previous: bool) -> list:
+def _exact_order(order: float, n: int, x: np.ndarray, with_previous: bool,
+                 work: _Workspace) -> list:
     """_scaled_bessel_k's values at an integer or half-integer order n or
-    n + 1/2, by the recurrence or the closed form."""
+    n + 1/2, by the recurrence or the closed form, in work's arrays."""
+    shape = np.shape(x)
     if order == n:
         if n < 2 and not with_previous:
-            return [_sspec.k1e(x) if n else _sspec.k0e(x)]
-        prev, cur = _sspec.k0e(x), _sspec.k1e(x)
+            return [(_sspec.k1e if n else _sspec.k0e)(x, out=work("bessel.0", shape))]
+        prev = _sspec.k0e(x, out=work("bessel.0", shape))
+        cur = _sspec.k1e(x, out=work("bessel.1", shape))
         if n == 0:
             prev, cur = cur, prev
         for j in range(1, n):
-            prev, cur = cur, prev + (2.0 * j / x) * cur
+            # prev + (2 j / x) cur, in place of prev
+            step = np.divide(2.0 * j, x, out=work("scratch.0", shape))
+            step *= cur
+            prev += step
+            prev, cur = cur, prev
         return [prev, cur] if with_previous else [cur]
-    t = 0.5 / x
-    root = np.sqrt(np.pi / (2.0 * x))
-    cur = root * _half_integer_poly(n, t)
+    t = np.divide(0.5, x, out=work("scratch.0", shape))
+    # sqrt(pi / 2x), in place
+    root = np.multiply(2.0, x, out=work("scratch.1", shape))
+    np.divide(np.pi, root, out=root)
+    np.sqrt(root, out=root)
+    cur = _half_integer_poly(n, t, work("bessel.1", shape))
+    cur *= root
     if not with_previous:
         return [cur]
-    return [root * _half_integer_poly(n - 1, t) if n else cur, cur]
+    if not n:
+        return [cur, cur]
+    prev = _half_integer_poly(n - 1, t, work("bessel.0", shape))
+    prev *= root
+    return [prev, cur]
 
 
-def _half_integer_poly(n: int, t: np.ndarray) -> np.ndarray:
-    """sum_k (n + k)! / (k! (n - k)!) t^k by Horner."""
+def _half_integer_poly(n: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k (n + k)! / (k! (n - k)!) t^k by Horner, into out."""
     coeffs = _HALF_INTEGER_COEFFS[n]
-    poly = coeffs[n]
+    out.fill(coeffs[n])
     for k in range(n - 1, -1, -1):
-        poly = poly * t + coeffs[k]
-    return poly
+        out *= t
+        out += coeffs[k]
+    return out
 
 
 # The table of _kve_by_table: pieces of fixed width in t = log x, each
@@ -305,11 +350,12 @@ class _Grid(NamedTuple):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _locate(x: np.ndarray) -> _Grid | None:
+def _locate(x: np.ndarray, work: _Workspace) -> _Grid | None:
     """The grid of a table over x's finite positive points, or None when
-    there are none; the others sit on a placed point's piece at u = 0."""
+    there are none; the others sit on a placed point's piece at u = 0.
+    piece and u are work's "table" arrays."""
     flat = np.ravel(x)
-    t = np.multiply(flat, 0.5)
+    t = np.multiply(flat, 0.5, out=work("table.u", flat.shape))
     np.log(t, out=t)
     t *= 1.0 / _TABLE_WIDTH  # log(x / 2) in piece widths
     low, high = t.min(initial=np.inf), t.max(initial=-np.inf)
@@ -326,11 +372,13 @@ def _locate(x: np.ndarray) -> _Grid | None:
     count = int(np.floor(high) - first) + 1
     np.floor(t, out=t)
     t -= first
-    piece = t.astype(np.intp)
+    piece = work("table.piece", flat.shape, np.intp)
+    np.copyto(piece, t, casting="unsafe")
     centres = 2.0 * np.exp(_TABLE_WIDTH * (first + 0.5 + np.arange(count)))
     # the local variable log(x / centre) in [-1, 1], from the centre rather
-    # than from t, whose rounding grows with |log x|
-    u = np.take(1.0 / centres, piece, out=t)
+    # than from t, whose rounding grows with |log x|; piece is in range, so
+    # the gather takes mode="clip", as _clenshaw's do
+    u = np.take(1.0 / centres, piece, out=t, mode="clip")
     u *= flat
     np.log(u, out=u)
     u *= 2.0 / _TABLE_WIDTH
@@ -340,7 +388,8 @@ def _locate(x: np.ndarray) -> _Grid | None:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _kve_by_table(orders, x: np.ndarray, grid: _Grid | None = None) -> list:
+def _kve_by_table(orders, x: np.ndarray, grid: _Grid | None = None,
+                  work: _Workspace | None = None) -> list:
     """scipy's kve(order, x) for each of the orders, within about 1e-13.
 
     With more points on the grid than _TABLE_CROSSOVER plus twice the
@@ -358,29 +407,34 @@ def _kve_by_table(orders, x: np.ndarray, grid: _Grid | None = None) -> list:
     and those of a piece where kve is not finite at a node or an end (K
     overflowing at tiny x and high order, kve's NaN from x = 2^30 on), take
     kve itself, so the result is inf or NaN exactly where kve's is.
-    Otherwise each order is one kve call.
+    Otherwise each order is one kve call. A table's values are work's
+    arrays (a new _Workspace when work is None).
     """
     twice_nodes = 2 * (_TABLE_DEGREE + 1)
     if np.size(x) > _TABLE_CROSSOVER + twice_nodes:
-        grid = _locate(x) if grid is None else grid
+        work = work or _Workspace()
+        grid = _locate(x, work) if grid is None else grid
         if grid is not None and grid.placed > _TABLE_CROSSOVER + twice_nodes * grid.count:
-            return _tabulated(orders, x, grid)
+            return _tabulated(orders, x, grid, work)
     return [_sspec.kve(order, x) for order in orders]
 
 
-def _tabulated(orders, x: np.ndarray, grid: _Grid) -> list:
+def _tabulated(orders, x: np.ndarray, grid: _Grid, work: _Workspace) -> list:
     """The table path of _kve_by_table."""
     flat = np.ravel(x)
     points = grid.points()
     pieces = grid.count
     out = []
-    for order in orders:
+    for k, order in enumerate(orders):
         values = _sspec.kve(order, points)
         nodes = values[:-pieces - 1].reshape(pieces, -1)
         scale = nodes[:, _CHEB_CENTRE]
-        value, fallback = _interpolate(np.log(nodes / scale[:, None]), values[-pieces - 1:], grid)
+        # the exact orders' names, so a fit whose search meets both paths
+        # holds one set of values
+        value, fallback = _interpolate(np.log(nodes / scale[:, None]), values[-pieces - 1:], grid,
+                                       work("bessel.%d" % k, flat.shape), work)
         np.exp(value, out=value)
-        value *= np.take(scale, grid.piece)
+        value *= np.take(scale, grid.piece, out=work("scratch.0", flat.shape), mode="clip")
         if fallback is not None:
             value[fallback] = _sspec.kve(order, flat[fallback])
         out.append(value.reshape(np.shape(x)))
@@ -388,20 +442,22 @@ def _tabulated(orders, x: np.ndarray, grid: _Grid) -> list:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _order_slope(order: float, x: np.ndarray, grid: _Grid | None) -> np.ndarray:
+def _order_slope(order: float, x: np.ndarray, grid: _Grid | None,
+                 work: _Workspace) -> np.ndarray:
     """d log K_order(x) / d order on an array of x, without checks, from a
     table on grid, x's place on the fixed grid, of _order_difference at the
-    nodes. A point off the grid, or of a piece where the difference is not
-    finite at a node or an end, takes the difference at the point itself,
-    which is inf or NaN where kve is at a stencil order; with no grid,
-    every point does."""
+    nodes, into work's arrays. A point off the grid, or of a piece where the
+    difference is not finite at a node or an end, takes the difference at
+    the point itself, which is inf or NaN where kve is at a stencil order;
+    with no grid, every point does."""
     flat = np.ravel(x)
     if grid is None:
         return _order_difference(order, flat).reshape(np.shape(x))
     pieces = grid.count
     slopes = _order_difference(order, grid.points())
     value, fallback = _interpolate(slopes[:-pieces - 1].reshape(pieces, -1),
-                                   slopes[-pieces - 1:], grid)
+                                   slopes[-pieces - 1:], grid,
+                                   work("table.slope", flat.shape), work)
     if fallback is not None:
         value[fallback] = _order_difference(order, flat[fallback])
     return value.reshape(np.shape(x))
@@ -416,12 +472,13 @@ def _order_difference(order: float, x: np.ndarray) -> np.ndarray:
     return (4.0 * estimates[0] - estimates[1]) / 3.0
 
 
-def _interpolate(node_values: np.ndarray, ends: np.ndarray, grid: _Grid):
+def _interpolate(node_values: np.ndarray, ends: np.ndarray, grid: _Grid, out: np.ndarray,
+                 work: _Workspace):
     """The Chebyshev interpolant of each piece's node values (pieces,
-    nodes) at the grid's points, and a mask of the points that take the
-    function itself (None if none): those off the grid and those of bad
-    pieces, where the values are not finite at a node or at either end
-    (ends, pieces + 1). kve is inf only below some x and NaN only from
+    nodes) at the grid's points, into out, and a mask of the points that
+    take the function itself (None if none): those off the grid and those
+    of bad pieces, where the values are not finite at a node or at either
+    end (ends, pieces + 1). kve is inf only below some x and NaN only from
     x = 2^30 on, so it is finite on a piece where it is at both ends. A bad
     piece interpolates 0; overwrites its node values."""
     finite_ends = np.isfinite(ends)
@@ -433,19 +490,22 @@ def _interpolate(node_values: np.ndarray, ends: np.ndarray, grid: _Grid):
     fallback = grid.off
     if bad.any():
         fallback = bad[grid.piece] if fallback is None else bad[grid.piece] | fallback
-    return _clenshaw(coeffs, grid.piece, grid.u), fallback
+    return _clenshaw(coeffs, grid.piece, grid.u, out, work), fallback
 
 
-def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k, piece] T_k(u), elementwise, by Clenshaw's recurrence.
+def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray, out: np.ndarray,
+              work: _Workspace) -> np.ndarray:
+    """sum_k coeffs[k, piece] T_k(u), elementwise, by Clenshaw's recurrence,
+    into out; the recurrence's terms are work's scratch arrays.
 
     piece indexes coeffs' columns by construction, so the gathers take
     mode="clip": numpy buffers out= in its default mode="raise", and clip
     gives the same values without that copy."""
-    two_u = u + u
-    b1 = np.take(coeffs[-1], piece, mode="clip")
-    b2 = np.zeros_like(u)
-    step = np.empty_like(u)
+    two_u = np.add(u, u, out=work("scratch.0", u.shape))
+    b1 = np.take(coeffs[-1], piece, out=work("scratch.1", u.shape), mode="clip")
+    b2 = work("scratch.2", u.shape)
+    b2.fill(0.0)
+    step = out
     for row in coeffs[-2:0:-1]:
         np.multiply(two_u, b1, out=step)
         step -= b2
@@ -454,7 +514,7 @@ def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarra
         b1, b2 = b2, b1
     np.multiply(u, b1, out=step)
     step -= b2
-    step += np.take(coeffs[0], piece, mode="clip")
+    step += np.take(coeffs[0], piece, out=b2, mode="clip")
     return step
 
 

@@ -1,5 +1,7 @@
 """Fixtures shared by the module tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,21 @@ def kernel_points(monkeypatch):
 
     monkeypatch.setattr(covmodel, "_scaled_bessel_k", counted)
     return points
+
+
+@pytest.fixture
+def grid_allocations():
+    """Function (run, shape) -> the peak of the memory tracemalloc traces
+    while run() runs, in float arrays of that shape: how many grid-sized
+    arrays a call allocates and holds at once."""
+
+    def allocations(run, shape) -> float:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (np.prod(shape) * np.dtype(float).itemsize)
+
+    return allocations

@@ -411,7 +411,7 @@ def fit_by_simplex(panel, config):
 
     def objective(vec):
         try:
-            terms, _ = _criterion_terms(*prepared, scale_free(vec), profile=True)
+            terms, _ = _criterion_terms(prepared, scale_free(vec), profile=True)
         except (ArithmeticError, ValueError):
             return np.inf
         return float(terms.sum(axis=1).mean())
@@ -432,9 +432,9 @@ def fit_by_simplex(panel, config):
         if best is None or result[1] < best[1]:
             best = result
     theta = scale_free(best[0])
-    _, scale = _criterion_terms(*prepared, theta, profile=True)
+    _, scale = _criterion_terms(prepared, theta, profile=True)
     params = replace(theta, sigma_e2=scale, nugget=scale * theta.nugget)
-    return params, float(_criterion_terms(*prepared, params).sum(axis=1).mean()), nfev
+    return params, float(_criterion_terms(prepared, params).sum(axis=1).mean()), nfev
 
 
 def criterion_hessian_by_central_differences(binned, distances, frequencies, params, coords,
@@ -445,11 +445,12 @@ def criterion_hessian_by_central_differences(binned, distances, frequencies, par
     for k coordinates, then symmetrized. Not independent of stkrig (it
     shares the scores); it pins the expected information to the full
     Hessian where the data equal the model variogram."""
-    from stkrig.estimate import _criterion_terms
+    from stkrig.estimate import _criterion_terms, _Prepared
+
+    prepared = _Prepared(binned, distances, frequencies, coords)
 
     def gradient(vec):
-        return _criterion_terms(binned, distances, frequencies, coords.unpack(vec),
-                                scores=coords)[1].sum(axis=1)
+        return _criterion_terms(prepared, coords.unpack(vec), scores=True)[1].sum(axis=1)
 
     vec = coords.pack(params)
     hess = np.array([gradient(vec + e) - gradient(vec - e)

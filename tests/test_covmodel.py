@@ -268,9 +268,9 @@ def tables(monkeypatch):
     points = []
     inner = numerics._tabulated
 
-    def counted(orders, x, grid):
+    def counted(orders, x, grid, *work):
         points.append(grid.placed)
-        return inner(orders, x, grid)
+        return inner(orders, x, grid, *work)
 
     monkeypatch.setattr(numerics, "_tabulated", counted)
     return points

@@ -21,7 +21,8 @@ from oracles import (binned_difference_periodograms_by_loop,
                      fit_by_simplex, tolerance_group_starts_by_loop)
 from stkrig.estimate import (EstimationError, EvaluationError, FitResult,
                              SingularHessianError, _binned_difference_periodograms,
-                             _Coordinates, _criterion_terms, _prepare, _quasi_newton,
+                             _Coordinates, _criterion_terms, _prepare, _Prepared,
+                             _quasi_newton,
                              _sandwich, _tolerance_groups)
 from stkrig.spectral import _MAX_ORDINATE
 
@@ -248,7 +249,7 @@ def test_criterion_terms_at_exact_variogram():
     dists = np.array([0.7, 1.9])
     freqs = fourier_frequencies(32)
     g = np.asarray(variogram_model(dists[:, None], freqs[None, :], params))
-    terms = _criterion_terms(g, dists, freqs, params)
+    terms = _criterion_terms(_Prepared(g, dists, freqs), params)
     assert_allclose(terms, np.log(g) + 1.0, rtol=1e-12)
 
 
@@ -259,15 +260,16 @@ def test_criterion_rejects_nonfinite():
     bad = np.ones((1, freqs.size))
     bad[0, 3] = np.inf
     with pytest.raises(EvaluationError):
-        _criterion_terms(bad, dists, freqs, params)
+        _criterion_terms(_Prepared(bad, dists, freqs), params)
     # overflowing parameters fail upstream, inside the covariance evaluation:
     # here C(0, w) = 1e300 e^700 / (4 pi) leaves the double range
     huge = ModelParams(sigma_e2=1e300, nu=1.0, c_coeffs=(-700.0,), d=2)
     with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
-        _criterion_terms(np.ones((1, freqs.size)), dists, freqs, huge)
+        _criterion_terms(_Prepared(np.ones((1, freqs.size)), dists, freqs), huge)
     # h |c(w)| = e^350 is no overflow: C(h, w) underflows to 0 and g = 2 C(0, w)
     far = ModelParams(sigma_e2=1e300, nu=1.0, c_coeffs=(700.0,), d=2)
-    assert np.all(np.isfinite(_criterion_terms(np.ones((1, freqs.size)), dists, freqs, far)))
+    assert np.all(np.isfinite(
+        _criterion_terms(_Prepared(np.ones((1, freqs.size)), dists, freqs), far)))
 
 
 def _near_bound_panel(fraction):
@@ -317,8 +319,8 @@ def test_profiled_scale_past_the_double_range_raises_without_a_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(EvaluationError, match="scaled by inf"):
-            _criterion_terms(np.full((1, 3), 1e300), np.array([1e-300]),
-                             np.array([0.5, 1.0, 1.5]), params, profile=True)
+            _criterion_terms(_Prepared(np.full((1, 3), 1e300), np.array([1e-300]),
+                                       np.array([0.5, 1.0, 1.5])), params, profile=True)
     assert caught == []
 
 
@@ -612,9 +614,11 @@ def test_fit_reports_its_search_evaluation_at_the_winner(monkeypatch, nu_fixed, 
         finishes.append(quasi_newton(objective, start))
         return finishes[-1]
 
-    def recorded_call(*args, **kwargs):
-        calls.append((args[3], criterion_terms(*args, **kwargs)))
-        return calls[-1][1]
+    def recorded_call(prepared, params, **kwargs):
+        terms, *rest = criterion_terms(prepared, params, **kwargs)
+        # the terms are the workspace's, overwritten by the next evaluation
+        calls.append((params, (terms.copy(), *rest)))
+        return (terms, *rest)
 
     monkeypatch.setattr(est, "_quasi_newton", recorded_search)
     monkeypatch.setattr(est, "_criterion_terms", recorded_call)
@@ -655,9 +659,9 @@ def test_fit_evaluates_its_winner_once_more_where_the_search_holds_no_extra(monk
             result.extra = None
         return result
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return criterion_terms(*args, **kwargs)
+    def counted(prepared, params, **kwargs):
+        calls.append(params)
+        return criterion_terms(prepared, params, **kwargs)
 
     monkeypatch.setattr(est, "_quasi_newton", without_extra)
     monkeypatch.setattr(est, "_criterion_terms", counted)
@@ -676,7 +680,8 @@ def _gradient_panel():
     truth = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.3, 0.5), nugget=0.2, d=2)
     panel = simulate_panel(SimulationSpec(locations=locs, n=64, params=truth, seed=4,
                                           include_measurement_error=True))
-    return _prepare(dft_panel(panel), build_distance_bins(locs), None)
+    prepared = _prepare(dft_panel(panel), build_distance_bins(locs), None)
+    return prepared.binned, prepared.distances, prepared.frequencies
 
 
 # the Bessel paths of mu = 2 nu - 1: the integer recurrence (mu = 1), the
@@ -686,24 +691,25 @@ def _gradient_panel():
 @pytest.mark.parametrize("nugget", [0.0, 0.3])
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_criterion_gradient_matches_central_differences(nu, nugget, p):
-    prepared = _gradient_panel()
+    data = _gradient_panel()
     params = ModelParams(sigma_e2=1.3, nu=nu, c_coeffs=(0.2, -0.3, 0.1)[:p + 1], nugget=nugget)
     fit_nugget = nugget > 0.0
     for nu_fixed in (None, nu):
         coords = _Coordinates(p, 2, nu_fixed, fit_nugget)
+        prepared = _Prepared(*data, coords)
 
         def full(vec):
-            return _criterion_terms(*prepared, coords.unpack(vec)).sum(axis=1).mean()
+            return _criterion_terms(prepared, coords.unpack(vec)).sum(axis=1).mean()
 
         def profiled(vec):
-            terms, _ = _criterion_terms(*prepared, coords.unpack(np.concatenate(([0.0], vec))),
+            terms, _ = _criterion_terms(prepared, coords.unpack(np.concatenate(([0.0], vec))),
                                         profile=True)
             return terms.sum(axis=1).mean()
 
         vec = coords.pack(params)
-        _, scores, _ = _criterion_terms(*prepared, params, scores=coords)
+        _, scores, _ = _criterion_terms(prepared, params, scores=True)
         unit = coords.unpack(np.concatenate(([0.0], vec[1:])))
-        _, _, unit_scores, _ = _criterion_terms(*prepared, unit, profile=True, scores=coords)
+        _, _, unit_scores, _ = _criterion_terms(prepared, unit, profile=True, scores=True)
         for value, point, gradient in ((full, vec, scores.sum(axis=1)),
                                        (profiled, vec[1:], unit_scores[1:].sum(axis=1))):
             step = 1e-5
@@ -724,16 +730,17 @@ def _nu_row_case(n_bins, n_frequencies, smallest=0.3, seed=5):
     return g * rng.exponential(size=g.shape), distances, freqs
 
 
-def _nu_row_against_differences(prepared, params):
+def _nu_row_against_differences(data, params):
     """The nu row of the scores summed over frequencies, and the central
     difference of the criterion in log(nu - d/4)."""
     coords = _Coordinates(params.n_coeffs, params.d, None, params.nugget > 0.0)
-    _, scores, _ = _criterion_terms(*prepared, params, scores=coords)
+    prepared = _Prepared(*data, coords)
+    _, scores, _ = _criterion_terms(prepared, params, scores=True)
     vec, step = coords.pack(params), 1e-5
     shift = step * np.eye(vec.size)[1]
 
     def value(point):
-        return _criterion_terms(*prepared, coords.unpack(point)).sum(axis=1).mean()
+        return _criterion_terms(prepared, coords.unpack(point)).sum(axis=1).mean()
 
     return scores[1].sum(), (value(vec + shift) - value(vec - shift)) / (2.0 * step)
 
@@ -752,14 +759,15 @@ def test_nu_row_matches_central_differences_on_both_sides_of_the_crossover(
     tabulated = numerics._tabulated
     monkeypatch.setattr(numerics, "_tabulated",
                         lambda *args: tables.append(1) or tabulated(*args))
-    prepared = _nu_row_case(*shape)
+    data = _nu_row_case(*shape)
     for nugget in (0.0, 0.4):
         params = ModelParams(sigma_e2=1.3, nu=nu, c_coeffs=(0.2, 0.3), nugget=nugget)
         tables.clear()
-        _criterion_terms(*prepared, params, scores=_Coordinates(1, 2, None, nugget > 0.0))
+        _criterion_terms(_Prepared(*data, _Coordinates(1, 2, None, nugget > 0.0)), params,
+                         scores=True)
         # the values of an integer or half-integer order need no table
         assert bool(tables) == (table and 2.0 * nu - 1.0 not in (1.0, 1.5))
-        row, numeric = _nu_row_against_differences(prepared, params)
+        row, numeric = _nu_row_against_differences(data, params)
         assert abs(numeric) > 1e-2
         assert row == pytest.approx(numeric, rel=1e-6)
 
@@ -767,10 +775,10 @@ def test_nu_row_matches_central_differences_on_both_sides_of_the_crossover(
 def test_nu_row_matches_central_differences_where_the_bessel_factor_overflows():
     # mu = 39.6: e^x K_mu(x) overflows below x ~ 4e-7, so the smallest
     # distances take C(h, w) = C(0, w) and the order derivative's limit
-    prepared = _nu_row_case(30, 40, smallest=1e-10)
+    data = _nu_row_case(30, 40, smallest=1e-10)
     params = ModelParams(sigma_e2=1.3, nu=20.3, c_coeffs=(-0.1, 0.1), nugget=0.4)
     assert np.isinf(special.kve(2.0 * params.nu - 1.0, 1e-10))
-    row, numeric = _nu_row_against_differences(prepared, params)
+    row, numeric = _nu_row_against_differences(data, params)
     assert abs(numeric) > 1e-2
     assert row == pytest.approx(numeric, rel=1e-6)
 
@@ -778,9 +786,9 @@ def test_nu_row_matches_central_differences_where_the_bessel_factor_overflows():
 def test_nu_row_is_zero_where_the_range_leaves_the_double_range():
     # |c(w)|^2 = e^800 is inf: C(h, w) and C(0, w) are 0 and g is the nugget
     # alone, so no score moves
-    prepared = _nu_row_case(4, 20)
+    prepared = _Prepared(*_nu_row_case(4, 20), _Coordinates(1, 2, None, True))
     params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(800.0, 0.0), nugget=0.4)
-    _, scores, _ = _criterion_terms(*prepared, params, scores=_Coordinates(1, 2, None, True))
+    _, scores, _ = _criterion_terms(prepared, params, scores=True)
     assert_allclose(scores[:-1], 0.0, atol=1e-15)
     assert np.isfinite(scores).all()
 
@@ -795,16 +803,113 @@ def test_nu_free_scores_take_one_kernel_pass(monkeypatch):
                         lambda *args, **kwargs: passes.append(1) or kernel(*args, **kwargs))
     monkeypatch.setattr(numerics, "_order_slope",
                         lambda *args: tables.append(1) or order_slope(*args))
-    prepared = _gradient_panel()
+    data = _gradient_panel()
     params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(0.2, -0.3), nugget=0.2)
     for nu_fixed, table in ((None, 1), (params.nu, 0)):
-        coords = _Coordinates(1, 2, nu_fixed, True)
+        prepared = _Prepared(*data, _Coordinates(1, 2, nu_fixed, True))
         for profile in (False, True):
             passes.clear()
             tables.clear()
-            _criterion_terms(*prepared, params, profile=profile, scores=coords)
+            _criterion_terms(prepared, params, profile=profile, scores=True)
             # with nu held, no order-derivative table is built
             assert (len(passes), len(tables)) == (1, table)
+
+
+def _workspace_case(nu):
+    """Prepared data on bins at 1e-300, 1e-20, 0.5, 1 and 2, the first
+    bin's periodograms at 1e10 and the others drawn about 1, for scores
+    with nu held and a nugget."""
+    distances = np.array([1e-300, 1e-20, 0.5, 1.0, 2.0])
+    freqs = fourier_frequencies(41)
+    binned = np.random.default_rng(31).exponential(size=(distances.size, freqs.size))
+    binned[0] = 1e10
+    return _Prepared(binned, distances, freqs, _Coordinates(1, 2, nu, True))
+
+
+def _evaluation_bits(prepared, params):
+    """fit's evaluation at params, as bytes: the terms are the workspace's
+    until the next evaluation, so they are read at once."""
+    out = _criterion_terms(prepared, params, profile=True, scores=True)
+    return [np.asarray(value).tobytes() for value in out]
+
+
+# mu = 2 nu - 1: the integer recurrence (1) and the half-integer closed form (1.5)
+@pytest.mark.parametrize("nu", [1.0, 1.25])
+def test_a_workspace_gives_the_bits_of_fresh_arrays_after_any_evaluation(nu):
+    usual = ModelParams(sigma_e2=1.0, nu=nu, c_coeffs=(0.3, 0.5), nugget=0.2)
+    # |c(w)| ~ 1e-10: at h = 1e-300, x = h |c(w)| is below where
+    # e^x K_mu(x) is finite, and at h = 1e-20 the prefactor is subnormal
+    edge = ModelParams(sigma_e2=1e-300, nu=nu, c_coeffs=(-46.0, 0.5), nugget=0.2)
+    # without the nugget g is at its floor on the first bin, and the
+    # profiled scale overflows
+    failing = ModelParams(sigma_e2=1.0, nu=nu, c_coeffs=(-46.0, 0.5))
+    prepared = _workspace_case(nu)
+    work = prepared.work._arrays
+    first = _evaluation_bits(prepared, usual)
+    assert not work["kernel.subnormal"].any()
+    # the limit and the log-space products are written into the arrays
+    # the usual point left
+    assert _evaluation_bits(prepared, edge) == _evaluation_bits(_workspace_case(nu), edge)
+    assert np.isinf(work["bessel.1"]).any() and work["kernel.subnormal"].any()
+    with pytest.raises(EvaluationError, match="scaled by inf"):
+        _criterion_terms(prepared, failing, profile=True, scores=True)
+    again = _evaluation_bits(prepared, usual)
+    assert first == again == _evaluation_bits(_workspace_case(nu), usual)
+
+
+@pytest.mark.parametrize("nu_fixed", [1.0, None])
+def test_nothing_the_search_holds_is_a_workspace_array(monkeypatch, nu_fixed):
+    # the search keeps each evaluation's value, gradient and information,
+    # and the least point's scale, scores and information
+    import stkrig.estimate as est
+
+    prepared, returns = [], []
+    prepare, quasi_newton = est._prepare, est._quasi_newton
+
+    def recorded_prepare(*args):
+        prepared.append(prepare(*args))
+        return prepared[-1]
+
+    def recorded_search(objective, start):
+        return quasi_newton(lambda vec: returns.append(objective(vec)) or returns[-1], start)
+
+    monkeypatch.setattr(est, "_prepare", recorded_prepare)
+    monkeypatch.setattr(est, "_quasi_newton", recorded_search)
+    panel, _ = _toy_panel(seed=8, m=8, n=128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit(panel, FitConfig(nu_fixed=nu_fixed, multistart=2))
+    buffers = list(prepared[0].work._arrays.values())
+    held = [value for out in returns for value in out if isinstance(value, np.ndarray)]
+    assert buffers and held
+    assert not any(np.shares_memory(value, buffer) for value in held for buffer in buffers)
+
+
+def test_one_fit_allocates_its_grids_once(grid_allocations):
+    # criterion 4's design, as the bench's fit: an evaluation's grid-sized
+    # arrays, the kernel's and the Bessel tables' included, are the
+    # workspace's, made at the first evaluation (without one, an evaluation
+    # peaked at 10.05 grids with nu held and 12.08 with nu free)
+    panel = _recovery_panel()
+    spectral, bins = dft_panel(panel), build_distance_bins(panel.locations)
+    theta = ModelParams(sigma_e2=1.0, nu=1.3, c_coeffs=(0.4, 0.7))
+    for nu_fixed in (1.0, None):
+        prepared = _prepare(spectral, bins, None, _Coordinates(1, 2, nu_fixed, False))
+        shape = prepared.binned.shape
+        assert shape == (190, 255)
+        params = replace(theta, nu=nu_fixed or theta.nu)
+
+        def evaluate():
+            _criterion_terms(prepared, params, profile=True, scores=True)
+
+        evaluate()
+        assert grid_allocations(evaluate, shape) < 1.0
+    # whole fits, the workspace included, against 11.33 grids (nu held) and
+    # 13.43 (nu free) with fresh arrays at every evaluation
+    for nu_fixed, most in ((1.0, 11.3), (None, 13.4)):
+        config = FitConfig(n_coeffs=1, nu_fixed=nu_fixed, multistart=2, compute_covariance=False)
+        fit(panel, config)  # the imports the first fit makes
+        assert grid_allocations(lambda: fit(panel, config), shape) <= most
 
 
 # a grid of 80 kernel points (kve or a closed form for the values) and one
@@ -820,7 +925,8 @@ def test_expected_information_is_the_hessian_where_the_data_are_the_variogram(
     params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(0.2, 0.3), nugget=nugget)
     binned = variogram_model(distances[:, None], freqs[None, :], params)
     coords = _Coordinates(1, 2, None if nu_free else params.nu, nugget > 0.0)
-    _, _, info = _criterion_terms(binned, distances, freqs, params, scores=coords)
+    _, _, info = _criterion_terms(_Prepared(binned, distances, freqs, coords), params,
+                                  scores=True)
     reference = criterion_hessian_by_central_differences(binned, distances, freqs, params,
                                                          coords)
     assert info.shape == (len(coords.names()),) * 2
