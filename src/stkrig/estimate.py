@@ -193,19 +193,12 @@ def _tolerance_groups(ranked: np.ndarray, tol: float) -> np.ndarray:
     """Starts of the greedy groups of sorted values: each group takes every
     value v with v - first <= tol, first being the value that opened it.
     """
-    n = ranked.size
-    # nxt[k]: the first index a group opened at k does not take, bisected on
-    # the test v - first <= tol itself (ranked + tol rounds differently)
-    nxt, hi = np.arange(1, n + 1), np.full(n, n)
-    while np.any(nxt < hi):
-        mid = (nxt + hi) // 2
-        taken = ranked[np.minimum(mid, n - 1)] - ranked <= tol
-        nxt, hi = np.where(taken & (nxt < hi), mid + 1, nxt), np.where(taken, hi, mid)
-    # the groups open at the indices reachable from 0 along k -> nxt[k]
-    starts, k, step = [], 0, nxt.tolist()
-    while k < n:
-        starts.append(k)
-        k = step[k]
+    values = ranked.tolist()
+    starts, first = [0], values[0]
+    for k, value in enumerate(values):
+        if not value - first <= tol:
+            starts.append(k)
+            first = value
     return np.array(starts)
 
 
@@ -527,13 +520,14 @@ class FitConfig:
         Estimate a measurement-error variance alongside the field parameters.
         A Python or numpy bool, stored as bool.
     n_frequencies : int or None
-        Truncate the frequency grid; None uses every interior ordinate.
+        Truncate the frequency grid to at least one ordinate; None uses every
+        interior ordinate.
     bins_mode : str
         "exact" or "quantile", passed to build_distance_bins.
     n_bins : int or None
-        Bin count for quantile mode.
+        Bin count, at least 1; quantile mode requires it.
     bin_tolerance : float or None
-        Merge tolerance for exact mode.
+        Merge tolerance for exact mode, nonnegative.
     multistart : int
         Number of optimizer restarts from randomized starting points.
     seed : int
@@ -556,12 +550,12 @@ class FitConfig:
     compute_covariance: bool = True
 
     def __post_init__(self):
-        for name, least in (("n_coeffs", 0), ("n_frequencies", None), ("n_bins", None),
+        for name, least in (("n_coeffs", 0), ("n_frequencies", 1), ("n_bins", 1),
                             ("multistart", 1), ("seed", 0)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _count(getattr(self, name), name, least))
-        if self.bin_tolerance is not None:
-            _real(self.bin_tolerance, "bin_tolerance")
+        if self.bin_tolerance is not None and not _real(self.bin_tolerance, "bin_tolerance") >= 0:
+            raise ValueError("bin_tolerance must be nonnegative, got %r" % self.bin_tolerance)
         if self.nu_fixed is not None and not np.isfinite(_real(self.nu_fixed, "nu_fixed")):
             raise ValueError("nu_fixed must be finite, got %r" % self.nu_fixed)
         for name in ("fit_nugget", "compute_covariance"):
@@ -571,6 +565,8 @@ class FitConfig:
             object.__setattr__(self, name, bool(value))
         if not (isinstance(self.bins_mode, str) and self.bins_mode in ("exact", "quantile")):
             raise ValueError("bins_mode must be 'exact' or 'quantile', got %r" % (self.bins_mode,))
+        if self.bins_mode == "quantile" and self.n_bins is None:
+            raise ValueError("n_bins must be given for bins_mode 'quantile'")
 
 
 @dataclass

@@ -5,8 +5,8 @@ Prediction happens frequency by frequency: at each interior ordinate the
 Fourier vector of the observed sites has a Hermitian covariance matrix built
 from the model, and the best linear predictor of the target ordinate is the
 usual kriging weight vector applied to the observed ordinates. The predicted
-ordinates are then extended to the full grid by conjugate symmetry and
-inverted back to the time domain.
+ordinates, with zero at frequency 0 and at the folding frequency, are then
+inverted back to the time domain by one real inverse transform.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy import linalg as _slinalg
 from .covmodel import (ModelParams, _check_dimension, _covariance_blocks, _covariance_system,
                        _mirrored, _site_pair_distances)
 from .io import json_data
-from .numerics import (SingularMatrixError, _count, _hpd_solve, dft_forward, dft_inverse,
+from .numerics import (SingularMatrixError, _count, _hpd_solve, _synthesize_half, dft_forward,
                        hpd_solve)
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
@@ -206,8 +206,9 @@ def reconstruct_series(predicted_dft, n: int, site_mean: float = 0.0) -> np.ndar
 
     The ordinate at frequency zero is set to zero (the level is carried by
     site_mean, which is added after inversion) and, for even n, so is the
-    ordinate at the folding frequency. The remaining grid is filled by
-    conjugate symmetry.
+    ordinate at the folding frequency. These and the interior ordinates are
+    the half grid k = 0, ..., floor(n / 2) that a real series is
+    synthesized from.
     """
     pred = np.asarray(predicted_dft, dtype=complex)
     n = _count(n, "series length n")
@@ -219,11 +220,9 @@ def reconstruct_series(predicted_dft, n: int, site_mean: float = 0.0) -> np.ndar
         )
     if not np.all(np.isfinite(pred)):
         raise ValueError("predicted ordinates contain non-finite values")
-    full = np.zeros(n, dtype=complex)
-    full[1 : m_int + 1] = pred
-    full[n - m_int :] = np.conj(pred[::-1])
-    series = dft_inverse(full, n)
-    return series + float(site_mean)
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[1 : m_int + 1] = pred
+    return _synthesize_half(half, n) + float(site_mean)
 
 
 @dataclass

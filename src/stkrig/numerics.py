@@ -560,7 +560,8 @@ def dft_inverse(coeffs, n: int) -> np.ndarray:
 
     Expects coefficients at all n canonical frequencies w_k = 2 pi k / n,
     k = 0, ..., n - 1, satisfying the conjugate symmetry of a real series.
-    Symmetry is checked and violations beyond a small tolerance are rejected.
+    Symmetry is checked and violations beyond a small tolerance are rejected;
+    the series is then synthesized from the ordinates k = 0, ..., floor(n / 2).
 
     Parameters
     ----------
@@ -590,15 +591,18 @@ def dft_inverse(coeffs, n: int) -> np.ndarray:
             "coefficients violate conjugate symmetry by %.3e (tolerance %.3e); "
             "a real series requires J(w_{n-k}) = conj(J(w_k))" % (worst, tol)
         )
-    return _synthesize_rows(c).real
+    return _synthesize_half(c[: n // 2 + 1], n)
 
 
-def _synthesize_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Complex synthesis z_t = sqrt(2 pi / n) * sum_k J_k exp(i t w_k),
-    t = 1, ..., n, along the last axis, without checks."""
-    n = coeffs.shape[-1]
-    y = np.fft.ifft(coeffs, axis=-1) * n
-    return np.sqrt(2.0 * np.pi / n) * np.roll(y, -1, axis=-1)
+def _synthesize_half(half: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of _dft_rows, without checks: the real series
+    z_t = sqrt(2 pi / n) * sum_k J_k exp(i t w_k), t = 1, ..., n, along the
+    last axis, from the ordinates k = 0, ..., floor(n / 2); conjugate
+    symmetry supplies the rest of the grid. The imaginary parts of the
+    ordinates at 0 and, for even n, pi do not enter."""
+    y = np.fft.irfft(half, n, axis=-1, norm="forward") * np.sqrt(2.0 * np.pi / n)
+    # irfft indexes time from 0; the roll shifts it to t = 1, ..., n
+    return np.roll(y, -1, axis=-1)
 
 
 def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -4,9 +4,10 @@ frequency by frequency.
 At each interior frequency the Fourier vector across sites is drawn as a
 complex Gaussian with the model covariance matrix; the two real-valued edge
 frequencies (zero and, for even length, the folding frequency) get real
-Gaussian draws. Conjugate symmetry then fixes the rest of the grid and an
-inverse transform produces the real panel. Measurement error, when
-requested, is added independently in the time domain.
+Gaussian draws. Those ordinates, k = 0, ..., floor(n / 2), are all a real
+series needs; one real inverse transform of them produces the panel.
+Measurement error, when requested, is added independently in the time
+domain.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmodel import ModelParams, _check_dimension, _covariance_blocks, _site_pair_distances
-from .numerics import _count, _jittered_cholesky, _real, _synthesize_rows
+from .numerics import _count, _jittered_cholesky, _real, _synthesize_half
 from .spectral import TimeSeriesPanel, fourier_frequencies
 
 
@@ -94,27 +95,17 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
     z_zero = rng.standard_normal(m)
     z_fold = [rng.standard_normal(m)] if n % 2 == 0 else []
 
-    # the grid is 0, the interior and, for even n, pi; the two edge
-    # ordinates are real draws, which their own conjugates leave in place
+    # the grid is 0, the interior and, for even n, pi: the ordinates
+    # k = 0, ..., n // 2 that synthesis takes; the two edge ordinates are
+    # real draws
     grid = np.array([0.0, *freqs] + [np.pi] * len(z_fold))
     draws = [z_zero, *((z_re + 1j * z_im) / np.sqrt(2.0)), *z_fold]
-    coeffs = np.zeros((m, n), dtype=complex)
+    half = np.empty((m, grid.size), dtype=complex)
     for start, f, _, _ in _covariance_blocks(pairs, lower, grid, params, include_nugget=False):
         for k, fk in enumerate(f, start):
             factor, _ = _jittered_cholesky(fk)
-            ordinate = factor @ draws[k]
-            coeffs[:, k] = ordinate
-            coeffs[:, -k] = np.conj(ordinate)
-
-    # synthesis of every site at once; symmetry is exact by construction
-    observations = _synthesize_rows(coeffs)
-    residue = float(np.abs(observations.imag).max())
-    scale = max(1.0, float(np.abs(observations.real).max()))
-    if residue > 1e-10 * scale:
-        raise FloatingPointError(
-            "inverse transform left an imaginary residue of %.3e" % residue
-        )
-    observations = observations.real.copy()
+            half[:, k] = factor @ draws[k]
+    observations = _synthesize_half(half, n)
 
     if spec.include_measurement_error and params.nugget > 0:
         observations += rng.normal(0.0, np.sqrt(params.nugget), size=(m, n))

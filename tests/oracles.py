@@ -231,7 +231,7 @@ def simulate_panel_by_frequency(spec):
     the kernel, the factorization and the synthesis); it pins the single
     loop to the old draws, bit for bit."""
     from stkrig import cov_matrix
-    from stkrig.numerics import _synthesize_rows, cholesky_with_jitter
+    from stkrig.numerics import _synthesize_half, cholesky_with_jitter
     from stkrig.spectral import fourier_frequencies
 
     loc, n, params = spec.locations, spec.n, spec.params
@@ -247,15 +247,14 @@ def simulate_panel_by_frequency(spec):
     def factor(w):
         return cholesky_with_jitter(cov_matrix(dmat, float(w), params, include_nugget=False))[0]
 
-    coeffs = np.zeros((m, n), dtype=complex)
+    coeffs = np.zeros((m, n // 2 + 1), dtype=complex)
     for idx, w in enumerate(freqs):
         ordinate = factor(w) @ ((z_re[idx] + 1j * z_im[idx]) / np.sqrt(2.0))
         coeffs[:, idx + 1] = ordinate
-        coeffs[:, n - idx - 1] = np.conj(ordinate)
     coeffs[:, 0] = factor(0.0) @ z_zero
     if z_fold is not None:
         coeffs[:, n // 2] = factor(np.pi) @ z_fold
-    observations = _synthesize_rows(coeffs).real.copy()
+    observations = _synthesize_half(coeffs, n)
     if spec.include_measurement_error and params.nugget > 0:
         observations += rng.normal(0.0, np.sqrt(params.nugget), size=(m, n))
     return observations

@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from stkrig import ModelParams, SimulationSpec, cli, independence_test, simulate_panel
+from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel, cli, independence_test,
+                    simulate_panel, simulate_white_panel)
 from stkrig.cli import _COMMANDS, _MANDATORY, _flags, main
 from stkrig.io import save_panel
 
@@ -442,6 +443,33 @@ def test_test_indep_on_strongly_correlated_sites_writes_a_finite_statistic(tmp_p
     result = json.loads(out.read_text(), parse_constant=refuse)
     assert abs(result["lambda_bar"] - 831.12) < 0.01
     assert result["p_value"] == 0.0
+
+
+def test_test_indep_on_a_constant_site_is_a_json_error(tmp_path, capsys):
+    panel = simulate_white_panel(3, 41, seed=6)
+    observations = panel.observations.copy()
+    observations[1] = 5.0
+    loc_path, series_path = save_panel(TimeSeriesPanel(panel.locations, observations),
+                                       str(tmp_path))
+    out = tmp_path / "indep.json"
+    assert main(["test-indep", "--locations", loc_path, "--series", series_path,
+                 "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (error["command"], error["type"]) == ("test-indep", "SingularMatrixError")
+    assert error["message"] == "block spectral matrix has a non-positive diagonal"
+    assert not out.exists()
+
+
+def test_estimate_with_quantile_bins(pipeline, tmp_path):
+    out = tmp_path / "fit.json"
+    assert main(["estimate", "--locations", pipeline["locations"],
+                 "--series", pipeline["series"], "--bins", "quantile:4",
+                 "--nu-fixed", "1.0", "--multistart", "2", "--no-covariance",
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["config"]["bins"] == "quantile:4"
+    assert result["bins"]["n_bins"] == 4
+    assert sum(result["bins"]["pair_counts"]) == 10
 
 
 def test_bad_bins_and_target_values(pipeline, tmp_path, capsys):

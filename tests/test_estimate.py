@@ -451,6 +451,25 @@ def test_fit_config_checks_its_switches(field, value, message):
         FitConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"bins_mode": "quantile"}, "n_bins must be given for bins_mode 'quantile'"),
+    ({"bins_mode": "quantile", "n_bins": 0}, "n_bins must be at least 1, got 0"),
+    ({"n_bins": -2}, "n_bins must be at least 1, got -2"),
+    ({"bin_tolerance": -1.0}, "bin_tolerance must be nonnegative, got -1.0"),
+    ({"bin_tolerance": float("nan")}, "bin_tolerance must be nonnegative, got nan"),
+    ({"n_frequencies": 0}, "n_frequencies must be at least 1, got 0"),
+])
+def test_fit_config_checks_its_ranges(fields, message):
+    # at construction, as the switches are, not inside fit after the DFT
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        FitConfig(**fields)
+
+
+def test_fit_config_accepts_the_ends_of_its_ranges():
+    config = FitConfig(bins_mode="quantile", n_bins=1, bin_tolerance=0.0, n_frequencies=1)
+    assert (config.n_bins, config.bin_tolerance, config.n_frequencies) == (1, 0.0, 1)
+
+
 def test_fit_config_stores_numpy_bools_as_bools():
     config = FitConfig(fit_nugget=np.True_, compute_covariance=np.False_)
     assert (config.fit_nugget, config.compute_covariance) == (True, False)

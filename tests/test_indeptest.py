@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stkrig import (ModelParams, SimulationSpec, TimeSeriesPanel, default_half_window,
-                    independence_test, partition_frequencies, simulate_panel,
-                    simulate_white_panel)
+from stkrig import (ModelParams, SimulationSpec, SingularMatrixError, TimeSeriesPanel,
+                    default_half_window, independence_test, partition_frequencies,
+                    simulate_panel, simulate_white_panel)
 from stkrig.indeptest import _normalized_log_det
 
 
@@ -42,6 +42,11 @@ def test_default_half_window_choices():
         default_half_window(11, 5)  # only width 5, not above m
     with pytest.raises(ValueError):
         default_half_window(20, 2)
+
+
+def test_default_half_window_falls_back_to_the_widest_width_above_m():
+    # n = 21 has the one width 5: above m = 3, short of 2m = 6
+    assert default_half_window(21, 3) == 2
 
 
 def test_normalized_log_det_diagonal_is_exact_zero():
@@ -80,6 +85,16 @@ def test_identical_series_need_a_repair_in_every_block():
     res = independence_test(TimeSeriesPanel(locs, np.vstack([base, base, rng.normal(size=133)])))
     assert res.n_blocks == 2 and res.pd_repairs == 2
     assert np.isfinite(res.lambda_bar)
+
+
+def test_constant_site_makes_every_block_singular():
+    # a constant site's Fourier vector is zero once its mean is removed
+    panel = simulate_white_panel(3, 41, seed=6)
+    observations = panel.observations.copy()
+    observations[1] = 5.0
+    with pytest.raises(SingularMatrixError,
+                       match="^block spectral matrix has a non-positive diagonal$"):
+        independence_test(TimeSeriesPanel(panel.locations, observations))
 
 
 def test_even_length_dropped_with_warning():

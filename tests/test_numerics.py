@@ -10,9 +10,10 @@ from scipy import linalg, special
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
 from stkrig.numerics import (_ORDER_STEP, _TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
-                             SingularMatrixError, _jittered_cholesky, _scaled_bessel_k,
-                             _small_x_bessel_k, bessel_k, cholesky_with_jitter, dft_forward,
-                             dft_inverse, hpd_solve, log_gamma)
+                             SingularMatrixError, _dft_rows, _jittered_cholesky,
+                             _scaled_bessel_k, _small_x_bessel_k, _synthesize_half, bessel_k,
+                             cholesky_with_jitter, dft_forward, dft_inverse, hpd_solve,
+                             log_gamma)
 
 # value of the integral representation at (order, x) = (1, 1), computed by
 # adaptive quadrature before the implementation existed
@@ -398,6 +399,16 @@ def test_dft_round_trip(n):
     rng = np.random.default_rng(200 + n)
     z = rng.normal(size=n)
     assert_allclose(dft_inverse(_full_grid(z), n), z, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_half_grid_synthesis_inverts_the_forward_transform(n):
+    # the package's two private transforms, on one series and on a panel
+    rng = np.random.default_rng(n)
+    for z in (1.0 + 3.0 * rng.normal(size=n), rng.normal(size=(7, n))):
+        back = _synthesize_half(_dft_rows(z), n)
+        assert back.shape == z.shape
+        assert np.abs(back - z).max() <= 1e-13 * np.abs(z).max()
 
 
 def test_dft_inverse_matches_brute_force_synthesis():
