@@ -248,7 +248,8 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     # a subnormal prefactor has lost bits that a large Bessel factor
     # would carry into the product; those entries are taken in log space
     subnormal = np.less(cov, _TINY, out=work("kernel.subnormal", shape, bool))
-    if np.isfinite(bessel).all():
+    finite = work("scratch.finite", shape, bool)
+    if np.isfinite(bessel, out=finite).all():
         cov *= bessel
     else:
         # Where the Bessel factor is not finite the product is its limit.
@@ -266,7 +267,7 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
         hs, cs, xs, ks = (np.broadcast_to(arr, shape)[subnormal]
                           for arr in (h, c_abs, x, bessel))
         cov[subnormal] = np.exp(log_pref + mu * (np.log(hs) - np.log(cs)) - xs + np.log(ks))
-    if not np.isfinite(cov).all():
+    if not np.isfinite(cov, out=finite).all():
         raise FloatingPointError("covariance evaluation produced non-finite values")
     np.minimum(cov, zero, out=cov)
     if not gradient:
@@ -277,7 +278,7 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     with np.errstate(invalid="ignore"):
         slope = np.divide(previous, bessel, out=previous)
         slope *= x
-    slope[~np.isfinite(slope)] = 0.0
+    np.copyto(slope, 0.0, where=np.logical_not(np.isfinite(slope, out=finite), out=finite))
     slope *= 0.5
     slope += mu
     slope *= cov
@@ -289,7 +290,7 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     # where C(0, w) is 0, so is C(h, w): |c(w)|^2 may be inf there
     np.copyto(a_zero, 0.0, where=zero == 0.0)
     a -= 2.0 * (np.log(2.0) + digamma_2nu)
-    np.copyto(a, a_zero, where=~np.isfinite(a))
+    np.copyto(a, a_zero, where=np.logical_not(np.isfinite(a, out=finite), out=finite))
     a *= cov
     return cov, zero, slope, a, a_zero * zero
 
@@ -457,20 +458,23 @@ def _site_pair_distances(locations: np.ndarray):
 
 
 # Kernel points per block of frequencies in _covariance_blocks. Measured on
-# a 2-core Xeon, median per krige_series at nu = 0.8: at m = 40, n = 513,
-# 64 ms with blocks of 512 points, 27 ms at 4k, 18 to 22 ms at 16k to 32k
-# and 27 ms with the whole grid in one block; at m = 100, n = 1057, 270 to
-# 430 ms with one frequency per block (up to 8k), 180 to 310 ms at 16k to
-# 32k and 280 to 340 ms at 64k. Blocks amortise the per-call costs (the
-# table's node build among them) until the kernel's arrays leave the
-# cache; at 16k a block's F stack stays near 256 KB.
+# a 2-core Xeon, median per krige_series at nu = 0.8, with the walk's one
+# Bessel table: at m = 40, n = 513, 66 ms with blocks of 512 points, 25 ms
+# at 4k, 19 ms at 16k, 25 ms at 32k and 39 ms with the whole grid in one
+# block; at m = 100, n = 1057 (5,050 points per frequency), over two runs,
+# 227 to 244 ms with one frequency per block, 178 to 257 ms with two
+# (10k), 165 to 193 ms at 16k, 161 to 165 ms at 32k and 179 to 197 ms at
+# 64k. Blocks amortise the kernel's per-call costs until its arrays leave
+# the cache; at 16k a block's F stack stays near 256 KB.
 _BLOCK_POINTS = 16384
 
 
 def _covariance_system(h: np.ndarray, lower: np.ndarray, omegas: np.ndarray,
-                       params: ModelParams, include_nugget: bool = True):
+                       params: ModelParams, include_nugget: bool = True,
+                       work: _Workspace | None = None):
     """Covariances at a vector of frequencies from one kernel call on the
-    (frequencies, points) grid, without checks.
+    (frequencies, points) grid, in work (a new _Workspace when None),
+    without checks.
 
     h holds validated distances: those under lower, the strict lower
     triangle of an m x m distance matrix, in row order, then any extra
@@ -478,9 +482,10 @@ def _covariance_system(h: np.ndarray, lower: np.ndarray, omegas: np.ndarray,
     Each F in the stack holds the triangle and, on the diagonal, C(0, w)
     plus, when include_nugget is set, the measurement error spectrum
     sigma_n^2 / (2 pi); its strict upper triangle is left unset, as a lower
-    Cholesky factorization never reads it (_mirrored fills it).
+    Cholesky factorization never reads it (_mirrored fills it). Each
+    result is a new array, none of work's.
     """
-    values, zero = _kernel(h, omegas[:, None], params)
+    values, zero = _kernel(h, omegas[:, None], params, work=work)
     zero = zero[:, 0]
     # the kernel checks the values it returns; C(0, w) is on the diagonal
     if not np.isfinite(zero).all():
@@ -493,18 +498,42 @@ def _covariance_system(h: np.ndarray, lower: np.ndarray, omegas: np.ndarray,
         fk[lower] = tri
     diagonal = zero + (params.nugget / _TWO_PI if include_nugget else 0.0)
     f.reshape(count, m * m)[:, :: m + 1] = diagonal[:, None]
-    return f, values[:, n_tri:], zero
+    return f, values[:, n_tri:].copy(), zero
 
 
 def _covariance_blocks(h: np.ndarray, lower: np.ndarray, omegas: np.ndarray,
                        params: ModelParams, include_nugget: bool = True):
     """_covariance_system over omegas in blocks of as many whole
     frequencies as fit in _BLOCK_POINTS kernel points, at least one: yields
-    (index of the block's first frequency, F, C(h_extra, w), C(0, w))."""
+    (index of the block's first frequency, F, C(h_extra, w), C(0, w)).
+
+    The blocks share one workspace, whose Bessel tables span the walk's
+    whole x = h |c(w)| range when there is more than one block: each block
+    still takes the table or kve by its own point count, and the blocks
+    that take it share one table per order. The yielded arrays are new,
+    so they may be kept."""
     per_block = max(1, _BLOCK_POINTS // max(1, h.size))
+    work = _Workspace()
+    if omegas.size > per_block:
+        work.cover(_x_range(h, omegas, params))
     for start in range(0, omegas.size, per_block):
         yield (start,) + _covariance_system(h, lower, omegas[start : start + per_block],
-                                            params, include_nugget)
+                                            params, include_nugget, work)
+
+
+@np.errstate(over="ignore")
+def _x_range(h: np.ndarray, omegas: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The least and the greatest x = h |c(w)| of the kernel's grid over
+    the positive h and the finite positive |c(w)| of omegas: the products
+    of their extremes, as the kernel rounds them (a correctly rounded
+    product is monotone, so none on the grid lies outside), or an empty
+    array where there are none."""
+    c_abs = np.sqrt(_c_mod_sq(omegas, params))
+    c_abs = c_abs[(c_abs > 0.0) & (c_abs < np.inf)]
+    positive = h[h > 0.0]
+    if not (positive.size and c_abs.size):
+        return np.empty(0)
+    return np.array([positive.min() * c_abs.min(), positive.max() * c_abs.max()])
 
 
 def _mirrored(f: np.ndarray, lower: np.ndarray) -> np.ndarray:

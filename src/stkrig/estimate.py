@@ -443,7 +443,7 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
     # log(scaled) + ratio; with profile set, scaled is terms' own array
     np.log(scaled, out=terms)
     terms += ratio
-    if not np.all(np.isfinite(terms)):
+    if not np.isfinite(terms, out=work("scratch.finite", binned.shape, bool)).all():
         raise EvaluationError(
             "criterion is not finite at sigma_e2=%r, nu=%r, c_coeffs=%r, nugget=%r%s"
             % (params.sigma_e2, params.nu, params.c_coeffs, params.nugget,

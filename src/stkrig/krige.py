@@ -208,15 +208,14 @@ def reconstruct_series(predicted_dft, n: int, site_mean: float = 0.0) -> np.ndar
     site_mean, which is added after inversion) and, for even n, so is the
     ordinate at the folding frequency. These and the interior ordinates are
     the half grid k = 0, ..., floor(n / 2) that a real series is
-    synthesized from.
+    synthesized from. n is a whole number, at least 2, as for dft_inverse.
     """
     pred = np.asarray(predicted_dft, dtype=complex)
-    n = _count(n, "series length n")
+    n = _count(n, "series length n", 2)
     m_int = (n - 1) // 2
     if pred.ndim != 1 or pred.size != m_int:
         raise ValueError(
-            "expected %d interior ordinates for n=%d, got shape %s"
-            % (m_int, n, (pred.shape,))
+            "expected %d interior ordinates for n=%d, got shape %s" % (m_int, n, pred.shape)
         )
     if not np.all(np.isfinite(pred)):
         raise ValueError("predicted ordinates contain non-finite values")

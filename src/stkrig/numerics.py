@@ -56,16 +56,30 @@ class _Workspace:
 
     Each function names its own arrays, except the "scratch." ones, which
     belong to whichever function runs: a caller reads its scratch arrays
-    only until it calls another function that takes the workspace."""
+    only until it calls another function that takes the workspace.
+
+    The workspace also holds the Bessel tables of _kve_by_table's last
+    table call, by order (tables), and span, the pieces (first, count) of
+    the fixed grid that a new table covers when they hold the call's own
+    (None: the call's own pieces); cover sets it."""
 
     def __init__(self):
         self._arrays = {}
+        self.tables = {}
+        self.span = None
 
     def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         array = self._arrays.get(name)
         if array is None or array.dtype != dtype or array.size != math.prod(shape):
             array = self._arrays[name] = np.empty(shape, dtype)
         return array.reshape(shape)
+
+    def cover(self, x: np.ndarray):
+        """Have each Bessel table built from now on span the pieces of x's
+        finite positive points, so that every later call whose points fall
+        on those pieces reuses one table per order."""
+        grid = _locate(x, _Workspace())
+        self.span = None if grid is None else (grid.first, grid.count)
 
 
 def _count(value, name: str, least: int | None = None) -> int:
@@ -209,8 +223,9 @@ def _scaled_bessel_k(order: float, x: np.ndarray, with_previous: bool = False,
     stable upward. An exact half-integer n + 1/2 is the closed form
     sqrt(pi / 2x) * sum_k (n + k)! / (k! (n - k)!) (2x)^(-k), by Horner in
     1 / (2x). Any other order, or one above _CLOSED_FORM_MAX_ORDER, goes
-    through _kve_by_table: a Chebyshev table of the call's own x-range
-    when the call has enough points for one to pay, scipy's kve otherwise.
+    through _kve_by_table: a Chebyshev table covering the call's x-range
+    (work's, when it holds one for the order that does) when the call has
+    enough points for one to pay, scipy's kve otherwise.
     Where K overflows, x = 0 included, the result is inf, and from x = 2^30
     on and at NaN it is NaN, as kve's are.
 
@@ -341,12 +356,44 @@ class _Grid(NamedTuple):
     off: np.ndarray | None
     placed: int
 
-    def points(self) -> np.ndarray:
-        """The nodes of every piece, then the pieces' ends."""
-        centres = 2.0 * np.exp(_TABLE_WIDTH * (self.first + 0.5 + np.arange(self.count)))
-        return np.concatenate([np.ravel(centres[:, None] * _NODE_FACTORS),
-                               2.0 * np.exp(_TABLE_WIDTH * (self.first
-                                                            + np.arange(self.count + 1)))])
+
+def _grid_points(first: float, count: int) -> np.ndarray:
+    """The nodes of the grid's pieces first, ..., first + count - 1, then
+    the pieces' ends."""
+    centres = 2.0 * np.exp(_TABLE_WIDTH * (first + 0.5 + np.arange(count)))
+    return np.concatenate([np.ravel(centres[:, None] * _NODE_FACTORS),
+                           2.0 * np.exp(_TABLE_WIDTH * (first + np.arange(count + 1)))])
+
+
+class _Table(NamedTuple):
+    """A Chebyshev table of the grid's pieces from first on: coeffs
+    (degree + 1, pieces), whose rows are coefficients; scale, each piece's
+    centre value, which the interpolant is relative to (None for a table
+    of the function itself); bad, the pieces whose points take the
+    function itself. A piece's columns depend only on the function and the
+    piece, not on the others in the table."""
+
+    first: float
+    coeffs: np.ndarray
+    scale: np.ndarray | None
+    bad: np.ndarray
+
+    def holds(self, grid: _Grid) -> bool:
+        """Whether the table holds all of grid's pieces."""
+        return _holds(self.first, self.bad.size, grid)
+
+    def over(self, grid: _Grid) -> _Table:
+        """The table's columns for grid's pieces, which it holds, as
+        views."""
+        start = int(grid.first - self.first)
+        cols = slice(start, start + grid.count)
+        return _Table(grid.first, self.coeffs[:, cols],
+                      None if self.scale is None else self.scale[cols], self.bad[cols])
+
+
+def _holds(first: float, count: int, grid: _Grid) -> bool:
+    """Whether the pieces first, ..., first + count - 1 include grid's."""
+    return first <= grid.first and grid.first + grid.count <= first + count
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -393,22 +440,21 @@ def _kve_by_table(orders, x: np.ndarray, grid: _Grid | None = None,
     """scipy's kve(order, x) for each of the orders, within about 1e-13.
 
     With more points on the grid than _TABLE_CROSSOVER plus twice the
-    table's nodes (13 per half unit of log x), each order gets a table of
-    the pieces that cover the call's own [min x, max x]: one kve call on
-    their nodes, then per point a piece lookup and a Clenshaw sum. The
-    pieces lie on a fixed grid in log x, so a point's value does not depend
-    on the call's other points; grid, when given, is x's place on it. One
-    of the grid's ends is x = 2, where kve (AMOS's CBKNU) switches from its
-    series to its large-x method and its values jump by up to 2.5e-13: no
-    piece straddles the jump, so each follows kve's values on its side of
-    it. A piece stores its centre value as a scale and interpolates
-    log(K / K_centre), which is small, so the rounding of log K itself (an
-    ulp of 6e-14 where log K ~ 300) does not enter. Points off the grid,
-    and those of a piece where kve is not finite at a node or an end (K
-    overflowing at tiny x and high order, kve's NaN from x = 2^30 on), take
-    kve itself, so the result is inf or NaN exactly where kve's is.
-    Otherwise each order is one kve call. A table's values are work's
-    arrays (a new _Workspace when work is None).
+    nodes of the pieces that cover the call's own [min x, max x] (13 per
+    half unit of log x), each order is evaluated on a table of those
+    pieces (_tabulated): per point a piece lookup and a Clenshaw sum. The
+    pieces lie on a fixed grid in log x, and a piece's coefficients
+    depend only on the order, so a point's value does not depend on the
+    call's other points, nor on which other pieces its table holds; grid,
+    when given, is x's place on it. One of the grid's ends is x = 2, where
+    kve (AMOS's CBKNU) switches from its series to its large-x method and
+    its values jump by up to 2.5e-13: no piece straddles the jump, so each
+    follows kve's values on its side of it. Points off the grid, and those
+    of a piece where kve is not finite at a node or an end (K overflowing
+    at tiny x and high order, kve's NaN from x = 2^30 on), take kve
+    itself, so the result is inf or NaN exactly where kve's is. Otherwise
+    each order is one kve call. A table's values are work's arrays (a new
+    _Workspace when work is None).
     """
     twice_nodes = 2 * (_TABLE_DEGREE + 1)
     if np.size(x) > _TABLE_CROSSOVER + twice_nodes:
@@ -420,24 +466,31 @@ def _kve_by_table(orders, x: np.ndarray, grid: _Grid | None = None,
 
 
 def _tabulated(orders, x: np.ndarray, grid: _Grid, work: _Workspace) -> list:
-    """The table path of _kve_by_table."""
+    """The table path of _kve_by_table: each order's table over grid's
+    pieces, evaluated at x. The table is a slice of the one work holds for
+    the order when that holds all of grid's pieces; otherwise a new one
+    (_build_table) over work's span when that holds them, else over grid's
+    own pieces. work then holds the tables of this call's orders."""
     flat = np.ravel(x)
-    points = grid.points()
-    pieces = grid.count
-    out = []
+    held, out = {}, []
     for k, order in enumerate(orders):
-        values = _sspec.kve(order, points)
-        nodes = values[:-pieces - 1].reshape(pieces, -1)
-        scale = nodes[:, _CHEB_CENTRE]
+        table = work.tables.get(order)
+        if table is None or not table.holds(grid):
+            first, count = grid.first, grid.count
+            if work.span is not None and _holds(*work.span, grid):
+                first, count = work.span
+            table = _build_table(order, first, count)
+        held[order] = table
+        table = table.over(grid)
         # the exact orders' names, so a fit whose search meets both paths
         # holds one set of values
-        value, fallback = _interpolate(np.log(nodes / scale[:, None]), values[-pieces - 1:], grid,
-                                       work("bessel.%d" % k, flat.shape), work)
+        value, fallback = _interpolate(table, grid, work("bessel.%d" % k, flat.shape), work)
         np.exp(value, out=value)
-        value *= np.take(scale, grid.piece, out=work("scratch.0", flat.shape), mode="clip")
+        value *= np.take(table.scale, grid.piece, out=work("scratch.0", flat.shape), mode="clip")
         if fallback is not None:
             value[fallback] = _sspec.kve(order, flat[fallback])
         out.append(value.reshape(np.shape(x)))
+    work.tables = held
     return out
 
 
@@ -454,10 +507,10 @@ def _order_slope(order: float, x: np.ndarray, grid: _Grid | None,
     if grid is None:
         return _order_difference(order, flat).reshape(np.shape(x))
     pieces = grid.count
-    slopes = _order_difference(order, grid.points())
-    value, fallback = _interpolate(slopes[:-pieces - 1].reshape(pieces, -1),
-                                   slopes[-pieces - 1:], grid,
-                                   work("table.slope", flat.shape), work)
+    slopes = _order_difference(order, _grid_points(grid.first, pieces))
+    table = _fit_pieces(grid.first, slopes[:-pieces - 1].reshape(pieces, -1),
+                        slopes[-pieces - 1:])
+    value, fallback = _interpolate(table, grid, work("table.slope", flat.shape), work)
     if fallback is not None:
         value[fallback] = _order_difference(order, flat[fallback])
     return value.reshape(np.shape(x))
@@ -472,25 +525,46 @@ def _order_difference(order: float, x: np.ndarray) -> np.ndarray:
     return (4.0 * estimates[0] - estimates[1]) / 3.0
 
 
-def _interpolate(node_values: np.ndarray, ends: np.ndarray, grid: _Grid, out: np.ndarray,
-                 work: _Workspace):
-    """The Chebyshev interpolant of each piece's node values (pieces,
-    nodes) at the grid's points, into out, and a mask of the points that
-    take the function itself (None if none): those off the grid and those
-    of bad pieces, where the values are not finite at a node or at either
-    end (ends, pieces + 1). kve is inf only below some x and NaN only from
-    x = 2^30 on, so it is finite on a piece where it is at both ends. A bad
-    piece interpolates 0; overwrites its node values."""
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _build_table(order: float, first: float, count: int) -> _Table:
+    """The table of e^x K_order(x) over the grid's pieces first, ...,
+    first + count - 1: one kve call on their nodes and ends. A piece
+    stores its centre value as a scale and interpolates log(K / K_centre),
+    which is small, so the rounding of log K itself (an ulp of 6e-14 where
+    log K ~ 300) does not enter."""
+    values = _sspec.kve(order, _grid_points(first, count))
+    nodes = values[:-count - 1].reshape(count, -1)
+    scale = nodes[:, _CHEB_CENTRE]
+    return _fit_pieces(first, np.log(nodes / scale[:, None]), values[-count - 1:], scale)
+
+
+def _fit_pieces(first: float, node_values: np.ndarray, ends: np.ndarray,
+                scale: np.ndarray | None = None) -> _Table:
+    """The table of the pieces from first on whose node values (pieces,
+    nodes) and ends (pieces + 1) are given. Bad pieces are those where the
+    values are not finite at a node or at either end; kve is inf only
+    below some x and NaN only from x = 2^30 on, so it is finite on a piece
+    where it is at both ends. A bad piece interpolates 0; overwrites its
+    node values."""
     finite_ends = np.isfinite(ends)
     bad = ~(np.isfinite(node_values).all(axis=1) & finite_ends[:-1] & finite_ends[1:])
     node_values[bad] = 0.0
     # einsum rather than BLAS, so the bits do not depend on the thread
     # count; rows are coefficients, so each Clenshaw step reads one row
     coeffs = np.einsum("pj,jk->kp", node_values, _CHEB_MATRIX, order="C")
+    return _Table(first, coeffs, scale, bad)
+
+
+def _interpolate(table: _Table, grid: _Grid, out: np.ndarray, work: _Workspace):
+    """The Chebyshev interpolant of a table over exactly grid's pieces at
+    the grid's points, into out, and a mask of the points that take the
+    function itself (None if none): those off the grid and those of the
+    table's bad pieces."""
     fallback = grid.off
-    if bad.any():
-        fallback = bad[grid.piece] if fallback is None else bad[grid.piece] | fallback
-    return _clenshaw(coeffs, grid.piece, grid.u, out, work), fallback
+    if table.bad.any():
+        bad = table.bad[grid.piece]
+        fallback = bad if fallback is None else bad | fallback
+    return _clenshaw(table.coeffs, grid.piece, grid.u, out, work), fallback
 
 
 def _clenshaw(coeffs: np.ndarray, piece: np.ndarray, u: np.ndarray, out: np.ndarray,
@@ -579,7 +653,7 @@ def dft_inverse(coeffs, n: int) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     n = _count(n, "n", 2)
     if c.ndim != 1 or c.size != n:
-        raise ValueError("coeffs must be a vector of length n=%d, got shape %s" % (n, (c.shape,)))
+        raise ValueError("coeffs must be a vector of length n=%d, got shape %s" % (n, c.shape))
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs contain non-finite values")
     scale = max(1.0, float(np.abs(c).max()))

@@ -11,7 +11,8 @@ from scipy.integrate import trapezoid
 from oracles import cov_matrix_full
 from stkrig import (ModelParams, c_mod_sq, corr_freq, cov_freq, cov_matrix,
                     cov_zero, numerics, st_spectral_density, variogram_model)
-from stkrig.covmodel import _kernel
+from stkrig.covmodel import (_BLOCK_POINTS, _covariance_blocks, _covariance_system, _kernel,
+                             _site_pair_distances)
 from stkrig.numerics import bessel_k, log_gamma
 
 K1_AT_1 = 0.6019072301972346
@@ -345,6 +346,28 @@ def test_a_mixed_distance_kernel_call_is_one_bessel_call(nu, kernel_points):
         if len(derivatives) > 1:
             assert np.array_equal(derivatives[1][[0, 2]],
                                   np.broadcast_to(derivatives[2], (2, om.size)))
+
+
+# mu = 1 (the recurrence) and 0.6 (a Bessel table the blocks share)
+@pytest.mark.parametrize("nu", [1.0, 0.8])
+def test_every_block_of_a_walk_may_be_kept(nu, tables):
+    # 780 site pairs and 40 extra distances: blocks of 19 frequencies, the
+    # last of the 80 partial. The blocks share one workspace, but what each
+    # yields is its own: kept in a list, every block has the bits of a
+    # call of its own
+    rng = np.random.default_rng(6)
+    pairs, lower = _site_pair_distances(rng.uniform(0.0, 6.0, (40, 2)))
+    h = np.concatenate([pairs, rng.uniform(0.1, 6.0, 40)])
+    omegas = np.linspace(0.02, np.pi, 80)
+    p = _params(nu=nu, c_coeffs=(0.3, 0.5), nugget=0.2)
+    kept = list(_covariance_blocks(h, lower, omegas, p))
+    per_block = _BLOCK_POINTS // h.size
+    assert [block[0] for block in kept] == list(range(0, 80, per_block)) and len(kept) == 5
+    assert len(tables) == (len(kept) if nu == 0.8 else 0)
+    for start, f, g0, zero in kept:
+        own = _covariance_system(h, lower, omegas[start : start + per_block], p)
+        assert np.tril(f).tobytes() == np.tril(own[0]).tobytes()
+        assert g0.tobytes() == own[1].tobytes() and zero.tobytes() == own[2].tobytes()
 
 
 def test_variogram_model_formula_and_limits():

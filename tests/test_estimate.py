@@ -931,6 +931,29 @@ def test_one_fit_allocates_its_grids_once(grid_allocations):
         assert grid_allocations(lambda: fit(panel, config), shape) <= most
 
 
+# mu = 1 (the recurrence) and 0.6 (the value table)
+@pytest.mark.parametrize("nu_fixed", [1.0, 0.8])
+def test_a_repeated_evaluation_allocates_no_grid_mask(nu_fixed, grid_allocations):
+    # 60 scattered sites: 1,770 exact bins by 255 frequencies, so a bool
+    # grid is 451 KB, above the allocator's threshold for returning memory
+    # to the system. The finiteness checks write their masks into the
+    # workspace, so a repeated evaluation allocates less than one of them
+    rng = np.random.default_rng(60)
+    panel = TimeSeriesPanel(rng.uniform(0.0, 5.0, (60, 2)), rng.normal(size=(60, 512)))
+    spectral, bins = dft_panel(panel), build_distance_bins(panel.locations)
+    prepared = _prepare(spectral, bins, None, _Coordinates(1, 2, nu_fixed, False))
+    shape = prepared.binned.shape
+    assert shape == (1770, 255)
+    params = ModelParams(sigma_e2=1.0, nu=nu_fixed, c_coeffs=(0.4, 0.7))
+
+    def evaluate():
+        _criterion_terms(prepared, params, profile=True, scores=True)
+
+    evaluate()
+    bool_grid = np.dtype(bool).itemsize / np.dtype(float).itemsize
+    assert grid_allocations(evaluate, shape) < bool_grid
+
+
 # a grid of 80 kernel points (kve or a closed form for the values) and one
 # of 1,440 (the value table), as in the nu row's tests above
 @pytest.mark.parametrize("shape", [(4, 20), (24, 60)])

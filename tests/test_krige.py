@@ -202,6 +202,31 @@ def test_krige_series_in_blocks_moves_where_a_block_takes_the_table():
     assert_allclose(out.mse, mse, rtol=1e-13, atol=0.0)
 
 
+def test_a_walk_builds_one_bessel_table(monkeypatch):
+    # the map design: 100 observed sites and 3 held out, n = 1057 and
+    # nu = 0.8, so mu = 0.6 takes the table in every block of 3
+    # frequencies. Each walk builds the table once, over its whole x-range,
+    # where a table per block took 177 (simulation) and 176 (kriging)
+    builds, evaluations = [], []
+    build, tabulated = stkrig.numerics._build_table, stkrig.numerics._tabulated
+    monkeypatch.setattr(stkrig.numerics, "_build_table",
+                        lambda *args: builds.append(args[0]) or build(*args))
+    monkeypatch.setattr(stkrig.numerics, "_tabulated",
+                        lambda *args: evaluations.append(1) or tabulated(*args))
+    rng = np.random.default_rng(2)
+    locs = np.vstack([rng.uniform(0.0, 5.0, (100, 2)), rng.uniform(1.0, 4.0, (3, 2))])
+    params = ModelParams(sigma_e2=1.0, nu=0.8, c_coeffs=(0.2, 0.4), d=2)
+    mu = 2.0 * params.nu - 1.0
+    full = simulate_panel(SimulationSpec(locations=locs, n=1057, params=params, seed=3))
+    assert builds == [mu] and len(evaluations) == 177
+    observed = TimeSeriesPanel(full.locations[:100], full.observations[:100])
+    builds.clear()
+    evaluations.clear()
+    out = krige_series(observed, locs[100], params)
+    assert builds == [mu] and len(evaluations) == 176
+    assert -(-out.frequencies.size // _frequencies_per_block(100)) == 176
+
+
 def test_krige_series_reports_a_jittered_and_a_failed_frequency_inside_a_block(monkeypatch):
     # frequencies 40 and 52 lie inside the third block of 19; the factor
     # half loads the first one's diagonal and gives up on the second
@@ -319,6 +344,18 @@ def test_reconstruct_series_rejects_bad_input():
     bad[2] = np.nan
     with pytest.raises(ValueError):
         reconstruct_series(bad, 17)
+
+
+@pytest.mark.parametrize("pred, n, message", [
+    (np.zeros(0), 0, "series length n must be at least 2, got 0$"),
+    (np.zeros(0), -3, "series length n must be at least 2, got -3$"),
+    (np.zeros(0), 1, "series length n must be at least 2, got 1$"),
+    (np.zeros((2, 3)), 17, r"expected 8 interior ordinates for n=17, got shape \(2, 3\)$"),
+    (np.zeros(0), 17, r"expected 8 interior ordinates for n=17, got shape \(0,\)$"),
+])
+def test_reconstruct_series_names_the_length_and_shape_it_got(pred, n, message):
+    with pytest.raises(ValueError, match=message):
+        reconstruct_series(pred, n)
 
 
 def test_self_prediction_reproduces_centered_series():

@@ -10,10 +10,10 @@ from scipy import linalg, special
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
 from stkrig.numerics import (_ORDER_STEP, _TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
-                             SingularMatrixError, _dft_rows, _jittered_cholesky,
-                             _scaled_bessel_k, _small_x_bessel_k, _synthesize_half, bessel_k,
-                             cholesky_with_jitter, dft_forward, dft_inverse, hpd_solve,
-                             log_gamma)
+                             SingularMatrixError, _build_table, _dft_rows, _Grid,
+                             _jittered_cholesky, _scaled_bessel_k, _small_x_bessel_k,
+                             _synthesize_half, _Workspace, bessel_k, cholesky_with_jitter,
+                             dft_forward, dft_inverse, hpd_solve, log_gamma)
 
 # value of the integral representation at (order, x) = (1, 1), computed by
 # adaptive quadrature before the implementation existed
@@ -225,6 +225,73 @@ def test_points_off_the_grid_leave_the_others_as_they_were(order, kve_points):
             assert np.isnan(both[2][~placed]).all()
 
 
+def _pieces(first, count):
+    """A grid of the pieces first, ..., first + count - 1, as _Table.holds
+    and _Table.over read it."""
+    return _Grid(float(first), count, None, None, None, 0)
+
+
+# the first pieces of the tables: x from 2e-13 (K_27.1 overflows there),
+# below x = 2, across it, above it, and up to 2e21 (kve is NaN past 2^30)
+TABLE_ORIGINS = [-60, -25, -12, -5, 0, 3, 35]
+
+
+@pytest.mark.parametrize("order", [0.07, 0.6, 1.37, 7.3, 27.1])
+def test_a_slice_of_a_table_has_the_bits_of_a_table_of_its_pieces(order):
+    # a piece's coefficients, centre scale and bad flag depend only on the
+    # order and the piece, so a walk's table serves each block's pieces
+    bad_pieces = 0
+    for origin in TABLE_ORIGINS:
+        whole = _build_table(order, float(origin), 20)
+        bad_pieces += int(whole.bad.sum())
+        for count in range(1, 14):
+            for start in sorted({0, 3, 7, 20 - count}):
+                assert whole.holds(_pieces(origin + start, count))
+                part = whole.over(_pieces(origin + start, count))
+                alone = _build_table(order, float(origin + start), count)
+                assert part.first == alone.first
+                for got, expected in zip(part[1:], alone[1:]):
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+        # pieces the table does not hold on either side
+        assert whole.holds(_pieces(origin, 20)) and whole.holds(_pieces(origin + 19, 1))
+        assert not whole.holds(_pieces(origin - 1, 2)) and not whole.holds(_pieces(origin + 19, 2))
+    # the slices carried bad pieces too: overflow at the small end (order
+    # 27.1) and kve's NaN at the large end (every order)
+    assert bad_pieces >= 5 + 5 * (order == 27.1)
+
+
+def test_a_workspace_table_serves_the_calls_its_span_holds(monkeypatch):
+    import stkrig.numerics as numerics
+
+    builds = []
+    build = numerics._build_table
+    monkeypatch.setattr(numerics, "_build_table",
+                        lambda *args: builds.append(args) or build(*args))
+    rng = np.random.default_rng(14)
+    calls = [np.exp(rng.uniform(low, low + 2.0, 2000)) for low in (-3.0, 0.5, 1.0, -2.0)]
+    work = _Workspace()
+    work.cover(np.array([np.exp(-3.0), np.exp(3.0)]))
+    first, count = work.span
+    for kwargs in ({}, {"with_previous": True}):
+        for x in calls:
+            shared = _scaled_bessel_k(0.6, x, work=work, **kwargs)
+            assert np.array_equal(shared, _scaled_bessel_k(0.6, x, **kwargs))
+    # the span's table for 0.6 once, and for 0.4 once with_previous asks
+    # for it (work holds the tables of its last table call's orders); the
+    # calls without a workspace build over their own pieces
+    spanned = [args for args in builds if args[1:] == (first, count)]
+    assert sorted(args[0] for args in spanned) == [0.4, 0.6]
+    assert len(builds) == len(spanned) + 2 * len(calls) + len(calls)
+    # a call outside the span builds over its own pieces, and work then
+    # holds that table
+    builds.clear()
+    wide = np.exp(rng.uniform(-6.0, 6.0, 2000))
+    assert np.array_equal(_scaled_bessel_k(0.6, wide, work=work), _scaled_bessel_k(0.6, wide))
+    assert builds[0][1:] != (first, count) and builds[0][1:] == builds[1][1:]
+    assert list(work.tables) == [0.6] and work.tables[0.6].bad.size == builds[0][2]
+
+
 def test_table_follows_kve_on_both_sides_of_x_2():
     # kve changes method at x = 2 and jumps there by 2.5e-13 at this order;
     # a piece ends at 2, so none interpolates across the jump
@@ -424,6 +491,16 @@ def test_dft_inverse_recovers_known_cosine():
     t = np.arange(1, n + 1)
     z = np.cos(2.0 * np.pi * j * t / n)
     assert_allclose(dft_inverse(_full_grid(z), n), z, atol=1e-10)
+
+
+@pytest.mark.parametrize("coeffs, n, message", [
+    (np.zeros((2, 3)), 6, r"length n=6, got shape \(2, 3\)$"),
+    (np.zeros(0), 4, r"length n=4, got shape \(0,\)$"),
+    (np.zeros(3), 1, "n must be at least 2, got 1"),
+])
+def test_dft_inverse_names_the_shape_it_got(coeffs, n, message):
+    with pytest.raises(ValueError, match=message):
+        dft_inverse(coeffs, n)
 
 
 def test_dft_inverse_rejects_asymmetric_coefficients():
