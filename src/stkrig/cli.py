@@ -293,8 +293,6 @@ def _parse_target(text: str) -> np.ndarray:
         values = [float(part) for part in str(text).split(",")]
     except ValueError:
         raise UsageError("cannot parse target coordinates from %r" % text)
-    if not values:
-        raise UsageError("target coordinates are empty")
     return np.asarray(values, dtype=float)
 
 

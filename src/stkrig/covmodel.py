@@ -20,6 +20,11 @@ frequencies. Measurement error enters as a nugget: an additive white-noise
 variance whose flat spectral contribution sigma_n^2 / (2 pi) appears in
 auto-spectra and frequency variograms but never in cross-covariances between
 distinct sites.
+
+Every covariance system the package builds, for kriging, simulation or
+cov_matrix, comes from one walk over a vector of frequencies
+(_covariance_walk), which alone refuses a C(0, w) that is not a positive
+normal double.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from scipy.special import digamma, gammaln
 from .numerics import _real, _scaled_bessel_k, _Workspace
 
 _TWO_PI = 2.0 * np.pi
+# smallest normal double; below it a value carries no relative precision
 _TINY = np.finfo(float).tiny
 
 
@@ -422,7 +428,8 @@ def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = Tru
     when include_nugget is set, the measurement error spectrum
     sigma_n^2 / (2 pi). The distance matrix must be exactly symmetric with a
     zero diagonal: the kernel is evaluated on the strict lower triangle and
-    the result mirrored.
+    the result mirrored. A C(0, w) that is not a positive normal double
+    raises FloatingPointError.
     """
     dmat = _distances(distances)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
@@ -433,14 +440,15 @@ def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = Tru
         raise ValueError("distances must have a zero diagonal")
     om = _as_float_array(float(omega), "omega")
     lower = np.tri(dmat.shape[0], k=-1, dtype=bool)
-    f, _, _ = _covariance_system(dmat[lower], lower, om.reshape(1), params, include_nugget)
-    return _mirrored(f[0], lower)
+    _, f, _, _ = next(_covariance_walk(dmat[lower], lower, om.reshape(1), params,
+                                       include_nugget))
+    return _mirrored(f, lower)
 
 
 def _site_pair_distances(locations: np.ndarray):
     """The distances under the strict lower triangle of the sites' distance
     matrix, in row order, and that triangle as a mask: what
-    _covariance_system takes.
+    _covariance_walk takes.
 
     Coordinates near the top of the double range overflow a distance; that
     is rejected here, without a numpy warning first.
@@ -457,7 +465,7 @@ def _site_pair_distances(locations: np.ndarray):
     return dists, lower
 
 
-# Kernel points per block of frequencies in _covariance_blocks. Measured on
+# Kernel points per block of frequencies in _covariance_walk. Measured on
 # a 2-core Xeon, median per krige_series at nu = 0.8, with the walk's one
 # Bessel table: at m = 40, n = 513, 66 ms with blocks of 512 points, 25 ms
 # at 4k, 19 ms at 16k, 25 ms at 32k and 39 ms with the whole grid in one
@@ -469,56 +477,50 @@ def _site_pair_distances(locations: np.ndarray):
 _BLOCK_POINTS = 16384
 
 
-def _covariance_system(h: np.ndarray, lower: np.ndarray, omegas: np.ndarray,
-                       params: ModelParams, include_nugget: bool = True,
-                       work: _Workspace | None = None):
-    """Covariances at a vector of frequencies from one kernel call on the
-    (frequencies, points) grid, in work (a new _Workspace when None),
-    without checks.
+def _covariance_walk(h: np.ndarray, lower: np.ndarray, omegas: np.ndarray,
+                     params: ModelParams, include_nugget: bool = True):
+    """The covariance systems at omegas, one frequency at a time: yields
+    (k, F, C(h_extra, w_k), C(0, w_k)) for each index k of omegas.
 
     h holds validated distances: those under lower, the strict lower
     triangle of an m x m distance matrix, in row order, then any extra
-    distances. Returns (F, C(h_extra, w), C(0, w)), one row per frequency.
-    Each F in the stack holds the triangle and, on the diagonal, C(0, w)
-    plus, when include_nugget is set, the measurement error spectrum
+    distances. F holds the triangle and, on the diagonal, C(0, w) plus,
+    when include_nugget is set, the measurement error spectrum
     sigma_n^2 / (2 pi); its strict upper triangle is left unset, as a lower
-    Cholesky factorization never reads it (_mirrored fills it). Each
-    result is a new array, none of work's.
-    """
-    values, zero = _kernel(h, omegas[:, None], params, work=work)
-    zero = zero[:, 0]
-    # the kernel checks the values it returns; C(0, w) is on the diagonal
-    if not np.isfinite(zero).all():
-        raise FloatingPointError("covariance evaluation produced non-finite values")
-    count, m = omegas.size, lower.shape[0]
-    n_tri = m * (m - 1) // 2
-    f = np.empty((count, m, m))
-    # a boolean mask indexes several times faster than np.tril_indices' arrays
-    for fk, tri in zip(f, values[:, :n_tri]):
-        fk[lower] = tri
-    diagonal = zero + (params.nugget / _TWO_PI if include_nugget else 0.0)
-    f.reshape(count, m * m)[:, :: m + 1] = diagonal[:, None]
-    return f, values[:, n_tri:].copy(), zero
+    Cholesky factorization never reads it (_mirrored fills it).
 
-
-def _covariance_blocks(h: np.ndarray, lower: np.ndarray, omegas: np.ndarray,
-                       params: ModelParams, include_nugget: bool = True):
-    """_covariance_system over omegas in blocks of as many whole
-    frequencies as fit in _BLOCK_POINTS kernel points, at least one: yields
-    (index of the block's first frequency, F, C(h_extra, w), C(0, w)).
-
-    The blocks share one workspace, whose Bessel tables span the walk's
-    whole x = h |c(w)| range when there is more than one block: each block
-    still takes the table or kve by its own point count, and the blocks
-    that take it share one table per order. The yielded arrays are new,
-    so they may be kept."""
+    The kernel runs once per block of as many whole frequencies as fit in
+    _BLOCK_POINTS kernel points, at least one. The blocks share one
+    workspace, whose Bessel tables span the walk's whole x = h |c(w)| range
+    when there is more than one block: each block still takes the table or
+    kve by its own point count, and the blocks that take it share one table
+    per order. The yielded arrays are new, none of the workspace's, so they
+    may be kept. A C(0, w) that is not a positive normal double raises
+    FloatingPointError."""
     per_block = max(1, _BLOCK_POINTS // max(1, h.size))
     work = _Workspace()
     if omegas.size > per_block:
         work.cover(_x_range(h, omegas, params))
+    m = lower.shape[0]
+    n_tri = m * (m - 1) // 2
+    nugget = params.nugget / _TWO_PI if include_nugget else 0.0
     for start in range(0, omegas.size, per_block):
-        yield (start,) + _covariance_system(h, lower, omegas[start : start + per_block],
-                                            params, include_nugget, work)
+        block = omegas[start : start + per_block]
+        values, zero = _kernel(h, block[:, None], params, work=work)
+        zero = zero[:, 0]
+        bad = ~((zero >= _TINY) & (zero < np.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise FloatingPointError(
+                "C(0, w) = %r at w = %r is not a normal double; the model's covariance "
+                "scale is out of range" % (float(zero[k]), float(block[k])))
+        f = np.empty((block.size, m, m))
+        f.reshape(block.size, m * m)[:, :: m + 1] = (zero + nugget)[:, None]
+        extra = values[:, n_tri:].copy()
+        # a boolean mask indexes several times faster than np.tril_indices' arrays
+        for k, (fk, tri) in enumerate(zip(f, values[:, :n_tri])):
+            fk[lower] = tri
+            yield start + k, fk, extra[k], zero[k]
 
 
 @np.errstate(over="ignore")
@@ -537,7 +539,7 @@ def _x_range(h: np.ndarray, omegas: np.ndarray, params: ModelParams) -> np.ndarr
 
 
 def _mirrored(f: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """f, one matrix of _covariance_system, with its strict upper triangle
+    """f, one matrix of _covariance_walk, with its strict upper triangle
     mirrored from the lower one."""
     f.T[lower] = f[lower]
     return f

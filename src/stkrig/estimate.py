@@ -346,7 +346,9 @@ class _Coordinates:
         if natural.ndim != 1 or natural.size != logged.size:
             raise ValueError("expected %d unconstrained coordinates, got shape %s"
                              % (logged.size, (natural.shape,)))
-        natural[logged] = np.exp(natural[logged])
+        # an exponential that overflows is refused below, without a numpy warning first
+        with np.errstate(over="ignore"):
+            natural[logged] = np.exp(natural[logged])
         nu_free = self.nu_fixed is None
         nu = self.d / 4.0 + float(natural[1]) if nu_free else float(self.nu_fixed)
         if not (np.isfinite(natural).all() and natural[0] > 0.0 and nu > self.d / 4.0

@@ -18,16 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _slinalg
 
-from .covmodel import (ModelParams, _check_dimension, _covariance_blocks, _covariance_system,
-                       _mirrored, _site_pair_distances)
+from .covmodel import (ModelParams, _check_dimension, _covariance_walk, _mirrored,
+                       _site_pair_distances)
 from .io import json_data
 from .numerics import (SingularMatrixError, _count, _hpd_solve, _synthesize_half, dft_forward,
                        hpd_solve)
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel, fourier_frequencies
 
 _TWO_PI = 2.0 * np.pi
-# smallest normal double; below it a value carries no relative precision
-_TINY = np.finfo(float).tiny
 _AR_NEWTON_STEPS = 50
 
 
@@ -59,10 +57,9 @@ def assemble_system(locations, target, omega: float, params: ModelParams,
     if not np.isfinite(omega):
         raise ValueError("omega contains non-finite values")
     distances, lower = _site_distances(locations, target, params)
-    om = np.array([omega], dtype=float)
-    f, g0, zero = _covariance_system(distances, lower, om, params)
-    c0 = _target_variances(zero, om, params, include_target_noise)
-    return _mirrored(f[0], lower), g0[0], float(c0[0])
+    _, f, g0, zero = next(_covariance_walk(distances, lower, np.array([omega], dtype=float),
+                                           params))
+    return _mirrored(f, lower), g0, float(_target_variance(zero, params, include_target_noise))
 
 
 def _site_distances(locations, target, params: ModelParams):
@@ -87,15 +84,8 @@ def _site_distances(locations, target, params: ModelParams):
     return np.concatenate((pairs, h0)), lower
 
 
-def _target_variances(zero, omegas, params: ModelParams, include_target_noise: bool):
-    """The target variance c0 at each frequency from its C(0, w), after the
-    check that each C(0, w) is a normal double."""
-    bad = ~(zero >= _TINY)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise FloatingPointError(
-            "C(0, w) = %r at w = %r is not a normal double; the model's covariance "
-            "scale is out of range" % (float(zero[k]), float(omegas[k])))
+def _target_variance(zero, params: ModelParams, include_target_noise: bool):
+    """The target variance c0 from C(0, w)."""
     return zero + params.nugget / _TWO_PI if include_target_noise else zero
 
 
@@ -285,11 +275,12 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
     Solves one kriging system per interior frequency from the ordinates of
     the centred site series (dft_panel), then inverts the predicted
     ordinates and adds an inverse-distance estimate of the local mean. The
-    systems are built in blocks of frequencies, one kernel call per block
-    (covmodel._covariance_blocks), and each is factored and solved on its
-    own with the jitter ladder, without hpd_solve's checks on a matrix the
-    package built. Frequencies whose system cannot be solved contribute
-    zero to the reconstruction and are listed in the jitter report.
+    systems come one frequency at a time from one covariance walk
+    (covmodel._covariance_walk), and each is factored and solved with the
+    jitter ladder, without hpd_solve's checks on a matrix the package
+    built. Frequencies whose system cannot be solved contribute zero to the
+    reconstruction and are listed in the jitter report. A C(0, w) that is
+    not a positive normal double raises FloatingPointError.
 
     Parameters
     ----------
@@ -304,10 +295,9 @@ def krige_series(panel: TimeSeriesPanel, target, params: ModelParams,
     distances, lower = _site_distances(panel.locations, tgt, params)
     freqs = spectral.frequencies
     prediction = _empty_prediction(freqs.size)
-    for start, f, g0, zero in _covariance_blocks(distances, lower, freqs, params):
-        c0 = _target_variances(zero, freqs[start:], params, include_target_noise)
-        for k, system in enumerate(zip(f, g0, c0), start):
-            _predict_frequency(prediction, k, _hpd_solve, *system, spectral.dft[:, k])
+    for k, f, g0, zero in _covariance_walk(distances, lower, freqs, params):
+        c0 = _target_variance(zero, params, include_target_noise)
+        _predict_frequency(prediction, k, _hpd_solve, f, g0, c0, spectral.dft[:, k])
     if prediction.failed:
         warnings.warn(
             "%d of %d frequencies failed to solve and contribute zero to the "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmodel import ModelParams, _check_dimension, _covariance_blocks, _site_pair_distances
+from .covmodel import ModelParams, _check_dimension, _covariance_walk, _site_pair_distances
 from .numerics import _count, _jittered_cholesky, _real, _synthesize_half
 from .spectral import TimeSeriesPanel, fourier_frequencies
 
@@ -72,10 +72,10 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
     The realization is exact for the model's per-frequency structure: the
     Fourier vectors at distinct grid frequencies are independent and the
     vector at frequency w has covariance matrix C(h_ij, w) (no nugget; the
-    nugget is optional time-domain noise on top). The matrices come in
-    blocks of grid frequencies, one kernel call per block
-    (covmodel._covariance_blocks), and each is factored on its own with
-    the jitter ladder.
+    nugget is optional time-domain noise on top). The matrices come one
+    frequency at a time from one covariance walk (covmodel._covariance_walk),
+    and each is factored with the jitter ladder. A C(0, w) that is not a
+    positive normal double raises FloatingPointError.
     """
     params = spec.params
     m = spec.m
@@ -101,10 +101,9 @@ def simulate_panel(spec: SimulationSpec) -> TimeSeriesPanel:
     grid = np.array([0.0, *freqs] + [np.pi] * len(z_fold))
     draws = [z_zero, *((z_re + 1j * z_im) / np.sqrt(2.0)), *z_fold]
     half = np.empty((m, grid.size), dtype=complex)
-    for start, f, _, _ in _covariance_blocks(pairs, lower, grid, params, include_nugget=False):
-        for k, fk in enumerate(f, start):
-            factor, _ = _jittered_cholesky(fk)
-            half[:, k] = factor @ draws[k]
+    for k, f, _, _ in _covariance_walk(pairs, lower, grid, params, include_nugget=False):
+        factor, _ = _jittered_cholesky(f)
+        half[:, k] = factor @ draws[k]
     observations = _synthesize_half(half, n)
 
     if spec.include_measurement_error and params.nugget > 0:

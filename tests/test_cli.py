@@ -486,8 +486,9 @@ def test_bad_bins_and_target_values(pipeline, tmp_path, capsys):
     argv = ["krige", "--locations", pipeline["locations"],
             "--series", pipeline["series"], "--model", pipeline["model"],
             "--out", str(tmp_path / "kr")]
-    assert main(argv + ["--target", "a,b"]) == 2
-    assert "cannot parse target coordinates" in capsys.readouterr().err
+    for target in ("a,b", "", ","):
+        assert main(argv + ["--target", target]) == 2
+        assert "cannot parse target coordinates" in capsys.readouterr().err
 
     assert main(argv + ["--target", "1.0"]) == 2
     assert "sites have dimension 2" in capsys.readouterr().err
@@ -558,3 +559,18 @@ def test_readme_usage_lists_every_flag():
         usage[command] += re.findall(r"--[A-Za-z][A-Za-z-]*", line)
     assert usage == {command: ["--" + name.replace("_", "-") for name, _, _, _ in own]
                      for command, (_, own) in _COMMANDS.items()}
+
+
+@pytest.mark.parametrize("config, match", [
+    ({"measurement_error": 1}, "config key 'measurement_error' must be true or false, got 1"),
+    ({"measurement_error": "yes"},
+     "config key 'measurement_error' must be true or false, got \"yes\""),
+    ({"out": 3}, "config key 'out' must be a string, got 3"),
+    ([1, 2], "must hold a JSON object"),
+], ids=["switch-number", "switch-string", "string-flag-number", "array"])
+def test_config_values_of_the_wrong_kind_are_usage_errors(config, match, tmp_path, capsys):
+    config_path = str(tmp_path / "config.json")
+    with open(config_path, "w") as handle:
+        json.dump(config, handle)
+    assert main(["simulate", "--config", config_path]) == 2
+    assert match in capsys.readouterr().err

@@ -11,8 +11,7 @@ from scipy.integrate import trapezoid
 from oracles import cov_matrix_full
 from stkrig import (ModelParams, c_mod_sq, corr_freq, cov_freq, cov_matrix,
                     cov_zero, numerics, st_spectral_density, variogram_model)
-from stkrig.covmodel import (_BLOCK_POINTS, _covariance_blocks, _covariance_system, _kernel,
-                             _site_pair_distances)
+from stkrig.covmodel import _BLOCK_POINTS, _covariance_walk, _kernel, _site_pair_distances
 from stkrig.numerics import bessel_k, log_gamma
 
 K1_AT_1 = 0.6019072301972346
@@ -352,22 +351,26 @@ def test_a_mixed_distance_kernel_call_is_one_bessel_call(nu, kernel_points):
 @pytest.mark.parametrize("nu", [1.0, 0.8])
 def test_every_block_of_a_walk_may_be_kept(nu, tables):
     # 780 site pairs and 40 extra distances: blocks of 19 frequencies, the
-    # last of the 80 partial. The blocks share one workspace, but what each
-    # yields is its own: kept in a list, every block has the bits of a
-    # call of its own
+    # last of the 80 partial. The blocks share one workspace, but what the
+    # walk yields is its own: kept in a list, every frequency has the bits
+    # of the same frequency from a walk over its block alone, which takes
+    # the table or kve as the block did
     rng = np.random.default_rng(6)
     pairs, lower = _site_pair_distances(rng.uniform(0.0, 6.0, (40, 2)))
     h = np.concatenate([pairs, rng.uniform(0.1, 6.0, 40)])
     omegas = np.linspace(0.02, np.pi, 80)
     p = _params(nu=nu, c_coeffs=(0.3, 0.5), nugget=0.2)
-    kept = list(_covariance_blocks(h, lower, omegas, p))
+    kept = list(_covariance_walk(h, lower, omegas, p))
     per_block = _BLOCK_POINTS // h.size
-    assert [block[0] for block in kept] == list(range(0, 80, per_block)) and len(kept) == 5
-    assert len(tables) == (len(kept) if nu == 0.8 else 0)
-    for start, f, g0, zero in kept:
-        own = _covariance_system(h, lower, omegas[start : start + per_block], p)
-        assert np.tril(f).tobytes() == np.tril(own[0]).tobytes()
-        assert g0.tobytes() == own[1].tobytes() and zero.tobytes() == own[2].tobytes()
+    assert [k for k, *_ in kept] == list(range(80)) and -(-80 // per_block) == 5
+    assert len(tables) == (5 if nu == 0.8 else 0)
+    for start in range(0, 80, per_block):
+        own = _covariance_walk(h, lower, omegas[start : start + per_block], p)
+        for (k, f, g0, zero), (j, *system) in zip(kept[start : start + per_block], own,
+                                                  strict=True):
+            assert k == start + j
+            assert np.tril(f).tobytes() == np.tril(system[0]).tobytes()
+            assert g0.tobytes() == system[1].tobytes() and zero == system[2]
 
 
 def test_variogram_model_formula_and_limits():
@@ -423,3 +426,15 @@ def test_range_and_spectral_density_edges_fail_loudly_or_reach_their_limit():
             1.0 / ((2.0 * np.pi) ** 2 * 1.25 ** 2), rel=1e-15)
         with pytest.raises(FloatingPointError, match="spectral density overflows"):
             st_spectral_density(np.zeros(2), 1.0, down)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: cov_freq(np.nan, 1.0, _params()), ValueError, "h contains non-finite values"),
+    (lambda: cov_freq(-1.0, 1.0, _params()), ValueError, "h must be nonnegative"),
+    # |c(w)|^2 = e^800 overflows, so C(0, w) is 0
+    (lambda: corr_freq(1.0, 1.0, _params(c_coeffs=(800.0,))), FloatingPointError,
+     "rho is undefined"),
+], ids=["nan-distance", "negative-distance", "correlation-without-variance"])
+def test_distances_and_scales_outside_the_model_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -1258,3 +1258,34 @@ def test_coordinates_pack_unpack_round_trips():
 def test_coordinates_unpack_rejects_wrong_length():
     with pytest.raises(ValueError):
         _Coordinates(2, 2, 1.0, False).unpack(np.zeros(2))
+
+
+def _criterion_with_an_overflowing_bin():
+    # three sites on an equilateral triangle, one bin of three pairs; one
+    # sinusoid of amplitudes (1, -1, 1) near the ordinate bound puts two
+    # difference periodograms of the bin near the top of the double range
+    locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(0.75)]])
+    obs = np.outer([1.0, -1.0, 1.0], np.cos(2.0 * np.pi * np.arange(1, 34) / 33))
+    largest = np.abs(dft_panel(TimeSeriesPanel(locs, obs)).dft).max()
+    panel = TimeSeriesPanel(locs, obs * (0.99 * _MAX_ORDINATE / largest))
+    return whittle_criterion(dft_panel(panel), build_distance_bins(locs),
+                             ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.0,)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: _Coordinates(1, 2, None, True).unpack([0.0, 800.0, 0.2, 0.4, 0.0]),
+     "lie outside the model"),
+    (lambda: _Coordinates(1, 2, None, True).unpack([0.0, -800.0, 0.2, 0.4, 0.0]),
+     "lie outside the model"),
+    (lambda: _Coordinates(1, 2, None, True).unpack([-800.0, 0.0, 0.2, 0.4, 0.0]),
+     "lie outside the model"),
+    (lambda: build_distance_bins([[0.0, 0.0]]), "need at least two sites"),
+    (lambda: FitConfig(nu_fixed=np.inf), "nu_fixed must be finite"),
+    (_criterion_with_an_overflowing_bin, "a bin's sum of difference periodograms overflows"),
+], ids=["log-nu-up", "log-nu-down", "log-scale-down", "one-site", "infinite-nu",
+        "bin-sum-overflow"])
+def test_estimation_inputs_outside_the_model_are_refused_without_a_warning(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -338,3 +338,10 @@ def test_json_data_of_a_record():
 
 def test_panel_format_error_is_value_error():
     assert issubclass(PanelFormatError, ValueError)
+
+
+def test_duplicated_series_column_is_refused(tmp_path):
+    path = tmp_path / "ser.csv"
+    path.write_text("t,a,a,b\n1,0,0,0\n2,0,0,0\n")
+    with pytest.raises(PanelFormatError, match="duplicate series column"):
+        load_series(str(path), ["a", "b"])

@@ -421,6 +421,16 @@ def test_subnormal_covariance_scale_fails_loudly():
         krige_series(panel, target, tiny)
     small = krige_series(panel, target, replace(tiny, c_coeffs=(700.0,)))
     assert np.all(small.mse > 0.0)
+    # simulation and cov_matrix refuse alike: a scale of 5e-320 puts C(0, w)
+    # near 2.2e-321; at b0 = 706 the nugget would be all that is left on
+    # the diagonal, and at b0 = 800 C(0, w) is 0
+    with pytest.raises(FloatingPointError, match="not a normal double"):
+        simulate_panel(SimulationSpec(locations=locs, n=33, seed=18,
+                                      params=replace(params, sigma_e2=5e-320)))
+    dmat = np.linalg.norm(locs[:, None, :] - locs[None, :, :], axis=-1)
+    for model in (replace(tiny, nugget=0.3), replace(tiny, c_coeffs=(800.0,))):
+        with pytest.raises(FloatingPointError, match="not a normal double"):
+            cov_matrix(dmat, 1.1, model)
 
 
 def test_overflowing_target_distance_is_rejected_without_a_warning():
@@ -657,3 +667,11 @@ def test_forecast_rejects_series_it_cannot_transform_without_a_warning(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite|overflows the double range"):
             forecast(z, horizons=1, max_order=2)
+
+
+def test_an_overflowing_forecast_periodogram_is_refused_without_a_warning():
+    # centring keeps +-1e200; its ordinates do not square within the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="periodogram of the series overflows"):
+            forecast(np.tile([1e200, -1e200], 20), horizons=2)

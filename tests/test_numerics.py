@@ -613,3 +613,14 @@ def test_the_factor_half_reads_only_the_lower_triangle(rank):
     assert (jitter > 0.0) == (rank < 5)
     got = _jittered_cholesky(half)
     assert np.array_equal(got[0], factor) and got[1] == jitter
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: log_gamma([]), "log_gamma requires at least one argument"),
+    (lambda: bessel_k(0.5, []), "bessel_k requires at least one evaluation point"),
+    (lambda: dft_inverse([1.0, np.nan, 0.0, 0.0], 4), "coeffs contain non-finite values"),
+    (lambda: cholesky_with_jitter(np.ones((2, 3))), r"matrix must be square, got shape \(2, 3\)"),
+], ids=["empty-log-gamma", "empty-bessel", "nan-coefficient", "non-square"])
+def test_empty_non_finite_or_non_square_inputs_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

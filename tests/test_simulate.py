@@ -154,3 +154,21 @@ def test_simulated_panel_carries_spec_metadata():
     panel = simulate_panel(spec)
     assert panel.n == 32 and panel.m == 4
     assert_allclose(panel.locations, spec.locations)
+
+
+def _spec_at(locations):
+    return SimulationSpec(locations=locations, n=16, params=_spec().params)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: _spec_at(np.zeros((2, 2, 2))), r"locations must have shape \(m, d\)"),
+    (lambda: _spec_at(np.zeros((0, 2))), r"locations must have shape \(m, d\)"),
+    (lambda: _spec_at([[0.0, np.nan]]), "locations contain non-finite values"),
+    (lambda: simulate_white_panel(2, 8, variance=0.0), "variance must be positive"),
+    (lambda: simulate_white_panel(2, 8, variance=np.inf), "variance must be positive"),
+    (lambda: simulate_white_panel(2, 8, locations=[[0.0, 0.0]]), "got 1 locations for 2 sites"),
+], ids=["3d-locations", "no-sites", "nan-location", "zero-variance", "infinite-variance",
+        "location-count"])
+def test_malformed_simulation_inputs_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

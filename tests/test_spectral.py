@@ -228,3 +228,23 @@ def test_site_indices_are_whole_numbers_in_range(call):
         call(spectral, -4)
     assert np.array_equal(call(spectral, 2.0), call(spectral, 2))
     assert np.array_equal(call(spectral, -1), call(spectral, 2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: TimeSeriesPanel(np.zeros((2, 2, 2)), np.zeros((2, 8))),
+     r"locations must have shape \(m, d\)"),
+    (lambda: TimeSeriesPanel(np.zeros((2, 2)), np.zeros((2, 8, 1))),
+     r"observations must have shape \(m, n\)"),
+    (lambda: TimeSeriesPanel([[0.0, 0.0], [np.inf, 0.0]], np.zeros((2, 8))),
+     "locations contain non-finite values"),
+    (lambda: TimeSeriesPanel([[0.0, 0.0], [1.0, 0.0]], np.zeros((2, 8)), site_ids=("a",)),
+     "expected 2 site ids, got 1"),
+    # the means are finite, the transform of the first two values is not
+    (lambda: dft_panel(TimeSeriesPanel([[0.0, 0.0], [1.0, 0.0]],
+                                       np.pad([[1e308, -1e308]] * 2, ((0, 0), (0, 14))))),
+     "the Fourier transform of the series overflows"),
+], ids=["3d-locations", "3d-observations", "infinite-location", "site-id-count",
+        "transform-overflow"])
+def test_malformed_panels_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
