@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .numerics import _real, _scaled_bessel_k, _Workspace
+from .numerics import _bessel_along_frequency, _real, _scaled_bessel_k, _Workspace
 
 _TWO_PI = 2.0 * np.pi
 # smallest normal double; below it a value carries no relative precision
@@ -183,7 +183,8 @@ def _c_mod_sq(om: np.ndarray, params: ModelParams) -> np.ndarray:
 # either reaches its limit in double (0) or fails the finite check below
 @np.errstate(over="ignore", divide="ignore")
 def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
-            smoothness: bool = False, work: _Workspace | None = None):
+            smoothness: bool = False, along_frequency: bool = False,
+            work: _Workspace | None = None):
     """C(h, w) on the broadcast of validated h and om, and C(0, w) on om.
 
     |c(w)|^2 and the log-gamma constants are computed once, on om's own
@@ -212,6 +213,12 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     where d log K / d mu is not finite (K overflowing at a stencil order
     near tiny x, where C is C(0, w), or kve's NaN, where C is 0) a takes a_0.
     Where C(0, w) is 0 both derivatives are 0.
+
+    With along_frequency set and smoothness not, h is a column of bins and
+    om a row of frequencies, and the Bessel factors come from
+    _bessel_along_frequency: tables along log|c(w)| per bin at integer
+    orders, within 1e-14 of the recurrence, and the recurrence itself
+    elsewhere and at any point the tables do not serve.
 
     Every array on the grid is work's (a new _Workspace when work is
     None), the Bessel call's included, and each result is written in place
@@ -242,10 +249,12 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
         # a less its constant -2 log 2 - 2 psi(2 nu), in place
         a += log_ratio
         a *= 2.0
-    elif gradient:
-        previous, bessel = _scaled_bessel_k(mu, x, with_previous=True, work=work)
     else:
-        bessel = _scaled_bessel_k(mu, x, work=work)
+        if along_frequency:
+            values = _bessel_along_frequency(mu, h, c_abs, x, with_previous=gradient, work=work)
+        else:
+            values = _scaled_bessel_k(mu, x, with_previous=gradient, work=work)
+        previous, bessel = values if gradient else (None, values)
     # exp(log_pref + mu log_ratio - x), in place
     cov *= mu
     cov += log_pref
@@ -346,10 +355,13 @@ def corr_freq(h, omega, params: ModelParams):
     rho(h, w) = (h |c(w)|)^mu K_mu(h |c(w)|) / (2^(mu - 1) Gamma(mu)).
 
     Equals cov_freq / cov_zero and does not depend on sigma_e2 or the nugget.
+    A C(0, w) that is not a positive normal double raises FloatingPointError,
+    as in the covariance walk: a subnormal one has lost the bits that would
+    keep the ratio free of sigma_e2.
     """
     cov, zero = _kernel(_distances(h), _as_float_array(omega, "omega"), params)
-    if not np.all((zero > 0) & np.isfinite(zero)):
-        raise FloatingPointError("C(0, w) is out of the double range, so rho is undefined")
+    if not np.all((zero >= _TINY) & (zero < np.inf)):
+        raise FloatingPointError("C(0, w) is not a positive normal double, so rho is undefined")
     return _scalar_like(cov / zero, h, omega)
 
 
@@ -397,13 +409,15 @@ def variogram_model(h, omega, params: ModelParams):
 
 
 def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
-               smoothness: bool = False, work: _Workspace | None = None):
+               smoothness: bool = False, along_frequency: bool = False,
+               work: _Workspace | None = None):
     """variogram_model on validated h > 0 and om. With gradient set, returns
     (g, dg / d log|c(w)|^2) from one kernel pass, and with smoothness set as
-    well (g, dg / d log|c(w)|^2, dg / d nu) from that same pass. Each is
-    written in place over one of _kernel's arrays in work."""
+    well (g, dg / d log|c(w)|^2, dg / d nu) from that same pass;
+    along_frequency is _kernel's. Each is written in place over one of
+    _kernel's arrays in work."""
     cov, zero, *derivatives = _kernel(h, om, params, gradient=gradient, smoothness=smoothness,
-                                      work=work)
+                                      along_frequency=along_frequency, work=work)
     g = np.subtract(zero + params.nugget / _TWO_PI, cov, out=cov)
     g *= 2.0
     if not gradient:

@@ -414,6 +414,12 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
     leading log sigma_e2 row are the gradient of the profiled criterion in
     fit's coordinates.
 
+    A pass that asks for no order derivative (nu held, or no scores) takes
+    the kernel's Bessel factors along log|c(w)| per bin at integer orders
+    (covmodel._kernel's along_frequency), within 1e-14 of the recurrence;
+    a nu-free scored pass keeps the per-point path, whose table of
+    d log K / d mu locates every point anyway.
+
     Every (L, M) array, the kernel's included, is written in place, into
     prepared.work, with the operations of the formulas above in their
     order, so the values have the bits of fresh arrays. The terms are one
@@ -424,10 +430,11 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
     grid = (prepared.distances[:, None], frequencies[None, :])
     if scores:
         coords = prepared.coords
-        g, dg_dlogc2, *dg_dnu = _variogram(*grid, params, gradient=True,
-                                           smoothness=coords.nu_fixed is None, work=work)
+        nu_free = coords.nu_fixed is None
+        g, dg_dlogc2, *dg_dnu = _variogram(*grid, params, gradient=True, smoothness=nu_free,
+                                           along_frequency=not nu_free, work=work)
     else:
-        g = _variogram(*grid, params, work=work)
+        g = _variogram(*grid, params, along_frequency=True, work=work)
     np.maximum(g, _VARIOGRAM_FLOOR, out=g)
     ratio = work("scratch.0", binned.shape)
     terms = work("scratch.1", binned.shape)

@@ -434,7 +434,11 @@ def test_range_and_spectral_density_edges_fail_loudly_or_reach_their_limit():
     # |c(w)|^2 = e^800 overflows, so C(0, w) is 0
     (lambda: corr_freq(1.0, 1.0, _params(c_coeffs=(800.0,))), FloatingPointError,
      "rho is undefined"),
-], ids=["nan-distance", "negative-distance", "correlation-without-variance"])
+    # C(0, w) = 7.8e-316 is subnormal: the ratio would depend on sigma_e2
+    (lambda: corr_freq(1e-151, 1.0, _params(sigma_e2=1e-10, c_coeffs=(700.0,))),
+     FloatingPointError, "rho is undefined"),
+], ids=["nan-distance", "negative-distance", "correlation-without-variance",
+        "correlation-with-a-subnormal-variance"])
 def test_distances_and_scales_outside_the_model_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import fields, replace
@@ -12,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from stkrig import covmodel
 from stkrig import (DistanceBins, FitConfig, ModelParams, SimulationSpec,
                     TimeSeriesPanel, asymptotic_covariance, build_distance_bins,
                     cov_freq, dft_panel, fit, fourier_frequencies,
@@ -24,6 +27,7 @@ from stkrig.estimate import (EstimationError, EvaluationError, FitResult,
                              _Coordinates, _criterion_terms, _prepare, _Prepared,
                              _quasi_newton,
                              _sandwich, _tolerance_groups)
+from stkrig.numerics import _scaled_bessel_k
 from stkrig.spectral import _MAX_ORDINATE
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -952,6 +956,68 @@ def test_a_repeated_evaluation_allocates_no_grid_mask(nu_fixed, grid_allocations
     evaluate()
     bool_grid = np.dtype(bool).itemsize / np.dtype(float).itemsize
     assert grid_allocations(evaluate, shape) < bool_grid
+
+
+def _bessel_per_point(order, h, c_abs, x, with_previous, work):
+    """_bessel_along_frequency's values by the recurrence at every point."""
+    return _scaled_bessel_k(order, x, with_previous=with_previous, work=work)
+
+
+# mu = 1 and 2, on the fit design and on a p = 2 model whose |c(w)| is not
+# monotone in w
+@pytest.mark.parametrize("c_coeffs", [(0.4, 0.7), (0.2, 1.0, -1.5)])
+@pytest.mark.parametrize("nu_fixed", [1.0, 1.5])
+def test_a_nu_held_evaluation_takes_the_frequency_tables(nu_fixed, c_coeffs, monkeypatch):
+    # the tables along log|c(w)| give the recurrence's terms, scale, scores
+    # and information to 1e-13 of each one's largest entry (a term
+    # log g + I / g may be near 0 where its two parts are not)
+    panel = _recovery_panel()
+    spectral, bins = dft_panel(panel), build_distance_bins(panel.locations)
+    params = ModelParams(sigma_e2=1.0, nu=nu_fixed, c_coeffs=c_coeffs)
+    coords = _Coordinates(len(c_coeffs) - 1, 2, nu_fixed, False)
+
+    def evaluate():
+        prepared = _prepare(spectral, bins, None, coords)
+        terms, scale, scores, info = _criterion_terms(prepared, params, profile=True,
+                                                      scores=True)
+        return terms.copy(), scale, scores, info
+
+    tabled = evaluate()
+    monkeypatch.setattr(covmodel, "_bessel_along_frequency", _bessel_per_point)
+    pointwise = evaluate()
+    assert not np.array_equal(tabled[0], pointwise[0])
+    assert tabled[1] == pytest.approx(pointwise[1], rel=1e-13, abs=0.0)
+    for k in (0, 2, 3):
+        expected = pointwise[k]
+        assert_allclose(tabled[k], expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+
+_FIT_IN_A_PROCESS = """
+import json, sys
+import numpy as np
+from stkrig import FitConfig, TimeSeriesPanel, fit
+data = np.load(sys.argv[1])
+config = FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=2, compute_covariance=False)
+panel = TimeSeriesPanel(data["locations"], data["observations"])
+print(json.dumps(fit(panel, config).to_dict(), sort_keys=True))
+"""
+
+
+def test_a_nu_held_fit_has_the_same_bits_at_one_and_two_blas_threads(tmp_path):
+    # the frequency tables sum by einsum, not BLAS, so the fit design's
+    # result does not depend on the thread count
+    panel = _recovery_panel()
+    path = tmp_path / "panel.npz"
+    np.savez(path, locations=panel.locations, observations=panel.observations)
+    src = os.path.dirname(os.path.dirname(covmodel.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        outputs.append(subprocess.run([sys.executable, "-c", _FIT_IN_A_PROCESS, str(path)],
+                                      env=env, capture_output=True, text=True,
+                                      check=True).stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # a grid of 80 kernel points (kve or a closed form for the values) and one

@@ -9,11 +9,14 @@ from scipy import linalg, special
 
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
+from stkrig import numerics
+from stkrig.covmodel import ModelParams, _c_mod_sq
 from stkrig.numerics import (_ORDER_STEP, _TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
-                             SingularMatrixError, _build_table, _dft_rows, _Grid,
-                             _jittered_cholesky, _scaled_bessel_k, _small_x_bessel_k,
-                             _synthesize_half, _Workspace, bessel_k, cholesky_with_jitter,
-                             dft_forward, dft_inverse, hpd_solve, log_gamma)
+                             SingularMatrixError, _bessel_along_frequency, _build_table,
+                             _dft_rows, _Grid, _jittered_cholesky, _locate, _scaled_bessel_k,
+                             _small_x_bessel_k, _synthesize_half, _Workspace, bessel_k,
+                             cholesky_with_jitter, dft_forward, dft_inverse, hpd_solve,
+                             log_gamma)
 
 # value of the integral representation at (order, x) = (1, 1), computed by
 # adaptive quadrature before the implementation existed
@@ -381,6 +384,85 @@ def test_order_slope_takes_the_difference_on_pieces_where_kve_overflows():
                    - np.log(special.kve(order - step, x[near]))) / (2.0 * step)
         assert_allclose(slope[near], numeric, rtol=0.0,
                         atol=1e-6 * np.maximum(1.0, np.abs(numeric)).max())
+
+
+def _frequency_grid(c_coeffs, distances):
+    """The criterion's grid: bins (L, 1), |c(w)| (1, M) at the 255 interior
+    frequencies of n = 511, and x = h |c(w)|, as the kernel forms them."""
+    omegas = 2.0 * np.pi * np.arange(1, 256) / 511
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_abs = np.sqrt(_c_mod_sq(omegas, ModelParams(1.0, 1.0, c_coeffs)))[None, :]
+        h = np.asarray(distances)[:, None]
+        return h, c_abs, h * c_abs
+
+
+# 1e-10 to 50, with 3e-15 and 1e-16, where K_20 overflows at some or all
+# frequencies; 0.5 + 0.8 cos w spans 3 pieces of log|c(w)|, 1 + 3 cos w 6,
+# 0.2 + cos w - 1.5 cos 2w is not monotone in w; |c(w)|^2 overflows at
+# every frequency at b_0 = 800, at the low ones at (705, 5), and underflows
+# at b_0 = -800
+FREQUENCY_DISTANCES = np.concatenate([np.geomspace(1e-10, 50.0, 40), [3e-15, 1e-16]])
+FREQUENCY_MODELS = [(0.5, 0.8), (1.0, 3.0), (0.2, 1.0, -1.5), (800.0,), (705.0, 5.0),
+                    (-800.0,)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c_coeffs", FREQUENCY_MODELS)
+@pytest.mark.parametrize("order", [1, 2, 5, 20])
+def test_bessel_along_frequency_is_the_recurrence(order, c_coeffs):
+    # within 1e-14 where the tables serve a point; bit for bit where
+    # log|c(w)| is not finite or a (bin, piece) is not finite at a node or
+    # an end, so every inf, NaN and limit is the recurrence's
+    h, c_abs, x = _frequency_grid(c_coeffs, FREQUENCY_DISTANCES)
+    grid = _locate(2.0 * c_abs, _Workspace())
+    with np.errstate(divide="ignore"):
+        off = np.broadcast_to(~np.isfinite(np.log(c_abs)), x.shape)
+    for with_previous in (True, False):
+        expected = np.reshape(_scaled_bessel_k(order, x, with_previous=with_previous),
+                              (-1,) + x.shape)
+        got = np.reshape(_bessel_along_frequency(order, h, c_abs, x,
+                                                 with_previous=with_previous),
+                         (-1,) + x.shape)
+        assert len(got) == len(expected) == 1 + with_previous
+        for value, exact in zip(got, expected):
+            assert value[off].tobytes() == exact[off].tobytes()
+            finite = np.isfinite(exact)
+            assert_allclose(value[finite], exact[finite], rtol=1e-14, atol=0.0)
+            assert value[~finite].tobytes() == exact[~finite].tobytes()
+            if grid is None:
+                continue
+            # a piece of a bin where the recurrence overflows is the
+            # recurrence's at every point
+            pieces = np.where(off[0], -1, grid.piece)
+            for row in np.flatnonzero((~finite).any(axis=1) & finite.any(axis=1)):
+                lost = np.isin(pieces, pieces[~finite[row]])
+                assert value[row, lost].tobytes() == exact[row, lost].tobytes()
+
+
+def test_bessel_along_frequency_runs_the_recurrence_at_the_nodes(monkeypatch):
+    # 3 pieces of log|c(w)| for 0.5 + 0.8 cos w: per bin 13 nodes each and
+    # their 4 ends, not 255 frequencies. The first 15 frequencies lie on one
+    # piece, whose 15 nodes and ends are not fewer: each point takes the
+    # recurrence itself; one more frequency, and the table pays
+    calls = []
+    inner = numerics._scaled_bessel_k
+
+    def recorded(order, x, **kwargs):
+        calls.append(np.array(x))
+        return inner(order, x, **kwargs)
+
+    monkeypatch.setattr(numerics, "_scaled_bessel_k", recorded)
+    h, c_abs, x = _frequency_grid((0.5, 0.8), np.geomspace(0.1, 10.0, 7))
+    _bessel_along_frequency(1, h, c_abs, x, with_previous=True)
+    assert [call.shape for call in calls] == [(7, 3 * (_TABLE_DEGREE + 2) + 1)]
+    for stop, pointwise in ((_TABLE_DEGREE + 3, True), (_TABLE_DEGREE + 4, False)):
+        calls.clear()
+        _bessel_along_frequency(1, h, c_abs[:, :stop], x[:, :stop], with_previous=True)
+        assert len(calls) == 1 and np.array_equal(calls[0], x[:, :stop]) == pointwise
+    # as does an order the recurrence does not serve
+    calls.clear()
+    _bessel_along_frequency(1.5, h, c_abs, x, with_previous=True)
+    assert len(calls) == 1 and np.array_equal(calls[0], x)
 
 
 def test_bessel_k_dispatched_orders_match_quadrature_oracle():
