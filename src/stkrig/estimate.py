@@ -254,7 +254,8 @@ class _Prepared:
     power of two above binned's largest value; coords, the _Coordinates of
     the scores, when there are any, and their spread over the frequencies;
     and work, the _Workspace every evaluation writes its (L, M) arrays
-    into."""
+    into, which also keeps the Bessel tables' pieces along log|c(w)| that
+    the evaluations have built."""
 
     def __init__(self, binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
                  coords: _Coordinates | None = None):
@@ -408,7 +409,11 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
     criterion's Hessian less mean_bins (1 - binned / g) d^2 log g, whose
     expectation is 0. Both are built from the distinct arrays of
     prepared.spread: 1 - B, with B = (nugget / pi) / g; (nu - d/4)
-    (dg / d nu) / g; (dg / d log|c(w)|^2) / g; and B. d log g is the same
+    (dg / d nu) / g; (dg / d log|c(w)|^2) / g; and B. Without a nugget,
+    held or fitted, 1 - B is exactly 1 and is not formed: its score row is
+    the bin mean of 1 - binned / g, its product with itself 1 and with
+    another array that array's bin mean, the bits of an array of ones.
+    d log g is the same
     at every scale, so with profile set both are those at the scaled
     parameters, and by the envelope theorem the scores' row sums after the
     leading log sigma_e2 row are the gradient of the profiled criterion in
@@ -416,7 +421,8 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
 
     A pass that asks for no order derivative (nu held, or no scores) takes
     the kernel's Bessel factors along log|c(w)| per bin at integer orders
-    (covmodel._kernel's along_frequency), within 1e-14 of the recurrence;
+    (covmodel._kernel's along_frequency), within 1e-14 of the recurrence,
+    from the table pieces prepared.work holds, so a fit builds each once;
     a nu-free scored pass keeps the per-point path, whose table of
     d log K / d mu locates every point anyway.
 
@@ -461,24 +467,35 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
     if not scores:
         return (terms, scale) if profile else terms
     # the bases, each over an array it is the last use of; B over g, and
-    # 1 - B over B unless B is a basis too
+    # 1 - B over B unless B is a basis too. Without a nugget, held or
+    # fitted, 1 - B is exactly 1 and is not formed (None)
     product = work("scratch.2", binned.shape)
     for a in dg_dnu:
         a *= np.divide(params.nu - params.d / 4.0, g, out=product)
     dg_dlogc2 /= g
-    share = np.divide(params.nugget / np.pi, g, out=g)
-    complement = np.subtract(1.0, share, out=work("criterion.complement", binned.shape)
-                             if coords.fit_nugget else share)
+    complement = share = None
+    if params.nugget or coords.fit_nugget:
+        share = np.divide(params.nugget / np.pi, g, out=g)
+        complement = np.subtract(1.0, share, out=work("criterion.complement", binned.shape)
+                                 if coords.fit_nugget else share)
     bases = [complement] + dg_dnu + [dg_dlogc2] + [share] * coords.fit_nugget
     weight = np.subtract(1.0, ratio, out=ratio)
-    rows = np.array([np.mean(np.multiply(weight, a, out=product), axis=0) for a in bases])
+
+    def bin_mean(a, b):
+        # mean_bins a * b, with the bits of an explicit ones array for None:
+        # x * 1 is x, and the mean of L ones is 1
+        if a is None or b is None:
+            other = b if a is None else a
+            return np.ones(frequencies.size) if other is None else np.mean(other, axis=0)
+        return np.mean(np.multiply(a, b, out=product), axis=0)
+
+    rows = np.array([bin_mean(weight, a) for a in bases])
     # the bin means of the bases' products take no (K, L, M) stack, and
     # each pair's is formed once and mirrored (a * b and b * a round alike)
     products = np.empty((len(bases), len(bases), frequencies.size))
     for i, a in enumerate(bases):
         for j in range(i, len(bases)):
-            products[i, j] = products[j, i] = np.mean(np.multiply(a, bases[j], out=product),
-                                                      axis=0)
+            products[i, j] = products[j, i] = bin_mean(a, bases[j])
     which, weights = prepared.spread
     info = np.einsum("iw,jw,ijw->ij", weights, weights, products[np.ix_(which, which)])
     return ((terms, scale) if profile else (terms,)) + (rows[which] * weights, info)

@@ -61,13 +61,18 @@ class _Workspace:
     The workspace also holds the Bessel tables of _kve_by_table's last
     table call, by order (tables), and span, the pieces (first, count) of
     the fixed grid that a new table covers when they hold the call's own
-    (None: the call's own pieces); cover sets it."""
+    (None: the call's own pieces); cover sets it. And it holds the pieces
+    of _bessel_along_frequency's tables that it has built, by (order,
+    with_previous) (frequency_pieces): the bins they were built for, and
+    their _FrequencyPiece by piece, so a fit's evaluations build each
+    piece once."""
 
     def __init__(self):
         self._arrays = {}
         self._inner = {}
         self.tables = {}
         self.span = None
+        self.frequency_pieces = {}
 
     def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         array = self._arrays.get(name)
@@ -615,13 +620,18 @@ def _bessel_along_frequency(order: float, h: np.ndarray, c_abs: np.ndarray, x: n
     |Im s| < pi / 2, as it is in log x for _kve_by_table's tables. So each
     bin's table covers the pieces of the fixed grid in s (those of
     _locate, of _TABLE_WIDTH each) that hold the frequencies' finite
-    positive |c(w)|. Per (bin, piece) the recurrence runs at the 13 nodes
-    and the two ends, and the piece interpolates log(K / K_centre) with
-    the centre value as its scale, as _build_table's do. Per frequency
-    T_k(u) is taken once, and per grid point the 13-term sum, by einsum
-    rather than BLAS, so the bits depend neither on the thread count nor
-    on the frequencies' blocks; then its exp, times the scale. The values
-    are within about 2e-15 of the recurrence's (1e-14 up to order 20).
+    positive |c(w)|, one _FrequencyPiece per piece (_frequency_pieces).
+    Per frequency T_k(u) is taken once, and per grid point the 13-term
+    sum, by einsum rather than BLAS, so the bits depend neither on the
+    thread count nor on the frequencies' blocks; then its exp, times the
+    scale. The values are within about 2e-15 of the recurrence's (1e-14 up
+    to order 20).
+
+    A piece depends only on the order, the bins and the piece, not on the
+    frequencies, so work holds the pieces it has built (_held_pieces): a
+    call takes the ones it holds as they are and builds only the others.
+    A fit's evaluations, whose |c(w)| move with b, thus build each piece
+    once.
 
     A point of a (bin, piece) whose recurrence is not finite at a node or
     an end, and a point whose |c(w)| is 0, inf or NaN, takes
@@ -631,54 +641,25 @@ def _bessel_along_frequency(order: float, h: np.ndarray, c_abs: np.ndarray, x: n
     _scaled_bessel_k whole.
 
     The results are work's "bessel" arrays (a new _Workspace when work is
-    None), those of the nodes its inner "nodes" workspace's."""
+    None)."""
     work = work or _Workspace()
     h, c_abs = np.ravel(h), np.ravel(c_abs)
     # the pieces of log|c(w)|: _locate places log(x / 2) on them
     grid = _locate(2.0 * c_abs, _Workspace())
-    per_bin = None if grid is None else (_TABLE_DEGREE + 2) * grid.count + 1
     if (order != int(order) or order > _CLOSED_FORM_MAX_ORDER or grid is None
-            or per_bin >= grid.placed):
+            or (_TABLE_DEGREE + 2) * grid.count + 1 >= grid.placed):
         return _scaled_bessel_k(order, x, with_previous=with_previous, work=work)
-    count, nodes = grid.count, work.inner("nodes")
-    # per bin the nodes of every piece, then the pieces' ends
-    points = np.multiply(0.5 * h[:, None], _grid_points(grid.first, count),
-                         out=nodes("points", (h.size, per_bin)))
-
-    def orders(value) -> tuple:
-        return value if with_previous else (value,)
-
-    values = orders(_scaled_bessel_k(order, points, with_previous=with_previous, work=nodes))
-    tables, good = [], np.ones((h.size, count), bool)
-    for k, value in enumerate(values):
-        node_values = value[:, :-count - 1].reshape(h.size, count, _TABLE_DEGREE + 1)
-        scale = node_values[:, :, _CHEB_CENTRE]
-        ratio = np.divide(node_values, scale[:, :, None],
-                          out=nodes("ratio", node_values.shape))
-        np.log(ratio, out=ratio)
-        good &= np.isfinite(ratio, out=nodes("finite", ratio.shape, bool)).all(axis=-1)
-        # less the secant through the end nodes, so that the coefficients
-        # past the first are not the rounding of a steep line
-        slope = (ratio[:, :, 0] - ratio[:, :, -1]) / (_CHEB_NODES[0] - _CHEB_NODES[-1])
-        ratio -= np.multiply(slope[:, :, None], _CHEB_NODES, out=nodes("secant", ratio.shape))
-        # from the last coefficient to the first, so that the sums below add
-        # the large ones last
-        coeffs = np.einsum("lpj,jk->plk", ratio, _CHEB_MATRIX[:, ::-1],
-                           out=nodes("coeffs.%d" % k, (count, h.size, _TABLE_DEGREE + 1)))
-        coeffs[:, :, -2] += slope.T
-        tables.append((coeffs, scale))
-        ends = np.isfinite(value[:, -count - 1:])
-        good &= ends[:, :-1] & ends[:, 1:]
+    pieces = _held_pieces(order, h, int(grid.first), grid.count, with_previous, work)
     cheb = np.empty((_TABLE_DEGREE + 1, c_abs.size))
     cheb[0], cheb[1] = 1.0, grid.u
     for k in range(2, _TABLE_DEGREE + 1):
         np.multiply(2.0 * grid.u, cheb[k - 1], out=cheb[k])
         cheb[k] -= cheb[k - 2]
-    outs = [work("bessel.%d" % k, x.shape) for k in range(len(values))]
+    outs = [work("bessel.%d" % k, x.shape) for k in range(1 + with_previous)]
 
     def exact(rows, cols):
-        for out, value in zip(outs, orders(_scaled_bessel_k(order, x[rows, cols],
-                                                            with_previous=with_previous))):
+        values = _scaled_bessel_k(order, x[rows, cols], with_previous=with_previous)
+        for out, value in zip(outs, values if with_previous else (values,)):
             out[rows, cols] = value
 
     # the frequencies in runs of one piece each (-1 for those off the grid)
@@ -689,14 +670,88 @@ def _bessel_along_frequency(order: float, h: np.ndarray, c_abs: np.ndarray, x: n
         if j < 0:
             exact(slice(None), cols)
             continue
-        for out, (coeffs, scale) in zip(outs, tables):
-            block = np.einsum("lk,km->lm", coeffs[j], cheb[::-1, cols], out=out[:, cols])
+        table = pieces[int(grid.first) + j]
+        for out, coeffs, scale in zip(outs, table.coeffs, table.scale):
+            block = np.einsum("lk,km->lm", coeffs, cheb[::-1, cols], out=out[:, cols])
             np.exp(block, out=block)
-            block *= scale[:, j, None]
-        rows = np.flatnonzero(~good[:, j])
+            block *= scale[:, None]
+        rows = np.flatnonzero(~table.good)
         if rows.size:
             exact(rows, cols)
     return tuple(outs) if with_previous else outs[0]
+
+
+class _FrequencyPiece(NamedTuple):
+    """One piece of _bessel_along_frequency's tables for every bin: per
+    value (e^x K_{order-1} first when with_previous is set, then e^x K_order)
+    coeffs (L, degree + 1), each bin's Chebyshev coefficients of
+    log(K / K_centre) from the last to the first, and scale (L,), each
+    bin's centre value; good (L,) marks the bins whose recurrence is finite
+    at every node and both ends of the piece."""
+
+    coeffs: tuple
+    scale: tuple
+    good: np.ndarray
+
+
+def _held_pieces(order: float, h: np.ndarray, first: int, count: int, with_previous: bool,
+                 work: _Workspace) -> dict:
+    """work's pieces of the tables for (order, with_previous) on bins h, by
+    piece, once they hold first, ..., first + count - 1: each run of those
+    it lacks is built (_frequency_pieces) and kept. Pieces held for other
+    bins are dropped."""
+    key = (order, with_previous)
+    held = work.frequency_pieces.get(key)
+    if held is None or not np.array_equal(held[0], h):
+        held = work.frequency_pieces[key] = (h.copy(), {})
+    pieces = held[1]
+    missing = [j for j in range(first, first + count) if j not in pieces]
+    # the runs of consecutive missing pieces
+    starts = [k for k in range(len(missing)) if not k or missing[k] > missing[k - 1] + 1]
+    for lo, hi in zip(starts, starts[1:] + [len(missing)]):
+        built = _frequency_pieces(order, h, missing[lo], hi - lo, with_previous,
+                                  work.inner("nodes"))
+        pieces.update(zip(missing[lo:hi], built))
+    return pieces
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _frequency_pieces(order: float, h: np.ndarray, first: int, count: int,
+                      with_previous: bool, nodes: _Workspace) -> list:
+    """The _FrequencyPiece of each of the pieces first, ..., first + count - 1
+    of the grid in s = log|c(w)| for the bins h. Per (bin, piece) the
+    recurrence runs at the 13 nodes and the two ends, in one call, and the
+    piece interpolates log(K / K_centre) with the centre value as its
+    scale, as _build_table's do. A piece's arrays depend only on the order,
+    the bins and the piece, not on the others built with it. Node-sized
+    arrays are nodes', but for the results, which are new."""
+    # per bin the nodes of every piece, then the pieces' ends
+    points = np.multiply(0.5 * h[:, None], _grid_points(first, count),
+                         out=nodes("points", (h.size, (_TABLE_DEGREE + 2) * count + 1)))
+    values = _scaled_bessel_k(order, points, with_previous=with_previous, work=nodes)
+    coeffs, scales, good = [], [], np.ones((count, h.size), bool)
+    for k, value in enumerate(values if with_previous else (values,)):
+        node_values = value[:, :-count - 1].reshape(h.size, count, _TABLE_DEGREE + 1)
+        scale = node_values[:, :, _CHEB_CENTRE]
+        ratio = np.divide(node_values, scale[:, :, None],
+                          out=nodes("ratio", node_values.shape))
+        np.log(ratio, out=ratio)
+        good &= np.isfinite(ratio, out=nodes("finite", ratio.shape, bool)).all(axis=-1).T
+        # less the secant through the end nodes, so that the coefficients
+        # past the first are not the rounding of a steep line
+        slope = (ratio[:, :, 0] - ratio[:, :, -1]) / (_CHEB_NODES[0] - _CHEB_NODES[-1])
+        ratio -= np.multiply(slope[:, :, None], _CHEB_NODES, out=nodes("secant", ratio.shape))
+        # from the last coefficient to the first, so that the sums of
+        # _bessel_along_frequency add the large ones last
+        coeff = np.einsum("lpj,jk->plk", ratio, _CHEB_MATRIX[:, ::-1],
+                          out=np.empty((count, h.size, _TABLE_DEGREE + 1)))
+        coeff[:, :, -2] += slope.T
+        coeffs.append(coeff)
+        scales.append(scale.T.copy())
+        ends = np.isfinite(value[:, -count - 1:])
+        good &= (ends[:, :-1] & ends[:, 1:]).T
+    return [_FrequencyPiece(tuple(c[p] for c in coeffs), tuple(s[p] for s in scales), good[p])
+            for p in range(count)]
 
 
 def dft_forward(series) -> np.ndarray:

@@ -992,6 +992,85 @@ def test_a_nu_held_evaluation_takes_the_frequency_tables(nu_fixed, c_coeffs, mon
         assert_allclose(tabled[k], expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
 
 
+def test_one_fit_builds_each_frequency_piece_once(monkeypatch):
+    # criterion-4 replicate 0 as the bench fits it: the 10 evaluations take
+    # their Bessel factors from the pieces of log|c(w)| the workspace holds,
+    # built twice, each piece once (3 pieces), against a build of every
+    # piece the evaluation covers at each of the 10 without held pieces
+    from stkrig import numerics
+
+    builds = []
+    build = numerics._frequency_pieces
+    monkeypatch.setattr(numerics, "_frequency_pieces",
+                        lambda *args: builds.append(args[2:4]) or build(*args))
+    config = FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=2, compute_covariance=False)
+    res = fit(_recovery_panel(), config)
+    assert sum(r["nfev"] for r in res.restarts) == 10
+    assert builds == [(-1, 2), (1, 1)]
+    # a repeated evaluation at one point builds nothing
+    panel = _recovery_panel()
+    prepared = _prepare(dft_panel(panel), build_distance_bins(panel.locations), None,
+                        _Coordinates(1, 2, 1.0, False))
+    params = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.4, 0.7))
+    builds.clear()
+    first = [np.array(a) for a in _criterion_terms(prepared, params, profile=True, scores=True)]
+    assert builds
+    builds.clear()
+    again = _criterion_terms(prepared, params, profile=True, scores=True)
+    assert not builds
+    for a, b in zip(first, again):
+        assert a.tobytes() == np.array(b).tobytes()
+
+
+def _scores_by_explicit_bases(prepared, params, profile):
+    """_criterion_terms' scores and information, with every basis an
+    explicit array: 1 - B is one of ones at a zero nugget."""
+    from stkrig.covmodel import _variogram
+    from stkrig.estimate import _VARIOGRAM_FLOOR
+
+    binned, coords = prepared.binned, prepared.coords
+    nu_free = coords.nu_fixed is None
+    g, dg_dlogc2, *dg_dnu = _variogram(prepared.distances[:, None],
+                                       prepared.frequencies[None, :], params, gradient=True,
+                                       smoothness=nu_free, along_frequency=not nu_free)
+    g = np.maximum(g, _VARIOGRAM_FLOOR)
+    scaled = g
+    if profile:
+        reduced = np.ldexp(binned, -prepared.exponent) / g
+        scaled = np.maximum(float(np.ldexp(np.mean(reduced), prepared.exponent)) * g,
+                            _VARIOGRAM_FLOOR)
+    weight = 1.0 - binned / scaled
+    share = (params.nugget / np.pi) / g
+    complement = 1.0 - share
+    if not params.nugget:
+        assert (complement == 1.0).all()
+    bases = ([complement] + [a * ((params.nu - params.d / 4.0) / g) for a in dg_dnu]
+             + [dg_dlogc2 / g] + [share] * coords.fit_nugget)
+    rows = np.array([np.mean(weight * a, axis=0) for a in bases])
+    products = np.array([[np.mean(a * b, axis=0) for b in bases] for a in bases])
+    which, weights = prepared.spread
+    info = np.einsum("iw,jw,ijw->ij", weights, weights, products[np.ix_(which, which)])
+    return rows[which] * weights, info
+
+
+# nu held and free at a zero nugget, whose basis 1 - B is not formed; a
+# held positive nugget and a fitted one, whose basis is
+@pytest.mark.parametrize("nu_fixed, nugget, fit_nugget",
+                         [(1.0, 0.0, False), (None, 0.0, False), (1.0, 0.3, False),
+                          (None, 0.3, True)])
+@pytest.mark.parametrize("profile", [False, True])
+def test_scores_have_the_bits_of_explicit_bases(nu_fixed, nugget, fit_nugget, profile):
+    panel = _recovery_panel()
+    spectral, bins = dft_panel(panel), build_distance_bins(panel.locations)
+    coords = _Coordinates(1, 2, nu_fixed, fit_nugget)
+    params = ModelParams(sigma_e2=1.0, nu=nu_fixed or 1.3, c_coeffs=(0.4, 0.7), nugget=nugget)
+    prepared = _prepare(spectral, bins, None, coords)
+    scores, info = _criterion_terms(prepared, params, profile=profile, scores=True)[-2:]
+    expected = _scores_by_explicit_bases(prepared, params, profile)
+    assert scores.tobytes() == expected[0].tobytes()
+    assert info.tobytes() == expected[1].tobytes()
+
+
 _FIT_IN_A_PROCESS = """
 import json, sys
 import numpy as np

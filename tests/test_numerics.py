@@ -465,6 +465,114 @@ def test_bessel_along_frequency_runs_the_recurrence_at_the_nodes(monkeypatch):
     assert len(calls) == 1 and np.array_equal(calls[0], x)
 
 
+def _counted_builds(monkeypatch):
+    """The (first, count) of each build of frequency pieces from now on."""
+    builds = []
+    build = numerics._frequency_pieces
+    monkeypatch.setattr(numerics, "_frequency_pieces",
+                        lambda *args: builds.append(args[2:4]) or build(*args))
+    return builds
+
+
+def _on_pieces(low, high, size=240):
+    """|c(w)| (1, size) spread over the pieces low, ..., high - 1 of
+    log|c(w)|, each piece [j / 2, (j + 1) / 2)."""
+    return np.exp(np.linspace(0.5 * low + 1e-3, 0.5 * high - 1e-3, size))[None, :]
+
+
+# each step's |c(w)| by its pieces, and the runs it lacks: one piece alone,
+# rising, falling, a union reaching past both ends, one across a gap, the
+# gap's pieces among held ones, and one falling in w
+HELD_STEPS = [((0, 1), [(0, 1)]), ((1, 2), [(1, 1)]), ((-1, 0), [(-1, 1)]),
+              ((-3, 4), [(-3, 2), (2, 2)]), ((7, 9), [(7, 2)]), ((2, 9), [(4, 3)]),
+              ((10, -4), [(-4, 1), (9, 1)])]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [1, 2, 5, 20])
+def test_held_frequency_pieces_give_the_bits_of_a_fresh_workspace(order, monkeypatch):
+    # a workspace keeps the pieces it builds and builds only those it
+    # lacks; its values are those of a call with none held, inf included
+    # (K_20 overflows at the smallest bins)
+    h = FREQUENCY_DISTANCES[:, None]
+    builds = _counted_builds(monkeypatch)
+    for with_previous in (True, False):
+        work = _Workspace()
+        for (low, high), runs in HELD_STEPS:
+            c_abs = _on_pieces(min(low, high), max(low, high))
+            c_abs = c_abs if low < high else c_abs[:, ::-1]
+            x = h * c_abs
+            builds.clear()
+            held = np.array(_bessel_along_frequency(order, h, c_abs, x, with_previous, work))
+            assert builds == runs
+            fresh = np.array(_bessel_along_frequency(order, h, c_abs, x, with_previous))
+            assert held.tobytes() == fresh.tobytes()
+            # and a repeated call builds nothing
+            builds.clear()
+            again = _bessel_along_frequency(order, h, c_abs, x, with_previous, work)
+            assert not builds and np.array(again).tobytes() == fresh.tobytes()
+        if order == 20:
+            assert not np.isfinite(fresh).all()
+
+
+@pytest.mark.parametrize("order", [1, 20])
+def test_a_frequency_piece_does_not_depend_on_the_pieces_built_with_it(order):
+    # each piece's coefficients (einsum "lpj,jk->plk" over the pieces
+    # built together), scale and good bins are those of the piece built
+    # alone or among any others
+    h = FREQUENCY_DISTANCES
+    whole = numerics._frequency_pieces(order, h, -6, 14, True, _Workspace())
+    # K_20 overflows at the smallest bins
+    assert all(piece.good.all() for piece in whole) == (order == 1)
+    for count in range(1, 14):
+        for start in sorted({0, 3, 7, 14 - count}):
+            part = numerics._frequency_pieces(order, h, start - 6, count, True, _Workspace())
+            for got, expected in zip(part, whole[start:start + count]):
+                for a, b in zip(got, expected):
+                    assert np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def test_a_workspace_rebuilds_for_other_bins_or_another_order(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    c_abs = _on_pieces(0, 3)
+    bins = [np.geomspace(0.1, 10.0, 7)[:, None], np.geomspace(0.2, 20.0, 7)[:, None]]
+    work = _Workspace()
+    # (order, with_previous, bins) of each call, and whether it builds
+    calls = [(1, True, 0, True), (1, True, 0, False), (1, True, 1, True),
+             (1, True, 0, True), (2, True, 0, True), (1, False, 0, True),
+             (1, True, 0, False), (2, True, 0, False)]
+    for order, with_previous, k, builds_tables in calls:
+        h = bins[k]
+        builds.clear()
+        held = np.array(_bessel_along_frequency(order, h, c_abs, h * c_abs, with_previous,
+                                                work))
+        assert builds == ([(0, 3)] if builds_tables else [])
+        fresh = np.array(_bessel_along_frequency(order, h, c_abs, h * c_abs, with_previous))
+        assert held.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_piece_whose_end_overflows_takes_the_recurrence():
+    # K_20 at x = h |c(w)| overflows below x ~ 5.3395e-15. On piece 0 of
+    # log|c(w)| the lower end, |c(w)| = 1, lies 0.18% below the lowest
+    # node; at this h the recurrence overflows at that end and at the
+    # frequency just above it, but at no node, so only the ends' check
+    # sends the bin's points to the recurrence
+    h = np.array([[5.3346e-15]])
+    nodes_and_ends = numerics._grid_points(0.0, 1) / 2.0
+    assert nodes_and_ends[-2] == 1.0
+    c_abs = np.concatenate([[1.0005], np.geomspace(1.01, 1.6, 39)])[None, :]
+    x = h * c_abs
+    at_nodes = _scaled_bessel_k(20, h[0] * nodes_and_ends)
+    assert np.isfinite(at_nodes[:-2]).all() and np.isinf(at_nodes[-2])
+    for with_previous in (True, False):
+        expected = np.array(_scaled_bessel_k(20, x, with_previous=with_previous))
+        got = np.array(_bessel_along_frequency(20, h, c_abs, x, with_previous=with_previous))
+        bessel = expected.reshape(-1, c_abs.size)[-1]
+        assert np.isinf(bessel[0]) and np.isfinite(bessel[1:]).all()
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_bessel_k_dispatched_orders_match_quadrature_oracle():
     for order in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 7.0, 10.5, 13.0, 20.0, 20.5):
         for x in (1e-6, 0.01, 0.7, 5.0, 50.0):
