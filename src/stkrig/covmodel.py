@@ -30,11 +30,13 @@ normal double.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .numerics import _bessel_along_frequency, _real, _scaled_bessel_k, _Workspace
+from .numerics import (_TABLE_DEGREE, _frequency_coefficients, _grid_points, _locate, _real,
+                       _scaled_bessel_k, _Workspace)
 
 _TWO_PI = 2.0 * np.pi
 # smallest normal double; below it a value carries no relative precision
@@ -179,13 +181,30 @@ def _c_mod_sq(om: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.exp(log_c2)
 
 
+def _log_scale(params: ModelParams) -> float:
+    """log(sigma_e^2 / (2 pi)^(d/2)), which both closed forms share."""
+    return np.log(params.sigma_e2) - (params.d / 2.0) * np.log(_TWO_PI)
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _zero_distance(c2: np.ndarray, params: ModelParams) -> np.ndarray:
+    """C(0, w) from |c(w)|^2, as the kernel takes it: 0 where |c(w)|^2 is
+    inf, inf where it is 0 or C(0, w) overflows."""
+    mu = 2.0 * params.nu - params.d / 2.0
+    log_const = (_log_scale(params) - (params.d / 2.0) * np.log(2.0) + float(gammaln(mu))
+                 - float(gammaln(2.0 * params.nu)))
+    return np.exp(log_const - mu * np.log(c2))
+
+
 # |c(w)|^2, C(0, w) and the prefactor may leave the double range; each then
 # either reaches its limit in double (0) or fails the finite check below
 @np.errstate(over="ignore", divide="ignore")
 def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
-            smoothness: bool = False, along_frequency: bool = False,
-            work: _Workspace | None = None):
-    """C(h, w) on the broadcast of validated h and om, and C(0, w) on om.
+            smoothness: bool = False, work: _Workspace | None = None):
+    """C(h, w) on the broadcast of validated h and om, and C(0, w) on om,
+    point by point: every covariance system, every public function and the
+    criterion's nu-free scored pass take it (the criterion's other passes
+    read the variogram from _variogram_along_frequency's tables).
 
     |c(w)|^2 and the log-gamma constants are computed once, on om's own
     shape, and x^mu K_mu(x) with x = h |c(w)| in one exponentially scaled
@@ -214,12 +233,6 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     near tiny x, where C is C(0, w), or kve's NaN, where C is 0) a takes a_0.
     Where C(0, w) is 0 both derivatives are 0.
 
-    With along_frequency set and smoothness not, h is a column of bins and
-    om a row of frequencies, and the Bessel factors come from
-    _bessel_along_frequency: tables along log|c(w)| per bin at integer
-    orders, within 1e-14 of the recurrence, and the recurrence itself
-    elsewhere and at any point the tables do not serve.
-
     Every array on the grid is work's (a new _Workspace when work is
     None), the Bessel call's included, and each result is written in place
     over one of them, so the results hold until work's next use.
@@ -227,13 +240,11 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
     nu, d = params.nu, params.d
     work = work or _Workspace()
     mu = 2.0 * nu - d / 2.0
-    log_scale = np.log(params.sigma_e2) - (d / 2.0) * np.log(_TWO_PI)
-    log_gamma_2nu = float(gammaln(2.0 * nu))
     c2 = _c_mod_sq(om, params)
-    log_const = log_scale - (d / 2.0) * np.log(2.0) + float(gammaln(mu)) - log_gamma_2nu
-    zero = np.exp(log_const - mu * np.log(c2))
+    zero = _zero_distance(c2, params)
     c_abs = np.sqrt(c2)
-    log_pref = log_scale - (2.0 * nu - 1.0) * np.log(2.0) - log_gamma_2nu
+    log_pref = (_log_scale(params) - (2.0 * nu - 1.0) * np.log(2.0)
+                - float(gammaln(2.0 * nu)))
     # the grid's arrays, each in C order, so sums over the result keep
     # their order; cov first holds the log ratio log(h / |c(w)|)
     shape = np.broadcast_shapes(np.shape(h), np.shape(c_abs))
@@ -250,10 +261,7 @@ def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool =
         a += log_ratio
         a *= 2.0
     else:
-        if along_frequency:
-            values = _bessel_along_frequency(mu, h, c_abs, x, with_previous=gradient, work=work)
-        else:
-            values = _scaled_bessel_k(mu, x, with_previous=gradient, work=work)
+        values = _scaled_bessel_k(mu, x, with_previous=gradient, work=work)
         previous, bessel = values if gradient else (None, values)
     # exp(log_pref + mu log_ratio - x), in place
     cov *= mu
@@ -409,15 +417,14 @@ def variogram_model(h, omega, params: ModelParams):
 
 
 def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
-               smoothness: bool = False, along_frequency: bool = False,
-               work: _Workspace | None = None):
-    """variogram_model on validated h > 0 and om. With gradient set, returns
-    (g, dg / d log|c(w)|^2) from one kernel pass, and with smoothness set as
-    well (g, dg / d log|c(w)|^2, dg / d nu) from that same pass;
-    along_frequency is _kernel's. Each is written in place over one of
-    _kernel's arrays in work."""
+               smoothness: bool = False, work: _Workspace | None = None):
+    """variogram_model on validated h > 0 and om, point by point. With
+    gradient set, returns (g, dg / d log|c(w)|^2) from one kernel pass, and
+    with smoothness set as well (g, dg / d log|c(w)|^2, dg / d nu) from that
+    same pass. Each is written in place over one of _kernel's arrays in
+    work."""
     cov, zero, *derivatives = _kernel(h, om, params, gradient=gradient, smoothness=smoothness,
-                                      along_frequency=along_frequency, work=work)
+                                      work=work)
     g = np.subtract(zero + params.nugget / _TWO_PI, cov, out=cov)
     g *= 2.0
     if not gradient:
@@ -433,6 +440,165 @@ def _variogram(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: boo
     d_cov_nu -= d_zero_nu
     d_cov_nu *= -2.0
     return g, d_cov, d_cov_nu
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _variogram_along_frequency(h: np.ndarray, om: np.ndarray, params: ModelParams,
+                               gradient: bool = False, work: _Workspace | None = None):
+    """_variogram(h, om, params, gradient) on a grid of bins h (L, 1) by
+    frequencies om (1, M), from tables along s = log|c(w)| per bin of the
+    two quantities the variogram reads.
+
+    With rho(x) = x^mu K_mu(x) / (2^(mu - 1) Gamma(mu)), x = h |c(w)|, the
+    tables hold Z = log(rho / (1 - rho)) and P = x K_{mu-1}(x) / (2 K_mu(x)).
+    With e = exp(Z), 1 - rho = 1 / (1 + e) and, as C(0, w) goes as
+    |c(w)|^(-2 mu) and d log rho / d log|c(w)|^2 = -P,
+
+        g = 2 C(0, w) / (1 + e) + sigma_n^2 / pi,
+        dg / d log|c(w)|^2 = 2 C(0, w) / (1 + e) (P e - mu).
+
+    At a fixed h, Z and P are analytic in s as log K is, and both vary
+    slowly: where x is large, Z ~ -x and P ~ x / 2, and an error in Z moves
+    1 - rho by rho times as much. (log(1 - rho) ~ -rho itself falls as e^-x
+    along s, and its degree-12 tables missed it by up to 1e-12 of the sill
+    at mu = 5.4.) Each bin's tables cover the pieces of the fixed grid in
+    s (those of numerics._locate, of _TABLE_WIDTH each) that hold the
+    frequencies' |c(w)|, one _FrequencyPiece per piece, from the Bessel
+    functions at 13 nodes and the two ends (_frequency_piece). Per
+    frequency T_k(u) is taken once, and per grid point the 13-term sum of
+    Z, and of P with gradient set, by einsum rather than BLAS, so the bits
+    depend neither on the thread count nor on the frequencies' runs; then
+    the passes of the two formulas above. Every order mu > 0 is served.
+
+    A piece depends only on the order, the bins and the piece, not on b,
+    so work holds the pieces it has built (_held_pieces): a call builds
+    only those it lacks, and a fit's evaluations build each piece once.
+
+    The points of a (bin, piece) whose Z or P is not finite at a node or
+    an end, and of a frequency whose |c(w)| is 0, inf or NaN or whose
+    C(0, w) is not a positive normal double, take the per-point _variogram
+    on exactly those points, so every limit and error there is its own.
+    So does the whole grid when its bins take no fewer points at their
+    nodes and ends than at their frequencies.
+
+    The results are work's "variogram" arrays (a new _Workspace when work
+    is None), in the shape of the grid."""
+    work = work or _Workspace()
+    c2 = _c_mod_sq(om, params)
+    zero = np.ravel(_zero_distance(c2, params))
+    # the pieces of log|c(w)|: _locate places log(x / 2) on them
+    grid = _locate(2.0 * np.ravel(np.sqrt(c2)), _Workspace())
+    if grid is None or (_TABLE_DEGREE + 2) * grid.count + 1 >= grid.placed:
+        return _variogram(h, om, params, gradient=gradient, work=work)
+    mu = 2.0 * params.nu - params.d / 2.0
+    pieces = _held_pieces(mu, np.ravel(h), int(grid.first), grid.count, work)
+    cheb = np.empty((_TABLE_DEGREE + 1, zero.size))
+    cheb[0], cheb[1] = 1.0, grid.u
+    for k in range(2, _TABLE_DEGREE + 1):
+        np.multiply(2.0 * grid.u, cheb[k - 1], out=cheb[k])
+        cheb[k] -= cheb[k - 2]
+    outs = [work("variogram.%d" % k, (h.size, zero.size)) for k in range(1 + gradient)]
+    # the frequencies in runs of one piece each (-1 for those the per-point
+    # path takes), and the (rows, columns) blocks it takes
+    off = ~((zero >= _TINY) & (zero < np.inf))
+    if grid.off is not None:
+        off |= grid.off
+    piece = np.where(off, -1, grid.piece)
+    exact = []
+    bounds = [0, *(np.flatnonzero(np.diff(piece)) + 1), piece.size]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        j, cols = piece[start], slice(start, stop)
+        if j < 0:
+            exact.append((slice(None), cols))
+            continue
+        table = pieces[int(grid.first) + j]
+        for out, coeffs in zip(outs, table.coeffs):
+            np.einsum("lk,km->lm", coeffs, cheb[::-1, cols], out=out[:, cols])
+        rows = np.flatnonzero(~table.good)
+        if rows.size:
+            exact.append((rows, cols))
+    # e = rho / (1 - rho) = exp(Z), then 2 D = 2 C(0, w) / (1 + e), and with
+    # gradient 2 D (P e - mu), in place
+    g = np.exp(outs[0], out=outs[0])
+    if gradient:
+        slope = outs[1]
+        slope *= g
+        slope -= mu
+    g += 1.0
+    np.divide(2.0 * zero, g, out=g)
+    if gradient:
+        slope *= g
+    if params.nugget:
+        g += params.nugget / np.pi
+    for rows, cols in exact:
+        values = _variogram(h[rows], om[:, cols], params, gradient=gradient)
+        for out, value in zip(outs, values if gradient else (values,)):
+            out[rows, cols] = value
+    return tuple(outs) if gradient else g
+
+
+class _FrequencyPiece(NamedTuple):
+    """One piece of _variogram_along_frequency's tables for every bin:
+    coeffs, the Chebyshev coefficients (L, degree + 1), from the last to the
+    first, of each bin's Z and then of its P; good (L,), the bins whose Z
+    and P are finite at every node and both ends of the piece."""
+
+    coeffs: tuple
+    good: np.ndarray
+
+
+def _held_pieces(mu: float, h: np.ndarray, first: int, count: int, work: _Workspace) -> dict:
+    """work's pieces of the tables for order mu on bins h, by piece, once
+    they hold first, ..., first + count - 1: each one it lacks is built
+    (_frequency_piece) and kept. Pieces held for other bins are dropped."""
+    held = work.frequency_pieces.get(mu)
+    if held is None or not np.array_equal(held[0], h):
+        held = work.frequency_pieces[mu] = (h.copy(), {})
+    pieces = held[1]
+    for j in range(first, first + count):
+        if j not in pieces:
+            pieces[j] = _frequency_piece(mu, h, j, work.inner("nodes"))
+    return pieces
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _frequency_piece(mu: float, h: np.ndarray, j: int, nodes: _Workspace) -> _FrequencyPiece:
+    """The _FrequencyPiece of piece j of the grid in s = log|c(w)| for the
+    bins h: one _scaled_bessel_k call with the previous order at its 13
+    nodes and two ends gives Z and P there, and
+    numerics._frequency_coefficients their coefficients. A piece is built
+    alone, so its bits depend only on mu, h and j, at every order: whether
+    _scaled_bessel_k takes its x-table or kve follows the call's points.
+
+    log rho is the sum mu log(x / 2) - x + log(e^x K_mu(x)) + log(2 /
+    Gamma(mu)), finite wherever K is; 1 - rho takes rho as the product of
+    those factors, whose rounding is a few ulps where 1 - rho cancels.
+    Where the power (x / 2)^mu or 2 / Gamma(mu) is not a normal double, or
+    1 - rho is not positive, Z is not finite and the bin takes the
+    per-point path on the piece. Node-sized arrays are nodes', but for the
+    results, which are new."""
+    x = np.multiply(0.5 * h[:, None], _grid_points(j, 1),
+                    out=nodes("points", (h.size, _TABLE_DEGREE + 3)))
+    previous, bessel = _scaled_bessel_k(mu, x, with_previous=True, work=nodes)
+    log_scale = np.log(2.0) - gammaln(mu)
+    half_x = 0.5 * x
+    power = np.power(half_x, mu)
+    rho = np.exp(-x) * bessel
+    rho *= power * np.exp(log_scale)
+    # Z = log rho - log(1 - rho)
+    logit = mu * np.log(half_x) - x + np.log(bessel) + log_scale
+    logit -= np.log1p(-rho)
+    normal = (power >= _TINY) & (power < np.inf) & (np.exp(log_scale) >= _TINY)
+    np.copyto(logit, np.nan, where=~normal)
+    ratio = half_x * previous
+    ratio /= bessel
+    coeffs, good = [], np.ones(h.size, bool)
+    for value in (logit, ratio):
+        finite = np.isfinite(value)
+        good &= finite.all(axis=1)
+        node_values = np.where(finite[:, :-2], value[:, :-2], 0.0)
+        coeffs.append(_frequency_coefficients(node_values))
+    return _FrequencyPiece(tuple(coeffs), good)
 
 
 def cov_matrix(distances, omega, params: ModelParams, include_nugget: bool = True) -> np.ndarray:

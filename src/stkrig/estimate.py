@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .covmodel import ModelParams, _check_dimension, _variogram
+from .covmodel import ModelParams, _check_dimension, _variogram, _variogram_along_frequency
 from .io import json_data
 from .numerics import _count, _real, _Workspace
 from .spectral import SpectralPanel, TimeSeriesPanel, dft_panel
@@ -254,8 +254,9 @@ class _Prepared:
     power of two above binned's largest value; coords, the _Coordinates of
     the scores, when there are any, and their spread over the frequencies;
     and work, the _Workspace every evaluation writes its (L, M) arrays
-    into, which also keeps the Bessel tables' pieces along log|c(w)| that
-    the evaluations have built."""
+    into, which also keeps the pieces of the variogram's tables along
+    log|c(w)| that the evaluations have built
+    (covmodel._variogram_along_frequency), so a fit builds each once."""
 
     def __init__(self, binned: np.ndarray, distances: np.ndarray, frequencies: np.ndarray,
                  coords: _Coordinates | None = None):
@@ -401,7 +402,7 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
     (terms at the scaled parameters, k): the criterion with sigma_e2
     concentrated out.
 
-    With scores set, two more follow, from the same kernel pass as the
+    With scores set, two more follow, from the same variogram pass as the
     terms. First the per-frequency scores, shape (K, M): the derivatives of
     the terms' mean over bins in the K coordinates of prepared.coords at
     coords.pack(params), each mean_bins (1 - binned / g) d log g. Then the
@@ -419,28 +420,32 @@ def _criterion_terms(prepared: _Prepared, params: ModelParams, profile: bool = F
     leading log sigma_e2 row are the gradient of the profiled criterion in
     fit's coordinates.
 
-    A pass that asks for no order derivative (nu held, or no scores) takes
-    the kernel's Bessel factors along log|c(w)| per bin at integer orders
-    (covmodel._kernel's along_frequency), within 1e-14 of the recurrence,
-    from the table pieces prepared.work holds, so a fit builds each once;
-    a nu-free scored pass keeps the per-point path, whose table of
-    d log K / d mu locates every point anyway.
+    A pass that asks for no order derivative (nu held, or no scores) reads
+    g, and dg / d log|c(w)|^2 when scored, from the variogram's tables
+    along log|c(w)| per bin (covmodel._variogram_along_frequency): at
+    every order, one 13-term sum per grid point and table, from the table
+    pieces prepared.work holds, so a fit builds each once, and the
+    per-point variogram only where the tables do not serve. A nu-free
+    scored pass keeps the per-point kernel, whose table of d log K / d mu
+    locates every point anyway.
 
-    Every (L, M) array, the kernel's included, is written in place, into
-    prepared.work, with the operations of the formulas above in their
+    Every (L, M) array, the variogram's included, is written in place,
+    into prepared.work, with the operations of the formulas above in their
     order, so the values have the bits of fresh arrays. The terms are one
     of those arrays: they hold until the next evaluation of the prepared
     data. The scores and the information are new arrays.
     """
     binned, frequencies, work = prepared.binned, prepared.frequencies, prepared.work
     grid = (prepared.distances[:, None], frequencies[None, :])
-    if scores:
-        coords = prepared.coords
-        nu_free = coords.nu_fixed is None
-        g, dg_dlogc2, *dg_dnu = _variogram(*grid, params, gradient=True, smoothness=nu_free,
-                                           along_frequency=not nu_free, work=work)
+    coords = prepared.coords
+    dg_dnu = []
+    if scores and coords.nu_fixed is None:
+        g, dg_dlogc2, *dg_dnu = _variogram(*grid, params, gradient=True, smoothness=True,
+                                           work=work)
+    elif scores:
+        g, dg_dlogc2 = _variogram_along_frequency(*grid, params, gradient=True, work=work)
     else:
-        g = _variogram(*grid, params, along_frequency=True, work=work)
+        g = _variogram_along_frequency(*grid, params, work=work)
     np.maximum(g, _VARIOGRAM_FLOOR, out=g)
     ratio = work("scratch.0", binned.shape)
     terms = work("scratch.1", binned.shape)
@@ -769,8 +774,8 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     leading log sigma_e2 and with log tau in place of the log nugget, from
     several randomized starting points, and keeps the best finisher. Each
     evaluation returns the criterion, its gradient and its expected
-    information from one kernel pass (the smoothness coordinate through the
-    kernel's table of d log K_mu / d mu): by the envelope theorem the
+    information from one variogram pass (with nu free, the smoothness
+    coordinate through the kernel's table of d log K_mu / d mu): by the envelope theorem the
     profiled gradient is (1 / L) sum (1 - I / g) d log g / d theta at the
     profiled scale, and the profiled information is the Schur complement of
     the log sigma_e2 row and column of sum_w mean_bins d log g d log g^T.
@@ -784,7 +789,7 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     not repeated: its profiled scale gives sigma_e2 and the nugget, and its
     value is the criterion. With compute_covariance set, that evaluation's
     scores and information are the sandwich's (see asymptotic_covariance).
-    So the fit makes no kernel pass after the search, nfev in all, unless
+    So the fit makes no variogram pass after the search, nfev in all, unless
     the search rejected a trial of lower value than its winner; it then
     evaluates the winner once more.
 
@@ -873,7 +878,7 @@ def asymptotic_covariance(panel: TimeSeriesPanel, bins: DistanceBins, params_hat
 
     Works in _Coordinates: with nu_fixed set, which must equal
     params_hat.nu, the smoothness is held there; with fit_nugget set, the
-    nugget is a coordinate. One unprofiled kernel pass at params_hat gives
+    nugget is a coordinate. One unprofiled variogram pass at params_hat gives
     the per-frequency scores, the derivatives of each frequency's mean term
     over bins, and the bread: the expected criterion Hessian
     sum_w mean_bins d log g d log g^T, the Hessian with its

@@ -455,3 +455,30 @@ def criterion_hessian_by_central_differences(binned, distances, frequencies, par
     hess = np.array([gradient(vec + e) - gradient(vec - e)
                      for e in step * np.eye(vec.size)]) / (2.0 * step)
     return (hess + hess.T) / 2.0
+
+
+def variogram_by_mpmath(h, omega, params, digits=40):
+    """g_h(w) = 2 C(0, w) (1 - rho(x)) + sigma_n^2 / pi, x = h |c(w)|, and
+    its derivative in log|c(w)|^2,
+    -2 mu C(0, w) (1 - rho) + C(0, w) x rho K_{mu-1}(x) / K_mu(x), in
+    mpmath at the given digits, from the closed forms in the
+    stkrig.covmodel docstring: C(0, w) goes as |c(w)|^(-2 mu),
+    rho(x) = 2 (x / 2)^mu K_mu(x) / Gamma(mu), and
+    d/dx [x^mu K_mu(x)] = -x^mu K_{mu-1}(x) (DLMF 10.29.4). Both are
+    floats; mpmath is imported here, so the module loads without it."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        nu, d = mpmath.mpf(params.nu), mpmath.mpf(params.d)
+        mu = 2 * nu - d / 2
+        log_c2 = mpmath.mpf(params.c_coeffs[0]) + sum(
+            mpmath.mpf(b) * mpmath.cos(k * mpmath.mpf(omega))
+            for k, b in enumerate(params.c_coeffs[1:], start=1))
+        zero = (mpmath.mpf(params.sigma_e2) * mpmath.gamma(mu) * mpmath.exp(-mu * log_c2)
+                / ((2 * mpmath.pi) ** (d / 2) * 2 ** (d / 2) * mpmath.gamma(2 * nu)))
+        x = mpmath.mpf(h) * mpmath.exp(log_c2 / 2)
+        bessel = mpmath.besselk(mu, x)
+        rho = 2 * (x / 2) ** mu * bessel / mpmath.gamma(mu)
+        g = 2 * zero * (1 - rho) + mpmath.mpf(params.nugget) / mpmath.pi
+        slope = -2 * mu * zero * (1 - rho) + zero * x * rho * mpmath.besselk(mu - 1, x) / bessel
+        return float(g), float(slope)

@@ -8,10 +8,11 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy.integrate import trapezoid
 
-from oracles import cov_matrix_full
+from oracles import cov_matrix_full, variogram_by_mpmath
 from stkrig import (ModelParams, c_mod_sq, corr_freq, cov_freq, cov_matrix,
                     cov_zero, numerics, st_spectral_density, variogram_model)
-from stkrig.covmodel import _BLOCK_POINTS, _covariance_walk, _kernel, _site_pair_distances
+from stkrig.covmodel import (_BLOCK_POINTS, _covariance_walk, _kernel, _site_pair_distances,
+                             _variogram, _variogram_along_frequency)
 from stkrig.numerics import bessel_k, log_gamma
 
 K1_AT_1 = 0.6019072301972346
@@ -442,3 +443,33 @@ def test_range_and_spectral_density_edges_fail_loudly_or_reach_their_limit():
 def test_distances_and_scales_outside_the_model_are_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# nu = 0.8, 1, 1.25, 1.5 and 3.2: mu = 0.6 (kve at the nodes), 1 and 2 (the
+# recurrence), 1.5 (the half-integer closed form) and 5.4; on the fit
+# design's model, whose |c(w)| spans 3 pieces of log|c(w)|, and one
+# spanning 6
+@pytest.mark.parametrize("nu", [0.8, 1.0, 1.25, 1.5, 3.2])
+def test_variogram_tables_match_mpmath(nu):
+    # the tables along log|c(w)| give g and dg / d log|c(w)|^2 within 1e-12
+    # and within twice the per-point path's error, both against mpmath at
+    # 40 digits, on bins from 1e-10 to 50 without a nugget. Errors are in
+    # units of the sill 2 C(0, w): where 1 - rho cancels (1 - rho ~ 1e-20
+    # at h = 1e-10), every double evaluation of g loses digits in proportion
+    # to rho / (1 - rho), and both paths lose them alike
+    pytest.importorskip("mpmath")
+    h = np.geomspace(1e-10, 50.0, 12)[:, None]
+    om = (2.0 * np.pi * np.arange(1, 256) / 511)[None, :]
+    cols = np.arange(5, 255, 32)
+    for c_coeffs in [(0.5, 0.8), (1.0, 3.0)]:
+        params = ModelParams(sigma_e2=1.0, nu=nu, c_coeffs=c_coeffs)
+        tabled = np.array(_variogram_along_frequency(h, om, params, gradient=True))[:, :, cols]
+        pointwise = np.array(_variogram(h, om, params, gradient=True))[:, :, cols]
+        exact = np.array([[variogram_by_mpmath(hi, om[0, j], params) for j in cols]
+                          for hi in h[:, 0]]).transpose(2, 0, 1)
+        sill = 2.0 * cov_zero(om[0, cols], params)
+        assert not np.array_equal(tabled, pointwise)
+        for got, expected, reference in zip(tabled, exact, pointwise):
+            table_error = (np.abs(got - expected) / sill).max()
+            pointwise_error = (np.abs(reference - expected) / sill).max()
+            assert table_error < 1e-12 and table_error <= 2.0 * pointwise_error

@@ -27,7 +27,6 @@ from stkrig.estimate import (EstimationError, EvaluationError, FitResult,
                              _Coordinates, _criterion_terms, _prepare, _Prepared,
                              _quasi_newton,
                              _sandwich, _tolerance_groups)
-from stkrig.numerics import _scaled_bessel_k
 from stkrig.spectral import _MAX_ORDINATE
 
 FIXTURES = json.load(open(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -817,25 +816,31 @@ def test_nu_row_is_zero_where_the_range_leaves_the_double_range():
 
 
 def test_nu_free_scores_take_one_kernel_pass(monkeypatch):
-    import stkrig.covmodel as covmodel
+    # nu free: one per-point kernel pass with one order-derivative table;
+    # nu held: one pass along log|c(w)|, whose tables serve this grid, so
+    # it takes no per-point kernel pass and no order-derivative table
+    import stkrig.estimate as est
     import stkrig.numerics as numerics
 
-    passes, tables = [], []
+    passes, along, tables = [], [], []
     kernel, order_slope = covmodel._kernel, numerics._order_slope
+    variogram_along = est._variogram_along_frequency
     monkeypatch.setattr(covmodel, "_kernel",
                         lambda *args, **kwargs: passes.append(1) or kernel(*args, **kwargs))
+    monkeypatch.setattr(est, "_variogram_along_frequency", lambda *args, **kwargs: (
+        along.append(1) or variogram_along(*args, **kwargs)))
     monkeypatch.setattr(numerics, "_order_slope",
                         lambda *args: tables.append(1) or order_slope(*args))
     data = _gradient_panel()
     params = ModelParams(sigma_e2=1.3, nu=1.37, c_coeffs=(0.2, -0.3), nugget=0.2)
-    for nu_fixed, table in ((None, 1), (params.nu, 0)):
+    for nu_fixed, counts in ((None, (1, 0, 1)), (params.nu, (0, 1, 0))):
         prepared = _Prepared(*data, _Coordinates(1, 2, nu_fixed, True))
         for profile in (False, True):
             passes.clear()
+            along.clear()
             tables.clear()
             _criterion_terms(prepared, params, profile=profile, scores=True)
-            # with nu held, no order-derivative table is built
-            assert (len(passes), len(tables)) == (1, table)
+            assert (len(passes), len(along), len(tables)) == counts
 
 
 def _workspace_case(nu):
@@ -958,9 +963,26 @@ def test_a_repeated_evaluation_allocates_no_grid_mask(nu_fixed, grid_allocations
     assert grid_allocations(evaluate, shape) < bool_grid
 
 
-def _bessel_per_point(order, h, c_abs, x, with_previous, work):
-    """_bessel_along_frequency's values by the recurrence at every point."""
-    return _scaled_bessel_k(order, x, with_previous=with_previous, work=work)
+def _variogram_per_point(h, om, params, gradient=False, work=None):
+    """_variogram_along_frequency's values from the per-point variogram."""
+    return covmodel._variogram(h, om, params, gradient=gradient, work=work)
+
+
+def _nu_held_evaluations(prepared_of, params, monkeypatch, profile=True):
+    """_criterion_terms' outputs, scored, from the tables along log|c(w)|
+    and then from the per-point variogram, each on freshly prepared data;
+    the terms copied out of the workspace."""
+    import stkrig.estimate as est
+
+    def evaluate():
+        out = _criterion_terms(prepared_of(), params, profile=profile, scores=True)
+        return (out[0].copy(),) + tuple(out[1:])
+
+    tabled = evaluate()
+    monkeypatch.setattr(est, "_variogram_along_frequency", _variogram_per_point)
+    pointwise = evaluate()
+    monkeypatch.undo()
+    return tabled, pointwise
 
 
 # mu = 1 and 2, on the fit design and on a p = 2 model whose |c(w)| is not
@@ -968,23 +990,15 @@ def _bessel_per_point(order, h, c_abs, x, with_previous, work):
 @pytest.mark.parametrize("c_coeffs", [(0.4, 0.7), (0.2, 1.0, -1.5)])
 @pytest.mark.parametrize("nu_fixed", [1.0, 1.5])
 def test_a_nu_held_evaluation_takes_the_frequency_tables(nu_fixed, c_coeffs, monkeypatch):
-    # the tables along log|c(w)| give the recurrence's terms, scale, scores
-    # and information to 1e-13 of each one's largest entry (a term
-    # log g + I / g may be near 0 where its two parts are not)
+    # the variogram's tables along log|c(w)| give the per-point terms,
+    # scale, scores and information to 1e-13 of each one's largest entry (a
+    # term log g + I / g may be near 0 where its two parts are not)
     panel = _recovery_panel()
     spectral, bins = dft_panel(panel), build_distance_bins(panel.locations)
     params = ModelParams(sigma_e2=1.0, nu=nu_fixed, c_coeffs=c_coeffs)
     coords = _Coordinates(len(c_coeffs) - 1, 2, nu_fixed, False)
-
-    def evaluate():
-        prepared = _prepare(spectral, bins, None, coords)
-        terms, scale, scores, info = _criterion_terms(prepared, params, profile=True,
-                                                      scores=True)
-        return terms.copy(), scale, scores, info
-
-    tabled = evaluate()
-    monkeypatch.setattr(covmodel, "_bessel_along_frequency", _bessel_per_point)
-    pointwise = evaluate()
+    tabled, pointwise = _nu_held_evaluations(lambda: _prepare(spectral, bins, None, coords),
+                                             params, monkeypatch)
     assert not np.array_equal(tabled[0], pointwise[0])
     assert tabled[1] == pytest.approx(pointwise[1], rel=1e-13, abs=0.0)
     for k in (0, 2, 3):
@@ -992,21 +1006,67 @@ def test_a_nu_held_evaluation_takes_the_frequency_tables(nu_fixed, c_coeffs, mon
         assert_allclose(tabled[k], expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
 
 
-def test_one_fit_builds_each_frequency_piece_once(monkeypatch):
-    # criterion-4 replicate 0 as the bench fits it: the 10 evaluations take
-    # their Bessel factors from the pieces of log|c(w)| the workspace holds,
-    # built twice, each piece once (3 pieces), against a build of every
-    # piece the evaluation covers at each of the 10 without held pieces
-    from stkrig import numerics
+# a held zero nugget, a held positive one and a fitted one, at nu = 1 and
+# 1.25 (mu = 1.5, a half-integer order)
+@pytest.mark.parametrize("nugget, fit_nugget", [(0.0, False), (0.3, False), (0.3, True)])
+@pytest.mark.parametrize("nu_fixed", [1.0, 1.25])
+@pytest.mark.parametrize("profile", [False, True])
+def test_a_nu_held_evaluation_takes_the_tables_at_every_nugget(nugget, fit_nugget, nu_fixed,
+                                                               profile, monkeypatch):
+    # the tables give the per-point terms, scores and information, and the
+    # profiled scale, to 1e-13 of each one's largest entry, with the nugget
+    # held at 0, held above it or fitted, profiled or not
+    panel = _recovery_panel()
+    spectral, bins = dft_panel(panel), build_distance_bins(panel.locations)
+    params = ModelParams(sigma_e2=1.0, nu=nu_fixed, c_coeffs=(0.4, 0.7), nugget=nugget)
+    coords = _Coordinates(1, 2, nu_fixed, fit_nugget)
+    tabled, pointwise = _nu_held_evaluations(lambda: _prepare(spectral, bins, None, coords),
+                                             params, monkeypatch, profile)
+    assert len(tabled) == len(pointwise) == 3 + profile
+    assert not np.array_equal(tabled[0], pointwise[0])
+    for got, expected in zip(tabled, pointwise):
+        expected = np.asarray(expected)
+        assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
 
+
+def test_the_tables_leave_a_cancelling_bin_to_the_per_point_path(monkeypatch):
+    # at h = 1e-300, 1 - rho rounds to 0 at every node, so that bin takes
+    # the per-point variogram: C(0, w) - C(h, w) at its rounding, 0 at some
+    # frequencies without a nugget, where the criterion floors it; its
+    # terms, unprofiled, have the per-point path's bits
+    panel = _recovery_panel()
+    spectral, bins = dft_panel(panel), build_distance_bins(panel.locations)
+    params = ModelParams(sigma_e2=1.0, nu=1.0, c_coeffs=(0.4, 0.7))
+    coords = _Coordinates(1, 2, 1.0, False)
+
+    def prepared_of():
+        prepared = _prepare(spectral, bins, None, coords)
+        prepared.distances = np.concatenate([[1e-300], prepared.distances[1:]])
+        return prepared
+
+    grid = (prepared_of().distances[:, None], spectral.frequencies[None, :])
+    g = covmodel._variogram_along_frequency(*grid, params)
+    expected = covmodel._variogram(*grid, params)
+    assert g[0].tobytes() == expected[0].tobytes() and (g[0] == 0.0).any()
+    assert not np.array_equal(g[1:], expected[1:])
+    tabled, pointwise = _nu_held_evaluations(prepared_of, params, monkeypatch, profile=False)
+    assert tabled[0][0].tobytes() == pointwise[0][0].tobytes()
+    assert not np.array_equal(tabled[0][1:], pointwise[0][1:])
+
+
+def test_one_fit_builds_each_frequency_piece_once(monkeypatch):
+    # criterion-4 replicate 0 as the bench fits it: the 10 evaluations read
+    # the variogram from the pieces of log|c(w)| the workspace holds, each
+    # built once (3 pieces), against a build of every piece the evaluation
+    # covers at each of the 10 without held pieces
     builds = []
-    build = numerics._frequency_pieces
-    monkeypatch.setattr(numerics, "_frequency_pieces",
-                        lambda *args: builds.append(args[2:4]) or build(*args))
+    build = covmodel._frequency_piece
+    monkeypatch.setattr(covmodel, "_frequency_piece",
+                        lambda *args: builds.append(args[2]) or build(*args))
     config = FitConfig(n_coeffs=1, nu_fixed=1.0, multistart=2, compute_covariance=False)
     res = fit(_recovery_panel(), config)
     assert sum(r["nfev"] for r in res.restarts) == 10
-    assert builds == [(-1, 2), (1, 1)]
+    assert builds == [-1, 0, 1]
     # a repeated evaluation at one point builds nothing
     panel = _recovery_panel()
     prepared = _prepare(dft_panel(panel), build_distance_bins(panel.locations), None,
@@ -1025,14 +1085,16 @@ def test_one_fit_builds_each_frequency_piece_once(monkeypatch):
 def _scores_by_explicit_bases(prepared, params, profile):
     """_criterion_terms' scores and information, with every basis an
     explicit array: 1 - B is one of ones at a zero nugget."""
-    from stkrig.covmodel import _variogram
+    from stkrig.covmodel import _variogram, _variogram_along_frequency
     from stkrig.estimate import _VARIOGRAM_FLOOR
 
     binned, coords = prepared.binned, prepared.coords
-    nu_free = coords.nu_fixed is None
-    g, dg_dlogc2, *dg_dnu = _variogram(prepared.distances[:, None],
-                                       prepared.frequencies[None, :], params, gradient=True,
-                                       smoothness=nu_free, along_frequency=not nu_free)
+    grid = (prepared.distances[:, None], prepared.frequencies[None, :])
+    dg_dnu = []
+    if coords.nu_fixed is None:
+        g, dg_dlogc2, *dg_dnu = _variogram(*grid, params, gradient=True, smoothness=True)
+    else:
+        g, dg_dlogc2 = _variogram_along_frequency(*grid, params, gradient=True)
     g = np.maximum(g, _VARIOGRAM_FLOOR)
     scaled = g
     if profile:
@@ -1122,20 +1184,25 @@ def test_expected_information_is_the_hessian_where_the_data_are_the_variogram(
 
 
 def test_sandwich_takes_one_kernel_pass(monkeypatch):
-    import stkrig.covmodel as covmodel
+    # one per-point kernel pass with nu free; with nu held, one pass along
+    # log|c(w)|, whose tables serve this grid, and no per-point one
+    import stkrig.estimate as est
 
-    passes = []
-    kernel = covmodel._kernel
+    passes, along = [], []
+    kernel, variogram_along = covmodel._kernel, est._variogram_along_frequency
     monkeypatch.setattr(covmodel, "_kernel",
                         lambda *args, **kwargs: passes.append(1) or kernel(*args, **kwargs))
+    monkeypatch.setattr(est, "_variogram_along_frequency", lambda *args, **kwargs: (
+        along.append(1) or variogram_along(*args, **kwargs)))
     panel, params = _toy_panel(seed=8, m=6, n=64)
     bins = build_distance_bins(panel.locations)
-    for nu_fixed in (None, params.nu):
+    for nu_fixed, counts in ((None, (1, 0)), (params.nu, (0, 1))):
         for fitted in (params, replace(params, nugget=0.2)):
             passes.clear()
+            along.clear()
             cov = asymptotic_covariance(panel, bins, fitted, nu_fixed=nu_fixed,
                                         fit_nugget=fitted.nugget > 0.0)
-            assert len(passes) == 1 and np.isfinite(cov).all()
+            assert (len(passes), len(along)) == counts and np.isfinite(cov).all()
 
 
 def test_collinear_coordinates_make_the_sandwich_singular():

@@ -9,10 +9,11 @@ from scipy import linalg, special
 
 from oracles import (bessel_k_quadrature, dft_brute_force, invert_gauss,
                      solve_gauss, synthesize_brute_force)
-from stkrig import numerics
-from stkrig.covmodel import ModelParams, _c_mod_sq
+from stkrig import covmodel, numerics
+from stkrig.covmodel import (ModelParams, _c_mod_sq, _variogram, _variogram_along_frequency,
+                             _zero_distance)
 from stkrig.numerics import (_ORDER_STEP, _TABLE_CROSSOVER, _TABLE_DEGREE, JITTER_LADDER,
-                             SingularMatrixError, _bessel_along_frequency, _build_table,
+                             SingularMatrixError, _build_table,
                              _dft_rows, _Grid, _jittered_cholesky, _locate, _scaled_bessel_k,
                              _small_x_bessel_k, _synthesize_half, _Workspace, bessel_k,
                              cholesky_with_jitter, dft_forward, dft_inverse, hpd_solve,
@@ -386,103 +387,140 @@ def test_order_slope_takes_the_difference_on_pieces_where_kve_overflows():
                         atol=1e-6 * np.maximum(1.0, np.abs(numeric)).max())
 
 
-def _frequency_grid(c_coeffs, distances):
-    """The criterion's grid: bins (L, 1), |c(w)| (1, M) at the 255 interior
-    frequencies of n = 511, and x = h |c(w)|, as the kernel forms them."""
+def _variogram_grid(order, c_coeffs, distances, nugget=0.0):
+    """The criterion's grid for the Bessel order mu = 2 nu - 1 (d = 2): bins
+    h (L, 1), the 255 interior frequencies of n = 511 (1, M), and the
+    model."""
+    params = ModelParams(1.0, (order + 1.0) / 2.0, c_coeffs, nugget=nugget)
     omegas = 2.0 * np.pi * np.arange(1, 256) / 511
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_abs = np.sqrt(_c_mod_sq(omegas, ModelParams(1.0, 1.0, c_coeffs)))[None, :]
-        h = np.asarray(distances)[:, None]
-        return h, c_abs, h * c_abs
+    return np.asarray(distances, dtype=float)[:, None], omegas[None, :], params
 
 
-# 1e-10 to 50, with 3e-15 and 1e-16, where K_20 overflows at some or all
-# frequencies; 0.5 + 0.8 cos w spans 3 pieces of log|c(w)|, 1 + 3 cos w 6,
-# 0.2 + cos w - 1.5 cos 2w is not monotone in w; |c(w)|^2 overflows at
-# every frequency at b_0 = 800, at the low ones at (705, 5), and underflows
-# at b_0 = -800
+def _off_frequencies(om, params):
+    """The frequencies the tables leave to the per-point path: |c(w)| 0,
+    inf or NaN, or C(0, w) not a positive normal double; and the sill
+    2 C(0, w)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c2 = _c_mod_sq(om[0], params)
+        zero = _zero_distance(c2, params)
+        c_abs = np.sqrt(c2)
+    normal = (zero >= np.finfo(float).tiny) & (zero < np.inf)
+    return ~(normal & (c_abs > 0.0) & (c_abs < np.inf)), 2.0 * zero
+
+
+def _bad_points(work, h, om, params):
+    """The grid points whose (bin, piece) the workspace holds as not
+    finite at a node or an end."""
+    mu = 2.0 * params.nu - 1.0
+    with np.errstate(over="ignore"):
+        grid = _locate(2.0 * np.sqrt(_c_mod_sq(om[0], params)), _Workspace())
+    bad = np.zeros((h.shape[0], om.shape[1]), bool)
+    if grid is None or mu not in work.frequency_pieces:
+        return bad
+    pieces = work.frequency_pieces[mu][1]
+    for m, j in enumerate(grid.piece):
+        if grid.off is None or not grid.off[m]:
+            bad[:, m] = ~pieces[int(grid.first) + j].good
+    return bad
+
+
+# 1e-10 to 50, with 3e-15 and 1e-16, where 1 - rho rounds to 0 at some or
+# all frequencies; 0.5 + 0.8 cos w spans 3 pieces of log|c(w)|, 1 + 3 cos w
+# 6, 0.2 + cos w - 1.5 cos 2w is not monotone in w; |c(w)|^2 overflows at
+# every frequency at b_0 = 800, at the low ones at (705, 5) (C(0, w) is not
+# a normal double at the others), and underflows at b_0 = -800, where the
+# per-point path raises
 FREQUENCY_DISTANCES = np.concatenate([np.geomspace(1e-10, 50.0, 40), [3e-15, 1e-16]])
 FREQUENCY_MODELS = [(0.5, 0.8), (1.0, 3.0), (0.2, 1.0, -1.5), (800.0,), (705.0, 5.0),
                     (-800.0,)]
+# the largest differences of the tables' g and dg / d log|c(w)|^2 from the
+# per-point variogram over FREQUENCY_MODELS, in units of the sill 2 C(0, w),
+# were 6.4e-15 and 6.5e-15 at mu = 1, 1.1e-14 and 2.2e-14 at 2, 3.3e-14 and
+# 1.7e-13 at 5, 1.4e-13 and 3.0e-12 at 20 (where 1 - rho cancels, both
+# paths lose digits). The bounds are about three times those
+ALONG_FREQUENCY_TOLERANCES = {1: (2e-14, 2e-14), 2: (4e-14, 7e-14), 5: (1e-13, 5e-13),
+                              20: (5e-13, 1e-11)}
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("c_coeffs", FREQUENCY_MODELS)
 @pytest.mark.parametrize("order", [1, 2, 5, 20])
 def test_bessel_along_frequency_is_the_recurrence(order, c_coeffs):
-    # within 1e-14 where the tables serve a point; bit for bit where
-    # log|c(w)| is not finite or a (bin, piece) is not finite at a node or
-    # an end, so every inf, NaN and limit is the recurrence's
-    h, c_abs, x = _frequency_grid(c_coeffs, FREQUENCY_DISTANCES)
-    grid = _locate(2.0 * c_abs, _Workspace())
-    with np.errstate(divide="ignore"):
-        off = np.broadcast_to(~np.isfinite(np.log(c_abs)), x.shape)
-    for with_previous in (True, False):
-        expected = np.reshape(_scaled_bessel_k(order, x, with_previous=with_previous),
-                              (-1,) + x.shape)
-        got = np.reshape(_bessel_along_frequency(order, h, c_abs, x,
-                                                 with_previous=with_previous),
-                         (-1,) + x.shape)
-        assert len(got) == len(expected) == 1 + with_previous
-        for value, exact in zip(got, expected):
-            assert value[off].tobytes() == exact[off].tobytes()
-            finite = np.isfinite(exact)
-            assert_allclose(value[finite], exact[finite], rtol=1e-14, atol=0.0)
-            assert value[~finite].tobytes() == exact[~finite].tobytes()
-            if grid is None:
-                continue
-            # a piece of a bin where the recurrence overflows is the
-            # recurrence's at every point
-            pieces = np.where(off[0], -1, grid.piece)
-            for row in np.flatnonzero((~finite).any(axis=1) & finite.any(axis=1)):
-                lost = np.isin(pieces, pieces[~finite[row]])
-                assert value[row, lost].tobytes() == exact[row, lost].tobytes()
+    # the variogram tables along log|c(w)|, built from the Bessel recurrence
+    # at their nodes, give the per-point variogram and its derivative to the
+    # bounds above where they serve; bit for bit at the frequencies they
+    # leave to the per-point path and on every (bin, piece) that is not
+    # finite at a node or an end, so every limit is its own; and where the
+    # per-point path raises, they raise the same
+    h, om, params = _variogram_grid(order, c_coeffs, FREQUENCY_DISTANCES)
+    try:
+        expected = np.array(_variogram(h, om, params, gradient=True))
+    except FloatingPointError as err:
+        with pytest.raises(FloatingPointError, match=str(err)):
+            _variogram_along_frequency(h, om, params, gradient=True)
+        return
+    work = _Workspace()
+    got = np.array(_variogram_along_frequency(h, om, params, gradient=True, work=work))
+    off, sill = _off_frequencies(om, params)
+    assert got[:, :, off].tobytes() == expected[:, :, off].tobytes()
+    bad = _bad_points(work, h, om, params)
+    assert got[:, bad].tobytes() == expected[:, bad].tobytes()
+    serve = ~bad & ~off
+    if not off.any():
+        # the small bins cancel, and the tables serve the others
+        assert bad.any() and serve.sum() > serve.size // 2
+        assert not np.array_equal(got[:, serve], expected[:, serve])
+    for k, tolerance in enumerate(ALONG_FREQUENCY_TOLERANCES[order]):
+        error = np.abs(got[k] - expected[k])[serve]
+        assert (error <= tolerance * np.broadcast_to(sill, serve.shape)[serve]).all()
 
 
 def test_bessel_along_frequency_runs_the_recurrence_at_the_nodes(monkeypatch):
-    # 3 pieces of log|c(w)| for 0.5 + 0.8 cos w: per bin 13 nodes each and
-    # their 4 ends, not 255 frequencies. The first 15 frequencies lie on one
-    # piece, whose 15 nodes and ends are not fewer: each point takes the
-    # recurrence itself; one more frequency, and the table pays
+    # 3 pieces of log|c(w)| for 0.5 + 0.8 cos w: per piece one call on each
+    # bin's 13 nodes and 2 ends, not on the 255 frequencies, at every order
+    # (an integer, a half-integer, and 1.2, kve's). The first 15
+    # frequencies lie on one piece, whose 15 nodes and ends are not fewer:
+    # the per-point path takes them; one more frequency, and the table pays
     calls = []
-    inner = numerics._scaled_bessel_k
+    inner = covmodel._scaled_bessel_k
 
     def recorded(order, x, **kwargs):
         calls.append(np.array(x))
         return inner(order, x, **kwargs)
 
-    monkeypatch.setattr(numerics, "_scaled_bessel_k", recorded)
-    h, c_abs, x = _frequency_grid((0.5, 0.8), np.geomspace(0.1, 10.0, 7))
-    _bessel_along_frequency(1, h, c_abs, x, with_previous=True)
-    assert [call.shape for call in calls] == [(7, 3 * (_TABLE_DEGREE + 2) + 1)]
-    for stop, pointwise in ((_TABLE_DEGREE + 3, True), (_TABLE_DEGREE + 4, False)):
+    monkeypatch.setattr(covmodel, "_scaled_bessel_k", recorded)
+    for order in (1, 1.5, 1.2):
+        h, om, params = _variogram_grid(order, (0.5, 0.8), np.geomspace(0.1, 10.0, 7))
         calls.clear()
-        _bessel_along_frequency(1, h, c_abs[:, :stop], x[:, :stop], with_previous=True)
-        assert len(calls) == 1 and np.array_equal(calls[0], x[:, :stop]) == pointwise
-    # as does an order the recurrence does not serve
-    calls.clear()
-    _bessel_along_frequency(1.5, h, c_abs, x, with_previous=True)
-    assert len(calls) == 1 and np.array_equal(calls[0], x)
+        _variogram_along_frequency(h, om, params, gradient=True)
+        assert [call.shape for call in calls] == [(7, _TABLE_DEGREE + 3)] * 3
+        x = h * np.sqrt(_c_mod_sq(om, params))
+        for stop, pointwise in ((_TABLE_DEGREE + 3, True), (_TABLE_DEGREE + 4, False)):
+            calls.clear()
+            _variogram_along_frequency(h, om[:, :stop], params, gradient=True)
+            assert len(calls) == 1 and np.array_equal(calls[0], x[:, :stop]) == pointwise
 
 
 def _counted_builds(monkeypatch):
-    """The (first, count) of each build of frequency pieces from now on."""
+    """The piece of each build of a variogram table piece from now on."""
     builds = []
-    build = numerics._frequency_pieces
-    monkeypatch.setattr(numerics, "_frequency_pieces",
-                        lambda *args: builds.append(args[2:4]) or build(*args))
+    build = covmodel._frequency_piece
+    monkeypatch.setattr(covmodel, "_frequency_piece",
+                        lambda *args: builds.append(args[2]) or build(*args))
     return builds
 
 
-def _on_pieces(low, high, size=240):
-    """|c(w)| (1, size) spread over the pieces low, ..., high - 1 of
-    log|c(w)|, each piece [j / 2, (j + 1) / 2)."""
-    return np.exp(np.linspace(0.5 * low + 1e-3, 0.5 * high - 1e-3, size))[None, :]
+def _on_pieces(low, high):
+    """c_coeffs (b_0, b_1) whose |c(w)| spreads over the pieces low, ...,
+    high - 1 of log|c(w)|, each piece [j / 2, (j + 1) / 2), rising in w
+    when low > high and falling otherwise."""
+    b1 = 0.5 * abs(high - low) - 2e-3
+    return (0.5 * (low + high), -b1 if low < high else b1)
 
 
 # each step's |c(w)| by its pieces, and the runs it lacks: one piece alone,
 # rising, falling, a union reaching past both ends, one across a gap, the
-# gap's pieces among held ones, and one falling in w
+# gap's pieces among held ones, and one rising in w
 HELD_STEPS = [((0, 1), [(0, 1)]), ((1, 2), [(1, 1)]), ((-1, 0), [(-1, 1)]),
               ((-3, 4), [(-3, 2), (2, 2)]), ((7, 9), [(7, 2)]), ((2, 9), [(4, 3)]),
               ((10, -4), [(-4, 1), (9, 1)])]
@@ -492,84 +530,84 @@ HELD_STEPS = [((0, 1), [(0, 1)]), ((1, 2), [(1, 1)]), ((-1, 0), [(-1, 1)]),
 @pytest.mark.parametrize("order", [1, 2, 5, 20])
 def test_held_frequency_pieces_give_the_bits_of_a_fresh_workspace(order, monkeypatch):
     # a workspace keeps the pieces it builds and builds only those it
-    # lacks; its values are those of a call with none held, inf included
-    # (K_20 overflows at the smallest bins)
-    h = FREQUENCY_DISTANCES[:, None]
+    # lacks, each alone; its values are those of a call with none held,
+    # the per-point path's included (1 - rho rounds to 0 at the smallest
+    # bins)
     builds = _counted_builds(monkeypatch)
-    for with_previous in (True, False):
+    for gradient in (True, False):
         work = _Workspace()
         for (low, high), runs in HELD_STEPS:
-            c_abs = _on_pieces(min(low, high), max(low, high))
-            c_abs = c_abs if low < high else c_abs[:, ::-1]
-            x = h * c_abs
+            h, om, params = _variogram_grid(order, _on_pieces(low, high), FREQUENCY_DISTANCES)
             builds.clear()
-            held = np.array(_bessel_along_frequency(order, h, c_abs, x, with_previous, work))
-            assert builds == runs
-            fresh = np.array(_bessel_along_frequency(order, h, c_abs, x, with_previous))
+            held = np.array(_variogram_along_frequency(h, om, params, gradient, work))
+            assert builds == [j for first, count in runs for j in range(first, first + count)]
+            fresh = np.array(_variogram_along_frequency(h, om, params, gradient))
             assert held.tobytes() == fresh.tobytes()
             # and a repeated call builds nothing
             builds.clear()
-            again = _bessel_along_frequency(order, h, c_abs, x, with_previous, work)
+            again = _variogram_along_frequency(h, om, params, gradient, work)
             assert not builds and np.array(again).tobytes() == fresh.tobytes()
-        if order == 20:
-            assert not np.isfinite(fresh).all()
+        assert _bad_points(work, h, om, params).any()
 
 
-@pytest.mark.parametrize("order", [1, 20])
+@pytest.mark.parametrize("order", [1, 20, 1.2])
 def test_a_frequency_piece_does_not_depend_on_the_pieces_built_with_it(order):
-    # each piece's coefficients (einsum "lpj,jk->plk" over the pieces
-    # built together), scale and good bins are those of the piece built
-    # alone or among any others
+    # each piece a workspace holds has the coefficients and good bins of the
+    # piece built alone in a fresh one, whichever pieces the workspace built
+    # before it and in which order; at 1.2 the Bessel functions at the nodes
+    # come from kve or an x-table, which the workspace keeps between builds
     h = FREQUENCY_DISTANCES
-    whole = numerics._frequency_pieces(order, h, -6, 14, True, _Workspace())
-    # K_20 overflows at the smallest bins
-    assert all(piece.good.all() for piece in whole) == (order == 1)
-    for count in range(1, 14):
-        for start in sorted({0, 3, 7, 14 - count}):
-            part = numerics._frequency_pieces(order, h, start - 6, count, True, _Workspace())
-            for got, expected in zip(part, whole[start:start + count]):
-                for a, b in zip(got, expected):
-                    assert np.array(a).tobytes() == np.array(b).tobytes()
+    alone = {j: covmodel._frequency_piece(order, h, j, _Workspace()) for j in range(-6, 8)}
+    for sequence in (range(-6, 8), range(7, -7, -1), [0, -6, 7, 3, -2]):
+        work = _Workspace()
+        for j in sequence:
+            covmodel._held_pieces(order, h, j, 1, work)
+        held = work.frequency_pieces[order][1]
+        for j in sequence:
+            for a, b in zip(held[j], alone[j]):
+                assert np.array(a).tobytes() == np.array(b).tobytes()
+    # the smallest bins cancel: 1 - rho rounds to 0 there
+    assert not all(piece.good.all() for piece in alone.values())
 
 
 def test_a_workspace_rebuilds_for_other_bins_or_another_order(monkeypatch):
+    # the pieces are kept by order and tied to the bins; the scored and the
+    # unscored passes share them
     builds = _counted_builds(monkeypatch)
-    c_abs = _on_pieces(0, 3)
-    bins = [np.geomspace(0.1, 10.0, 7)[:, None], np.geomspace(0.2, 20.0, 7)[:, None]]
+    bins = [np.geomspace(0.1, 10.0, 7), np.geomspace(0.2, 20.0, 7)]
     work = _Workspace()
-    # (order, with_previous, bins) of each call, and whether it builds
+    # (order, gradient, bins) of each call, and whether it builds
     calls = [(1, True, 0, True), (1, True, 0, False), (1, True, 1, True),
-             (1, True, 0, True), (2, True, 0, True), (1, False, 0, True),
-             (1, True, 0, False), (2, True, 0, False)]
-    for order, with_previous, k, builds_tables in calls:
-        h = bins[k]
+             (1, True, 0, True), (2, True, 0, True), (1, False, 0, False),
+             (2, False, 0, False), (1, True, 0, False)]
+    for order, gradient, k, builds_tables in calls:
+        h, om, params = _variogram_grid(order, _on_pieces(0, 3), bins[k])
         builds.clear()
-        held = np.array(_bessel_along_frequency(order, h, c_abs, h * c_abs, with_previous,
-                                                work))
-        assert builds == ([(0, 3)] if builds_tables else [])
-        fresh = np.array(_bessel_along_frequency(order, h, c_abs, h * c_abs, with_previous))
+        held = np.array(_variogram_along_frequency(h, om, params, gradient, work))
+        assert builds == ([0, 1, 2] if builds_tables else [])
+        fresh = np.array(_variogram_along_frequency(h, om, params, gradient))
         assert held.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
 def test_a_piece_whose_end_overflows_takes_the_recurrence():
-    # K_20 at x = h |c(w)| overflows below x ~ 5.3395e-15. On piece 0 of
-    # log|c(w)| the lower end, |c(w)| = 1, lies 0.18% below the lowest
-    # node; at this h the recurrence overflows at that end and at the
-    # frequency just above it, but at no node, so only the ends' check
-    # sends the bin's points to the recurrence
-    h = np.array([[5.3346e-15]])
+    # kve is NaN from x = 2^30 on. On piece 0 of log|c(w)| the upper end,
+    # |c(w)| = e^(1/2), lies 0.18% above the highest node; at this h only
+    # that end and the frequencies just below it reach 2^30, so only the
+    # ends' check sends the bin's points on the piece to the per-point path
+    h = np.array([6.52e8])
     nodes_and_ends = numerics._grid_points(0.0, 1) / 2.0
-    assert nodes_and_ends[-2] == 1.0
-    c_abs = np.concatenate([[1.0005], np.geomspace(1.01, 1.6, 39)])[None, :]
-    x = h * c_abs
-    at_nodes = _scaled_bessel_k(20, h[0] * nodes_and_ends)
-    assert np.isfinite(at_nodes[:-2]).all() and np.isinf(at_nodes[-2])
-    for with_previous in (True, False):
-        expected = np.array(_scaled_bessel_k(20, x, with_previous=with_previous))
-        got = np.array(_bessel_along_frequency(20, h, c_abs, x, with_previous=with_previous))
-        bessel = expected.reshape(-1, c_abs.size)[-1]
-        assert np.isinf(bessel[0]) and np.isfinite(bessel[1:]).all()
+    assert nodes_and_ends[-1] == np.exp(0.5)
+    assert (h * nodes_and_ends[:-1] < 2.0 ** 30).all() and h * nodes_and_ends[-1] > 2.0 ** 30
+    order = 1.2
+    _, om, params = _variogram_grid(order, (0.5, 0.4995), h)
+    x = h[:, None] * np.sqrt(_c_mod_sq(om, params))
+    assert (x > 2.0 ** 30).any() and (x < 2.0 ** 30).any()
+    for gradient in (True, False):
+        work = _Workspace()
+        expected = np.array(_variogram(h[:, None], om, params, gradient=gradient))
+        got = np.array(_variogram_along_frequency(h[:, None], om, params, gradient, work))
+        assert not work.frequency_pieces[2.0 * params.nu - 1.0][1][0].good[0]
         assert got.tobytes() == expected.tobytes()
 
 
