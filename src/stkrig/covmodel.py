@@ -471,8 +471,9 @@ def _variogram_along_frequency(h: np.ndarray, om: np.ndarray, params: ModelParam
     the passes of the two formulas above. Every order mu > 0 is served.
 
     A piece depends only on the order, the bins and the piece, not on b,
-    so work holds the pieces it has built (_held_pieces): a call builds
-    only those it lacks, and a fit's evaluations build each piece once.
+    so work holds the pieces it has built (_held_pieces), those with P
+    apart from those without: a call builds only those it lacks, and a
+    fit's evaluations, all scored, build each piece once.
 
     The points of a (bin, piece) whose Z or P is not finite at a node or
     an end, and of a frequency whose |c(w)| is 0, inf or NaN or whose
@@ -491,7 +492,7 @@ def _variogram_along_frequency(h: np.ndarray, om: np.ndarray, params: ModelParam
     if grid is None or (_TABLE_DEGREE + 2) * grid.count + 1 >= grid.placed:
         return _variogram(h, om, params, gradient=gradient, work=work)
     mu = 2.0 * params.nu - params.d / 2.0
-    pieces = _held_pieces(mu, np.ravel(h), int(grid.first), grid.count, work)
+    pieces = _held_pieces(mu, np.ravel(h), int(grid.first), grid.count, gradient, work)
     cheb = np.empty((_TABLE_DEGREE + 1, zero.size))
     cheb[0], cheb[1] = 1.0, grid.u
     for k in range(2, _TABLE_DEGREE + 1):
@@ -540,33 +541,38 @@ def _variogram_along_frequency(h: np.ndarray, om: np.ndarray, params: ModelParam
 class _FrequencyPiece(NamedTuple):
     """One piece of _variogram_along_frequency's tables for every bin:
     coeffs, the Chebyshev coefficients (L, degree + 1), from the last to the
-    first, of each bin's Z and then of its P; good (L,), the bins whose Z
-    and P are finite at every node and both ends of the piece."""
+    first, of each bin's Z and then, when built for the gradient, of its P;
+    good (L,), the bins whose tables are finite at every node and both ends
+    of the piece."""
 
     coeffs: tuple
     good: np.ndarray
 
 
-def _held_pieces(mu: float, h: np.ndarray, first: int, count: int, work: _Workspace) -> dict:
-    """work's pieces of the tables for order mu on bins h, by piece, once
-    they hold first, ..., first + count - 1: each one it lacks is built
-    (_frequency_piece) and kept. Pieces held for other bins are dropped."""
-    held = work.frequency_pieces.get(mu)
+def _held_pieces(mu: float, h: np.ndarray, first: int, count: int, gradient: bool,
+                 work: _Workspace) -> dict:
+    """work's pieces of the tables for order mu on bins h, with P when
+    gradient is set, by piece, once they hold first, ..., first + count - 1:
+    each one it lacks is built (_frequency_piece) and kept. Pieces held for
+    other bins are dropped."""
+    key = (mu, gradient)
+    held = work.frequency_pieces.get(key)
     if held is None or not np.array_equal(held[0], h):
-        held = work.frequency_pieces[mu] = (h.copy(), {})
+        held = work.frequency_pieces[key] = (h.copy(), {})
     pieces = held[1]
     for j in range(first, first + count):
         if j not in pieces:
-            pieces[j] = _frequency_piece(mu, h, j, work.inner("nodes"))
+            pieces[j] = _frequency_piece(mu, h, j, gradient, work.inner("nodes"))
     return pieces
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _frequency_piece(mu: float, h: np.ndarray, j: int, nodes: _Workspace) -> _FrequencyPiece:
+def _frequency_piece(mu: float, h: np.ndarray, j: int, gradient: bool,
+                     nodes: _Workspace) -> _FrequencyPiece:
     """The _FrequencyPiece of piece j of the grid in s = log|c(w)| for the
-    bins h: one _scaled_bessel_k call with the previous order at its 13
-    nodes and two ends gives Z and P there, and
-    numerics._frequency_coefficients their coefficients. A piece is built
+    bins h, with P when gradient is set: one _scaled_bessel_k call (with
+    the previous order for P) at its 13 nodes and two ends gives Z and P
+    there, and numerics._frequency_coefficients their coefficients. A piece is built
     alone, so its bits depend only on mu, h and j, at every order: whether
     _scaled_bessel_k takes its x-table or kve follows the call's points.
 
@@ -579,7 +585,8 @@ def _frequency_piece(mu: float, h: np.ndarray, j: int, nodes: _Workspace) -> _Fr
     results, which are new."""
     x = np.multiply(0.5 * h[:, None], _grid_points(j, 1),
                     out=nodes("points", (h.size, _TABLE_DEGREE + 3)))
-    previous, bessel = _scaled_bessel_k(mu, x, with_previous=True, work=nodes)
+    values = _scaled_bessel_k(mu, x, with_previous=gradient, work=nodes)
+    previous, bessel = values if gradient else (None, values)
     log_scale = np.log(2.0) - gammaln(mu)
     half_x = 0.5 * x
     power = np.power(half_x, mu)
@@ -590,10 +597,13 @@ def _frequency_piece(mu: float, h: np.ndarray, j: int, nodes: _Workspace) -> _Fr
     logit -= np.log1p(-rho)
     normal = (power >= _TINY) & (power < np.inf) & (np.exp(log_scale) >= _TINY)
     np.copyto(logit, np.nan, where=~normal)
-    ratio = half_x * previous
-    ratio /= bessel
+    tables = [logit]
+    if gradient:
+        ratio = half_x * previous
+        ratio /= bessel
+        tables.append(ratio)
     coeffs, good = [], np.ones(h.size, bool)
-    for value in (logit, ratio):
+    for value in tables:
         finite = np.isfinite(value)
         good &= finite.all(axis=1)
         node_values = np.where(finite[:, :-2], value[:, :-2], 0.0)

@@ -63,7 +63,8 @@ class _Workspace:
     the fixed grid that a new table covers when they hold the call's own
     (None: the call's own pieces); cover sets it. And it holds the pieces
     of covmodel's variogram tables along log|c(w)| that it has built, by
-    Bessel order (frequency_pieces): the bins they were built for, and
+    Bessel order and whether they hold the gradient's table
+    (frequency_pieces): the bins they were built for, and
     their covmodel._FrequencyPiece by piece, so a fit's evaluations build
     each piece once."""
 

@@ -408,16 +408,16 @@ def _off_frequencies(om, params):
     return ~(normal & (c_abs > 0.0) & (c_abs < np.inf)), 2.0 * zero
 
 
-def _bad_points(work, h, om, params):
-    """The grid points whose (bin, piece) the workspace holds as not
-    finite at a node or an end."""
-    mu = 2.0 * params.nu - 1.0
+def _bad_points(work, h, om, params, gradient=True):
+    """The grid points whose (bin, piece) the workspace holds, for the
+    gradient or not, as not finite at a node or an end."""
+    key = (2.0 * params.nu - 1.0, gradient)
     with np.errstate(over="ignore"):
         grid = _locate(2.0 * np.sqrt(_c_mod_sq(om[0], params)), _Workspace())
     bad = np.zeros((h.shape[0], om.shape[1]), bool)
-    if grid is None or mu not in work.frequency_pieces:
+    if grid is None or key not in work.frequency_pieces:
         return bad
-    pieces = work.frequency_pieces[mu][1]
+    pieces = work.frequency_pieces[key][1]
     for m, j in enumerate(grid.piece):
         if grid.off is None or not grid.off[m]:
             bad[:, m] = ~pieces[int(grid.first) + j].good
@@ -547,7 +547,7 @@ def test_held_frequency_pieces_give_the_bits_of_a_fresh_workspace(order, monkeyp
             builds.clear()
             again = _variogram_along_frequency(h, om, params, gradient, work)
             assert not builds and np.array(again).tobytes() == fresh.tobytes()
-        assert _bad_points(work, h, om, params).any()
+        assert _bad_points(work, h, om, params, gradient).any()
 
 
 @pytest.mark.parametrize("order", [1, 20, 1.2])
@@ -555,31 +555,39 @@ def test_a_frequency_piece_does_not_depend_on_the_pieces_built_with_it(order):
     # each piece a workspace holds has the coefficients and good bins of the
     # piece built alone in a fresh one, whichever pieces the workspace built
     # before it and in which order; at 1.2 the Bessel functions at the nodes
-    # come from kve or an x-table, which the workspace keeps between builds
+    # come from kve or an x-table, which the workspace keeps between builds.
+    # Z's table is the same with P's or without
     h = FREQUENCY_DISTANCES
-    alone = {j: covmodel._frequency_piece(order, h, j, _Workspace()) for j in range(-6, 8)}
-    for sequence in (range(-6, 8), range(7, -7, -1), [0, -6, 7, 3, -2]):
-        work = _Workspace()
-        for j in sequence:
-            covmodel._held_pieces(order, h, j, 1, work)
-        held = work.frequency_pieces[order][1]
-        for j in sequence:
-            for a, b in zip(held[j], alone[j]):
-                assert np.array(a).tobytes() == np.array(b).tobytes()
-    # the smallest bins cancel: 1 - rho rounds to 0 there
-    assert not all(piece.good.all() for piece in alone.values())
+    for gradient in (True, False):
+        alone = {j: covmodel._frequency_piece(order, h, j, gradient, _Workspace())
+                 for j in range(-6, 8)}
+        for sequence in (range(-6, 8), range(7, -7, -1), [0, -6, 7, 3, -2]):
+            work = _Workspace()
+            for j in sequence:
+                covmodel._held_pieces(order, h, j, 1, gradient, work)
+            held = work.frequency_pieces[(order, gradient)][1]
+            for j in sequence:
+                assert len(held[j].coeffs) == 1 + gradient
+                for a, b in zip(held[j], alone[j]):
+                    assert np.array(a).tobytes() == np.array(b).tobytes()
+        # the smallest bins cancel: 1 - rho rounds to 0 there
+        assert not all(piece.good.all() for piece in alone.values())
+        if gradient:
+            with_slope = alone
+    for j, piece in alone.items():
+        assert piece.coeffs[0].tobytes() == with_slope[j].coeffs[0].tobytes()
 
 
 def test_a_workspace_rebuilds_for_other_bins_or_another_order(monkeypatch):
-    # the pieces are kept by order and tied to the bins; the scored and the
-    # unscored passes share them
+    # the pieces are kept by order and by whether they hold P's table, and
+    # tied to the bins
     builds = _counted_builds(monkeypatch)
     bins = [np.geomspace(0.1, 10.0, 7), np.geomspace(0.2, 20.0, 7)]
     work = _Workspace()
     # (order, gradient, bins) of each call, and whether it builds
     calls = [(1, True, 0, True), (1, True, 0, False), (1, True, 1, True),
-             (1, True, 0, True), (2, True, 0, True), (1, False, 0, False),
-             (2, False, 0, False), (1, True, 0, False)]
+             (1, True, 0, True), (2, True, 0, True), (1, False, 0, True),
+             (1, True, 0, False), (2, True, 0, False), (1, False, 0, False)]
     for order, gradient, k, builds_tables in calls:
         h, om, params = _variogram_grid(order, _on_pieces(0, 3), bins[k])
         builds.clear()
@@ -607,7 +615,7 @@ def test_a_piece_whose_end_overflows_takes_the_recurrence():
         work = _Workspace()
         expected = np.array(_variogram(h[:, None], om, params, gradient=gradient))
         got = np.array(_variogram_along_frequency(h[:, None], om, params, gradient, work))
-        assert not work.frequency_pieces[2.0 * params.nu - 1.0][1][0].good[0]
+        assert not work.frequency_pieces[(2.0 * params.nu - 1.0, gradient)][1][0].good[0]
         assert got.tobytes() == expected.tobytes()
 
 
