@@ -1,6 +1,7 @@
 """Numerical kernels against independent references."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -403,9 +404,9 @@ def _off_frequencies(om, params):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c2 = _c_mod_sq(om[0], params)
         zero = _zero_distance(c2, params)
-        c_abs = np.sqrt(c2)
+        c_abs, sill = np.sqrt(c2), 2.0 * zero
     normal = (zero >= np.finfo(float).tiny) & (zero < np.inf)
-    return ~(normal & (c_abs > 0.0) & (c_abs < np.inf)), 2.0 * zero
+    return ~(normal & (c_abs > 0.0) & (c_abs < np.inf)), sill
 
 
 def _bad_points(work, h, om, params, gradient=True):
@@ -595,6 +596,32 @@ def test_a_workspace_rebuilds_for_other_bins_or_another_order(monkeypatch):
         assert builds == ([0, 1, 2] if builds_tables else [])
         fresh = np.array(_variogram_along_frequency(h, om, params, gradient))
         assert held.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_frequency_whose_zero_distance_value_is_not_normal_takes_the_per_point_path():
+    # C(0, w) = sigma_e^2 / (4 pi |c(w)|^2) at nu = 1: at sigma_e^2 =
+    # 4.66e-307 it is subnormal at the low frequencies of 0.5 + 0.8 cos w
+    # and normal at the others, whose tables serve; those frequencies take
+    # the per-point variogram, bit for bit. At sigma_e^2 = 1.7e308 it
+    # overflows at the high frequencies, where the per-point path raises,
+    # and so do the tables
+    h = np.geomspace(0.1, 10.0, 7)
+    _, om, params = _variogram_grid(1, (0.5, 0.8), h)
+    low = replace(params, sigma_e2=4.66e-307)
+    off, sill = _off_frequencies(om, low)
+    assert off.any() and not off.all() and (sill[off] > 0.0).all()
+    expected = np.array(_variogram(h[:, None], om, low, gradient=True))
+    got = np.array(_variogram_along_frequency(h[:, None], om, low, gradient=True))
+    assert got[:, :, off].tobytes() == expected[:, :, off].tobytes()
+    assert not np.array_equal(got[:, :, ~off], expected[:, :, ~off])
+    high = replace(params, sigma_e2=1.7e308, c_coeffs=(-2.0, 0.8))
+    off, sill = _off_frequencies(om, high)
+    assert np.isinf(sill[off] / 2.0).any() and not off.all()
+    with pytest.raises(FloatingPointError) as raised:
+        _variogram(h[:, None], om, high, gradient=True)
+    with pytest.raises(FloatingPointError, match=str(raised.value)):
+        _variogram_along_frequency(h[:, None], om, high, gradient=True)
 
 
 @pytest.mark.filterwarnings("error")
