@@ -202,9 +202,10 @@ def _zero_distance(c2: np.ndarray, params: ModelParams) -> np.ndarray:
 def _kernel(h: np.ndarray, om: np.ndarray, params: ModelParams, gradient: bool = False,
             smoothness: bool = False, work: _Workspace | None = None):
     """C(h, w) on the broadcast of validated h and om, and C(0, w) on om,
-    point by point: every covariance system, every public function and the
-    criterion's nu-free scored pass take it (the criterion's other passes
-    read the variogram from _variogram_along_frequency's tables).
+    point by point: every covariance system, this module's public
+    functions and the criterion's nu-free scored pass take it (the
+    criterion's other passes read the variogram from
+    _variogram_along_frequency's tables).
 
     |c(w)|^2 and the log-gamma constants are computed once, on om's own
     shape, and x^mu K_mu(x) with x = h |c(w)| in one exponentially scaled
@@ -457,11 +458,12 @@ def _variogram_along_frequency(h: np.ndarray, om: np.ndarray, params: ModelParam
         g = 2 C(0, w) / (1 + e) + sigma_n^2 / pi,
         dg / d log|c(w)|^2 = 2 C(0, w) / (1 + e) (P e - mu).
 
-    At a fixed h, Z and P are analytic in s as log K is, and both vary
-    slowly: where x is large, Z ~ -x and P ~ x / 2, and an error in Z moves
-    1 - rho by rho times as much. (log(1 - rho) ~ -rho itself falls as e^-x
-    along s, and its degree-12 tables missed it by up to 1e-12 of the sill
-    at mu = 5.4.) Each bin's tables cover the pieces of the fixed grid in
+    At a fixed h, Z and P are analytic in s as log K is, and smooth on a
+    piece at every x: where x is large, Z ~ -x and P ~ x / 2, and an error
+    d in Z moves 1 - rho by rho d relative. (log(1 - rho) ~ -rho falls as
+    e^-x along s; degree-12 tables of it missed dg by up to 1e-12 of the
+    sill at mu = 5.4, where the per-point path is at its rounding.) Each
+    bin's tables cover the pieces of the fixed grid in
     s (those of numerics._locate, of _TABLE_WIDTH each) that hold the
     frequencies' |c(w)|, one _FrequencyPiece per piece, from the Bessel
     functions at 13 nodes and the two ends (_frequency_piece). Per
@@ -572,9 +574,10 @@ def _frequency_piece(mu: float, h: np.ndarray, j: int, gradient: bool,
     """The _FrequencyPiece of piece j of the grid in s = log|c(w)| for the
     bins h, with P when gradient is set: one _scaled_bessel_k call (with
     the previous order for P) at its 13 nodes and two ends gives Z and P
-    there, and numerics._frequency_coefficients their coefficients. A piece is built
-    alone, so its bits depend only on mu, h and j, at every order: whether
-    _scaled_bessel_k takes its x-table or kve follows the call's points.
+    there, and numerics._frequency_coefficients their coefficients. A
+    piece is built alone, so its bits depend only on mu, h and j, at every
+    order: whether _scaled_bessel_k takes its x-table or kve follows the
+    call's points.
 
     log rho is the sum mu log(x / 2) - x + log(e^x K_mu(x)) + log(2 /
     Gamma(mu)), finite wherever K is; 1 - rho takes rho as the product of
@@ -587,16 +590,17 @@ def _frequency_piece(mu: float, h: np.ndarray, j: int, gradient: bool,
                     out=nodes("points", (h.size, _TABLE_DEGREE + 3)))
     values = _scaled_bessel_k(mu, x, with_previous=gradient, work=nodes)
     previous, bessel = values if gradient else (None, values)
+    # log(2 / Gamma(mu)) and 2 / Gamma(mu)
     log_scale = np.log(2.0) - gammaln(mu)
+    scale = np.exp(log_scale)
     half_x = 0.5 * x
     power = np.power(half_x, mu)
     rho = np.exp(-x) * bessel
-    rho *= power * np.exp(log_scale)
+    rho *= power * scale
     # Z = log rho - log(1 - rho)
     logit = mu * np.log(half_x) - x + np.log(bessel) + log_scale
     logit -= np.log1p(-rho)
-    normal = (power >= _TINY) & (power < np.inf) & (np.exp(log_scale) >= _TINY)
-    np.copyto(logit, np.nan, where=~normal)
+    np.copyto(logit, np.nan, where=~((power >= _TINY) & (power < np.inf) & (scale >= _TINY)))
     tables = [logit]
     if gradient:
         ratio = half_x * previous

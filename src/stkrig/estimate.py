@@ -775,10 +775,11 @@ def fit(panel: TimeSeriesPanel, config: FitConfig = FitConfig()) -> FitResult:
     several randomized starting points, and keeps the best finisher. Each
     evaluation returns the criterion, its gradient and its expected
     information from one variogram pass (with nu free, the smoothness
-    coordinate through the kernel's table of d log K_mu / d mu): by the envelope theorem the
-    profiled gradient is (1 / L) sum (1 - I / g) d log g / d theta at the
-    profiled scale, and the profiled information is the Schur complement of
-    the log sigma_e2 row and column of sum_w mean_bins d log g d log g^T.
+    coordinate through the kernel's table of d log K_mu / d mu): by the
+    envelope theorem the profiled gradient is (1 / L) sum (1 - I / g)
+    d log g / d theta at the profiled scale, and the profiled information
+    is the Schur complement of the log sigma_e2 row and column of
+    sum_w mean_bins d log g d log g^T.
     _quasi_newton runs Fisher scoring with that information as the
     curvature; its own tolerance and Newton-decrement tests end the search,
     and only where it stops converging fast (as along the nu-nugget ridge)
