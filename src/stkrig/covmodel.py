@@ -186,10 +186,10 @@ def _log_scale(params: ModelParams) -> float:
     return np.log(params.sigma_e2) - (params.d / 2.0) * np.log(_TWO_PI)
 
 
-@np.errstate(over="ignore", divide="ignore")
 def _zero_distance(c2: np.ndarray, params: ModelParams) -> np.ndarray:
     """C(0, w) from |c(w)|^2, as the kernel takes it: 0 where |c(w)|^2 is
-    inf, inf where it is 0 or C(0, w) overflows."""
+    inf, inf where it is 0 or C(0, w) overflows (the callers ignore numpy's
+    overflow and divide warnings)."""
     mu = 2.0 * params.nu - params.d / 2.0
     log_const = (_log_scale(params) - (params.d / 2.0) * np.log(2.0) + float(gammaln(mu))
                  - float(gammaln(2.0 * params.nu)))
