@@ -963,11 +963,6 @@ def test_a_repeated_evaluation_allocates_no_grid_mask(nu_fixed, grid_allocations
     assert grid_allocations(evaluate, shape) < bool_grid
 
 
-def _variogram_per_point(h, om, params, gradient=False, work=None):
-    """_variogram_along_frequency's values from the per-point variogram."""
-    return covmodel._variogram(h, om, params, gradient=gradient, work=work)
-
-
 def _nu_held_evaluations(prepared_of, params, monkeypatch, profile=True):
     """_criterion_terms' outputs, scored, from the tables along log|c(w)|
     and then from the per-point variogram, each on freshly prepared data;
@@ -979,7 +974,8 @@ def _nu_held_evaluations(prepared_of, params, monkeypatch, profile=True):
         return (out[0].copy(),) + tuple(out[1:])
 
     tabled = evaluate()
-    monkeypatch.setattr(est, "_variogram_along_frequency", _variogram_per_point)
+    # the per-point variogram takes the same arguments
+    monkeypatch.setattr(est, "_variogram_along_frequency", covmodel._variogram)
     pointwise = evaluate()
     monkeypatch.undo()
     return tabled, pointwise
